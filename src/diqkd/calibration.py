@@ -7,17 +7,16 @@ parser backs both the shipped data files and user-facing run configs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from typing import Optional
 
-from .link import LinkBudget, TimingModel
+from .link import LinkBudget
 
 __all__ = [
     "parse_flat",
     "load_data_text",
     "DistanceCalibration",
-    "load_link_defaults",
     "load_distance_table",
     "load_error_budget",
 ]
@@ -69,36 +68,8 @@ class DistanceCalibration:
     s_obs: Optional[float] = None  # directly measured CHSH value, where available
 
     def link_budget(self, defaults: LinkBudget) -> LinkBudget:
-        """Budget for this length, with the measured fiber transmission override."""
-        return LinkBudget(
-            collection=defaults.collection,
-            fiber_coupling=defaults.fiber_coupling,
-            qfc=defaults.qfc,
-            insertion=defaults.insertion,
-            bsm=defaults.bsm,
-            detector=defaults.detector,
-            atten_db_per_km=defaults.atten_db_per_km,
-            length_km=self.length_km,
-            measured_arm_transmission=self.fiber_transmission,
-        )
-
-
-def load_link_defaults() -> tuple[LinkBudget, TimingModel]:
-    cfg = parse_flat(load_data_text("link_budget.cfg"))
-    budget = LinkBudget(
-        collection=float(cfg["link.collection"]),
-        fiber_coupling=float(cfg["link.fiber_coupling"]),
-        qfc=float(cfg["link.qfc"]),
-        insertion=float(cfg["link.insertion"]),
-        bsm=float(cfg["link.bsm"]),
-        detector=float(cfg["link.detector"]),
-        atten_db_per_km=float(cfg["link.atten_db_per_km"]),
-    )
-    timing = TimingModel(
-        overhead_s=float(cfg["timing.overhead_s"]),
-        duty_cycle=float(cfg["timing.duty_cycle"]),
-    )
-    return budget, timing
+        """The given budget at this length, with the measured fiber transmission override."""
+        return replace(defaults, length_km=self.length_km, measured_arm_transmission=self.fiber_transmission)
 
 
 def load_distance_table() -> list[DistanceCalibration]:

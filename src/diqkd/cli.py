@@ -6,8 +6,10 @@ config runs the 11 km operating point out of the box.  Reports are
 canonical: byte-for-byte reproducible from (config, seed), floats at
 full round-trip precision, and a config hash in every artifact.
 
-Exit codes: 0 success, 2 protocol abort, 3 config error, 4 numerical
-infeasibility.
+Exit codes: 0 success, 2 protocol abort (with protocol.abort_is_error,
+the acceptance test of a key-length method that ran rejected the
+simulated transcript: the threshold test for eat, the frequency box for
+renyi, either for both), 3 config error, 4 numerical infeasibility.
 """
 
 from __future__ import annotations
@@ -19,15 +21,16 @@ import math
 import os
 import sys
 import time
+import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
 
 from . import calibration, eat, link, protocol, renyi
-from .calibration import DistanceCalibration, load_distance_table, load_error_budget, load_link_defaults
+from .calibration import DistanceCalibration, load_distance_table, load_error_budget
 from .eat import EatBudget, HonestModel
 from .mathcore import binomial_tail, chsh_to_winprob
 from .quantum import NoiseParams, build_heralded_state
@@ -36,7 +39,6 @@ from .renyi import RenyiConfig, build_acceptance_set, q_honest
 __all__ = [
     "ConfigError",
     "InfeasibleError",
-    "ProtocolAbort",
     "RunConfig",
     "KeyRateReport",
     "run_pipeline",
@@ -59,70 +61,73 @@ class InfeasibleError(RuntimeError):
     """The requested evaluation has no feasible answer (exit code 4)."""
 
 
-class ProtocolAbort(RuntimeError):
-    """The simulated run failed its acceptance test (exit code 2)."""
+def _key(dotted: str, default):
+    """A RunConfig field read from the config key ``dotted``."""
+    return field(default=default, metadata={"key": dotted})
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Validated run parameters; every field has a paper-point default."""
+    """Validated run parameters; every field has a paper-point default.
+
+    This is the config schema: each field's metadata names its config
+    key, and its annotation gives the type the value is parsed as.
+    """
 
     # physical model (11 km calibration)
-    v_zz: float = 0.943
-    v_xx: float = 0.924
-    white_noise: float = 0.0
-    readout_flip: float = 0.0
-    delta_phi: float = 0.0
-    sign: int = +1
+    v_zz: float = _key("physical.v_zz", 0.943)
+    v_xx: float = _key("physical.v_xx", 0.924)
+    white_noise: float = _key("physical.white_noise", 0.0)
+    readout_flip: float = _key("physical.readout_flip", 0.0)
+    delta_phi: float = _key("physical.delta_phi", 0.0)
+    sign: int = _key("physical.sign", +1)
     # protocol
-    n: int = 1_208_000
-    gamma_a: float = 0.26
-    gamma_b: float = 0.13
-    omega_exp: Optional[float] = None  # None: honest model win probability
-    delta: Optional[float] = None  # None: calibrated to the completeness target
-    seed: int = 20260808
-    abort_is_error: bool = True
+    n: int = _key("protocol.n", 1_208_000)
+    gamma_a: float = _key("protocol.gamma_a", 0.26)
+    gamma_b: float = _key("protocol.gamma_b", 0.13)
+    omega_exp: Optional[float] = _key("protocol.omega_exp", None)  # None: honest model win probability
+    delta: Optional[float] = _key("protocol.delta", None)  # None: calibrated to the completeness target
+    seed: int = _key("seed", 20260808)
+    abort_is_error: bool = _key("protocol.abort_is_error", True)
     # security
-    eps_snd: float = 1e-5
-    eps_ec: float = 2.0**-61
-    eps_ec_com: float = 0.005
-    eps_com_at: float = 0.005
-    eps_ea_com: float = 1e-2
-    method: str = "both"  # eat | renyi | both
-    renyi_alpha: Optional[float] = None
-    analytic: bool = False
-    s_obs: Optional[float] = None  # analytic-mode CHSH value (None: model value)
-    q_obs: Optional[float] = None
-    # link
-    length_km: float = 11.0
-    alpha_excitation: float = 0.022
-    collection: float = 0.085
-    fiber_coupling: float = 0.50
-    qfc: float = 0.47
-    insertion: float = 0.86
-    bsm: float = 0.765
-    detector: float = 0.85
-    atten_db_per_km: float = 0.32
-    measured_arm_transmission: Optional[float] = None
-    overhead_s: float = 12e-6
-    duty_cycle: float = 0.15
+    eps_snd: float = _key("security.eps_snd", 1e-5)
+    eps_ec: float = _key("security.eps_ec", 2.0**-61)
+    eps_ec_com: float = _key("security.eps_ec_com", 0.005)
+    eps_com_at: float = _key("security.eps_com_at", 0.005)
+    eps_ea_com: float = _key("security.eps_ea_com", 1e-2)
+    method: str = _key("security.method", "both")  # eat | renyi | both
+    renyi_alpha: Optional[float] = _key("security.renyi_alpha", None)
+    analytic: bool = _key("security.analytic", False)
+    s_obs: Optional[float] = _key("analysis.s_obs", None)  # analytic-mode CHSH value (None: model value)
+    q_obs: Optional[float] = _key("analysis.q_obs", None)
+    # link (component and timing defaults are those of link.LinkBudget / link.TimingModel)
+    length_km: float = _key("link.length_km", 11.0)
+    alpha_excitation: float = _key("link.alpha_excitation", 0.022)
+    collection: float = _key("link.collection", link.LinkBudget.collection)
+    fiber_coupling: float = _key("link.fiber_coupling", link.LinkBudget.fiber_coupling)
+    qfc: float = _key("link.qfc", link.LinkBudget.qfc)
+    insertion: float = _key("link.insertion", link.LinkBudget.insertion)
+    bsm: float = _key("link.bsm", link.LinkBudget.bsm)
+    detector: float = _key("link.detector", link.LinkBudget.detector)
+    atten_db_per_km: float = _key("link.atten_db_per_km", link.LinkBudget.atten_db_per_km)
+    measured_arm_transmission: Optional[float] = _key(
+        "link.measured_arm_transmission", link.LinkBudget.measured_arm_transmission
+    )
+    overhead_s: float = _key("timing.overhead_s", link.TimingModel.overhead_s)
+    duty_cycle: float = _key("timing.duty_cycle", link.TimingModel.duty_cycle)
     # sweep grids (comma-separated; used when the flags are absent)
-    sweep_n_grid: str = "1e4,3e4,1e5,3e5,1e6,1.208e6,3e6,1e7"
-    sweep_s_grid: str = ""
-    sweep_q_grid: str = ""
-    sweep_gamma: float = 1e-3
-    sweep_lengths: str = ""
+    sweep_n_grid: str = _key("sweep.n_grid", "1e4,3e4,1e5,3e5,1e6,1.208e6,3e6,1e7")
+    sweep_s_grid: str = _key("sweep.s_grid", "")
+    sweep_q_grid: str = _key("sweep.q_grid", "")
+    sweep_lengths: str = _key("sweep.lengths", "")
     # output
-    out_dir: str = "."
-    out_format: str = "json"  # json | csv
+    out_dir: str = _key("output.dir", ".")
     # raw echo for hashing
     raw_items: tuple = field(default_factory=tuple, compare=False)
 
     def __post_init__(self) -> None:
         if self.method not in ("eat", "renyi", "both"):
             raise ConfigError(f"method must be eat, renyi or both, got {self.method!r}")
-        if self.out_format not in ("json", "csv"):
-            raise ConfigError(f"format must be json or csv, got {self.out_format!r}")
         if self.n < 1:
             raise ConfigError("protocol.n must be >= 1")
         if not 0 <= self.seed < 2**64:
@@ -133,50 +138,25 @@ class RunConfig:
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
-_SCHEMA = {
-    "physical.v_zz": ("v_zz", float),
-    "physical.v_xx": ("v_xx", float),
-    "physical.white_noise": ("white_noise", float),
-    "physical.readout_flip": ("readout_flip", float),
-    "physical.delta_phi": ("delta_phi", float),
-    "physical.sign": ("sign", int),
-    "protocol.n": ("n", int),
-    "protocol.gamma_a": ("gamma_a", float),
-    "protocol.gamma_b": ("gamma_b", float),
-    "protocol.omega_exp": ("omega_exp", float),
-    "protocol.delta": ("delta", float),
-    "protocol.abort_is_error": ("abort_is_error", lambda s: s.lower() in ("1", "true", "yes")),
-    "security.eps_snd": ("eps_snd", float),
-    "security.eps_ec": ("eps_ec", float),
-    "security.eps_ec_com": ("eps_ec_com", float),
-    "security.eps_com_at": ("eps_com_at", float),
-    "security.eps_ea_com": ("eps_ea_com", float),
-    "security.method": ("method", str),
-    "security.renyi_alpha": ("renyi_alpha", float),
-    "security.analytic": ("analytic", lambda s: s.lower() in ("1", "true", "yes")),
-    "analysis.s_obs": ("s_obs", float),
-    "analysis.q_obs": ("q_obs", float),
-    "link.length_km": ("length_km", float),
-    "link.alpha_excitation": ("alpha_excitation", float),
-    "link.collection": ("collection", float),
-    "link.fiber_coupling": ("fiber_coupling", float),
-    "link.qfc": ("qfc", float),
-    "link.insertion": ("insertion", float),
-    "link.bsm": ("bsm", float),
-    "link.detector": ("detector", float),
-    "link.atten_db_per_km": ("atten_db_per_km", float),
-    "link.measured_arm_transmission": ("measured_arm_transmission", float),
-    "timing.overhead_s": ("overhead_s", float),
-    "timing.duty_cycle": ("duty_cycle", float),
-    "sweep.n_grid": ("sweep_n_grid", str),
-    "sweep.s_grid": ("sweep_s_grid", str),
-    "sweep.q_grid": ("sweep_q_grid", str),
-    "sweep.gamma": ("sweep_gamma", float),
-    "sweep.lengths": ("sweep_lengths", str),
-    "output.dir": ("out_dir", str),
-    "output.format": ("out_format", str),
-    "seed": ("seed", int),
-}
+def _parse_bool(text: str) -> bool:
+    value = text.lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1/0/true/false/yes/no, got {text!r}")
+
+
+def _converter(tp):
+    """Parser for a field annotation: float, int, str, bool or Optional[X]."""
+    if typing.get_origin(tp) is typing.Union:
+        (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
+    return _parse_bool if tp is bool else tp
+
+
+# config key -> (RunConfig field name, value parser), derived from the fields
+_HINTS = typing.get_type_hints(RunConfig)
+_KEYS = {f.metadata["key"]: (f.name, _converter(_HINTS[f.name])) for f in fields(RunConfig) if "key" in f.metadata}
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> RunConfig:
@@ -195,9 +175,9 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         items.update({k: str(v) for k, v in overrides.items() if v is not None})
     kwargs = {}
     for key, value in items.items():
-        if key not in _SCHEMA:
+        if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        name, conv = _SCHEMA[key]
+        name, conv = _KEYS[key]
         try:
             kwargs[name] = conv(value)
         except ValueError as exc:
@@ -253,14 +233,41 @@ def _model_behavior(config: RunConfig):
         config.v_xx,
         white_noise=config.white_noise,
         readout_flip=config.readout_flip,
+        delta_phi=config.delta_phi,
         sign=config.sign,
     )
     state = build_heralded_state(noise)
     return protocol.behavior_from_state(state, readout_flip=config.readout_flip)
 
 
+def _link_models(config: RunConfig) -> tuple[link.LinkBudget, link.TimingModel]:
+    """The arm link budget and trial timing that a run configures."""
+    try:
+        budget = link.LinkBudget(
+            collection=config.collection,
+            fiber_coupling=config.fiber_coupling,
+            qfc=config.qfc,
+            insertion=config.insertion,
+            bsm=config.bsm,
+            detector=config.detector,
+            atten_db_per_km=config.atten_db_per_km,
+            length_km=config.length_km,
+            measured_arm_transmission=config.measured_arm_transmission,
+        )
+        timing = link.TimingModel(overhead_s=config.overhead_s, duty_cycle=config.duty_cycle)
+    except ValueError as exc:
+        raise ConfigError(f"link budget: {exc}") from exc
+    return budget, timing
+
+
 def run_pipeline(config: RunConfig) -> KeyRateReport:
-    """Model -> (transcript) -> estimates -> acceptance -> key lengths."""
+    """Model -> (transcript) -> estimates -> acceptance -> key lengths.
+
+    The acceptance test (threshold slack delta and frequency box) is
+    fixed once, centred on omega_exp for a simulated run and on the
+    stated operating point in analytic mode.  The transcript is tested
+    with it, and both key lengths are certified for it.
+    """
     t0 = time.perf_counter()
     try:
         behavior = _model_behavior(config)
@@ -269,19 +276,29 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
     s_model = behavior.chsh_value()
     q_model = behavior.key_qber()
     omega_exp = config.omega_exp if config.omega_exp is not None else behavior.chsh_win_probability()
+    s_eval = config.s_obs if config.s_obs is not None else s_model
+    q_eval = config.q_obs if config.q_obs is not None else q_model
+    try:
+        model = HonestModel.from_chsh(s_eval, q_eval, config.gamma_a, config.gamma_b)
+    except ValueError as exc:
+        raise ConfigError(f"operating point: {exc}") from exc
+
+    omega_test = model.omega if config.analytic else omega_exp
+    try:
+        delta = config.delta
+        if delta is None:
+            delta = eat.delta_for_completeness(
+                config.n, config.gamma_a, config.gamma_b, omega_test, target=config.eps_ea_com
+            )
+        box = build_acceptance_set(q_honest(config.gamma_a, config.gamma_b, omega_test), config.n, config.eps_com_at)
+    except ValueError as exc:
+        raise ConfigError(f"acceptance test: {exc}") from exc
 
     if config.analytic:
-        s_eval = config.s_obs if config.s_obs is not None else s_model
-        q_eval = config.q_obs if config.q_obs is not None else q_model
         s_hat = s_err = q_hat = q_err = beta = None
         accepted = accepted_box = None
         draws = 0
     else:
-        delta = config.delta
-        if delta is None:
-            delta = eat.delta_for_completeness(
-                config.n, config.gamma_a, config.gamma_b, omega_exp, target=config.eps_ea_com
-            )
         try:
             params = protocol.ProtocolParams(
                 n=config.n,
@@ -305,37 +322,14 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
         s_hat, s_err, q_hat, q_err = est.s_hat, est.s_err, est.q_hat, est.q_err
         counts = est.counts
         freq = np.array([counts[0], counts[1], counts[2]], dtype=float) / config.n
-        acc_set = build_acceptance_set(
-            q_honest(config.gamma_a, config.gamma_b, omega_exp), config.n, config.eps_com_at
-        )
-        accepted_box = acc_set.contains(freq)
-        s_eval = config.s_obs if config.s_obs is not None else s_model
-        q_eval = config.q_obs if config.q_obs is not None else q_model
+        accepted_box = box.contains(freq)
 
-    try:
-        model = HonestModel.from_chsh(s_eval, q_eval, config.gamma_a, config.gamma_b)
-    except ValueError as exc:
-        raise ConfigError(f"operating point: {exc}") from exc
     try:
         lec = eat.leak_ec(config.n, model, config.eps_ec_com)
     except ValueError as exc:
         raise InfeasibleError(str(exc)) from exc
 
-    try:
-        budget_l = link.LinkBudget(
-            collection=config.collection,
-            fiber_coupling=config.fiber_coupling,
-            qfc=config.qfc,
-            insertion=config.insertion,
-            bsm=config.bsm,
-            detector=config.detector,
-            atten_db_per_km=config.atten_db_per_km,
-            length_km=config.length_km,
-            measured_arm_transmission=config.measured_arm_transmission,
-        )
-        timing = link.TimingModel(overhead_s=config.overhead_s, duty_cycle=config.duty_cycle)
-    except ValueError as exc:
-        raise ConfigError(f"link budget: {exc}") from exc
+    budget_l, timing = _link_models(config)
     eff = link.arm_efficiency(budget_l)
     p_s = link.success_probability_spi(config.alpha_excitation, eff, config.alpha_excitation, eff)
     link_summary = {
@@ -350,7 +344,7 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
         try:
             eat_res = eat.key_length_eat(
                 config.n, model, EatBudget(eps_snd=config.eps_snd, eps_ec=config.eps_ec, eps_ec_com=config.eps_ec_com),
-                delta=config.delta,
+                delta=delta,
             )
         except ValueError as exc:
             raise InfeasibleError(str(exc)) from exc
@@ -358,13 +352,10 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
         eps_sec = config.eps_snd - config.eps_ec
         if eps_sec <= 0:
             raise InfeasibleError("eps_snd leaves no room for secrecy after eps_ec")
-        acc = build_acceptance_set(
-            q_honest(config.gamma_a, config.gamma_b, model.omega), config.n, config.eps_com_at
-        )
         try:
             renyi_res = renyi.key_length_renyi(
                 config.n, model, RenyiConfig(alpha=config.renyi_alpha, eps_sec=eps_sec, eps_com_at=config.eps_com_at),
-                acc, lec,
+                box, lec,
             )
         except ValueError as exc:
             raise InfeasibleError(str(exc)) from exc
@@ -429,10 +420,11 @@ def _workers() -> int:
 
 
 def _sweep_point_n(args):
-    n, s_eval, q_eval, ga, gb, eps_snd, eps_ec, eps_ec_com, eps_com_at = args
+    n, s_eval, q_eval, ga, gb, eps_snd, eps_ec, eps_ec_com, eps_com_at, eps_ea_com = args
     model = HonestModel.from_chsh(s_eval, q_eval, ga, gb)
     lec = eat.leak_ec(n, model, eps_ec_com)
-    eat_res = eat.key_length_eat(n, model, EatBudget(eps_snd=eps_snd, eps_ec=eps_ec, eps_ec_com=eps_ec_com))
+    delta = eat.delta_for_completeness(n, ga, gb, model.omega, target=eps_ea_com)
+    eat_res = eat.key_length_eat(n, model, EatBudget(eps_snd=eps_snd, eps_ec=eps_ec, eps_ec_com=eps_ec_com), delta=delta)
     acc = build_acceptance_set(q_honest(ga, gb, model.omega), n, eps_com_at)
     ren = renyi.key_length_renyi(n, model, RenyiConfig(eps_sec=eps_snd - eps_ec, eps_com_at=eps_com_at), acc, lec)
     return (n, eat_res.length / n, ren.length / n)
@@ -446,7 +438,7 @@ def sweep_keyrate_vs_n(config: RunConfig, n_grid: list[int]) -> list[dict]:
     asym = eat.asymptotic_rate_sifted(s_eval, q_eval, config.gamma_a, config.gamma_b)
     jobs = [
         (int(n), s_eval, q_eval, config.gamma_a, config.gamma_b,
-         config.eps_snd, config.eps_ec, config.eps_ec_com, config.eps_com_at)
+         config.eps_snd, config.eps_ec, config.eps_ec_com, config.eps_com_at, config.eps_ea_com)
         for n in sorted(n_grid)
     ]
     if _workers() > 1:
@@ -460,7 +452,7 @@ def sweep_keyrate_vs_n(config: RunConfig, n_grid: list[int]) -> list[dict]:
     ]
 
 
-def sweep_asymptotic_contour(s_grid: list[float], q_grid: list[float], gamma: float = 1e-3) -> dict:
+def sweep_asymptotic_contour(s_grid: list[float], q_grid: list[float]) -> dict:
     """Sifting-free asymptotic rate on an (S, Q) grid, with the zero contour."""
     rates = np.empty((len(s_grid), len(q_grid)))
     for i, s in enumerate(sorted(s_grid)):
@@ -476,12 +468,16 @@ def sweep_asymptotic_contour(s_grid: list[float], q_grid: list[float], gamma: fl
             q0, q1 = q_sorted[j], q_sorted[j + 1]
             r0, r1 = row[j], row[j + 1]
             zero.append({"s": s, "q_zero": q0 + (q1 - q0) * (0.0 - r0) / (r1 - r0)})
-    return {"s_grid": s_sorted, "q_grid": q_sorted, "rates": rates.tolist(), "zero_contour": zero, "gamma": gamma}
+    return {"s_grid": s_sorted, "q_grid": q_sorted, "rates": rates.tolist(), "zero_contour": zero}
 
 
 def sweep_rate_vs_distance(config: RunConfig, table: Optional[list[DistanceCalibration]] = None) -> list[dict]:
-    """Per-length link and key-rate summary from the calibration bundle."""
-    defaults, timing = load_link_defaults()
+    """Per-length link and key-rate summary from the calibration bundle.
+
+    Link components and timing come from the config; each length's row
+    supplies its measured fiber transmission and excitation probability.
+    """
+    defaults, timing = _link_models(config)
     rows_out = []
     for row in sorted(table or load_distance_table(), key=lambda r: r.length_km):
         eff = link.arm_efficiency(row.link_budget(defaults))
@@ -577,7 +573,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser.add_argument("--config", default=None, help="flat key = value config file")
     parser.add_argument("--seed", type=int, default=None, help="64-bit master seed override")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--format", choices=("csv", "json"), default=None)
     parser.add_argument("--analytic", action="store_true", help="skip simulation; evaluate stated (S, Q)")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -587,7 +582,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     p_c = sub.add_parser("contour", help="asymptotic rate over (S, Q)")
     p_c.add_argument("--s-grid", default=None)
     p_c.add_argument("--q-grid", default=None)
-    p_c.add_argument("--gamma", type=float, default=None)
     sub.add_parser("distance", help="link and rate summary per fiber length")
     sub.add_parser("pvalues", help="binomial-test table per fiber length")
     sub.add_parser("budget", help="infidelity budget consistency report")
@@ -598,8 +592,6 @@ def main(argv: Optional[list[str]] = None) -> int:
         overrides["seed"] = args.seed
     if args.out is not None:
         overrides["output.dir"] = args.out
-    if args.format is not None:
-        overrides["output.format"] = args.format
     if args.analytic:
         overrides["security.analytic"] = "true"
 
@@ -615,7 +607,12 @@ def main(argv: Optional[list[str]] = None) -> int:
             path.write_text(report.to_json(), encoding="utf-8")
             print(f"wrote {path} (wall time {report.wall_time_s:.2f}s)", file=sys.stderr)
             print(report.to_json(), end="")
-            if config.abort_is_error and report.accepted is False:
+            gates = {
+                "eat": [report.accepted],
+                "renyi": [report.accepted_box],
+                "both": [report.accepted, report.accepted_box],
+            }
+            if config.abort_is_error and False in gates[config.method]:
                 return 2
             return 0
 
@@ -630,8 +627,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             q_grid = args.q_grid if args.q_grid is not None else (
                 config.sweep_q_grid or ",".join(str(q) for q in np.linspace(0.0, 0.12, 25).round(4))
             )
-            gamma = args.gamma if args.gamma is not None else config.sweep_gamma
-            res = sweep_asymptotic_contour(_parse_grid(s_grid), _parse_grid(q_grid), gamma)
+            res = sweep_asymptotic_contour(_parse_grid(s_grid), _parse_grid(q_grid))
             grid_rows = [
                 {"s": s, "q": q, "rate": res["rates"][i][j]}
                 for i, s in enumerate(res["s_grid"])
@@ -654,9 +650,6 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 3
-    except ProtocolAbort as exc:
-        print(f"protocol abort: {exc}", file=sys.stderr)
-        return 2
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 4

@@ -30,7 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mathcore import binary_entropy, chsh_to_winprob, rel_entropy_binary
+from .mathcore import TSIRELSON_CHSH, TSIRELSON_WIN, binary_entropy, chsh_to_winprob, golden_min, rel_entropy_binary
 
 __all__ = [
     "TSIRELSON_WIN",
@@ -55,7 +55,6 @@ __all__ = [
     "asymptotic_rate_nosift",
 ]
 
-TSIRELSON_WIN = (2.0 + math.sqrt(2.0)) / 4.0
 LEAK_EV_BITS = 64.0  # verification tag length; fixed with eps_ec = 2^-61
 _PT_EPS = 1e-9  # grid inset from the singular interval endpoints
 
@@ -228,24 +227,11 @@ def _eta_opt_detail(
     vals = ge * f - scale * (math.log2(9.0) + np.ceil(ge * sv))
     i = int(np.argmax(vals))
 
-    def obj(wt: float) -> float:
-        return eta_func(omega_in, wt, eps, eps_e, n, gamma_a, gamma_b)
+    def neg_obj(wt: float) -> float:
+        return -eta_func(omega_in, wt, eps, eps_e, n, gamma_a, gamma_b)
 
-    a = grid[max(0, i - 1)]
-    b = grid[min(len(grid) - 1, i + 1)]
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - inv * (b - a), a + inv * (b - a)
-    fc, fd = obj(c), obj(d)
-    for _ in range(60):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = obj(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = obj(d)
-    candidates = [(float(vals[i]), float(grid[i])), (fc, c), (fd, d)]
+    c, fc, d, fd = golden_min(neg_obj, grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)], 60)
+    candidates = [(float(vals[i]), float(grid[i])), (-fc, c), (-fd, d)]
     best_val, best_pt = max(candidates, key=lambda p: p[0])
     return max(best_val, 0.0), best_pt
 
@@ -482,7 +468,7 @@ def key_length_eat(
 
 def asymptotic_rate_sifted(s: float, q: float, gamma_a: float, gamma_b: float) -> float:
     """Infinite-block key rate of the sifted protocol, in bits per event."""
-    if s < 2.0 or s > 2.0 * math.sqrt(2.0) + 1e-12:
+    if s < 2.0 or s > TSIRELSON_CHSH + 1e-12:
         raise ValueError(f"need a CHSH value in [2, 2 sqrt 2], got {s}")
     omega = chsh_to_winprob(s)
     return gamma_eff(gamma_a, gamma_b) * g_func(omega) - _eta_inf_raw(q, omega, gamma_a, gamma_b) - gamma_a * gamma_b
@@ -490,6 +476,6 @@ def asymptotic_rate_sifted(s: float, q: float, gamma_a: float, gamma_b: float) -
 
 def asymptotic_rate_nosift(s: float, q: float) -> float:
     """Infinite-block rate of the sifting-free protocol in the rare-test limit."""
-    if s < 2.0 or s > 2.0 * math.sqrt(2.0) + 1e-12:
+    if s < 2.0 or s > TSIRELSON_CHSH + 1e-12:
         raise ValueError(f"need a CHSH value in [2, 2 sqrt 2], got {s}")
     return g_func(chsh_to_winprob(s)) - binary_entropy(q)

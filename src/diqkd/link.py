@@ -32,7 +32,11 @@ SPEED_OF_LIGHT = 299_792_458.0  # vacuum, m/s
 
 @dataclass(frozen=True)
 class LinkBudget:
-    """Component efficiencies plus fiber attenuation for one arm of the link."""
+    """Component efficiencies plus fiber attenuation for one arm of the link.
+
+    The defaults are the midpoint-station heralding link's one-arm
+    components and the 1315 nm telecom-band fiber attenuation.
+    """
 
     collection: float = 0.085
     fiber_coupling: float = 0.50
@@ -59,7 +63,10 @@ class LinkBudget:
 
 @dataclass(frozen=True)
 class TimingModel:
-    """Per-trial timing: fixed overhead, duty cycle, and signalling speed."""
+    """Per-trial timing: fixed overhead, duty cycle, and signalling speed.
+
+    The trial period is the overhead plus the 3L/2c herald round trip.
+    """
 
     overhead_s: float = 12e-6
     duty_cycle: float = 0.15

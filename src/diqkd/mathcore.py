@@ -25,9 +25,14 @@ __all__ = [
     "binomial_box",
     "chsh_to_winprob",
     "winprob_to_chsh",
+    "golden_min",
+    "TSIRELSON_CHSH",
+    "TSIRELSON_WIN",
 ]
 
 _LOG2_10 = math.log2(10.0)
+TSIRELSON_CHSH = 2.0 * math.sqrt(2.0)  # maximal quantum CHSH score
+TSIRELSON_WIN = (2.0 + math.sqrt(2.0)) / 4.0  # the same bound as a game win probability
 
 
 @dataclass(frozen=True)
@@ -248,6 +253,28 @@ def binomial_box(n: int, p: float, eps: float) -> tuple[float, float]:
             lo = mid + 1
     delta_upp = max(0.0, lo / n - p)
     return delta_low, delta_upp
+
+
+def golden_min(f, a: float, b: float, steps: int):
+    """Golden-section search for a minimum of f on the bracket [a, b].
+
+    Returns the two interior points left after ``steps`` reductions and
+    their values, (c, f(c), d, f(d)); callers compare them with their own
+    grid best.  Ties move the bracket right.
+    """
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - inv * (b - a), a + inv * (b - a)
+    fc, fd = f(c), f(d)
+    for _ in range(steps):
+        if fc < fd:
+            b, d, fd = d, c, fc
+            c = b - inv * (b - a)
+            fc = f(c)
+        else:
+            a, c, fc = c, d, fd
+            d = a + inv * (b - a)
+            fd = f(d)
+    return c, fc, d, fd
 
 
 def chsh_to_winprob(s: float) -> float:

@@ -28,6 +28,7 @@ from typing import Optional
 
 import numpy as np
 
+from .mathcore import TSIRELSON_WIN
 from .quantum import BlochVector, TwoQubitState, X_AXIS, Z_AXIS, diag_axis, outcome_distribution
 from .rng import CounterRng
 
@@ -53,7 +54,6 @@ __all__ = [
 ]
 
 PERP = 2  # placeholder value of the test outcome c on non-test rounds
-TSIRELSON_WIN = (2.0 + math.sqrt(2.0)) / 4.0
 
 
 @dataclass(frozen=True)

@@ -143,12 +143,14 @@ class NoiseParams:
         v_xx: float,
         white_noise: float = 0.0,
         readout_flip: float = 0.0,
+        delta_phi: float = 0.0,
         sign: int = +1,
     ) -> "NoiseParams":
         """Calibrate (alpha_exc, dephase_lambda) to hit measured visibilities.
 
         Inverts v_zz = (1 - 2a)(1 - w) and v_xx = (1 - a)(1 - l)(1 - w)
-        for the sign=+1, delta_phi=0 convention with white-noise level w.
+        for the sign=+1, delta_phi=0 convention with white-noise level w;
+        delta_phi and sign are then passed through to the state.
         """
         if not 0.0 <= white_noise < 1.0:
             raise ValueError("white_noise must lie in [0, 1)")
@@ -165,6 +167,7 @@ class NoiseParams:
             dephase_lambda=lam,
             white_noise=white_noise,
             readout_flip=readout_flip,
+            delta_phi=delta_phi,
             sign=sign,
         )
 

@@ -24,8 +24,8 @@ from typing import Optional
 
 import numpy as np
 
-from .mathcore import Distribution3, binomial_box
-from .eat import TSIRELSON_WIN
+from .eat import LEAK_EV_BITS
+from .mathcore import TSIRELSON_CHSH, TSIRELSON_WIN, Distribution3, binomial_box, golden_min
 
 __all__ = [
     "AcceptanceSet",
@@ -41,8 +41,6 @@ __all__ = [
     "RenyiResult",
     "key_length_renyi",
 ]
-
-_S_MAX = 2.0 * math.sqrt(2.0)
 
 
 @dataclass(frozen=True)
@@ -135,7 +133,7 @@ def renyi_entropy_factor(s_sigma: float, alpha: float) -> float:
     Scores at or below the classical bound certify nothing: the factor
     clamps to 1 (zero entropy).  Scores above 2 sqrt 2 are unphysical.
     """
-    if s_sigma > _S_MAX + 1e-12:
+    if s_sigma > TSIRELSON_CHSH + 1e-12:
         raise ValueError(f"CHSH score {s_sigma} exceeds 2 sqrt 2")
     if alpha <= 1.0:
         raise ValueError(f"Renyi order must exceed 1, got {alpha}")
@@ -273,20 +271,7 @@ def h_alpha(
     def scalar_obj(wv: float) -> float:
         return float(objective_grid(np.array([wv]))[0])
 
-    a = float(grid[max(0, i - 1)])
-    b = float(grid[min(len(grid) - 1, i + 1)])
-    inv = (math.sqrt(5.0) - 1.0) / 2.0
-    c, d = b - inv * (b - a), a + inv * (b - a)
-    fc, fd = scalar_obj(c), scalar_obj(d)
-    for _ in range(50):
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - inv * (b - a)
-            fc = scalar_obj(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + inv * (b - a)
-            fd = scalar_obj(d)
+    _, fc, _, fd = golden_min(scalar_obj, float(grid[max(0, i - 1)]), float(grid[min(len(grid) - 1, i + 1)]), 50)
     return float(min(float(vals[i]), fc, fd))
 
 
@@ -315,7 +300,7 @@ def _ell_at_alpha(
         n * ha
         - n * (gg + acc.delta_low_perp)
         - leak_ec_bits
-        - 64.0
+        - LEAK_EV_BITS
         - alpha / (alpha - 1.0) * math.log2(1.0 / config.eps_sec)
         + 2.0
     )

@@ -26,7 +26,7 @@ import numpy as np
 from diqkd.calibration import load_distance_table
 from diqkd.cli import RunConfig, run_pipeline, pvalue_table
 from diqkd.eat import delta_for_completeness, g_func, g_slope, gamma_eff
-from diqkd.link import LinkBudget, arm_efficiency, event_rate, success_probability_spi, success_probability_tpi
+from diqkd.link import LinkBudget, TimingModel, arm_efficiency, event_rate, success_probability_spi, success_probability_tpi
 from diqkd.mathcore import binomial_tail
 from diqkd.postprocess import BitString, ToeplitzSeed, toeplitz_extract
 from diqkd.protocol import (
@@ -188,9 +188,7 @@ def test_criterion_8_link_scaling():
         tpi.append(success_probability_tpi(eta, eta))
     ratio = np.polyfit(lengths, np.log10(spi), 1)[0] / np.polyfit(lengths, np.log10(tpi), 1)[0]
 
-    from diqkd.calibration import load_link_defaults
-
-    _, timing = load_link_defaults()
+    timing = TimingModel()
     # calibrated against the table total of 0.72% per arm
     rate11 = event_rate(success_probability_spi(alpha, 0.0072, alpha, 0.0072), timing, 11.0)
     ok = abs(ratio - 0.5) <= 0.02 and abs(rate11 - 0.72) / 0.72 <= 0.10

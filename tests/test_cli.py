@@ -5,7 +5,9 @@ import os
 import numpy as np
 import pytest
 
+from diqkd import cli, eat
 from diqkd import rng as rng_module
+from diqkd.link import LinkBudget, TimingModel
 from diqkd.cli import (
     ConfigError,
     RunConfig,
@@ -36,11 +38,11 @@ class TestConfig:
     def test_load_with_overrides(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("protocol.n = 5000\nsecurity.method = eat\n# comment\nseed = 42\n")
-        cfg = load_config(str(p), {"output.format": "csv"})
+        cfg = load_config(str(p), {"output.dir": "out"})
         assert cfg.n == 5000
         assert cfg.method == "eat"
         assert cfg.seed == 42
-        assert cfg.out_format == "csv"
+        assert cfg.out_dir == "out"
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -53,6 +55,17 @@ class TestConfig:
         p.write_text("protocol.n = many\n")
         with pytest.raises(ConfigError):
             load_config(str(p))
+
+    def test_boolean_keys_reject_other_words(self):
+        assert load_config(None, {"security.analytic": "YES"}).analytic is True
+        assert load_config(None, {"protocol.abort_is_error": "0"}).abort_is_error is False
+        with pytest.raises(ConfigError):
+            load_config(None, {"security.analytic": "on"})
+
+    def test_link_defaults_come_from_link_models(self):
+        budget, timing = cli._link_models(RunConfig())
+        assert budget == LinkBudget(length_km=11.0)
+        assert timing == TimingModel()
 
     def test_hash_tracks_content(self):
         a = RunConfig(raw_items=(("protocol.n", "1"),))
@@ -106,7 +119,7 @@ class TestPipelineAnalytic:
 
     def test_sweep_keys_accepted(self, tmp_path):
         p = tmp_path / "run.cfg"
-        p.write_text("sweep.lengths = 11, 100\nsweep.gamma = 0.002\nlink.qfc = 0.5\ntiming.duty_cycle = 0.2\n")
+        p.write_text("sweep.lengths = 11, 100\nlink.qfc = 0.5\ntiming.duty_cycle = 0.2\n")
         cfg = load_config(str(p))
         assert cfg.sweep_lengths == "11, 100"
         assert cfg.qfc == 0.5
@@ -125,6 +138,14 @@ class TestPipelineSimulated:
         assert report.beta_freq == pytest.approx(
             0.26 * 0.13 * (0.5 + report.s_model / 8), abs=0.003
         )
+
+    def test_key_is_certified_for_the_acceptance_delta(self):
+        # the EAT length must be certified for the slack the run was accepted with
+        cfg = RunConfig(n=200_000, seed=5, method="eat", eps_ea_com=1e-6)
+        report = run_pipeline(cfg)
+        assert report.accepted is True
+        delta = eat.delta_for_completeness(cfg.n, cfg.gamma_a, cfg.gamma_b, report.inputs["omega_exp"], target=1e-6)
+        assert report.eat_delta == delta
 
     def test_replay_reproducible(self):
         cfg = RunConfig(n=30_000, seed=9, method="eat")
@@ -167,6 +188,18 @@ class TestMain:
             "security.method = eat\nseed = 3\n"
         )
         assert main(["--config", str(cfg), "--out", str(tmp_path), "pipeline"]) == 2
+
+    def test_box_rejection_exit_two_for_renyi(self, tmp_path):
+        # the threshold test accepts this transcript, the frequency box rejects it
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "protocol.n = 100000\nseed = 3\nphysical.v_zz = 0.85\nphysical.v_xx = 0.85\n"
+            "protocol.omega_exp = 0.8535\nprotocol.delta = 0.03\n"
+            "security.method = renyi\nsecurity.renyi_alpha = 1.01\n"
+        )
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "pipeline"]) == 2
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["accepted"] is True and report["accepted_box"] is False
 
     def test_pvalues_and_budget_commands(self, tmp_path):
         assert main(["--out", str(tmp_path), "pvalues"]) == 0
@@ -262,3 +295,108 @@ class TestErrorBudget:
         assert rows[11.0]["within_budget"]
         assert rows[100.0]["measured_infidelity"] == pytest.approx(0.089, abs=1e-9)
         assert rows[100.0]["within_budget"]
+
+
+# Every config key must change some command's output.  Each case is
+# (command, base config, two values of the key); None leaves the key unset.
+_PIPE_EAT = (("pipeline",), {"security.analytic": "true", "security.method": "eat", "protocol.n": "100000"})
+_PIPE_RENYI = (
+    ("pipeline",),
+    {"security.analytic": "true", "security.method": "renyi", "security.renyi_alpha": "1.01", "protocol.n": "100000"},
+)
+_SIM_EAT = (("pipeline",), {"security.method": "eat", "protocol.n": "20000"})
+_ABORTING = (
+    ("pipeline",),
+    {"security.method": "eat", "protocol.n": "20000", "physical.v_zz": "0.85", "physical.v_xx": "0.85",
+     "protocol.omega_exp": "0.8535", "protocol.delta": "0.0001"},
+)
+_DISTANCE = (("distance",), {})
+_CONTOUR = (("contour",), {"sweep.s_grid": "2.5,2.7", "sweep.q_grid": "0.01,0.03"})
+_SWEEP_N = (("sweep-n",), {})
+
+LIVE_CASES = {
+    "physical.v_zz": (_PIPE_EAT, None, "0.93"),
+    "physical.v_xx": (_PIPE_EAT, None, "0.91"),
+    "physical.white_noise": (_PIPE_EAT, None, "0.01"),
+    "physical.readout_flip": (_PIPE_EAT, None, "0.01"),
+    "physical.delta_phi": (_PIPE_EAT, None, "0.3"),
+    "physical.sign": (_PIPE_EAT, None, "-1"),
+    "protocol.n": (_PIPE_EAT, None, "200000"),
+    "protocol.gamma_a": (_PIPE_EAT, None, "0.3"),
+    "protocol.gamma_b": (_PIPE_EAT, None, "0.15"),
+    "protocol.omega_exp": (_SIM_EAT, None, "0.82"),
+    "protocol.delta": (_PIPE_EAT, None, "0.002"),
+    "protocol.abort_is_error": (_ABORTING, None, "false"),
+    "security.eps_snd": (_PIPE_EAT, None, "1e-6"),
+    "security.eps_ec": (_PIPE_EAT, None, "1e-12"),
+    "security.eps_ec_com": (_PIPE_EAT, None, "0.01"),
+    "security.eps_com_at": (_PIPE_RENYI, None, "0.05"),
+    "security.eps_ea_com": (_PIPE_EAT, None, "1e-6"),
+    "security.method": (_PIPE_RENYI, None, "eat"),
+    "security.renyi_alpha": (_PIPE_RENYI, None, "1.02"),
+    "security.analytic": (_SIM_EAT, None, "true"),
+    "analysis.s_obs": (_PIPE_EAT, None, "2.612"),
+    "analysis.q_obs": (_PIPE_EAT, None, "0.0285"),
+    "link.length_km": (_PIPE_EAT, None, "20"),
+    "link.alpha_excitation": (_PIPE_EAT, None, "0.03"),
+    "link.atten_db_per_km": (_PIPE_EAT, None, "0.4"),
+    "link.measured_arm_transmission": (_PIPE_EAT, None, "0.683"),
+    "link.collection": (_DISTANCE, None, "0.1"),
+    "link.fiber_coupling": (_DISTANCE, None, "0.6"),
+    "link.qfc": (_DISTANCE, None, "0.2"),
+    "link.insertion": (_DISTANCE, None, "0.9"),
+    "link.bsm": (_DISTANCE, None, "0.8"),
+    "link.detector": (_DISTANCE, None, "0.9"),
+    "timing.overhead_s": (_DISTANCE, None, "20e-6"),
+    "timing.duty_cycle": (_DISTANCE, None, "0.5"),
+    "sweep.n_grid": (_SWEEP_N, "1e5", "1e5,1e6"),
+    "sweep.s_grid": (_CONTOUR, None, "2.5,2.6"),
+    "sweep.q_grid": (_CONTOUR, None, "0.01,0.02"),
+    "sweep.lengths": (_DISTANCE, None, "11,100"),
+    "seed": (_SIM_EAT, None, "1"),
+}
+OUTPUT_ONLY = {"output.dir"}  # names where outputs go, changes none of them
+
+
+def _stub_sweep_n(config, n_grid):
+    return [{"n": n, "rate_eat": 0.0, "rate_renyi": 0.0, "rate_asym": 0.0} for n in n_grid]
+
+
+def test_every_config_key_is_live(tmp_path, monkeypatch):
+    """Two values of each key give different outputs (hash and inputs echo excluded) or exit codes."""
+    monkeypatch.setattr(cli, "sweep_keyrate_vs_n", _stub_sweep_n)
+    cache = {}
+
+    def run(command, items):
+        cache_key = (command, tuple(sorted(items.items())))
+        if cache_key not in cache:
+            out = tmp_path / f"run{len(cache)}"
+            cfg = tmp_path / f"run{len(cache)}.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in items.items()))
+            rc = main(["--config", str(cfg), "--out", str(out), *command])
+            files = {}
+            for path in sorted(out.iterdir()):
+                text = path.read_text()
+                if path.suffix == ".json":
+                    report = json.loads(text)
+                    del report["config_hash"], report["inputs"]
+                    text = json.dumps(report, sort_keys=True)
+                else:
+                    text = text.split("\n", 1)[1]  # drop the config_hash line
+                files[path.name] = text
+            cache[cache_key] = (rc, files)
+        return cache[cache_key]
+
+    dead = []
+    for key in sorted(cli._KEYS):
+        if key in OUTPUT_ONLY:
+            continue
+        if key not in LIVE_CASES:
+            dead.append(f"{key}: no case")
+            continue
+        (command, base), a, b = LIVE_CASES[key]
+        outputs = [run(command, {**base, **({} if v is None else {key: v})}) for v in (a, b)]
+        if outputs[0] == outputs[1]:
+            dead.append(key)
+    assert not dead, f"keys that change no output: {dead}"
+    assert set(LIVE_CASES) | OUTPUT_ONLY == set(cli._KEYS)

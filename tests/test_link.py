@@ -6,12 +6,12 @@ import pytest
 from diqkd.calibration import (
     load_distance_table,
     load_error_budget,
-    load_link_defaults,
     parse_flat,
 )
 from diqkd.link import (
     LinkBudget,
     PhasePaths,
+    TimingModel,
     arm_efficiency,
     event_rate,
     phase_difference,
@@ -19,7 +19,7 @@ from diqkd.link import (
     success_probability_tpi,
 )
 
-DEFAULTS, TIMING = load_link_defaults()
+DEFAULTS, TIMING = LinkBudget(), TimingModel()
 TABLE = load_distance_table()
 
 

@@ -23,7 +23,7 @@ import sys
 import time
 import typing
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -263,10 +263,12 @@ def _link_models(config: RunConfig) -> tuple[link.LinkBudget, link.TimingModel]:
 def run_pipeline(config: RunConfig) -> KeyRateReport:
     """Model -> (transcript) -> estimates -> acceptance -> key lengths.
 
-    The acceptance test (threshold slack delta and frequency box) is
-    fixed once, centred on omega_exp for a simulated run and on the
-    stated operating point in analytic mode.  The transcript is tested
-    with it, and both key lengths are certified for it.
+    The protocol is fixed once as a ProtocolParams: omega_exp is the
+    stated operating point in analytic mode and protocol.omega_exp (or
+    the model's win probability) in a simulated run; delta is
+    protocol.delta or the slack meeting eps_ea_com.  The frequency box is
+    built around the same omega_exp.  The transcript is tested with this
+    threshold and box, and both key lengths are certified for them.
     """
     t0 = time.perf_counter()
     try:
@@ -290,6 +292,14 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
             delta = eat.delta_for_completeness(
                 config.n, config.gamma_a, config.gamma_b, omega_test, target=config.eps_ea_com
             )
+        params = protocol.ProtocolParams(
+            n=config.n,
+            gamma_a=config.gamma_a,
+            gamma_b=config.gamma_b,
+            omega_exp=omega_test,
+            delta=delta,
+            seed=config.seed,
+        )
         box = build_acceptance_set(q_honest(config.gamma_a, config.gamma_b, omega_test), config.n, config.eps_com_at)
     except ValueError as exc:
         raise ConfigError(f"acceptance test: {exc}") from exc
@@ -299,17 +309,6 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
         accepted = accepted_box = None
         draws = 0
     else:
-        try:
-            params = protocol.ProtocolParams(
-                n=config.n,
-                gamma_a=config.gamma_a,
-                gamma_b=config.gamma_b,
-                omega_exp=omega_exp,
-                delta=delta,
-                seed=config.seed,
-            )
-        except ValueError as exc:
-            raise ConfigError(f"protocol parameters: {exc}") from exc
         from . import rng as _rng
 
         before = _rng.audit_total()
@@ -342,10 +341,7 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
     eat_res = renyi_res = None
     if config.method in ("eat", "both"):
         try:
-            eat_res = eat.key_length_eat(
-                config.n, model, EatBudget(eps_snd=config.eps_snd, eps_ec=config.eps_ec, eps_ec_com=config.eps_ec_com),
-                delta=delta,
-            )
+            eat_res = eat.key_length_eat(params, EatBudget(eps_snd=config.eps_snd, eps_ec=config.eps_ec), lec)
         except ValueError as exc:
             raise InfeasibleError(str(exc)) from exc
     if config.method in ("renyi", "both"):
@@ -353,10 +349,7 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
         if eps_sec <= 0:
             raise InfeasibleError("eps_snd leaves no room for secrecy after eps_ec")
         try:
-            renyi_res = renyi.key_length_renyi(
-                config.n, model, RenyiConfig(alpha=config.renyi_alpha, eps_sec=eps_sec, eps_com_at=config.eps_com_at),
-                box, lec,
-            )
+            renyi_res = renyi.key_length_renyi(params, RenyiConfig(alpha=config.renyi_alpha, eps_sec=eps_sec), box, lec)
         except ValueError as exc:
             raise InfeasibleError(str(exc)) from exc
 
@@ -419,36 +412,26 @@ def _workers() -> int:
         return 1
 
 
-def _sweep_point_n(args):
-    n, s_eval, q_eval, ga, gb, eps_snd, eps_ec, eps_ec_com, eps_com_at, eps_ea_com = args
-    model = HonestModel.from_chsh(s_eval, q_eval, ga, gb)
-    lec = eat.leak_ec(n, model, eps_ec_com)
-    delta = eat.delta_for_completeness(n, ga, gb, model.omega, target=eps_ea_com)
-    eat_res = eat.key_length_eat(n, model, EatBudget(eps_snd=eps_snd, eps_ec=eps_ec, eps_ec_com=eps_ec_com), delta=delta)
-    acc = build_acceptance_set(q_honest(ga, gb, model.omega), n, eps_com_at)
-    ren = renyi.key_length_renyi(n, model, RenyiConfig(eps_sec=eps_snd - eps_ec, eps_com_at=eps_com_at), acc, lec)
-    return (n, eat_res.length / n, ren.length / n)
-
-
 def sweep_keyrate_vs_n(config: RunConfig, n_grid: list[int]) -> list[dict]:
-    """Finite-size rates of both methods vs block size, plus the asymptote."""
-    behavior = _model_behavior(config)
-    s_eval = config.s_obs if config.s_obs is not None else behavior.chsh_value()
-    q_eval = config.q_obs if config.q_obs is not None else behavior.key_qber()
-    asym = eat.asymptotic_rate_sifted(s_eval, q_eval, config.gamma_a, config.gamma_b)
-    jobs = [
-        (int(n), s_eval, q_eval, config.gamma_a, config.gamma_b,
-         config.eps_snd, config.eps_ec, config.eps_ec_com, config.eps_com_at, config.eps_ea_com)
-        for n in sorted(n_grid)
-    ]
+    """Finite-size rates vs block size, plus the sifted asymptote.
+
+    Each point is the analytic pipeline at that n, so it honours the
+    security keys and protocol.delta; a method that did not run gives None.
+    """
+    configs = [replace(config, n=int(n), analytic=True) for n in sorted(n_grid)]
     if _workers() > 1:
         with ProcessPoolExecutor(max_workers=_workers()) as pool:
-            results = list(pool.map(_sweep_point_n, jobs))
+            reports = list(pool.map(run_pipeline, configs))
     else:
-        results = [_sweep_point_n(j) for j in jobs]
+        reports = [run_pipeline(c) for c in configs]
     return [
-        {"n": n, "rate_eat": re_, "rate_renyi": rr, "rate_asym": asym}
-        for (n, re_, rr) in results
+        {
+            "n": c.n,
+            "rate_eat": None if r.eat_length is None else r.eat_length / c.n,
+            "rate_renyi": None if r.renyi_length is None else r.renyi_length / c.n,
+            "rate_asym": r.asymptotic_sifted,
+        }
+        for c, r in zip(configs, reports)
     ]
 
 

@@ -31,6 +31,7 @@ from typing import Optional
 import numpy as np
 
 from .mathcore import TSIRELSON_CHSH, TSIRELSON_WIN, binary_entropy, chsh_to_winprob, golden_min, rel_entropy_binary
+from .protocol import ProtocolParams
 
 __all__ = [
     "TSIRELSON_WIN",
@@ -74,18 +75,12 @@ class EatBudget:
     eps_s_prime: Optional[float] = None
     eps_s_dprime: Optional[float] = None
     eps_ea: Optional[float] = None
-    eps_ec_com: float = 0.005
-    eps_tilde: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps_snd < 1.0:
             raise ValueError(f"eps_snd={self.eps_snd} outside (0, 1)")
         if not 0.0 < self.eps_ec < self.eps_snd:
             raise ValueError("eps_ec must lie in (0, eps_snd)")
-        if not 0.0 < self.eps_ec_com < 1.0:
-            raise ValueError("eps_ec_com must lie in (0, 1)")
-        if self.eps_tilde is not None and not 0.0 <= self.eps_tilde < self.eps_ec_com:
-            raise ValueError("eps_tilde must lie in [0, eps_ec_com)")
         if self.is_fully_split():
             self.validate_split()
 
@@ -282,18 +277,11 @@ def _leak_overhead(n: int, eps_ec_com: float, eps_tilde: float) -> float:
     )
 
 
-def leak_ec(
-    n: int,
-    model: HonestModel,
-    eps_ec_com: float,
-    eps_tilde: Optional[float] = None,
-) -> float:
+def leak_ec(n: int, model: HonestModel, eps_ec_com: float) -> float:
     """Bits disclosed by one-way reconciliation: n eta_inf plus sublinear overhead."""
-    if eps_tilde is None:
-        eps_tilde = optimal_eps_tilde(n, eps_ec_com)
-    if not 0.0 < eps_tilde < eps_ec_com:
-        raise ValueError("need 0 < eps_tilde < eps_ec_com")
-    return n * eta_inf(model) + _leak_overhead(n, eps_ec_com, eps_tilde)
+    if not 0.0 < eps_ec_com < 1.0:
+        raise ValueError("eps_ec_com must lie in (0, 1)")
+    return n * eta_inf(model) + _leak_overhead(n, eps_ec_com, optimal_eps_tilde(n, eps_ec_com))
 
 
 def completeness_ea(n: int, c: float, gamma_a: float, gamma_b: float, omega_exp: float) -> float:
@@ -348,8 +336,7 @@ class EatResult:
 
 
 def _ell_for_split(
-    n: int,
-    model: HonestModel,
+    params: ProtocolParams,
     budget: EatBudget,
     omega_in: float,
     lec: float,
@@ -358,15 +345,16 @@ def _ell_for_split(
     """(raw length, eta_opt per round, optimizing cut point) for a full split."""
     if omega_in <= 0.75:
         return -math.inf, 0.0, 0.75 + _PT_EPS
+    n = params.n
     eps_e = budget.eps_ea + budget.eps_ec
-    eo, pt = _eta_opt_detail(omega_in, budget.eps_s_prime, eps_e, n, model.gamma_a, model.gamma_b, pt_min)
+    eo, pt = _eta_opt_detail(omega_in, budget.eps_s_prime, eps_e, n, params.gamma_a, params.gamma_b, pt_min)
     eps_rem = budget.eps_s - budget.eps_s_prime - 2.0 * budget.eps_s_dprime
     raw = (
         n * eo
         - lec
         - LEAK_EV_BITS
         - 2.0 * vartheta(eps_rem)
-        - model.gamma_a * model.gamma_b * n
+        - params.gamma_a * params.gamma_b * n
         - math.sqrt(n) * math.log2(5.0) * math.sqrt(1.0 - 2.0 * math.log2(budget.eps_s_dprime * eps_e))
         - 2.0 * math.log2(1.0 / budget.eps_pa)
     )
@@ -400,41 +388,29 @@ def _split_from_fractions(budget: EatBudget, fr: dict[str, float]) -> Optional[E
 
 
 def key_length_eat(
-    n: int,
-    model: HonestModel,
+    params: ProtocolParams,
     budget: EatBudget,
-    delta: Optional[float] = None,
+    lec: float,
     pt_full_range: bool = False,
-    delta_norm: str = "gamma_eff",
     grid_points: int = 16,
     passes: int = 2,
 ) -> EatResult:
-    """Secret key length certified by entropy accumulation at block size n.
+    """Secret key length certified by entropy accumulation for a tested protocol.
 
-    Unset budget splits are optimized by deterministic coordinate descent
-    on a log grid (grid_points per parameter, two refinement passes).
-    delta defaults to the value putting the honest abort bound at 1e-2.
-    delta_norm selects how the acceptance slack converts to a win-rate
-    margin: divided by the surviving-round fraction ("gamma_eff", the
-    certificate's own normalization) or by the test-round probability
-    ("gamma_ab", matching the acceptance statistic's normalization).
+    The certificate is evaluated at the acceptance threshold the run
+    tested, omega_exp - delta / gamma_eff (the slack converted to a win
+    rate margin by the surviving-round fraction, the certificate's own
+    normalization); lec is the reconciliation leakage in bits.  Unset
+    budget splits are optimized by deterministic coordinate descent on a
+    log grid (grid_points per parameter, two refinement passes).
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    if delta_norm not in ("gamma_eff", "gamma_ab"):
-        raise ValueError("delta_norm must be 'gamma_eff' or 'gamma_ab'")
-    if delta is None:
-        delta = delta_for_completeness(n, model.gamma_a, model.gamma_b, model.omega)
-    lec = leak_ec(n, model, budget.eps_ec_com, budget.eps_tilde)
-    norm = gamma_eff(model.gamma_a, model.gamma_b)
-    if delta_norm == "gamma_ab":
-        norm = model.gamma_a * model.gamma_b
-    omega_in = model.omega - delta / norm
+    n, delta = params.n, params.delta
+    omega_in = params.omega_exp - delta / gamma_eff(params.gamma_a, params.gamma_b)
     pt_min = None if pt_full_range else omega_in
 
     if budget.is_fully_split():
         budget.validate_split()
-        raw, eo, pt = _ell_for_split(n, model, budget, omega_in, lec, pt_min)
+        raw, eo, pt = _ell_for_split(params, budget, omega_in, lec, pt_min)
         return EatResult(max(raw, 0.0), raw, raw / n, budget, delta, lec, eo, pt)
 
     fr = {"a": 0.5, "b": 0.5, "c": 0.5, "d": 0.5}
@@ -444,7 +420,7 @@ def key_length_eat(
         b = _split_from_fractions(budget, trial)
         if b is None:
             return -math.inf
-        return _ell_for_split(n, model, b, omega_in, lec, pt_min)[0]
+        return _ell_for_split(params, b, omega_in, lec, pt_min)[0]
 
     best_val = evaluate(fr)
     for sweep in range(passes + 2):
@@ -462,7 +438,7 @@ def key_length_eat(
                     best_val, fr = v, trial
 
     full = _split_from_fractions(budget, fr)
-    raw, eo, pt = _ell_for_split(n, model, full, omega_in, lec, pt_min)
+    raw, eo, pt = _ell_for_split(params, full, omega_in, lec, pt_min)
     return EatResult(max(raw, 0.0), raw, raw / n, full, delta, lec, eo, pt)
 
 

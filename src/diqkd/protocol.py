@@ -58,7 +58,11 @@ PERP = 2  # placeholder value of the test outcome c on non-test rounds
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """Everything the acceptance test needs, plus the master seed."""
+    """The protocol a run executes: block size, test fractions, threshold, seed.
+
+    The simulator, the acceptance test and both key-length certificates
+    read it, so a key is certified for the test the transcript passed.
+    """
 
     n: int
     gamma_a: float

@@ -26,13 +26,13 @@ import numpy as np
 
 from .eat import LEAK_EV_BITS
 from .mathcore import TSIRELSON_CHSH, TSIRELSON_WIN, Distribution3, binomial_box, golden_min
+from .protocol import ProtocolParams
 
 __all__ = [
     "AcceptanceSet",
     "RenyiConfig",
     "q_honest",
     "build_acceptance_set",
-    "p_model",
     "renyi_entropy_factor",
     "renyi_key_entropy",
     "sift_weights",
@@ -78,7 +78,6 @@ class RenyiConfig:
 
     alpha: Optional[float] = None
     eps_sec: float = 1e-5
-    eps_com_at: float = 0.005
     sigma_grid: int = 192
     alpha_grid: int = 64
 
@@ -87,8 +86,6 @@ class RenyiConfig:
             raise ValueError(f"alpha={self.alpha} outside (1, 2]")
         if not 0.0 < self.eps_sec < 1.0:
             raise ValueError(f"eps_sec={self.eps_sec} outside (0, 1)")
-        if self.eps_com_at <= 0.0:
-            raise ValueError("eps_com_at must be positive")
         if self.sigma_grid < 8 or self.alpha_grid < 4:
             raise ValueError("grid resolutions too small")
 
@@ -97,14 +94,6 @@ def q_honest(gamma_a: float, gamma_b: float, omega_exp: float) -> Distribution3:
     """Honest per-round test distribution (lose, win, no-test)."""
     gg = gamma_a * gamma_b
     return Distribution3(gg * (1.0 - omega_exp), gg * omega_exp, 1.0 - gg)
-
-
-def p_model(omega_sigma: float, gamma_a: float, gamma_b: float) -> Distribution3:
-    """Test distribution generated by an attack with win probability omega_sigma."""
-    if not 0.0 <= omega_sigma <= 1.0:
-        raise ValueError(f"omega_sigma={omega_sigma} outside [0, 1]")
-    gg = gamma_a * gamma_b
-    return Distribution3(gg * (1.0 - omega_sigma), gg * omega_sigma, 1.0 - gg)
 
 
 def build_acceptance_set(q_hon: Distribution3, n: int, eps_com_at: float) -> AcceptanceSet:
@@ -308,21 +297,19 @@ def _ell_at_alpha(
 
 
 def key_length_renyi(
-    n: int,
-    model,
+    params: ProtocolParams,
     config: RenyiConfig,
     acc: AcceptanceSet,
     leak_ec_bits: float,
 ) -> RenyiResult:
-    """Secret key length of the box-accepted protocol at block size n.
+    """Secret key length of the box-accepted protocol.
 
-    With config.alpha unset, the order is optimized on a log-spaced grid
-    over (1, 2] (config.alpha_grid points) and refined once around the
-    best point.  model supplies the test fractions.
+    params supplies the block size and test fractions; acc is the box
+    the run tested.  With config.alpha unset, the order is optimized on
+    a log-spaced grid over (1, 2] (config.alpha_grid points) and refined
+    once around the best point.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    ga, gb = model.gamma_a, model.gamma_b
+    n, ga, gb = params.n, params.gamma_a, params.gamma_b
     if config.alpha is not None:
         ell, ha = _ell_at_alpha(n, config.alpha, config, ga, gb, acc, leak_ec_bits)
         return RenyiResult(max(ell, 0.0), ell, ell / n, config.alpha, ha)

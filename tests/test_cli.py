@@ -1,11 +1,12 @@
 import json
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from diqkd import cli, eat
+from diqkd import cli, eat, renyi
 from diqkd import rng as rng_module
 from diqkd.link import LinkBudget, TimingModel
 from diqkd.cli import (
@@ -147,6 +148,14 @@ class TestPipelineSimulated:
         delta = eat.delta_for_completeness(cfg.n, cfg.gamma_a, cfg.gamma_b, report.inputs["omega_exp"], target=1e-6)
         assert report.eat_delta == delta
 
+    def test_weaker_test_certifies_no_more_key(self):
+        # the EAT length is certified at the threshold the run tested, so
+        # accepting against a lower omega_exp must not certify more key
+        tested = run_pipeline(RunConfig(method="eat"))
+        weaker = run_pipeline(RunConfig(method="eat", omega_exp=0.78))
+        assert tested.accepted is True and weaker.accepted is True
+        assert weaker.eat_length <= tested.eat_length
+
     def test_replay_reproducible(self):
         cfg = RunConfig(n=30_000, seed=9, method="eat")
         assert run_pipeline(cfg).to_json() == run_pipeline(cfg).to_json()
@@ -242,6 +251,39 @@ class TestSweeps:
         monkeypatch.setenv("DIQKD_WORKERS", "2")
         parallel = sweep_keyrate_vs_n(cfg, [30_000, 100_000])
         assert serial == parallel
+
+    def test_sweep_point_is_the_analytic_pipeline(self, monkeypatch):
+        monkeypatch.delenv("DIQKD_WORKERS", raising=False)
+        orders = []
+        original = renyi.key_length_renyi
+
+        def recording(params, config, acc, lec):
+            orders.append(config.alpha)
+            return original(params, config, acc, lec)
+
+        monkeypatch.setattr(renyi, "key_length_renyi", recording)
+        cfg = RunConfig(method="renyi", renyi_alpha=1.01, delta=0.002)
+        rows = sweep_keyrate_vs_n(cfg, [100_000])
+        assert orders == [1.01]
+        report = run_pipeline(replace(cfg, n=100_000, analytic=True))
+        assert rows == [
+            {"n": 100_000, "rate_eat": None, "rate_renyi": report.renyi_length / 100_000,
+             "rate_asym": report.asymptotic_sifted}
+        ]
+
+    def test_sweep_runs_only_the_configured_method(self, monkeypatch):
+        monkeypatch.delenv("DIQKD_WORKERS", raising=False)
+        cfg = RunConfig(method="eat", renyi_alpha=1.01, delta=0.002)
+        report = run_pipeline(replace(cfg, n=100_000, analytic=True))
+
+        def no_renyi(*args, **kwargs):
+            raise AssertionError("key_length_renyi called for method = eat")
+
+        monkeypatch.setattr(renyi, "key_length_renyi", no_renyi)
+        assert sweep_keyrate_vs_n(cfg, [100_000]) == [
+            {"n": 100_000, "rate_eat": report.eat_length / 100_000, "rate_renyi": None,
+             "rate_asym": report.asymptotic_sifted}
+        ]
 
     def test_contour_properties(self):
         s_grid = list(np.linspace(2.0, 2 * math.sqrt(2), 12))

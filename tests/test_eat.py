@@ -22,8 +22,17 @@ from diqkd.eat import (
     leak_ec,
     vartheta,
 )
+from diqkd.protocol import ProtocolParams
 
 PAPER = HonestModel.from_chsh(2.612, 0.0285, 0.26, 0.13)
+
+
+def eat_length(n, model=PAPER, budget=EatBudget(eps_snd=1e-5), delta=None, **kw):
+    """key_length_eat for a protocol tested at the model's win probability."""
+    if delta is None:
+        delta = delta_for_completeness(n, model.gamma_a, model.gamma_b, model.omega, target=1e-2)
+    params = ProtocolParams(n=n, gamma_a=model.gamma_a, gamma_b=model.gamma_b, omega_exp=model.omega, delta=delta)
+    return key_length_eat(params, budget, leak_ec(n, model, 0.005), **kw)
 
 
 class TestGammaEff:
@@ -190,50 +199,47 @@ class TestVartheta:
 
 class TestKeyLength:
     def test_paper_point(self):
-        res = key_length_eat(1_208_000, PAPER, EatBudget(eps_snd=1e-5))
+        res = eat_length(1_208_000)
         assert res.rate == pytest.approx(0.034, abs=0.015)
         assert res.length == res.raw_length > 0
 
     def test_tiny_n_yields_nothing(self):
-        res = key_length_eat(1000, PAPER, EatBudget(eps_snd=1e-5))
+        res = eat_length(1000)
         assert res.raw_length <= 0
         assert res.length == 0.0
 
     def test_budget_invariants_hold_at_optimum(self):
-        res = key_length_eat(1_208_000, PAPER, EatBudget(eps_snd=1e-5))
+        res = eat_length(1_208_000)
         b = res.budget
         b.validate_split()  # raises on violation
         assert b.eps_ec + b.eps_pa + b.eps_s <= 1e-5
 
     def test_converges_to_sifted_asymptote(self):
         target = asymptotic_rate_sifted(2.612, 0.0285, 0.26, 0.13)
-        res = key_length_eat(10**12, PAPER, EatBudget(eps_snd=1e-5), grid_points=8, passes=1)
+        res = eat_length(10**12, grid_points=8, passes=1)
         assert res.rate <= target
         assert target - res.rate < 0.002
 
     def test_monotonicities_fixed_split(self):
-        # fixed epsilon split isolates the formula's monotone structure
+        # fixed epsilon split isolates the formula's monotone structure;
+        # omega_exp enters through the protocol, q through the leakage
         budget = EatBudget(
             eps_snd=1e-5, eps_pa=2.5e-6, eps_s=5e-6,
             eps_s_prime=2.5e-6, eps_s_dprime=5e-7, eps_ea=2.4e-6,
         )
         delta = 5e-4
         rates_n = [
-            key_length_eat(n, PAPER, budget, delta=delta).raw_length
+            eat_length(int(n), PAPER, budget, delta).raw_length
             for n in np.logspace(5.5, 9, 20)
         ]
         assert all(b > a for a, b in zip(rates_n, rates_n[1:]))
         lengths_s = [
-            key_length_eat(
-                1_208_000, HonestModel.from_chsh(s, 0.0285, 0.26, 0.13), budget, delta=delta
-            ).raw_length
+            eat_length(1_208_000, HonestModel.from_chsh(s, 0.0285, 0.26, 0.13), budget, delta).raw_length
             for s in np.linspace(2.35, 2.82, 20)
         ]
         assert all(b > a for a, b in zip(lengths_s, lengths_s[1:]))
         lengths_q = [
-            key_length_eat(
-                1_208_000, HonestModel(0.8265, q, 0.26, 0.13), budget, delta=delta
-            ).raw_length
+            eat_length(1_208_000, HonestModel(0.8265, q, 0.26, 0.13), budget, delta).raw_length
             for q in np.linspace(0.0, 0.08, 20)
         ]
         assert all(b < a for a, b in zip(lengths_q, lengths_q[1:]))
@@ -241,22 +247,13 @@ class TestKeyLength:
     def test_below_asymptote(self):
         target = asymptotic_rate_sifted(2.612, 0.0285, 0.26, 0.13)
         for n in (10**5, 10**6, 10**8):
-            res = key_length_eat(n, PAPER, EatBudget(eps_snd=1e-5), grid_points=8, passes=1)
+            res = eat_length(n, grid_points=8, passes=1)
             assert res.rate <= target
 
     def test_full_tangent_range_is_larger(self):
-        base = key_length_eat(1_208_000, PAPER, EatBudget(eps_snd=1e-5))
-        wide = key_length_eat(1_208_000, PAPER, EatBudget(eps_snd=1e-5), pt_full_range=True)
+        base = eat_length(1_208_000)
+        wide = eat_length(1_208_000, pt_full_range=True)
         assert wide.raw_length >= base.raw_length
-
-    def test_delta_normalization_switch(self):
-        # normalizing the slack by the test probability instead of the
-        # surviving fraction shifts the certified win rate much further down
-        a = key_length_eat(1_208_000, PAPER, EatBudget(eps_snd=1e-5))
-        b = key_length_eat(1_208_000, PAPER, EatBudget(eps_snd=1e-5), delta_norm="gamma_ab")
-        assert b.raw_length < a.raw_length
-        with pytest.raises(ValueError):
-            key_length_eat(1000, PAPER, EatBudget(), delta_norm="bogus")
 
 
 class TestAsymptotic:

@@ -3,15 +3,15 @@ import math
 import numpy as np
 import pytest
 
-from diqkd.eat import EatBudget, HonestModel, asymptotic_rate_sifted, key_length_eat, leak_ec
+from diqkd.eat import EatBudget, HonestModel, asymptotic_rate_sifted, delta_for_completeness, key_length_eat, leak_ec
 from diqkd.mathcore import Distribution3
+from diqkd.protocol import ProtocolParams
 from diqkd.renyi import (
     AcceptanceSet,
     RenyiConfig,
     build_acceptance_set,
     h_alpha,
     key_length_renyi,
-    p_model,
     q_honest,
     renyi_entropy_factor,
     renyi_key_entropy,
@@ -31,6 +31,11 @@ def paper_leak(n=N_PAPER):
     return leak_ec(n, PAPER, 0.005)
 
 
+def paper_params(n=N_PAPER):
+    delta = delta_for_completeness(n, 0.26, 0.13, PAPER.omega, target=1e-2)
+    return ProtocolParams(n=n, gamma_a=0.26, gamma_b=0.13, omega_exp=PAPER.omega, delta=delta)
+
+
 class TestHonestDistribution:
     def test_no_tests(self):
         d = q_honest(1e-12, 1e-12, 0.8)
@@ -45,15 +50,6 @@ class TestHonestDistribution:
         assert d.q0 == pytest.approx(0.005864, abs=1e-6)
         assert d.q1 == pytest.approx(0.027936, abs=1e-6)
         assert d.q_perp == pytest.approx(0.96620, abs=1e-6)
-
-    def test_p_model_matches_q_honest_at_omega_exp(self):
-        rng = np.random.default_rng(17)
-        for _ in range(100):
-            ga, gb, w = rng.uniform(0.01, 0.99, 3)
-            assert np.allclose(
-                p_model(w, ga, gb).as_array(), q_honest(ga, gb, w).as_array(), atol=1e-15
-            )
-            assert p_model(w, ga, gb).as_array().sum() == pytest.approx(1.0)
 
 
 class TestAcceptanceSet:
@@ -195,27 +191,27 @@ class TestHAlpha:
 
 class TestKeyLength:
     def test_paper_point(self):
-        res = key_length_renyi(N_PAPER, PAPER, RenyiConfig(eps_sec=1e-5 - 2.0**-61), paper_acc(), paper_leak())
+        res = key_length_renyi(paper_params(), RenyiConfig(eps_sec=1e-5 - 2.0**-61), paper_acc(), paper_leak())
         assert res.rate == pytest.approx(0.112, abs=0.015)
         assert res.length == pytest.approx(135_300, abs=18_000)
         assert 1.0 < res.alpha <= 2.0
 
     def test_tight_soundness(self):
-        res = key_length_renyi(N_PAPER, PAPER, RenyiConfig(eps_sec=1e-15 - 2.0**-61), paper_acc(), paper_leak())
+        res = key_length_renyi(paper_params(), RenyiConfig(eps_sec=1e-15 - 2.0**-61), paper_acc(), paper_leak())
         assert res.rate == pytest.approx(0.075, abs=0.015)
 
     def test_tiny_n_yields_nothing(self):
         n = 1000
         acc = build_acceptance_set(q_honest(0.26, 0.13, PAPER.omega), n, 0.005)
-        res = key_length_renyi(n, PAPER, RenyiConfig(eps_sec=1e-5), acc, leak_ec(n, PAPER, 0.005))
+        res = key_length_renyi(paper_params(n), RenyiConfig(eps_sec=1e-5), acc, leak_ec(n, PAPER, 0.005))
         assert res.raw_length <= 0.0
         assert res.length == 0.0
 
     def test_beats_accumulation_at_paper_block(self):
         renyi = key_length_renyi(
-            N_PAPER, PAPER, RenyiConfig(eps_sec=1e-5 - 2.0**-61), paper_acc(), paper_leak()
+            paper_params(), RenyiConfig(eps_sec=1e-5 - 2.0**-61), paper_acc(), paper_leak()
         )
-        eat = key_length_eat(N_PAPER, PAPER, EatBudget(eps_snd=1e-5))
+        eat = key_length_eat(paper_params(), EatBudget(eps_snd=1e-5), paper_leak())
         assert renyi.rate > eat.rate
 
     def test_below_sifted_asymptote(self):
@@ -223,13 +219,13 @@ class TestKeyLength:
         for n in (10**5, N_PAPER, 10**8):
             acc = build_acceptance_set(q_honest(0.26, 0.13, PAPER.omega), n, 0.005)
             res = key_length_renyi(
-                n, PAPER, RenyiConfig(eps_sec=1e-5, alpha_grid=24), acc, leak_ec(n, PAPER, 0.005)
+                paper_params(n), RenyiConfig(eps_sec=1e-5, alpha_grid=24), acc, leak_ec(n, PAPER, 0.005)
             )
             assert res.rate < asym
 
     def test_fixed_alpha_evaluation(self):
         cfg = RenyiConfig(alpha=1.001, eps_sec=1e-5)
-        res = key_length_renyi(N_PAPER, PAPER, cfg, paper_acc(), paper_leak())
+        res = key_length_renyi(paper_params(), cfg, paper_acc(), paper_leak())
         assert res.alpha == 1.001
         assert res.raw_length == pytest.approx(
             N_PAPER * res.h_alpha_bits

@@ -303,6 +303,12 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
         box = build_acceptance_set(q_honest(config.gamma_a, config.gamma_b, omega_test), config.n, config.eps_com_at)
     except ValueError as exc:
         raise ConfigError(f"acceptance test: {exc}") from exc
+    try:
+        eat_budget = EatBudget(eps_snd=config.eps_snd, eps_ec=config.eps_ec)
+        renyi_config = RenyiConfig(alpha=config.renyi_alpha, eps_sec=config.eps_snd - config.eps_ec)
+        lec = eat.leak_ec(config.n, model, config.eps_ec_com)
+    except ValueError as exc:
+        raise ConfigError(f"security: {exc}") from exc
 
     if config.analytic:
         s_hat = s_err = q_hat = q_err = beta = None
@@ -323,11 +329,6 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
         freq = np.array([counts[0], counts[1], counts[2]], dtype=float) / config.n
         accepted_box = box.contains(freq)
 
-    try:
-        lec = eat.leak_ec(config.n, model, config.eps_ec_com)
-    except ValueError as exc:
-        raise InfeasibleError(str(exc)) from exc
-
     budget_l, timing = _link_models(config)
     eff = link.arm_efficiency(budget_l)
     p_s = link.success_probability_spi(config.alpha_excitation, eff, config.alpha_excitation, eff)
@@ -341,15 +342,12 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
     eat_res = renyi_res = None
     if config.method in ("eat", "both"):
         try:
-            eat_res = eat.key_length_eat(params, EatBudget(eps_snd=config.eps_snd, eps_ec=config.eps_ec), lec)
+            eat_res = eat.key_length_eat(params, eat_budget, lec)
         except ValueError as exc:
             raise InfeasibleError(str(exc)) from exc
     if config.method in ("renyi", "both"):
-        eps_sec = config.eps_snd - config.eps_ec
-        if eps_sec <= 0:
-            raise InfeasibleError("eps_snd leaves no room for secrecy after eps_ec")
         try:
-            renyi_res = renyi.key_length_renyi(params, RenyiConfig(alpha=config.renyi_alpha, eps_sec=eps_sec), box, lec)
+            renyi_res = renyi.key_length_renyi(params, renyi_config, box, lec)
         except ValueError as exc:
             raise InfeasibleError(str(exc)) from exc
 
@@ -359,7 +357,7 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
             "n": config.n,
             "gamma_a": config.gamma_a,
             "gamma_b": config.gamma_b,
-            "omega_exp": omega_exp,
+            "omega_exp": params.omega_exp,
             "eps_snd": config.eps_snd,
             "method": config.method,
             "analytic": config.analytic,

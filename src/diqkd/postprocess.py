@@ -1,10 +1,15 @@
 """Bit-exact classical post-processing: Toeplitz extraction and a verify tag.
 
 The extractor is the two-universal family of Toeplitz matrices over
-GF(2), applied matrix-free: the seed is packed into 64-bit words at all
-64 bit offsets once, after which every output bit is an AND/XOR sweep
-over one word-aligned window.  A length-m input with length-l output
-costs O(l m / 64) word operations and no matrix storage.
+GF(2), applied matrix-free as a convolution of the seed with the input.
+Input and output are cut into blocks of B = 2^16 bits, and each pair of
+blocks is one real FFT convolution of length 2 min(B, m).  A length-m
+input with length-l output costs O(ceil(l/B) ceil(m/B) B log B)
+operations and O(B + l) memory.  The integer counts are summed per
+output bit and reduced mod 2.  Rounding each FFT entry to an integer is
+exact: a partial count is at most B, far below 2^53, so the float error
+stays orders of magnitude under 1/2, and a runtime guard raises if any
+entry lies 1/4 or more from its integer.
 
 The verification tag is a polynomial hash over GF(2^128) (GCM modulus)
 composed with a multiply-then-truncate map to 64 bits.  For a message of
@@ -30,9 +35,8 @@ __all__ = [
 
 _GF128_POLY = (1 << 128) | (1 << 7) | (1 << 2) | (1 << 1) | 1  # x^128 + x^7 + x^2 + x + 1
 
-# extraction ratio used by the vacuum-noise QRNG feeding the basis choices;
-# a documented operating constant, not an input to any computation here
-QRNG_EXTRACTION_RATIO = 0.67
+# bits per FFT block of the extractor: every partial count is at most this
+_BLOCK = 1 << 16
 
 
 class BitString:
@@ -100,43 +104,6 @@ class ToeplitzSeed:
 
     bits: BitString
 
-    def matrix_shape_for(self, m: int) -> tuple[int, int]:
-        ell = len(self.bits) - m + 1
-        if ell < 0:
-            raise ValueError("seed shorter than the input length allows")
-        return ell, m
-
-
-def _pack_words(bits: np.ndarray, offset: int, words: int) -> np.ndarray:
-    """bits[offset:] packed little-bit-endian into uint64 words."""
-    padded = np.zeros(words * 64, dtype=np.uint8)
-    chunk = bits[offset : offset + words * 64]
-    padded[: chunk.size] = chunk
-    return np.frombuffer(np.packbits(padded, bitorder="little").tobytes(), dtype="<u8").copy()
-
-
-def _pack_offsets(bits: np.ndarray) -> list[np.ndarray]:
-    """Word packings of the bit array at all 64 bit offsets.
-
-    Entry r packs bits[r:], so any window starting at absolute bit
-    position p is the word slice packed[p % 64][p // 64 : ...].
-    """
-    n = bits.size
-    words = (n + 63) // 64 + 1
-    return [_pack_words(bits, r, words) for r in range(64)]
-
-
-_PARITY_TABLE = np.array(
-    [bin(v).count("1") & 1 for v in range(65536)], dtype=np.uint8
-)
-
-
-def _parity64(words: np.ndarray) -> np.ndarray:
-    w = words
-    w = w ^ (w >> np.uint64(32))
-    w = w ^ (w >> np.uint64(16))
-    return _PARITY_TABLE[(w & np.uint64(0xFFFF)).astype(np.intp)]
-
 
 def toeplitz_extract(raw: BitString, seed: ToeplitzSeed, ell: int) -> BitString:
     """GF(2) product of the Toeplitz matrix T[i, j] = seed[i - j + m - 1] with raw.
@@ -153,23 +120,23 @@ def toeplitz_extract(raw: BitString, seed: ToeplitzSeed, ell: int) -> BitString:
     if len(seed.bits) != m + ell - 1:
         raise ValueError(f"seed must have length m + ell - 1 = {m + ell - 1}, got {len(seed.bits)}")
 
-    # out[i] = parity(raw & u[ell - 1 - i : ell - 1 - i + m]) with u the
-    # reversed seed: rows are sliding word-aligned windows of u
-    u = seed.bits.bits[::-1].copy()
-    shifted = _pack_offsets(u)
-    w = (m + 63) // 64
-    raw_words = _pack_words(raw.bits, 0, w)
-    tail_bits = m - (w - 1) * 64
-    tail_mask = np.uint64((1 << tail_bits) - 1) if tail_bits < 64 else np.uint64(0xFFFFFFFFFFFFFFFF)
-
-    out = np.empty(ell, dtype=np.uint8)
-    for i in range(ell):
-        p = ell - 1 - i
-        window = shifted[p % 64][p // 64 : p // 64 + w].copy()
-        window[-1] &= tail_mask
-        acc = np.bitwise_xor.reduce(window & raw_words)
-        out[i] = _parity64(np.array([acc], dtype=np.uint64))[0]
-    return BitString(out)
+    s, x = seed.bits.bits, raw.bits
+    size = 2 * min(_BLOCK, m)  # circular wrap-around never reaches the window kept below
+    counts = np.zeros(ell, dtype=np.int64)
+    for j0 in range(0, m, _BLOCK):
+        width = min(_BLOCK, m - j0)
+        raw_f = np.fft.rfft(x[j0 : j0 + width], size)
+        for i0 in range(0, ell, _BLOCK):
+            b = min(_BLOCK, ell - i0)
+            # seed[base + k + width - 1 - t] pairs out bit i0 + k with raw bit j0 + t
+            base = i0 + m - j0 - width
+            conv = np.fft.irfft(np.fft.rfft(s[base : base + b + width - 1], size) * raw_f, size)
+            part = conv[width - 1 : width - 1 + b]
+            rounded = np.rint(part)
+            if np.abs(part - rounded).max() >= 0.25:
+                raise ArithmeticError("FFT convolution too inexact for an exact GF(2) product")
+            counts[i0 : i0 + b] += rounded.astype(np.int64)
+    return BitString((counts & 1).astype(np.uint8))
 
 
 def _gf128_mul(x: int, y: int) -> int:

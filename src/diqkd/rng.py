@@ -33,27 +33,12 @@ def _mix(z: np.ndarray) -> np.ndarray:
 
 
 class CounterRng:
-    """Uniform doubles indexed by an absolute 64-bit counter.
-
-    ``draws`` counts how many values this instance has produced; pipeline
-    code uses it to assert that analytic paths never touch randomness.
-    """
+    """Uniform doubles indexed by an absolute 64-bit counter."""
 
     def __init__(self, seed: int):
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self.seed = np.uint64(seed)
-        self.draws = 0
-
-    def uniforms(self, counter_start: int, count: int) -> np.ndarray:
-        """count doubles in [0, 1) at counters [counter_start, counter_start + count)."""
-        with np.errstate(over="ignore"):
-            counters = np.arange(counter_start, counter_start + count, dtype=np.uint64)
-            z = _mix(self.seed + (counters + np.uint64(1)) * _WEYL)
-        self.draws += count
-        global _audit_draws
-        _audit_draws += count
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
 
     def round_uniforms(self, start_round: int, n_rounds: int, slot: int) -> np.ndarray:
         """One double per round for a fixed slot, rounds [start, start + n)."""
@@ -63,7 +48,6 @@ class CounterRng:
             rounds = np.arange(start_round, start_round + n_rounds, dtype=np.uint64)
             counters = rounds * np.uint64(SLOTS_PER_ROUND) + np.uint64(slot)
             z = _mix(self.seed + (counters + np.uint64(1)) * _WEYL)
-        self.draws += n_rounds
         global _audit_draws
         _audit_draws += n_rounds
         return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53

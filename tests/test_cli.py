@@ -99,6 +99,11 @@ class TestPipelineAnalytic:
         assert r1.wall_time_s >= 0.0
         assert "wall_time" not in r1.to_json()
 
+    def test_echoes_the_certified_threshold(self):
+        # analytic runs test at the stated point's omega, not the model's
+        report = run_pipeline(RunConfig(method="eat", **PAPER_ANALYTIC))
+        assert report.inputs["omega_exp"] == 0.5 + 2.612 / 8.0
+
     def test_zero_noise_ideal_point(self):
         cfg = RunConfig(v_zz=1.0, v_xx=1.0, method="eat", analytic=True, n=10**6)
         report = run_pipeline(cfg)
@@ -187,6 +192,20 @@ class TestMain:
             cfg = tmp_path / "c.cfg"
             cfg.write_text(body + "security.analytic = true\nsecurity.method = eat\n")
             assert main(["--config", str(cfg), "--out", str(tmp_path), "pipeline"]) == 3, body
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("security.eps_snd", "1.5"),
+            ("security.eps_ec", "1e-3"),  # not below eps_snd
+            ("security.eps_ec_com", "0"),
+            ("security.renyi_alpha", "3"),
+        ],
+    )
+    def test_out_of_range_security_values_exit_three(self, tmp_path, key, value):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"{key} = {value}\nsecurity.analytic = true\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "pipeline"]) == 3
 
     def test_abort_exit_two(self, tmp_path):
         # expected win probability far above the honest model forces abort

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from diqkd.postprocess import (
+    _BLOCK,
     BitString,
     TagKey,
     ToeplitzSeed,
@@ -92,6 +93,29 @@ class TestToeplitzExtract:
             toeplitz_extract(raw, ToeplitzSeed(BitString.random(10, rng)), 5)
         with pytest.raises(ValueError):
             toeplitz_extract(raw, ToeplitzSeed(BitString.random(30, rng)), 11)
+
+    def test_rows_at_block_boundaries_match_definition(self):
+        # several input and output blocks, neither m nor ell a block multiple;
+        # a few draws, since one wrong row matches by chance half the time
+        rng = np.random.default_rng(16)
+        m, ell = 2 * _BLOCK + 37, _BLOCK + 5
+        boundaries = [i + d for i in range(_BLOCK, ell, _BLOCK) for d in (-1, 0, 1)]
+        for _ in range(8):
+            raw = BitString.random(m, rng)
+            seed = ToeplitzSeed(BitString.random(m + ell - 1, rng))
+            out = toeplitz_extract(raw, seed, ell).bits
+            for i in [0, ell - 1, *boundaries, *rng.integers(0, ell, 16)]:
+                row = seed.bits.bits[i : i + m][::-1]  # row[j] = seed[i - j + m - 1]
+                assert out[i] == np.count_nonzero(row & raw.bits) & 1, f"row {i}"
+
+    def test_inexact_convolution_raises(self, monkeypatch):
+        rng = np.random.default_rng(17)
+        raw = BitString.random(50, rng)
+        seed = ToeplitzSeed(BitString.random(50 + 20 - 1, rng))
+        irfft = np.fft.irfft
+        monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
+        with pytest.raises(ArithmeticError):
+            toeplitz_extract(raw, seed, 20)
 
     def test_monobit_balance_at_scale(self):
         rng = np.random.default_rng(6)

@@ -21,7 +21,7 @@ from diqkd.protocol import (
 )
 from diqkd.quantum import NoiseParams, build_heralded_state
 from diqkd.protocol import test_statistic as beta_freq
-from diqkd.rng import CounterRng
+from diqkd.rng import CounterRng, audit_total
 
 CAL_STATE = build_heralded_state(NoiseParams.from_visibilities(0.943, 0.924))
 CAL_BEHAVIOR = behavior_from_state(CAL_STATE)
@@ -35,21 +35,22 @@ def params(n=10_000, seed=7, omega=0.83, delta=0.01):
 
 class TestCounterRng:
     def test_range_and_determinism(self):
-        r1 = CounterRng(123).uniforms(0, 10_000)
-        r2 = CounterRng(123).uniforms(0, 10_000)
+        r1 = CounterRng(123).round_uniforms(0, 10_000, 0)
+        r2 = CounterRng(123).round_uniforms(0, 10_000, 0)
         assert np.array_equal(r1, r2)
         assert r1.min() >= 0.0 and r1.max() < 1.0
 
     def test_counter_offsets_are_consistent(self):
         rng = CounterRng(9)
-        whole = rng.uniforms(0, 1000)
-        assert np.array_equal(whole[200:300], CounterRng(9).uniforms(200, 100))
+        whole = rng.round_uniforms(0, 1000, 3)
+        assert np.array_equal(whole[200:300], CounterRng(9).round_uniforms(200, 100, 3))
 
     def test_mean_and_draw_accounting(self):
         rng = CounterRng(55)
-        u = rng.uniforms(0, 200_000)
+        before = audit_total()
+        u = rng.round_uniforms(0, 200_000, 0)
         assert abs(u.mean() - 0.5) < 0.005
-        assert rng.draws == 200_000
+        assert audit_total() - before == 200_000
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):

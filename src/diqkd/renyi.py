@@ -8,18 +8,23 @@ entropy of the key bit satisfies
     2^((1-a) H_a) = 2^(1-a) [ ((1-r)/2)^(1/a) + ((1+r)/2)^(1/a) ]^a,
     r = sqrt(S^2/4 - 1),
 
-which the sifting step dilutes by known weights.  The certified
-per-round quantity h_alpha is a two-level minimization: an adversarial
-score on an outer grid (entropy clamped to zero below the classical
-bound, where only the divergence term protects), and an inner convex
-minimization over the box, solved exactly by its KKT conditions
-(clipped proportional scaling with a monotone root-find on the scale).
+which the sifting step dilutes by known weights (Arqand, Hahn & Tan,
+arXiv:2405.05912).  The certified per-round quantity h_alpha is a
+two-level minimization: an adversarial score on an outer grid (entropy
+clamped to zero below the classical bound, where only the divergence
+term protects), and an inner convex minimization over the box.  The
+inner problem is solved in closed form: its KKT point is a clipped
+proportional scaling of the model distribution, and the scale is read
+off the piecewise-linear box mass between its breakpoints, with no
+iteration.  Every Renyi order of a search is evaluated in the same
+array calls: the score grid in chunks of orders, then one lockstep
+golden-section refinement for all of them.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -41,6 +46,8 @@ __all__ = [
     "RenyiResult",
     "key_length_renyi",
 ]
+
+_ORDER_CHUNK = 8  # Renyi orders per array call of the score grid: 8 x 192 rows keep peak memory flat
 
 
 @dataclass(frozen=True)
@@ -116,21 +123,26 @@ def build_acceptance_set(q_hon: Distribution3, n: int, eps_com_at: float) -> Acc
     return AcceptanceSet(q_hon, tuple(lows), tuple(upps))
 
 
-def renyi_entropy_factor(s_sigma: float, alpha: float) -> float:
+def _float_if_scalar(x):
+    """A 0-d result as a float; arrays pass through."""
+    return float(x) if np.ndim(x) == 0 else x
+
+
+def renyi_entropy_factor(s_sigma: float | np.ndarray, alpha: float | np.ndarray) -> float | np.ndarray:
     """2^{(1-alpha) H} for the strongest attack at CHSH score s_sigma.
 
     Scores at or below the classical bound certify nothing: the factor
     clamps to 1 (zero entropy).  Scores above 2 sqrt 2 are unphysical.
+    Broadcasts over arrays of scores and orders; scalars give a float.
     """
-    if s_sigma > TSIRELSON_CHSH + 1e-12:
-        raise ValueError(f"CHSH score {s_sigma} exceeds 2 sqrt 2")
-    if alpha <= 1.0:
-        raise ValueError(f"Renyi order must exceed 1, got {alpha}")
-    if s_sigma <= 2.0:
-        return 1.0
-    r = math.sqrt(min(s_sigma * s_sigma / 4.0 - 1.0, 1.0))
-    bracket = ((1.0 - r) / 2.0) ** (1.0 / alpha) + ((1.0 + r) / 2.0) ** (1.0 / alpha)
-    return 2.0 ** (1.0 - alpha) * bracket**alpha
+    s, a = np.broadcast_arrays(np.asarray(s_sigma, dtype=float), np.asarray(alpha, dtype=float))
+    if np.any(s > TSIRELSON_CHSH + 1e-12):
+        raise ValueError(f"CHSH score {s.max()} exceeds 2 sqrt 2")
+    if np.any(a <= 1.0):
+        raise ValueError(f"Renyi order must exceed 1, got {a.min()}")
+    r = np.sqrt(np.clip(s * s / 4.0 - 1.0, 0.0, 1.0))
+    bracket = ((1.0 - r) / 2.0) ** (1.0 / a) + ((1.0 + r) / 2.0) ** (1.0 / a)
+    return _float_if_scalar(np.where(s > 2.0, 2.0 ** (1.0 - a) * bracket**a, 1.0))
 
 
 def renyi_key_entropy(s_sigma: float, alpha: float) -> float:
@@ -146,11 +158,16 @@ def sift_weights(gamma_a: float, gamma_b: float) -> tuple[float, float]:
     return w_key, w_rest
 
 
-def sifted_entropy_bound(alpha: float, gamma_a: float, gamma_b: float, s_sigma: float) -> float:
-    """Entropy of the kept rounds after averaging key and sifted contributions."""
+def sifted_entropy_bound(
+    alpha: float | np.ndarray, gamma_a: float, gamma_b: float, s_sigma: float | np.ndarray
+) -> float | np.ndarray:
+    """Entropy of the kept rounds after averaging key and sifted contributions.
+
+    Broadcasts over arrays of orders and scores like renyi_entropy_factor.
+    """
     w_key, w_rest = sift_weights(gamma_a, gamma_b)
     val = w_key * renyi_entropy_factor(s_sigma, alpha) + w_rest
-    return math.log2(val) / (1.0 - alpha)
+    return _float_if_scalar(np.log2(val) / (1.0 - np.asarray(alpha, dtype=float)))
 
 
 def _inner_min_vec(
@@ -158,20 +175,24 @@ def _inner_min_vec(
     lo: np.ndarray,
     hi: np.ndarray,
     kappa: np.ndarray,
-    alpha: float,
-    iters: int = 90,
+    alpha: float | np.ndarray,
 ) -> np.ndarray:
     """Exact inner minimum of D(q||p)/(alpha-1) + q_perp kappa over the box.
 
-    Vectorized over the leading axis of p (the outer score grid).  The
-    KKT solution is q_c = clip(t p_c w_c, lo_c, hi_c) with w scaling only
-    the perp coordinate; the simplex constraint pins t by bisection.
-    Cells whose support cannot carry the box mass come back as +inf.
+    Vectorized over the leading axis of p, kappa and alpha (one row per
+    pair of order and outer score).  The KKT solution is
+    q_c(t) = clip(t p_c w_c, lo_c, hi_c), with w_c = 1 except
+    w_perp = 2^{-(alpha-1) kappa}, at the scale t where the mass
+    sum_c q_c(t) is 1.  The mass is nondecreasing and piecewise linear
+    in t with breakpoints lo_c/(p_c w_c) and hi_c/(p_c w_c), so it is
+    evaluated at the sorted breakpoints and t is interpolated linearly
+    in the segment that brackets 1: exact up to rounding.  If the floors
+    alone carry the mass, q is the floor.  Cells with a positive floor
+    off the model support, or whose ceilings on the support cannot carry
+    the mass, come back as +inf.
     """
-    g = p.shape[0]
-    w = np.ones_like(p)
-    w[:, 2] = 2.0 ** (-(alpha - 1.0) * kappa)
-    pw = p * w
+    pw = p.copy()
+    pw[:, 2] = p[:, 2] * 2.0 ** (-(alpha - 1.0) * kappa)
     support = p > 0.0
 
     # coordinates outside the model support are forced to the box floor,
@@ -181,34 +202,41 @@ def _inner_min_vec(
     infeasible = forced_bad.any(axis=1)
     infeasible |= np.where(support, hi[None, :], 0.0).sum(axis=1) < 1.0 - 1e-12
 
-    t_lo = np.zeros(g)
+    def clipped(t: np.ndarray) -> np.ndarray:
+        """q at scales t of shape (g, k), as an array (g, k, 3)."""
+        q = np.clip(pw[:, None, :] * t[:, :, None], lo, hi)
+        return np.where(support[:, None, :], q, 0.0)
+
     with np.errstate(divide="ignore", invalid="ignore"):
-        ratio = np.where(support, hi[None, :] / np.maximum(pw, 1e-300), 0.0)
-    t_hi = 2.0 * np.maximum(ratio.max(axis=1), 1.0)
-
-    def mass(t: np.ndarray) -> np.ndarray:
-        q = np.clip(pw * t[:, None], lo[None, :], hi[None, :])
-        q = np.where(support, q, 0.0)
-        return q.sum(axis=1)
-
-    for _ in range(iters):
-        mid = 0.5 * (t_lo + t_hi)
-        too_small = mass(mid) < 1.0
-        t_lo = np.where(too_small, mid, t_lo)
-        t_hi = np.where(too_small, t_hi, mid)
-
-    t = 0.5 * (t_lo + t_hi)
-    q = np.clip(pw * t[:, None], lo[None, :], hi[None, :])
-    q = np.where(support, q, 0.0)
-    norm = q.sum(axis=1)
-    ok = norm > 0.5
-    q = q / np.where(ok, norm, 1.0)[:, None]
+        breaks = np.where(np.tile(support, 2), np.concatenate([lo / pw, hi / pw], axis=1), 0.0)
+    breaks.sort(axis=1)
+    mass = clipped(breaks).sum(axis=2)
+    # first breakpoint whose mass reaches 1, or the full mass if the ceilings fall short by rounding
+    k = np.argmax(mass >= np.minimum(mass[:, -1:], 1.0), axis=1)
+    rows = np.arange(len(p))
+    t1, m1 = breaks[rows, k], mass[rows, k]
+    t0, m0 = breaks[rows, k - 1], mass[rows, k - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(k > 0, t0 + (1.0 - m0) * (t1 - t0) / (m1 - m0), t1)
+    q = clipped(t[:, None])[:, 0, :]
+    q /= np.where(infeasible, 1.0, q.sum(axis=1))[:, None]  # rounding of the interpolated mass
 
     with np.errstate(divide="ignore", invalid="ignore"):
         terms = np.where(q > 0.0, q * np.log2(np.maximum(q, 1e-300) / np.maximum(p, 1e-300)), 0.0)
     div = terms.sum(axis=1)
     obj = div / (alpha - 1.0) + q[:, 2] * kappa
-    return np.where(infeasible | ~ok, np.inf, obj)
+    return np.where(infeasible, np.inf, obj)
+
+
+def _objective(alphas, ws, gamma_a: float, gamma_b: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """Inner minimum at the model distribution of score ws, for orders alphas (broadcast)."""
+    alphas, ws = np.broadcast_arrays(alphas, ws)
+    gg = gamma_a * gamma_b
+    s = 8.0 * (ws - 0.5)
+    kappa = np.where(s > 2.0, sifted_entropy_bound(alphas, gamma_a, gamma_b, s), 0.0)
+    p = np.stack([gg * (1.0 - ws), gg * ws, np.full_like(ws, 1.0 - gg)], axis=-1)
+    vals = _inner_min_vec(p.reshape(-1, 3), lo, hi, kappa.ravel(), alphas.ravel())
+    return vals.reshape(ws.shape)
 
 
 def h_alpha(
@@ -217,51 +245,50 @@ def h_alpha(
     gamma_b: float,
     acc: AcceptanceSet,
     omega_bounds: Optional[tuple[float, float]] = None,
-) -> float:
+    alphas: Optional[np.ndarray] = None,
+) -> float | np.ndarray:
     """Certified per-round entropy: worst case over scores and box frequencies.
 
     The outer score search runs on [1/2, (2+sqrt2)/4] (entropy clamped to
     zero at and below the classical point, where an attack only pays the
     divergence cost), localized on a grid of config.sigma_grid cells and
     polished by golden-section refinement around the best cell.
+
+    With alphas unset the order is config.alpha and the result a float.
+    An array of alphas is evaluated at once and gives an array, each
+    entry equal to that order's own value: the grid is scored
+    _ORDER_CHUNK orders per array call, and the refinements of all
+    orders run in lockstep.
     """
-    if config.alpha is None:
-        raise ValueError("h_alpha needs a fixed Renyi order in config.alpha")
-    alpha = config.alpha
+    single = alphas is None
+    if single:
+        if config.alpha is None:
+            raise ValueError("h_alpha needs a fixed Renyi order in config.alpha")
+        alphas = np.array([config.alpha])
     lo_box, hi_box = acc.lower(), acc.upper()
     w_lo, w_hi = omega_bounds if omega_bounds is not None else (0.5, TSIRELSON_WIN)
     if not 0.0 <= w_lo <= w_hi <= 1.0:
         raise ValueError("invalid omega bounds")
-    gg = gamma_a * gamma_b
 
-    def kappa_of(ws: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(ws)
-        for i, wv in enumerate(ws):
-            s = 8.0 * (wv - 0.5)
-            out[i] = sifted_entropy_bound(alpha, gamma_a, gamma_b, s) if s > 2.0 else 0.0
-        return out
-
-    def objective_grid(ws: np.ndarray) -> np.ndarray:
-        p = np.stack([gg * (1.0 - ws), gg * ws, np.full_like(ws, 1.0 - gg)], axis=1)
-        return _inner_min_vec(p, lo_box, hi_box, kappa_of(ws), alpha)
+    def objective(orders: np.ndarray, ws: np.ndarray) -> np.ndarray:
+        return _objective(orders, ws, gamma_a, gamma_b, lo_box, hi_box)
 
     if w_hi - w_lo < 1e-15:
-        val = objective_grid(np.array([w_lo]))[0]
-        if not np.isfinite(val):
+        out = objective(alphas, np.full(len(alphas), w_lo))
+        if not np.isfinite(out).all():
             raise ValueError("acceptance box is infeasible for the model distribution")
-        return float(val)
-
-    grid = np.linspace(w_lo, w_hi, config.sigma_grid)
-    vals = objective_grid(grid)
-    if not np.isfinite(vals).any():
-        raise ValueError("acceptance box is infeasible for the model distribution")
-    i = int(np.argmin(vals))
-
-    def scalar_obj(wv: float) -> float:
-        return float(objective_grid(np.array([wv]))[0])
-
-    _, fc, _, fd = golden_min(scalar_obj, float(grid[max(0, i - 1)]), float(grid[min(len(grid) - 1, i + 1)]), 50)
-    return float(min(float(vals[i]), fc, fd))
+    else:
+        grid = np.linspace(w_lo, w_hi, config.sigma_grid)
+        vals = np.concatenate(
+            [objective(alphas[j : j + _ORDER_CHUNK, None], grid) for j in range(0, len(alphas), _ORDER_CHUNK)]
+        )
+        if not np.isfinite(vals).any(axis=1).all():
+            raise ValueError("acceptance box is infeasible for the model distribution")
+        i = np.argmin(vals, axis=1)
+        lo_w, hi_w = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, len(grid) - 1)]
+        _, fc, _, fd = golden_min(lambda ws: objective(alphas, ws), lo_w, hi_w, 50)
+        out = np.minimum(vals[np.arange(len(alphas)), i], np.minimum(fc, fd))
+    return float(out[0]) if single else out
 
 
 @dataclass(frozen=True)
@@ -271,29 +298,6 @@ class RenyiResult:
     rate: float
     alpha: float
     h_alpha_bits: float
-
-
-def _ell_at_alpha(
-    n: int,
-    alpha: float,
-    config: RenyiConfig,
-    gamma_a: float,
-    gamma_b: float,
-    acc: AcceptanceSet,
-    leak_ec_bits: float,
-) -> tuple[float, float]:
-    cfg = replace(config, alpha=alpha)
-    ha = h_alpha(cfg, gamma_a, gamma_b, acc)
-    gg = gamma_a * gamma_b
-    ell = (
-        n * ha
-        - n * (gg + acc.delta_low_perp)
-        - leak_ec_bits
-        - LEAK_EV_BITS
-        - alpha / (alpha - 1.0) * math.log2(1.0 / config.eps_sec)
-        + 2.0
-    )
-    return ell, ha
 
 
 def key_length_renyi(
@@ -307,30 +311,41 @@ def key_length_renyi(
     params supplies the block size and test fractions; acc is the box
     the run tested.  With config.alpha unset, the order is optimized on
     a log-spaced grid over (1, 2] (config.alpha_grid points) and refined
-    once around the best point.
+    once around the best point; each pass is one h_alpha call over all
+    its orders.
     """
     n, ga, gb = params.n, params.gamma_a, params.gamma_b
+
+    def raw_length(alpha, ha):
+        return (
+            n * ha
+            - n * (ga * gb + acc.delta_low_perp)
+            - leak_ec_bits
+            - LEAK_EV_BITS
+            - alpha / (alpha - 1.0) * math.log2(1.0 / config.eps_sec)
+            + 2.0
+        )
+
     if config.alpha is not None:
-        ell, ha = _ell_at_alpha(n, config.alpha, config, ga, gb, acc, leak_ec_bits)
+        ha = h_alpha(config, ga, gb, acc)
+        ell = raw_length(config.alpha, ha)
         return RenyiResult(max(ell, 0.0), ell, ell / n, config.alpha, ha)
 
-    coarse = 1.0 + np.logspace(-5.0, 0.0, config.alpha_grid)
-    coarse = np.minimum(coarse, 2.0)
-    best = None
-    for a in np.unique(coarse):
-        ell, ha = _ell_at_alpha(n, float(a), config, ga, gb, acc, leak_ec_bits)
-        if best is None or ell > best[0]:
-            best = (ell, float(a), ha)
+    def best_of(alphas: np.ndarray) -> tuple[float, float, float]:
+        ha = h_alpha(config, ga, gb, acc, alphas=alphas)
+        ell = raw_length(alphas, ha)
+        i = int(np.argmax(ell))  # the first order on a tie
+        return float(ell[i]), float(alphas[i]), float(ha[i])
+
+    best = best_of(np.unique(np.minimum(1.0 + np.logspace(-5.0, 0.0, config.alpha_grid), 2.0)))
 
     # one refinement pass: a finer log grid spanning one coarse spacing
     spacing = 10.0 ** (5.0 / (config.alpha_grid - 1))
     lo = max((best[1] - 1.0) / spacing, 1e-7)
     hi = min((best[1] - 1.0) * spacing, 1.0)
-    for a in 1.0 + np.logspace(math.log10(lo), math.log10(hi), 16):
-        a = float(min(a, 2.0))
-        ell, ha = _ell_at_alpha(n, a, config, ga, gb, acc, leak_ec_bits)
-        if ell > best[0]:
-            best = (ell, a, ha)
+    refined = best_of(np.minimum(1.0 + np.logspace(math.log10(lo), math.log10(hi), 16), 2.0))
+    if refined[0] > best[0]:
+        best = refined
 
     ell, alpha, ha = best
     return RenyiResult(max(ell, 0.0), ell, ell / n, alpha, ha)

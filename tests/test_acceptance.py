@@ -189,8 +189,9 @@ def test_criterion_8_link_scaling():
     ratio = np.polyfit(lengths, np.log10(spi), 1)[0] / np.polyfit(lengths, np.log10(tpi), 1)[0]
 
     timing = TimingModel()
-    # calibrated against the table total of 0.72% per arm
-    rate11 = event_rate(success_probability_spi(alpha, 0.0072, alpha, 0.0072), timing, 11.0)
+    # calibrated against the table's total arm efficiency at 11 km
+    eff11 = next(r for r in load_distance_table() if r.length_km == 11.0).total_arm_eff
+    rate11 = event_rate(success_probability_spi(alpha, eff11, alpha, eff11), timing, 11.0)
     ok = abs(ratio - 0.5) <= 0.02 and abs(rate11 - 0.72) / 0.72 <= 0.10
     _report(
         8,

@@ -10,6 +10,7 @@ from diqkd.mathcore import (
     binomial_box,
     binomial_tail,
     chsh_to_winprob,
+    golden_min,
     kl_divergence3,
     rel_entropy_binary,
     winprob_to_chsh,
@@ -263,3 +264,26 @@ class TestChshWinprob:
     def test_domain(self):
         with pytest.raises(ValueError):
             chsh_to_winprob(4.5)
+
+
+class TestGoldenMin:
+    def test_scalar_bracket_finds_the_minimum(self):
+        c, fc, d, fd = golden_min(lambda x: (x - 0.3) ** 2, 0.0, 1.0, 60)
+        assert all(type(v) is float for v in (c, fc, d, fd))
+        assert c == pytest.approx(0.3, abs=1e-9) and d == pytest.approx(0.3, abs=1e-9)
+
+    def test_lockstep_brackets_match_each_bracket_alone(self):
+        rng = np.random.default_rng(5)
+        lo = rng.uniform(-1.0, 0.0, 9)
+        hi = lo + rng.uniform(0.1, 2.0, 9)
+        centers = rng.uniform(-1.0, 2.0, 9)
+        weights = np.ones(9)
+        weights[0] = 0.0  # a flat objective: every comparison ties
+
+        def f_of(center, weight):
+            return lambda x: weight * (np.sin(x - center) ** 2 + x / 7.0)
+
+        got = golden_min(f_of(centers, weights), lo, hi, 30)
+        for i in range(9):
+            alone = golden_min(f_of(centers[i], weights[i]), lo[i], hi[i], 30)
+            assert tuple(float(v[i]) for v in got) == tuple(float(v) for v in alone)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diqkd.eat import EatBudget, HonestModel, asymptotic_rate_sifted, delta_for_completeness, key_length_eat, leak_ec
-from diqkd.mathcore import Distribution3
+from diqkd.mathcore import TSIRELSON_WIN, Distribution3
 from diqkd.protocol import ProtocolParams
 from diqkd.renyi import (
     AcceptanceSet,
@@ -18,6 +18,7 @@ from diqkd.renyi import (
     sift_weights,
     sifted_entropy_bound,
 )
+from diqkd.renyi import _inner_min_vec
 
 PAPER = HonestModel.from_chsh(2.612, 0.0285, 0.26, 0.13)
 N_PAPER = 1_208_000
@@ -148,6 +149,100 @@ class TestSiftedBound:
         assert 0.0 < sifted_entropy_bound(1.2, 0.26, 0.13, 2.612) < full
 
 
+def inner_objective(q, p, kappa, alpha):
+    """D(q||p)/(alpha-1) + q_perp kappa, written out from its definition."""
+    div = sum(qc * math.log2(qc / pc) for qc, pc in zip(q, p) if qc > 0.0)
+    return div / (alpha - 1.0) + q[2] * kappa
+
+
+def inner_reference(p, lo, hi, kappa, alpha, start):
+    """Box- and simplex-constrained minimum by SLSQP from a feasible start."""
+    from scipy.optimize import minimize
+
+    on = p > 0.0
+    hi = np.where(on, hi, 0.0)
+    lin = np.array([0.0, 0.0, kappa])
+
+    def grad(q):
+        g = np.zeros(3)
+        g[on] = (np.log2(np.maximum(q[on], 1e-300) / p[on]) + 1.0 / math.log(2.0)) / (alpha - 1.0)
+        return g + lin
+
+    res = minimize(
+        lambda q: inner_objective(np.maximum(q, 0.0), p, kappa, alpha),
+        start,
+        jac=grad,
+        method="SLSQP",
+        bounds=list(zip(lo, hi)),
+        constraints=[{"type": "eq", "fun": lambda q: q.sum() - 1.0, "jac": lambda q: np.ones(3)}],
+        options={"ftol": 1e-14, "maxiter": 500},
+    )
+    q = np.clip(res.x, lo, hi)
+    return inner_objective(q / q.sum(), p, kappa, alpha)
+
+
+def solve_inner(p, lo, hi, kappa, alpha):
+    return float(_inner_min_vec(np.array([p], dtype=float), np.asarray(lo, float), np.asarray(hi, float), np.array([kappa]), alpha)[0])
+
+
+class TestInnerSolve:
+    def test_matches_constrained_minimizer_on_random_boxes(self):
+        rng = np.random.default_rng(61)
+        for case in range(40):
+            p = rng.dirichlet(np.ones(3))
+            if case % 5 == 0:
+                p[case % 3] = 0.0  # a coordinate off the model support
+                p /= p.sum()
+            start = rng.dirichlet(np.ones(3)) * (p > 0.0)
+            start /= start.sum()
+            lo = np.maximum(start - rng.uniform(0.0, 0.3, 3), 0.0) * (p > 0.0)
+            hi = np.minimum(start + rng.uniform(0.0, 0.3, 3), 1.0)
+            kappa, alpha = rng.uniform(0.0, 1.0), rng.uniform(1.01, 2.0)
+            got = solve_inner(p, lo, hi, kappa, alpha)
+            want = inner_reference(p, lo, hi, kappa, alpha, start)
+            assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
+
+    def test_paper_box_against_dense_simplex_grid(self):
+        acc = paper_acc()
+        lo, hi = acc.lower(), acc.upper()
+        q0 = np.linspace(lo[0], hi[0], 401)[:, None]
+        q1 = np.linspace(lo[1], hi[1], 401)[None, :]
+        q2 = 1.0 - q0 - q1
+        keep = (q2 >= lo[2]) & (q2 <= hi[2])
+        gg = 0.26 * 0.13
+        for w, alpha in ((0.80, 1.0004), (0.75, 1.01), (0.70, 1.2)):
+            p = np.array([gg * (1.0 - w), gg * w, 1.0 - gg])
+            kappa = sifted_entropy_bound(alpha, 0.26, 0.13, 8.0 * (w - 0.5)) if w > 0.75 else 0.0
+            div = q0 * np.log2(q0 / p[0]) + q1 * np.log2(q1 / p[1]) + q2 * np.log2(q2 / p[2])
+            grid = np.where(keep, div / (alpha - 1.0) + q2 * kappa, np.inf)
+            got = solve_inner(p, lo, hi, kappa, alpha)
+            assert got <= grid.min() * (1.0 + 1e-11)
+            assert got == pytest.approx(grid.min(), rel=1e-4)
+
+    def test_floors_or_ceilings_summing_to_one_pin_the_point(self):
+        p = np.array([0.5, 0.3, 0.2])
+        floor = np.array([0.2, 0.3, 0.5])
+        ceiling = np.array([0.3, 0.2, 0.5 - 1e-13])  # short of 1 by less than the feasibility slack
+        for kappa, alpha in ((0.0, 1.5), (0.7, 1.01)):
+            got = solve_inner(p, floor, floor + 0.1, kappa, alpha)
+            assert got == pytest.approx(inner_objective(floor, p, kappa, alpha), rel=1e-12)
+            got = solve_inner(p, ceiling - 0.1, ceiling, kappa, alpha)
+            assert got == pytest.approx(inner_objective(ceiling / ceiling.sum(), p, kappa, alpha), rel=1e-12)
+
+    def test_infeasible_cells_are_infinite(self):
+        p = np.array([[0.0, 0.4, 0.6], [0.0, 0.4, 0.6], [0.3, 0.3, 0.4]])
+        kappa = np.array([0.2, 0.2, 0.2])
+        # a positive floor off the support; then support ceilings that cannot carry the mass
+        lo, hi = np.array([0.01, 0.0, 0.0]), np.array([1.0, 1.0, 1.0])
+        vals = _inner_min_vec(p, lo, hi, kappa, 1.3)
+        assert np.isinf(vals[:2]).all() and vals[0] > 0
+        assert np.isfinite(vals[2])
+        lo, hi = np.zeros(3), np.array([1.0, 0.45, 0.5])
+        vals = _inner_min_vec(p, lo, hi, kappa, 1.3)
+        assert np.isinf(vals[:2]).all() and vals[0] > 0
+        assert np.isfinite(vals[2])
+
+
 class TestHAlpha:
     def test_point_box_forced_score(self):
         acc = AcceptanceSet(q_honest(0.26, 0.13, 0.8265), (0, 0, 0), (0, 0, 0))
@@ -180,6 +275,34 @@ class TestHAlpha:
             )
             vals.append(h_alpha(cfg, 0.26, 0.13, acc))
         assert all(y >= x - 1e-12 for x, y in zip(vals, vals[1:]))
+
+    def test_batched_orders_equal_single_orders(self):
+        acc = paper_acc()
+        coarse = np.unique(np.minimum(1.0 + np.logspace(-5.0, 0.0, 64), 2.0))
+        alphas = np.concatenate([coarse, [1.0004010279139497, 1.01, 1.2]])  # 67: a partial last chunk
+        batched = h_alpha(RenyiConfig(), 0.26, 0.13, acc, alphas=alphas)
+        for a, got in zip(alphas, batched):
+            assert got == h_alpha(RenyiConfig(alpha=float(a)), 0.26, 0.13, acc)
+
+    def test_dense_grid_minimum_and_kink(self):
+        acc = paper_acc()
+        ws = np.linspace(0.5, TSIRELSON_WIN, 4001)
+        gg = 0.26 * 0.13
+
+        def outer(alpha, w):
+            s = 8.0 * (w - 0.5)
+            kappa = np.where(s > 2.0, sifted_entropy_bound(alpha, 0.26, 0.13, s), 0.0)
+            p = np.stack([gg * (1.0 - w), gg * w, np.full_like(w, 1.0 - gg)], axis=1)
+            return _inner_min_vec(p, acc.lower(), acc.upper(), kappa, alpha)
+
+        for alpha in (1.0004, 1.01, 1.2):
+            dense = outer(alpha, ws)
+            got = h_alpha(RenyiConfig(alpha=alpha), 0.26, 0.13, acc)
+            assert got <= dense.min()
+            if alpha >= 1.01:
+                # the minimizer sits at the kink omega = 3/4, where the entropy term switches on
+                assert abs(ws[np.argmin(dense)] - 0.75) <= ws[1] - ws[0]
+                assert got == pytest.approx(float(outer(alpha, np.array([0.75]))[0]), rel=1e-12)
 
     def test_adversary_exploits_wide_box(self):
         # a much wider box lets the attack drop the certified score

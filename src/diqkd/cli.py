@@ -18,11 +18,9 @@ import argparse
 import hashlib
 import json
 import math
-import os
 import sys
 import time
 import typing
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -49,8 +47,6 @@ __all__ = [
     "error_budget_report",
     "main",
 ]
-
-WORKERS_ENV = "DIQKD_WORKERS"
 
 
 class ConfigError(ValueError):
@@ -403,13 +399,6 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
     return report
 
 
-def _workers() -> int:
-    try:
-        return max(1, int(os.environ.get(WORKERS_ENV, "1")))
-    except ValueError:
-        return 1
-
-
 def sweep_keyrate_vs_n(config: RunConfig, n_grid: list[int]) -> list[dict]:
     """Finite-size rates vs block size, plus the sifted asymptote.
 
@@ -417,11 +406,7 @@ def sweep_keyrate_vs_n(config: RunConfig, n_grid: list[int]) -> list[dict]:
     security keys and protocol.delta; a method that did not run gives None.
     """
     configs = [replace(config, n=int(n), analytic=True) for n in sorted(n_grid)]
-    if _workers() > 1:
-        with ProcessPoolExecutor(max_workers=_workers()) as pool:
-            reports = list(pool.map(run_pipeline, configs))
-    else:
-        reports = [run_pipeline(c) for c in configs]
+    reports = [run_pipeline(c) for c in configs]
     return [
         {
             "n": c.n,

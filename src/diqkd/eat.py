@@ -16,10 +16,13 @@ which can be relaxed by argument:
   privacy-amplification, smoothing, and accumulation-conditioning terms
   (``eps_ec + eps_pa + eps_s + eps_ea <= eps_snd``), the conservative
   decomposition of the lineage this analysis follows;
-* the cut-point search in the key-length evaluation is restricted to
-  w_t >= w_in, i.e. the certificate is used in its exact branch rather
-  than the affine-extension branch (``pt_full_range=True`` lifts this
-  and yields a strictly larger, still sound, key length).
+* the cut point is restricted to w_t >= w_in, i.e. the certificate is
+  used in its exact branch rather than the affine-extension branch.
+  There f(w_in, w_t) = g(w_in) does not depend on w_t, while the
+  penalty grows with ceil(gamma_eff g'(w_t)), and g' never decreases
+  because g is convex; so the certificate is a nonincreasing step
+  function of w_t and is maximized in closed form at the smallest cut
+  point, w_t = w_in.
 """
 
 from __future__ import annotations
@@ -30,7 +33,7 @@ from typing import Optional
 
 import numpy as np
 
-from .mathcore import TSIRELSON_CHSH, TSIRELSON_WIN, binary_entropy, chsh_to_winprob, golden_min, rel_entropy_binary
+from .mathcore import TSIRELSON_CHSH, TSIRELSON_WIN, binary_entropy, chsh_to_winprob, rel_entropy_binary
 from .protocol import ProtocolParams
 
 __all__ = [
@@ -57,7 +60,7 @@ __all__ = [
 ]
 
 LEAK_EV_BITS = 64.0  # verification tag length; fixed with eps_ec = 2^-61
-_PT_EPS = 1e-9  # grid inset from the singular interval endpoints
+_PT_EPS = 1e-9  # cut-point inset from the singular interval endpoints
 
 
 @dataclass(frozen=True)
@@ -154,23 +157,6 @@ def g_slope(omega: float) -> float:
     return math.log2(z / (1.0 - z)) * (8.0 * omega - 4.0) / math.sqrt(u)
 
 
-def _g_vec(omega: np.ndarray) -> np.ndarray:
-    u = 16.0 * omega * (omega - 1.0) + 3.0
-    u = np.clip(u, 0.0, 1.0)
-    z = 0.5 + 0.5 * np.sqrt(u)
-    zc = 1.0 - z
-    with np.errstate(divide="ignore", invalid="ignore"):
-        h = np.where((z > 0) & (z < 1), -z * np.log2(np.maximum(z, 1e-300)) - zc * np.log2(np.maximum(zc, 1e-300)), 0.0)
-    return 1.0 - h
-
-
-def _g_slope_vec(omega: np.ndarray) -> np.ndarray:
-    u = 16.0 * omega * (omega - 1.0) + 3.0
-    u = np.clip(u, 1e-300, None)
-    z = 0.5 + 0.5 * np.sqrt(u)
-    return np.log2(z / (1.0 - z)) * (8.0 * omega - 4.0) / np.sqrt(u)
-
-
 def f_func(omega: float, omega_t: float) -> float:
     """The certificate with affine extension: g below omega_t, tangent above."""
     if omega <= omega_t:
@@ -198,37 +184,11 @@ def eta_func(
     return ge * f_func(omega, omega_t) - pen
 
 
-def _eta_opt_detail(
-    omega_in: float,
-    eps: float,
-    eps_e: float,
-    n: int,
-    gamma_a: float,
-    gamma_b: float,
-    pt_min: Optional[float] = None,
-) -> tuple[float, float]:
-    """(max value clamped at 0, maximizing cut point)."""
-    ge = gamma_eff(gamma_a, gamma_b)
-    lo = 0.75 + _PT_EPS if pt_min is None else max(0.75 + _PT_EPS, pt_min)
+def _cut_point(omega_in: float) -> float:
+    """The maximizing cut point: w_in, kept inside the singular endpoints."""
+    lo = max(0.75 + _PT_EPS, omega_in)
     hi = TSIRELSON_WIN - _PT_EPS
-    if lo >= hi:
-        lo = hi - _PT_EPS
-    scale = (2.0 / math.sqrt(n)) * math.sqrt(1.0 - 2.0 * math.log2(eps * eps_e))
-
-    grid = np.linspace(lo, hi, 256)
-    gv = _g_vec(grid)
-    sv = _g_slope_vec(grid)
-    f = np.where(omega_in <= grid, _g_vec(np.full_like(grid, omega_in)), gv + sv * (omega_in - grid))
-    vals = ge * f - scale * (math.log2(9.0) + np.ceil(ge * sv))
-    i = int(np.argmax(vals))
-
-    def neg_obj(wt: float) -> float:
-        return -eta_func(omega_in, wt, eps, eps_e, n, gamma_a, gamma_b)
-
-    c, fc, d, fd = golden_min(neg_obj, grid[max(0, i - 1)], grid[min(len(grid) - 1, i + 1)], 60)
-    candidates = [(float(vals[i]), float(grid[i])), (-fc, c), (-fd, d)]
-    best_val, best_pt = max(candidates, key=lambda p: p[0])
-    return max(best_val, 0.0), best_pt
+    return hi - _PT_EPS if lo >= hi else lo
 
 
 def eta_opt(
@@ -238,13 +198,16 @@ def eta_opt(
     n: int,
     gamma_a: float,
     gamma_b: float,
-    pt_min: Optional[float] = None,
 ) -> float:
-    """Certificate maximized over the cut point (256-point scan, golden refine).
+    """Certificate maximized over the cut point w_t >= omega_in, clamped at 0.
 
-    Deterministic; clamped at 0 when no cut point certifies anything.
+    The maximum is at the smallest cut point (module docstring), so this
+    is one eta_func evaluation; at or below omega_in = 3/4 nothing is
+    certified.
     """
-    return _eta_opt_detail(omega_in, eps, eps_e, n, gamma_a, gamma_b, pt_min)[0]
+    if omega_in <= 0.75:
+        return 0.0
+    return max(eta_func(omega_in, _cut_point(omega_in), eps, eps_e, n, gamma_a, gamma_b), 0.0)
 
 
 def _eta_inf_raw(q: float, omega: float, gamma_a: float, gamma_b: float) -> float:
@@ -340,14 +303,11 @@ def _ell_for_split(
     budget: EatBudget,
     omega_in: float,
     lec: float,
-    pt_min: Optional[float],
-) -> tuple[float, float, float]:
-    """(raw length, eta_opt per round, optimizing cut point) for a full split."""
-    if omega_in <= 0.75:
-        return -math.inf, 0.0, 0.75 + _PT_EPS
+) -> tuple[float, float]:
+    """(raw length, eta_opt per round) for a full split."""
     n = params.n
     eps_e = budget.eps_ea + budget.eps_ec
-    eo, pt = _eta_opt_detail(omega_in, budget.eps_s_prime, eps_e, n, params.gamma_a, params.gamma_b, pt_min)
+    eo = eta_opt(omega_in, budget.eps_s_prime, eps_e, n, params.gamma_a, params.gamma_b)
     eps_rem = budget.eps_s - budget.eps_s_prime - 2.0 * budget.eps_s_dprime
     raw = (
         n * eo
@@ -358,7 +318,7 @@ def _ell_for_split(
         - math.sqrt(n) * math.log2(5.0) * math.sqrt(1.0 - 2.0 * math.log2(budget.eps_s_dprime * eps_e))
         - 2.0 * math.log2(1.0 / budget.eps_pa)
     )
-    return raw, eo, pt
+    return raw, eo
 
 
 def _split_from_fractions(budget: EatBudget, fr: dict[str, float]) -> Optional[EatBudget]:
@@ -391,7 +351,6 @@ def key_length_eat(
     params: ProtocolParams,
     budget: EatBudget,
     lec: float,
-    pt_full_range: bool = False,
     grid_points: int = 16,
     passes: int = 2,
 ) -> EatResult:
@@ -406,11 +365,11 @@ def key_length_eat(
     """
     n, delta = params.n, params.delta
     omega_in = params.omega_exp - delta / gamma_eff(params.gamma_a, params.gamma_b)
-    pt_min = None if pt_full_range else omega_in
+    pt = _cut_point(omega_in)
 
     if budget.is_fully_split():
         budget.validate_split()
-        raw, eo, pt = _ell_for_split(params, budget, omega_in, lec, pt_min)
+        raw, eo = _ell_for_split(params, budget, omega_in, lec)
         return EatResult(max(raw, 0.0), raw, raw / n, budget, delta, lec, eo, pt)
 
     fr = {"a": 0.5, "b": 0.5, "c": 0.5, "d": 0.5}
@@ -420,7 +379,7 @@ def key_length_eat(
         b = _split_from_fractions(budget, trial)
         if b is None:
             return -math.inf
-        return _ell_for_split(params, b, omega_in, lec, pt_min)[0]
+        return _ell_for_split(params, b, omega_in, lec)[0]
 
     best_val = evaluate(fr)
     for sweep in range(passes + 2):
@@ -438,7 +397,7 @@ def key_length_eat(
                     best_val, fr = v, trial
 
     full = _split_from_fractions(budget, fr)
-    raw, eo, pt = _ell_for_split(params, full, omega_in, lec, pt_min)
+    raw, eo = _ell_for_split(params, full, omega_in, lec)
     return EatResult(max(raw, 0.0), raw, raw / n, full, delta, lec, eo, pt)
 
 

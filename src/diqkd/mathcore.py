@@ -256,37 +256,27 @@ def binomial_box(n: int, p: float, eps: float) -> tuple[float, float]:
 
 
 def golden_min(f, a, b, steps: int):
-    """Golden-section search for a minimum of f on the bracket [a, b].
+    """Golden-section search for a minimum of f on each bracket [a[i], b[i]].
 
-    Returns the two interior points left after ``steps`` reductions and
-    their values, (c, f(c), d, f(d)); callers compare them with their own
-    grid best.  Ties move the bracket right.
-
-    a and b may be arrays of brackets: every bracket is then reduced in
-    lockstep (``np.where`` on fc < fd), f is called once per step with
-    the array of new points and must return their values elementwise,
-    and each bracket takes exactly the steps it would take alone.
+    Every bracket is reduced in lockstep (``np.where`` on fc < fd; ties
+    move the bracket right): f is called once per step with the array of
+    new points and must return their values elementwise, and each bracket
+    takes exactly the steps it would take alone.  Returns the two
+    interior points left after ``steps`` reductions and their values,
+    (c, f(c), d, f(d)); callers compare them with their own grid best.
     """
     inv = (math.sqrt(5.0) - 1.0) / 2.0
-    if np.ndim(a) or np.ndim(b):
-        a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-        pick = np.where
-    else:
-        a, b = float(a), float(b)  # Python floats step faster than numpy scalars
-
-        def pick(left, x, y):
-            return x if left else y
-
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     c, d = b - inv * (b - a), a + inv * (b - a)
     fc, fd = f(c), f(d)
     for _ in range(steps):
         left = fc < fd
-        a, b = pick(left, a, c), pick(left, d, b)
-        kept, f_kept = pick(left, c, d), pick(left, fc, fd)
-        x = pick(left, b - inv * (b - a), a + inv * (b - a))
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        x = np.where(left, b - inv * (b - a), a + inv * (b - a))
         fx = f(x)
-        c, fc = pick(left, x, kept), pick(left, fx, f_kept)
-        d, fd = pick(left, kept, x), pick(left, f_kept, fx)
+        c, fc = np.where(left, x, kept), np.where(left, fx, f_kept)
+        d, fd = np.where(left, kept, x), np.where(left, f_kept, fx)
     return c, fc, d, fd
 
 

@@ -175,6 +175,23 @@ class TestMain:
         report = json.loads((tmp_path / "report.json").read_text())
         assert report["rng_draws"] == 0
 
+    def test_report_is_strict_json_below_three_quarters(self, tmp_path, capsys):
+        # omega_exp - delta / gamma_eff < 3/4: the certificate clamps at 0
+        # and the raw length stays finite instead of -Infinity
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(
+            "security.analytic = true\nanalysis.s_obs = 2.01\nanalysis.q_obs = 0.0285\nprotocol.n = 100000\n"
+        )
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "pipeline"]) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+        assert report["inputs"]["omega_exp"] - report["eat_delta"] / eat.gamma_eff(0.26, 0.13) < 0.75
+        assert report["eat_length"] == 0
+        assert report["eat_raw_length"] < 0
+
     def test_config_error_exit_three(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("nope = 1\n")
@@ -263,16 +280,7 @@ class TestSweeps:
         assert rows[0]["rate_renyi"] > rows[0]["rate_eat"]
         assert rows[1]["rate_renyi"] < rows[1]["rate_eat"]
 
-    def test_parallel_matches_serial(self, tmp_path, monkeypatch):
-        cfg = RunConfig(**PAPER_ANALYTIC)
-        monkeypatch.setenv("DIQKD_WORKERS", "1")
-        serial = sweep_keyrate_vs_n(cfg, [30_000, 100_000])
-        monkeypatch.setenv("DIQKD_WORKERS", "2")
-        parallel = sweep_keyrate_vs_n(cfg, [30_000, 100_000])
-        assert serial == parallel
-
     def test_sweep_point_is_the_analytic_pipeline(self, monkeypatch):
-        monkeypatch.delenv("DIQKD_WORKERS", raising=False)
         orders = []
         original = renyi.key_length_renyi
 
@@ -291,7 +299,6 @@ class TestSweeps:
         ]
 
     def test_sweep_runs_only_the_configured_method(self, monkeypatch):
-        monkeypatch.delenv("DIQKD_WORKERS", raising=False)
         cfg = RunConfig(method="eat", renyi_alpha=1.01, delta=0.002)
         report = run_pipeline(replace(cfg, n=100_000, analytic=True))
 

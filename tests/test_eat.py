@@ -118,12 +118,31 @@ class TestEta:
         assert opt >= eta_func(w_in, w_in, 1e-6, 1e-5, 1_208_000, 0.26, 0.13) - 1e-12
 
     def test_eta_opt_huge_n_uses_exact_branch(self):
-        from diqkd.eat import _eta_opt_detail
-
         w_in = 0.8259
-        val, pt = _eta_opt_detail(w_in, 1e-6, 1e-5, 10**14, 0.26, 0.13)
-        assert pt >= w_in - 1e-6
+        val = eta_opt(w_in, 1e-6, 1e-5, 10**14, 0.26, 0.13)
+        assert val == eta_func(w_in, w_in, 1e-6, 1e-5, 10**14, 0.26, 0.13)
         assert val == pytest.approx(gamma_eff(0.26, 0.13) * g_func(w_in), abs=1e-4)
+        res = eat_length(10**14, grid_points=4, passes=1)
+        w_tested = PAPER.omega - res.delta / gamma_eff(0.26, 0.13)
+        assert res.pt_opt == w_tested
+
+    def test_g_slope_nondecreasing(self):
+        # the fact the closed-form cut point rests on: g is convex
+        slopes = [g_slope(w) for w in np.linspace(0.75 + 1e-9, TSIRELSON_WIN - 1e-9, 100_001)]
+        assert all(b >= a for a, b in zip(slopes, slopes[1:]))
+
+    @pytest.mark.parametrize("n", [10**4, 1_208_000, 10**9])
+    def test_eta_opt_dominates_cut_point_scan(self, n):
+        # the 4,001-point scan over w_t >= w_in is the search the closed form replaced
+        for w_in in (0.7600, 0.8259, 0.8500):
+            for eps, eps_e in ((1e-6, 1e-5), (3e-9, 2e-6)):
+                opt = eta_opt(w_in, eps, eps_e, n, 0.26, 0.13)
+                for wt in np.linspace(w_in, TSIRELSON_WIN, 4001, endpoint=False):
+                    assert opt >= eta_func(w_in, wt, eps, eps_e, n, 0.26, 0.13), (w_in, wt)
+
+    def test_eta_opt_is_zero_at_or_below_three_quarters(self):
+        for w_in in (0.75, 0.7499):
+            assert eta_opt(w_in, 1e-6, 1e-5, 10**9, 0.26, 0.13) == 0.0
 
     def test_eta_opt_deterministic(self):
         args = (0.8259, 1e-6, 1e-5, 1_208_000, 0.26, 0.13)
@@ -249,11 +268,6 @@ class TestKeyLength:
         for n in (10**5, 10**6, 10**8):
             res = eat_length(n, grid_points=8, passes=1)
             assert res.rate <= target
-
-    def test_full_tangent_range_is_larger(self):
-        base = eat_length(1_208_000)
-        wide = eat_length(1_208_000, pt_full_range=True)
-        assert wide.raw_length >= base.raw_length
 
 
 class TestAsymptotic:

@@ -12,7 +12,6 @@ import contextlib
 import io
 import json
 import os
-import sys
 from itertools import zip_longest
 from pathlib import Path
 
@@ -101,4 +100,3 @@ def test_reports_match_golden_bytes(tmp_path):
 
 if __name__ == "__main__":
     run_cases(GOLDEN)
-    sys.exit(0)

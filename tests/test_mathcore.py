@@ -267,6 +267,11 @@ class TestChshWinprob:
 
 
 class TestGoldenMin:
+    def test_scalar_bracket_finds_the_minimum(self):
+        c, fc, d, fd = golden_min(lambda x: (x - 0.3) ** 2, [0.0], [1.0], 60)
+        assert all(v.shape == (1,) and v.dtype == float for v in (c, fc, d, fd))
+        assert c[0] == pytest.approx(0.3, abs=1e-9) and d[0] == pytest.approx(0.3, abs=1e-9)
+
     def test_lockstep_brackets_match_each_bracket_alone(self):
         rng = np.random.default_rng(5)
         lo = rng.uniform(-1.0, 0.0, 9)
@@ -283,5 +288,3 @@ class TestGoldenMin:
             one = slice(i, i + 1)  # a 1-element bracket
             alone = golden_min(f_of(centers[one], weights[one]), lo[one], hi[one], 30)
             assert tuple(float(v[i]) for v in got) == tuple(float(v[0]) for v in alone)
-        c, _, d, _ = golden_min(lambda x: (x - 0.3) ** 2, [0.0], [1.0], 60)
-        assert c[0] == pytest.approx(0.3, abs=1e-9) and d[0] == pytest.approx(0.3, abs=1e-9)

@@ -316,7 +316,6 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
         before = _rng.audit_total()
         tr = protocol.generate_transcript(behavior, params)
         draws = _rng.audit_total() - before
-        tr = protocol.sift(tr)
         beta = protocol.test_statistic(tr)
         accepted = protocol.accept(beta, params)
         est = protocol.estimate(tr)

@@ -231,28 +231,51 @@ def binomial_box(n: int, p: float, eps: float) -> tuple[float, float]:
     if eps >= 1.0:
         return 0.0, 0.0
 
+    def low_ok(j: int) -> bool:
+        return float(_binom.cdf(j - 1, n, p)) <= eps
+
+    def upp_fails(j: int) -> bool:
+        return float(_binom.sf(j, n, p)) > eps
+
     # largest integer j in [0, n] with P[X <= j-1] <= eps; then
     # delta_low = max(0, p - j/n).  j = 0 is always feasible.
-    lo, hi = 0, n
-    while lo < hi:
-        mid = (lo + hi + 1) // 2
-        if float(_binom.cdf(mid - 1, n, p)) <= eps:
-            lo = mid
-        else:
-            hi = mid - 1
-    delta_low = max(0.0, p - lo / n)
+    j = _last_true(low_ok, _binom.ppf(eps, n, p), 0, n)
+    delta_low = max(0.0, p - j / n)
 
     # smallest integer j in [-1, n] with P[X > j] <= eps; then
-    # delta_upp = max(0, j/n - p).  j = n is always feasible.
-    lo, hi = -1, n
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if float(_binom.sf(mid, n, p)) <= eps:
-            hi = mid
-        else:
-            lo = mid + 1
-    delta_upp = max(0.0, lo / n - p)
+    # delta_upp = max(0, j/n - p).  j = n is always feasible, j = -1 never.
+    j = _last_true(upp_fails, _binom.isf(eps, n, p) - 1.0, -1, n - 1) + 1
+    delta_upp = max(0.0, j / n - p)
     return delta_low, delta_upp
+
+
+def _last_true(ok, guess: float, lo: int, hi: int) -> int:
+    """Largest j in [lo, hi] with ok(j), for ok true from lo up to a point, false after.
+
+    Gallops from the guess (lo if it is not finite), then
+    bisects the bracket it found: a guess on the boundary costs two calls
+    of ok, a far one O(log distance), and the answer is the one a
+    bisection over [lo, hi] gives.
+    """
+    j = min(max(int(guess), lo), hi) if math.isfinite(guess) else lo
+    step = 1
+    if ok(j):
+        good = j
+        while good + step <= hi and ok(good + step):
+            good, step = good + step, 2 * step
+        bad = min(good + step, hi + 1)
+    else:
+        bad = j
+        while bad - step >= lo and not ok(bad - step):
+            bad, step = bad - step, 2 * step
+        good = max(bad - step, lo)
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        if ok(mid):
+            good = mid
+        else:
+            bad = mid
+    return good
 
 
 def golden_min(f, a, b, steps: int):

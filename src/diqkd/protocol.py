@@ -13,10 +13,19 @@ Sifting deterministically zeroes the outcomes of the two round classes
 that are useless for both key and test: (s, t) = (1, 0), and
 (s, t, x, y) = (0, 1, 1, 2).  Key-round outcomes of the three-setting
 party are never published; reconciliation replaces them downstream, so
-no further zeroing happens here.
+no further zeroing happens here.  The pipeline does not sift: neither
+class is a test round (s = t = 0) or a key round ((x, y) = (0, 2)), so
+no estimate, statistic or acceptance test reads the outcomes it zeroes,
+and the dilution it models is already in the analytic rates.  ``sift``
+stays as a public, output-invariant function and a benchmark target.
 
 Generation is vectorized over a counter-based generator, so disjoint
 round ranges produced in parallel are bit-identical to a sequential run.
+It fills preallocated int8 columns CHUNK_ROUNDS rounds at a time, so its
+float and 64-bit temporaries stay in cache and its memory is the columns
+plus one chunk.  ``estimate`` reduces a transcript with one ``bincount``
+to a count tensor over the 96 cells (s, t, x, y, a, b) and reads every
+figure from it.
 """
 
 from __future__ import annotations
@@ -54,6 +63,7 @@ __all__ = [
 ]
 
 PERP = 2  # placeholder value of the test outcome c on non-test rounds
+CHUNK_ROUNDS = 1 << 13  # rounds generated per pass; their temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -224,33 +234,35 @@ def behavior_from_state(
     return Behavior(table)
 
 
-def _generate_columns(behavior: Behavior, params: ProtocolParams, start: int, stop: int):
-    rng = CounterRng(params.seed)
-    n = stop - start
-    u_s = rng.round_uniforms(start, n, 0)
-    u_x = rng.round_uniforms(start, n, 1)
-    u_t = rng.round_uniforms(start, n, 2)
-    u_y = rng.round_uniforms(start, n, 3)
-    u_o = rng.round_uniforms(start, n, 4)
+def _generate_columns(rng: CounterRng, cuts: np.ndarray, params: ProtocolParams, start: int, out) -> None:
+    """Fill the int8 column slices ``out`` (s, t, x, y, a, b, c) with rounds [start, start + len).
 
-    s = (u_s >= params.gamma_a).astype(np.int8)
-    t = (u_t >= params.gamma_b).astype(np.int8)
-    x = np.where(s == 0, (u_x >= 0.5).astype(np.int8), np.int8(0))
-    y = np.where(t == 0, (u_y >= 0.5).astype(np.int8), np.int8(2))
+    ``cuts[k, x * 3 + y]`` is P(outcome pair index <= k | x, y) for k < 3.
+    """
+    s, t, x, y, a, b, c = out
+    m = len(s)
+    np.greater_equal(rng.round_uniforms(start, m, 0), params.gamma_a, out=s)
+    np.greater_equal(rng.round_uniforms(start, m, 1), 0.5, out=x)
+    np.greater_equal(rng.round_uniforms(start, m, 2), params.gamma_b, out=t)
+    np.greater_equal(rng.round_uniforms(start, m, 3), 0.5, out=y)
+    x &= s ^ 1  # key rounds use x = 0
+    y &= t ^ 1
+    y |= t << 1  # key rounds use y = 2
 
     # outcome pair index in the fixed order (0,0), (0,1), (1,0), (1,1)
-    flat = behavior.table.reshape(6, 4)
-    cum = np.cumsum(flat, axis=1)
-    cum[:, -1] = 1.0
-    cell = (x.astype(np.intp) * 3 + y.astype(np.intp))
-    idx = (u_o[:, None] >= cum[cell, :3]).sum(axis=1)
-    a = (idx >> 1).astype(np.int8)
-    b = (idx & 1).astype(np.int8)
+    u_o = rng.round_uniforms(start, m, 4)
+    cell = (x * 3 + y).astype(np.intp)
+    idx = (u_o >= cuts[0].take(cell)).astype(np.int8)
+    idx += u_o >= cuts[1].take(cell)
+    idx += u_o >= cuts[2].take(cell)
+    np.right_shift(idx, 1, out=a)
+    np.bitwise_and(idx, 1, out=b)
 
-    test = (s == 0) & (t == 0)
-    win = ((a ^ b) == (x & y)).astype(np.int8)
-    c = np.where(test, win, np.int8(PERP))
-    return s, t, x, y, a, b, c
+    # c: the payoff on test rounds (s = t = 0), PERP elsewhere
+    np.equal(a ^ b, x & y, out=c)
+    not_test = s | t
+    c &= not_test ^ 1
+    c |= not_test * PERP
 
 
 def generate_transcript(
@@ -262,13 +274,19 @@ def generate_transcript(
 
     ``chunks > 1`` generates disjoint round ranges separately (as a
     parallel driver would) and stitches them; the counter-based generator
-    makes the result bit-identical to the single-pass output.
+    makes the result bit-identical to the single-pass output.  Each range
+    is filled CHUNK_ROUNDS rounds at a time.
     """
     if chunks < 1:
         raise ValueError("chunks must be >= 1")
-    bounds = np.linspace(0, params.n, chunks + 1).astype(int)
-    parts = [_generate_columns(behavior, params, int(lo), int(hi)) for lo, hi in zip(bounds, bounds[1:]) if hi > lo]
-    cols = [np.concatenate([p[i] for p in parts]) for i in range(7)]
+    rng = CounterRng(params.seed)
+    cuts = np.ascontiguousarray(np.cumsum(behavior.table.reshape(6, 4), axis=1)[:, :3].T)
+    cols = [np.empty(params.n, dtype=np.int8) for _ in range(7)]
+    bounds = np.linspace(0, params.n, chunks + 1).astype(int).tolist()
+    for lo, hi in zip(bounds, bounds[1:]):
+        for start in range(lo, hi, CHUNK_ROUNDS):
+            stop = min(start + CHUNK_ROUNDS, hi)
+            _generate_columns(rng, cuts, params, start, [col[start:stop] for col in cols])
     return Transcript(params, *cols)
 
 
@@ -301,44 +319,52 @@ class EstimateResult:
     flagged: bool
 
 
+def _count_tensor(tr: Transcript) -> np.ndarray:
+    """Round counts over the 96 cells (s, t, x, y, a, b), shape (2, 2, 2, 3, 2, 2)."""
+    cell = tr.s * 48 + tr.t * 24 + tr.x * 12 + tr.y * 4 + tr.a * 2 + tr.b
+    return np.bincount(cell, minlength=96).reshape(2, 2, 2, 3, 2, 2)
+
+
 def estimate(tr: Transcript) -> EstimateResult:
     """Point estimates of the CHSH value and key-basis error rate.
 
     The CHSH value comes from the four test-setting correlators, the
     error rate from all (x, y) = (0, 2) rounds; both carry Poissonian
-    standard errors.  Estimates with an empty cell are flagged.
+    standard errors.  Estimates with an empty cell are flagged.  Every
+    figure is read from the count tensor, so the c column enters only
+    through the transcript invariant: c is the payoff on test rounds and
+    PERP on all others.
     """
-    test = (tr.s == 0) & (tr.t == 0)
+    cells = _count_tensor(tr)
+    test = cells[0, 0, :, :2]  # (x, y, a, b) on rounds with s = t = 0
     flagged = False
+    wins = 0
     e = np.zeros((2, 2))
     var = np.zeros((2, 2))
     for x in range(2):
         for y in range(2):
-            m = test & (tr.x == x) & (tr.y == y)
-            n_xy = int(np.count_nonzero(m))
+            n_xy = int(test[x, y].sum())
+            agree = int(test[x, y, 0, 0] + test[x, y, 1, 1])
+            wins += n_xy - agree if x & y else agree
             if n_xy == 0:
                 flagged = True
                 continue
-            agree = int(np.count_nonzero(tr.a[m] == tr.b[m]))
             e[x, y] = 2.0 * agree / n_xy - 1.0
             var[x, y] = max(1.0 - e[x, y] ** 2, 1.0 / n_xy) / n_xy
     s_hat = e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1]
     s_err = float(np.sqrt(var.sum()))
 
-    key = (tr.x == 0) & (tr.y == 2)
-    n_key = int(np.count_nonzero(key))
+    key = cells[:, :, 0, 2].sum(axis=(0, 1))  # (a, b) on rounds with (x, y) = (0, 2)
+    n_key = int(key.sum())
     if n_key == 0:
         flagged = True
         q_hat, q_err = math.nan, math.nan
     else:
-        q_hat = float(np.count_nonzero(tr.a[key] != tr.b[key])) / n_key
+        q_hat = float(key[0, 1] + key[1, 0]) / n_key
         q_err = math.sqrt(max(q_hat * (1.0 - q_hat), 1.0 / n_key) / n_key)
 
-    counts = (
-        int(np.count_nonzero(tr.c == 0)),
-        int(np.count_nonzero(tr.c == 1)),
-        int(np.count_nonzero(tr.c == PERP)),
-    )
+    n_test = int(test.sum())
+    counts = (n_test - wins, wins, tr.params.n - n_test)
     return EstimateResult(float(s_hat), s_err, q_hat, q_err, counts, flagged)
 
 

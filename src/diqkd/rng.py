@@ -26,10 +26,13 @@ _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 
 
-def _mix(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
+def _mix(z: np.ndarray) -> None:
+    """splitmix64 finalizer, in place."""
+    z ^= z >> np.uint64(30)
+    z *= _M1
+    z ^= z >> np.uint64(27)
+    z *= _M2
+    z ^= z >> np.uint64(31)
 
 
 class CounterRng:
@@ -45,9 +48,16 @@ class CounterRng:
         if not 0 <= slot < SLOTS_PER_ROUND:
             raise ValueError(f"slot must lie in [0, {SLOTS_PER_ROUND})")
         with np.errstate(over="ignore"):
-            rounds = np.arange(start_round, start_round + n_rounds, dtype=np.uint64)
-            counters = rounds * np.uint64(SLOTS_PER_ROUND) + np.uint64(slot)
-            z = _mix(self.seed + (counters + np.uint64(1)) * _WEYL)
+            # z = seed + (round * SLOTS_PER_ROUND + slot + 1) * WEYL, mod 2^64
+            z = np.arange(start_round, start_round + n_rounds, dtype=np.uint64)
+            z *= np.uint64(SLOTS_PER_ROUND)
+            z += np.uint64(slot + 1)
+            z *= _WEYL
+            z += self.seed
+            _mix(z)
+            z >>= np.uint64(11)
+        u = z.astype(np.float64)
+        u *= 2.0**-53
         global _audit_draws
         _audit_draws += n_rounds
-        return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+        return u

@@ -15,8 +15,9 @@ from diqkd.mathcore import (
     rel_entropy_binary,
     winprob_to_chsh,
 )
+from diqkd.mathcore import _last_true
 
-from oracles import binomial_cdf, log2_binomial_tail
+from oracles import binomial_box_bisect, binomial_cdf, log2_binomial_tail
 
 
 class TestLogNumber:
@@ -226,6 +227,49 @@ class TestBinomialBox:
                 assert not low_ok(max(dlow - step, dlow * 0.5) if dlow - step < 0 else dlow - step)
             if dupp > 0:
                 assert not upp_ok(max(dupp - step, dupp * 0.5) if dupp - step < 0 else dupp - step)
+
+    def test_equals_bisection_on_random_cases(self):
+        # the quantile-seeded search must land where a bisection over [0, n] does
+        rng = np.random.default_rng(17)
+        for _ in range(200):
+            n = int(10 ** rng.uniform(2, 9))
+            p = float(rng.uniform(0.0, 1.0))
+            eps = float(10 ** rng.uniform(-12, -1))
+            assert binomial_box(n, p, eps) == binomial_box_bisect(n, p, eps), (n, p, eps)
+
+    @pytest.mark.parametrize(
+        "n, p, eps",
+        [
+            (1_208_000, 3e-7, 1e-10),
+            (1_208_000, 1 - 3e-7, 1e-10),
+            (10**9, 1e-9, 1e-12),
+            (10**9, 1 - 1e-9, 1e-12),
+            (1, 0.5, 0.4),
+            (1, 1e-7, 0.1),
+            (1, 1 - 1e-7, 0.1),
+            (10**9, 0.5, 1e-300),  # scipy's isf is far off here; the search must still be short
+            (100, 0.3, 1.0),
+            (100, 0.3, 2.5),
+        ],
+    )
+    def test_equals_bisection_at_edges(self, n, p, eps):
+        assert binomial_box(n, p, eps) == binomial_box_bisect(n, p, eps)
+
+    def test_boundary_search_from_any_guess(self):
+        # the galloping search behind the box, on predicates with a known boundary
+        for lo, hi in ((0, 0), (-1, 5), (0, 1000), (-1, 10**9)):
+            span = hi - lo + 1
+            for k in sorted(k for k in {lo, lo + 1, (lo + hi) // 2, hi - 1, hi} if lo <= k <= hi):
+                for guess in (lo, hi, k, k - 1, k + 1, lo - 7.0, hi + 1e12, 0.37 * hi, math.nan):
+                    calls = []
+
+                    def ok(j):
+                        assert lo <= j <= hi
+                        calls.append(j)
+                        return j <= k
+
+                    assert _last_true(ok, guess, lo, hi) == k, (lo, hi, k, guess)
+                    assert len(calls) <= 2 * math.log2(span) + 3
 
     def test_paper_scale_against_cdf_oracle(self):
         n, p, eps = 10_000, 0.0338 * 0.8265, 0.01 / 6

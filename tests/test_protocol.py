@@ -1,10 +1,13 @@
+import dataclasses
 import io
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from diqkd.protocol import (
+    CHUNK_ROUNDS,
     PERP,
     Behavior,
     ProtocolParams,
@@ -22,6 +25,7 @@ from diqkd.protocol import (
 from diqkd.quantum import NoiseParams, build_heralded_state
 from diqkd.protocol import test_statistic as beta_freq
 from diqkd.rng import CounterRng, audit_total
+from oracles import estimate_masks, generate_columns_oneshot
 
 CAL_STATE = build_heralded_state(NoiseParams.from_visibilities(0.943, 0.924))
 CAL_BEHAVIOR = behavior_from_state(CAL_STATE)
@@ -51,6 +55,13 @@ class TestCounterRng:
         u = rng.round_uniforms(0, 200_000, 0)
         assert abs(u.mean() - 0.5) < 0.005
         assert audit_total() - before == 200_000
+
+    def test_frozen_values(self):
+        # splitmix64 outputs, recorded from the reference implementation
+        assert CounterRng(7).round_uniforms(2**40, 3, 4).tolist() == [
+            0.20111429287658766, 0.5088587239668427, 0.5865047592507743,
+        ]
+        assert CounterRng(2**64 - 1).round_uniforms(0, 2, 0).tolist() == [0.8939429202831845, 0.7695106882796879]
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):
@@ -118,6 +129,27 @@ class TestGeneration:
         par = generate_transcript(CAL_BEHAVIOR, p, chunks=7)
         for col in ("s", "t", "x", "y", "a", "b", "c"):
             assert np.array_equal(getattr(seq, col), getattr(par, col))
+
+    @pytest.mark.parametrize("n, chunks", [(3 * CHUNK_ROUNDS + 17, 1), (3 * CHUNK_ROUNDS + 17, 4), (1000, 1)])
+    def test_chunked_fill_matches_one_pass_oracle(self, n, chunks):
+        p = params(n=n, seed=13)
+        before = audit_total()
+        tr = generate_transcript(CAL_BEHAVIOR, p, chunks=chunks)
+        assert audit_total() - before == 5 * n
+        for col, want in zip("stxyabc", generate_columns_oneshot(CAL_BEHAVIOR, p)):
+            got = getattr(tr, col)
+            assert got.dtype == np.int8 and np.array_equal(got, want), col
+
+    def test_traced_peak_is_the_columns_plus_one_chunk(self):
+        n = 1_208_000
+        p = params(n=n, seed=17)
+        tracemalloc.start()
+        try:
+            generate_transcript(CAL_BEHAVIOR, p)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 7 * n + 4 * 2**20
 
     def test_flag_setting_consistency(self):
         tr = generate_transcript(CAL_BEHAVIOR, params(n=20_000, seed=3))
@@ -228,6 +260,18 @@ class TestEstimate:
         assert abs(est.s_hat - S_MODEL) <= 3 * est.s_err
         assert sum(est.counts) == 400_000
 
+    @pytest.mark.parametrize("seed", range(6))
+    def test_count_tensor_equals_mask_oracle(self, seed):
+        tr = _random_transcript(seed, empty_cell=seed % 3 == 1, no_key=seed % 3 == 2)
+        got = dataclasses.astuple(estimate(tr))
+        assert repr(got) == repr(estimate_masks(tr))
+        assert got[-1] == (seed % 3 != 0)  # flagged exactly when a cell is empty
+
+    def test_generated_transcripts_equal_mask_oracle(self):
+        for seed in (1, 2, 3):
+            tr = generate_transcript(CAL_BEHAVIOR, params(n=30_000, seed=seed))
+            assert repr(dataclasses.astuple(estimate(tr))) == repr(estimate_masks(tr))
+
     def test_insufficient_counts_flagged(self):
         p = params(n=2)
         tr = Transcript(
@@ -236,6 +280,27 @@ class TestEstimate:
             a=[0, 1], b=[0, 1], c=[PERP, PERP],
         )
         assert estimate(tr).flagged
+
+
+def _random_transcript(seed: int, empty_cell: bool = False, no_key: bool = False) -> Transcript:
+    """A valid transcript with uniform settings and outcomes and random test fractions.
+
+    empty_cell leaves no test round at (x, y) = (1, 1); no_key makes every
+    round a y-party test round, so (x, y) = (0, 2) never occurs.
+    """
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(50, 5000))
+    gamma_a, gamma_b = (float(g) for g in rng.uniform(0.05, 0.95, 2))
+    s = (rng.random(n) >= gamma_a).astype(np.int8)
+    t = np.zeros(n, dtype=np.int8) if no_key else (rng.random(n) >= gamma_b).astype(np.int8)
+    x = np.where(s == 0, rng.integers(0, 2, n), 0)
+    y = np.where(t == 0, rng.integers(0, 2, n), 2)
+    if empty_cell:
+        y[(s == 0) & (t == 0) & (x == 1) & (y == 1)] = 0
+    a, b = rng.integers(0, 2, (2, n))
+    c = np.where((s == 0) & (t == 0), (a ^ b) == (x & y), PERP)
+    p = ProtocolParams(n=n, gamma_a=gamma_a, gamma_b=gamma_b, omega_exp=0.8, delta=0.0, seed=seed)
+    return Transcript(p, s, t, x, y, a, b, c)
 
 
 class TestSerialization:

@@ -420,9 +420,12 @@ def sweep_keyrate_vs_n(config: RunConfig, n_grid: list[int]) -> list[dict]:
 def sweep_asymptotic_contour(s_grid: list[float], q_grid: list[float]) -> dict:
     """Sifting-free asymptotic rate on an (S, Q) grid, with the zero contour."""
     rates = np.empty((len(s_grid), len(q_grid)))
-    for i, s in enumerate(sorted(s_grid)):
-        for j, q in enumerate(sorted(q_grid)):
-            rates[i, j] = eat.asymptotic_rate_nosift(s, q)
+    try:
+        for i, s in enumerate(sorted(s_grid)):
+            for j, q in enumerate(sorted(q_grid)):
+                rates[i, j] = eat.asymptotic_rate_nosift(s, q)
+    except ValueError as exc:
+        raise ConfigError(f"contour grid: {exc}") from exc
     zero = []
     s_sorted, q_sorted = sorted(s_grid), sorted(q_grid)
     for i, s in enumerate(s_sorted):
@@ -529,8 +532,15 @@ def write_csv(rows: list[dict], path: Path, config_hash: str) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_grid(text: str, conv=float) -> list:
-    return [conv(tok) for tok in text.split(",") if tok.strip()]
+def _parse_grid(text: str, name: str) -> list[float]:
+    """One or more comma-separated finite numbers; anything else is a config error."""
+    try:
+        values = [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+    if not values or not all(map(math.isfinite, values)):
+        raise ConfigError(f"{name}: need one or more finite numbers, got {text!r}")
+    return values
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -583,7 +593,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
         if args.command == "sweep-n":
             grid = args.n_grid if args.n_grid is not None else config.sweep_n_grid
-            rows = sweep_keyrate_vs_n(config, [int(float(x)) for x in _parse_grid(grid)])
+            rows = sweep_keyrate_vs_n(config, [int(x) for x in _parse_grid(grid, "n grid")])
             write_csv(rows, out_dir / "keyrate_vs_n.csv", h)
         elif args.command == "contour":
             s_grid = args.s_grid if args.s_grid is not None else (
@@ -592,7 +602,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             q_grid = args.q_grid if args.q_grid is not None else (
                 config.sweep_q_grid or ",".join(str(q) for q in np.linspace(0.0, 0.12, 25).round(4))
             )
-            res = sweep_asymptotic_contour(_parse_grid(s_grid), _parse_grid(q_grid))
+            res = sweep_asymptotic_contour(_parse_grid(s_grid, "s grid"), _parse_grid(q_grid, "q grid"))
             grid_rows = [
                 {"s": s, "q": q, "rate": res["rates"][i][j]}
                 for i, s in enumerate(res["s_grid"])
@@ -604,7 +614,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         elif args.command == "distance":
             rows = sweep_rate_vs_distance(config)
             if config.sweep_lengths:
-                keep = {float(x) for x in _parse_grid(config.sweep_lengths)}
+                keep = set(_parse_grid(config.sweep_lengths, "sweep.lengths"))
                 rows = [r for r in rows if r["length_km"] in keep]
             write_csv(rows, out_dir / "distance.csv", h)
         elif args.command == "pvalues":

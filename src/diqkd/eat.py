@@ -9,8 +9,8 @@ extended affinely above a cut point w_t (the cut caps the gradient that
 enters the second-order accumulation penalty).  All logarithms are base
 2 and all entropies are in bits.
 
-Policy choices that the published operating point pins down, both of
-which can be relaxed by argument:
+Two policy choices that the published operating point pins down are
+fixed here:
 
 * the soundness budget is split additively across the error-correction,
   privacy-amplification, smoothing, and accumulation-conditioning terms
@@ -61,14 +61,18 @@ __all__ = [
 
 LEAK_EV_BITS = 64.0  # verification tag length; fixed with eps_ec = 2^-61
 _PT_EPS = 1e-9  # cut-point inset from the singular interval endpoints
+_SPLIT_GRID_POINTS = 16  # log-grid points per budget fraction in the split search
+_SPLIT_PASSES = 2  # full-span coordinate-descent passes before the two refinement passes
+_SPLIT_FIELDS = ("eps_pa", "eps_s", "eps_s_prime", "eps_s_dprime", "eps_ea")
 
 
 @dataclass(frozen=True)
 class EatBudget:
     """Failure-probability decomposition of the accumulation analysis.
 
-    Unset split parameters (None) are optimized internally by
-    key_length_eat; explicitly set ones are used as given.
+    The five split parameters (eps_pa, eps_s, eps_s_prime, eps_s_dprime,
+    eps_ea) are set all together, and then used as given, or all left
+    unset (None), and then optimized by key_length_eat.
     """
 
     eps_snd: float = 1e-5
@@ -84,18 +88,21 @@ class EatBudget:
             raise ValueError(f"eps_snd={self.eps_snd} outside (0, 1)")
         if not 0.0 < self.eps_ec < self.eps_snd:
             raise ValueError("eps_ec must lie in (0, eps_snd)")
-        if self.is_fully_split():
+        n_set = sum(getattr(self, name) is not None for name in _SPLIT_FIELDS)
+        if n_set == len(_SPLIT_FIELDS):
             self.validate_split()
+        elif n_set:
+            raise ValueError(f"set all five budget splits or none, got {n_set} set")
 
     def is_fully_split(self) -> bool:
-        return None not in (self.eps_pa, self.eps_s, self.eps_s_prime, self.eps_s_dprime, self.eps_ea)
+        return self.eps_pa is not None  # the five splits are set together or not at all
 
     def validate_split(self) -> None:
         if self.eps_s - self.eps_s_prime - 2.0 * self.eps_s_dprime <= 0.0:
             raise ValueError("need eps_s - eps_s_prime - 2 eps_s_dprime > 0")
         if self.eps_ec + self.eps_pa + self.eps_s > self.eps_snd * (1.0 + 1e-12):
             raise ValueError("need eps_ec + eps_pa + eps_s <= eps_snd")
-        for name in ("eps_pa", "eps_s", "eps_s_prime", "eps_s_dprime", "eps_ea"):
+        for name in _SPLIT_FIELDS:
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
                 raise ValueError(f"{name}={v} outside (0, 1)")
@@ -351,8 +358,6 @@ def key_length_eat(
     params: ProtocolParams,
     budget: EatBudget,
     lec: float,
-    grid_points: int = 16,
-    passes: int = 2,
 ) -> EatResult:
     """Secret key length certified by entropy accumulation for a tested protocol.
 
@@ -361,14 +366,14 @@ def key_length_eat(
     rate margin by the surviving-round fraction, the certificate's own
     normalization); lec is the reconciliation leakage in bits.  Unset
     budget splits are optimized by deterministic coordinate descent on a
-    log grid (grid_points per parameter, two refinement passes).
+    log grid (_SPLIT_GRID_POINTS per parameter, _SPLIT_PASSES full-span
+    passes, then two refinement passes).
     """
     n, delta = params.n, params.delta
     omega_in = params.omega_exp - delta / gamma_eff(params.gamma_a, params.gamma_b)
     pt = _cut_point(omega_in)
 
     if budget.is_fully_split():
-        budget.validate_split()
         raw, eo = _ell_for_split(params, budget, omega_in, lec)
         return EatResult(max(raw, 0.0), raw, raw / n, budget, delta, lec, eo, pt)
 
@@ -382,13 +387,13 @@ def key_length_eat(
         return _ell_for_split(params, b, omega_in, lec)[0]
 
     best_val = evaluate(fr)
-    for sweep in range(passes + 2):
-        if sweep >= passes:
+    for sweep in range(_SPLIT_PASSES + 2):
+        if sweep >= _SPLIT_PASSES:
             # refinement pass: shrink each span one decade around the best point
             spans = {k: (max(1e-9, fr[k] / 10.0), min(1.0 - 1e-9, fr[k] * 10.0)) for k in fr}
         for key in ("a", "d", "b", "c"):
             lo, hi = spans[key]
-            candidates = np.logspace(math.log10(lo), math.log10(hi), grid_points)
+            candidates = np.logspace(math.log10(lo), math.log10(hi), _SPLIT_GRID_POINTS)
             for cand in candidates:
                 trial = dict(fr)
                 trial[key] = float(cand)

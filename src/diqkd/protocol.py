@@ -30,7 +30,6 @@ figure from it.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Optional
@@ -48,9 +47,7 @@ __all__ = [
     "SettingsMap",
     "paper_settings",
     "Behavior",
-    "RoundRecord",
     "Transcript",
-    "payoff",
     "behavior_from_state",
     "generate_transcript",
     "sift",
@@ -58,8 +55,6 @@ __all__ = [
     "accept",
     "EstimateResult",
     "estimate",
-    "write_transcript",
-    "read_transcript",
 ]
 
 PERP = 2  # placeholder value of the test outcome c on non-test rounds
@@ -160,28 +155,6 @@ class Behavior:
         return float(self.table[0, 2, 0, 1] + self.table[0, 2, 1, 0])
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    s: int
-    t: int
-    x: int
-    y: int
-    a: int
-    b: int
-    c: int
-
-    def __post_init__(self) -> None:
-        if self.s == 1 and self.x != 0:
-            raise ValueError("key-flagged rounds must use x = 0")
-        if self.t == 1 and self.y != 2:
-            raise ValueError("key-flagged rounds must use y = 2")
-        is_test = self.s == 0 and self.t == 0
-        if is_test != (self.c != PERP):
-            raise ValueError("c must be PERP exactly on non-test rounds")
-        if is_test and self.c != payoff(self.a, self.b, self.x, self.y):
-            raise ValueError("test-round c must equal the game payoff")
-
-
 class Transcript:
     """Column-wise storage of n protocol rounds plus the generating params."""
 
@@ -197,25 +170,12 @@ class Transcript:
     def __len__(self) -> int:
         return self.params.n
 
-    def __getitem__(self, i: int) -> RoundRecord:
-        return RoundRecord(
-            int(self.s[i]), int(self.t[i]), int(self.x[i]), int(self.y[i]),
-            int(self.a[i]), int(self.b[i]), int(self.c[i]),
-        )
-
     def copy(self) -> "Transcript":
         return Transcript(
             self.params,
             self.s.copy(), self.t.copy(), self.x.copy(), self.y.copy(),
             self.a.copy(), self.b.copy(), self.c.copy(),
         )
-
-
-def payoff(a: int, b: int, x: int, y: int) -> int:
-    """Game payoff: 1 when a XOR b equals x AND y.  Defined on test settings only."""
-    if x not in (0, 1) or y not in (0, 1):
-        raise ValueError(f"payoff is defined for x, y in {{0, 1}}, got x={x}, y={y}")
-    return 1 if (a ^ b) == (x & y) else 0
 
 
 def behavior_from_state(
@@ -367,43 +327,3 @@ def estimate(tr: Transcript) -> EstimateResult:
     counts = (n_test - wins, wins, tr.params.n - n_test)
     return EstimateResult(float(s_hat), s_err, q_hat, q_err, counts, flagged)
 
-
-def write_transcript(tr: Transcript, fp: io.TextIOBase) -> None:
-    """One record per line, s t x y a b c; header echoes the parameters."""
-    p = tr.params
-    fp.write("# transcript v1\n")
-    fp.write(
-        f"# n = {p.n}\n# gamma_a = {p.gamma_a!r}\n# gamma_b = {p.gamma_b!r}\n"
-        f"# omega_exp = {p.omega_exp!r}\n# delta = {p.delta!r}\n# seed = {p.seed}\n"
-    )
-    cols = np.stack([tr.s, tr.t, tr.x, tr.y, tr.a, tr.b, tr.c], axis=1)
-    for row in cols:
-        fp.write(" ".join(map(str, row)) + "\n")
-
-
-def read_transcript(fp: io.TextIOBase) -> Transcript:
-    header: dict[str, str] = {}
-    rows = []
-    for line in fp:
-        line = line.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if "=" in body:
-                k, v = body.split("=", 1)
-                header[k.strip()] = v.strip()
-            continue
-        rows.append([int(tok) for tok in line.split()])
-    params = ProtocolParams(
-        n=int(header["n"]),
-        gamma_a=float(header["gamma_a"]),
-        gamma_b=float(header["gamma_b"]),
-        omega_exp=float(header["omega_exp"]),
-        delta=float(header["delta"]),
-        seed=int(header["seed"]),
-    )
-    data = np.array(rows, dtype=np.int8)
-    if data.shape != (params.n, 7):
-        raise ValueError(f"expected {params.n} rows of 7 fields, got shape {data.shape}")
-    return Transcript(params, *(data[:, i] for i in range(7)))

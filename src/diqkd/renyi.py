@@ -47,6 +47,8 @@ __all__ = [
     "key_length_renyi",
 ]
 
+_SIGMA_GRID = 192  # outer score grid cells on [1/2, (2+sqrt2)/4]
+_ALPHA_GRID = 64  # log-spaced Renyi orders of the coarse order search
 _ORDER_CHUNK = 8  # Renyi orders per array call of the score grid: 8 x 192 rows keep peak memory flat
 
 
@@ -81,20 +83,16 @@ class AcceptanceSet:
 
 @dataclass(frozen=True)
 class RenyiConfig:
-    """Renyi order (None = optimize), secrecy level, and search resolutions."""
+    """Renyi order (None = optimize) and secrecy level."""
 
     alpha: Optional[float] = None
     eps_sec: float = 1e-5
-    sigma_grid: int = 192
-    alpha_grid: int = 64
 
     def __post_init__(self) -> None:
         if self.alpha is not None and not 1.0 < self.alpha <= 2.0:
             raise ValueError(f"alpha={self.alpha} outside (1, 2]")
         if not 0.0 < self.eps_sec < 1.0:
             raise ValueError(f"eps_sec={self.eps_sec} outside (0, 1)")
-        if self.sigma_grid < 8 or self.alpha_grid < 4:
-            raise ValueError("grid resolutions too small")
 
 
 def q_honest(gamma_a: float, gamma_b: float, omega_exp: float) -> Distribution3:
@@ -244,14 +242,13 @@ def h_alpha(
     gamma_a: float,
     gamma_b: float,
     acc: AcceptanceSet,
-    omega_bounds: Optional[tuple[float, float]] = None,
     alphas: Optional[np.ndarray] = None,
 ) -> float | np.ndarray:
     """Certified per-round entropy: worst case over scores and box frequencies.
 
     The outer score search runs on [1/2, (2+sqrt2)/4] (entropy clamped to
     zero at and below the classical point, where an attack only pays the
-    divergence cost), localized on a grid of config.sigma_grid cells and
+    divergence cost), localized on a grid of _SIGMA_GRID cells and
     polished by golden-section refinement around the best cell.
 
     With alphas unset the order is config.alpha and the result a float.
@@ -266,28 +263,20 @@ def h_alpha(
             raise ValueError("h_alpha needs a fixed Renyi order in config.alpha")
         alphas = np.array([config.alpha])
     lo_box, hi_box = acc.lower(), acc.upper()
-    w_lo, w_hi = omega_bounds if omega_bounds is not None else (0.5, TSIRELSON_WIN)
-    if not 0.0 <= w_lo <= w_hi <= 1.0:
-        raise ValueError("invalid omega bounds")
 
     def objective(orders: np.ndarray, ws: np.ndarray) -> np.ndarray:
         return _objective(orders, ws, gamma_a, gamma_b, lo_box, hi_box)
 
-    if w_hi - w_lo < 1e-15:
-        out = objective(alphas, np.full(len(alphas), w_lo))
-        if not np.isfinite(out).all():
-            raise ValueError("acceptance box is infeasible for the model distribution")
-    else:
-        grid = np.linspace(w_lo, w_hi, config.sigma_grid)
-        vals = np.concatenate(
-            [objective(alphas[j : j + _ORDER_CHUNK, None], grid) for j in range(0, len(alphas), _ORDER_CHUNK)]
-        )
-        if not np.isfinite(vals).any(axis=1).all():
-            raise ValueError("acceptance box is infeasible for the model distribution")
-        i = np.argmin(vals, axis=1)
-        lo_w, hi_w = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, len(grid) - 1)]
-        _, fc, _, fd = golden_min(lambda ws: objective(alphas, ws), lo_w, hi_w, 50)
-        out = np.minimum(vals[np.arange(len(alphas)), i], np.minimum(fc, fd))
+    grid = np.linspace(0.5, TSIRELSON_WIN, _SIGMA_GRID)
+    vals = np.concatenate(
+        [objective(alphas[j : j + _ORDER_CHUNK, None], grid) for j in range(0, len(alphas), _ORDER_CHUNK)]
+    )
+    if not np.isfinite(vals).any(axis=1).all():
+        raise ValueError("acceptance box is infeasible for the model distribution")
+    i = np.argmin(vals, axis=1)
+    lo_w, hi_w = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, len(grid) - 1)]
+    _, fc, _, fd = golden_min(lambda ws: objective(alphas, ws), lo_w, hi_w, 50)
+    out = np.minimum(vals[np.arange(len(alphas)), i], np.minimum(fc, fd))
     return float(out[0]) if single else out
 
 
@@ -310,7 +299,7 @@ def key_length_renyi(
 
     params supplies the block size and test fractions; acc is the box
     the run tested.  With config.alpha unset, the order is optimized on
-    a log-spaced grid over (1, 2] (config.alpha_grid points) and refined
+    a log-spaced grid over (1, 2] (_ALPHA_GRID points) and refined
     once around the best point; each pass is one h_alpha call over all
     its orders.
     """
@@ -337,10 +326,10 @@ def key_length_renyi(
         i = int(np.argmax(ell))  # the first order on a tie
         return float(ell[i]), float(alphas[i]), float(ha[i])
 
-    best = best_of(np.unique(np.minimum(1.0 + np.logspace(-5.0, 0.0, config.alpha_grid), 2.0)))
+    best = best_of(np.unique(np.minimum(1.0 + np.logspace(-5.0, 0.0, _ALPHA_GRID), 2.0)))
 
     # one refinement pass: a finer log grid spanning one coarse spacing
-    spacing = 10.0 ** (5.0 / (config.alpha_grid - 1))
+    spacing = 10.0 ** (5.0 / (_ALPHA_GRID - 1))
     lo = max((best[1] - 1.0) / spacing, 1e-7)
     hi = min((best[1] - 1.0) * spacing, 1.0)
     refined = best_of(np.minimum(1.0 + np.logspace(math.log10(lo), math.log10(hi), 16), 2.0))

@@ -196,6 +196,26 @@ class TestMain:
         bad = tmp_path / "bad.cfg"
         bad.write_text("nope = 1\n")
         assert main(["--config", str(bad), "pipeline"]) == 3
+        # out-of-range or malformed sweep grids, from flags and from config keys
+        out = ["--out", str(tmp_path)]
+        for argv in (
+            ["contour", "--s-grid", "1.9,2.5"],
+            ["contour", "--s-grid", "2.5,2.9"],
+            ["contour", "--s-grid", "x"],
+            ["contour", "--q-grid=-0.1,0.2"],
+            ["sweep-n", "--n-grid", "abc"],
+            ["sweep-n", "--n-grid", "inf"],
+            ["sweep-n", "--n-grid", ","],
+        ):
+            assert main(out + argv) == 3, argv
+        for body, command in (
+            ("sweep.s_grid = 1.9\n", "contour"),
+            ("sweep.q_grid = q\n", "contour"),
+            ("sweep.n_grid = 1e4,x\n", "sweep-n"),
+            ("sweep.lengths = 11,abc\n", "distance"),
+        ):
+            bad.write_text(body)
+            assert main(["--config", str(bad)] + out + [command]) == 3, body
 
     def test_module_invariant_violations_exit_three(self, tmp_path):
         # values that parse but violate the owning module's invariants

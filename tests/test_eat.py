@@ -27,12 +27,12 @@ from diqkd.protocol import ProtocolParams
 PAPER = HonestModel.from_chsh(2.612, 0.0285, 0.26, 0.13)
 
 
-def eat_length(n, model=PAPER, budget=EatBudget(eps_snd=1e-5), delta=None, **kw):
+def eat_length(n, model=PAPER, budget=EatBudget(eps_snd=1e-5), delta=None):
     """key_length_eat for a protocol tested at the model's win probability."""
     if delta is None:
         delta = delta_for_completeness(n, model.gamma_a, model.gamma_b, model.omega, target=1e-2)
     params = ProtocolParams(n=n, gamma_a=model.gamma_a, gamma_b=model.gamma_b, omega_exp=model.omega, delta=delta)
-    return key_length_eat(params, budget, leak_ec(n, model, 0.005), **kw)
+    return key_length_eat(params, budget, leak_ec(n, model, 0.005))
 
 
 class TestGammaEff:
@@ -122,7 +122,7 @@ class TestEta:
         val = eta_opt(w_in, 1e-6, 1e-5, 10**14, 0.26, 0.13)
         assert val == eta_func(w_in, w_in, 1e-6, 1e-5, 10**14, 0.26, 0.13)
         assert val == pytest.approx(gamma_eff(0.26, 0.13) * g_func(w_in), abs=1e-4)
-        res = eat_length(10**14, grid_points=4, passes=1)
+        res = eat_length(10**14)
         w_tested = PAPER.omega - res.delta / gamma_eff(0.26, 0.13)
         assert res.pt_opt == w_tested
 
@@ -233,9 +233,16 @@ class TestKeyLength:
         b.validate_split()  # raises on violation
         assert b.eps_ec + b.eps_pa + b.eps_s <= 1e-5
 
+    def test_partial_split_rejected(self):
+        # a split set in part would otherwise be overwritten by the optimizer
+        with pytest.raises(ValueError, match="all five"):
+            EatBudget(eps_snd=1e-5, eps_pa=1e-9)
+        with pytest.raises(ValueError, match="all five"):
+            EatBudget(eps_snd=1e-5, eps_pa=2.5e-6, eps_s=5e-6, eps_s_prime=2.5e-6, eps_s_dprime=5e-7)
+
     def test_converges_to_sifted_asymptote(self):
         target = asymptotic_rate_sifted(2.612, 0.0285, 0.26, 0.13)
-        res = eat_length(10**12, grid_points=8, passes=1)
+        res = eat_length(10**12)
         assert res.rate <= target
         assert target - res.rate < 0.002
 
@@ -266,7 +273,7 @@ class TestKeyLength:
     def test_below_asymptote(self):
         target = asymptotic_rate_sifted(2.612, 0.0285, 0.26, 0.13)
         for n in (10**5, 10**6, 10**8):
-            res = eat_length(n, grid_points=8, passes=1)
+            res = eat_length(n)
             assert res.rate <= target
 
 

@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import math
 import tracemalloc
 
@@ -11,16 +10,12 @@ from diqkd.protocol import (
     PERP,
     Behavior,
     ProtocolParams,
-    RoundRecord,
     Transcript,
     accept,
     behavior_from_state,
     estimate,
     generate_transcript,
-    payoff,
-    read_transcript,
     sift,
-    write_transcript,
 )
 from diqkd.quantum import NoiseParams, build_heralded_state
 from diqkd.protocol import test_statistic as beta_freq
@@ -72,13 +67,13 @@ class TestCounterRng:
 
 class TestPayoff:
     def test_examples(self):
-        assert payoff(0, 0, 0, 0) == 1
-        assert payoff(0, 1, 1, 1) == 1
-        assert payoff(1, 1, 1, 1) == 0
-
-    def test_key_setting_rejected(self):
-        with pytest.raises(ValueError):
-            payoff(0, 0, 0, 2)
+        # the game rule (a ^ b) == (x & y) as estimate counts it: two wins, one loss
+        tr = Transcript(
+            params(n=3),
+            s=[0, 0, 0], t=[0, 0, 0], x=[0, 1, 1], y=[0, 1, 1],
+            a=[0, 0, 1], b=[0, 1, 1], c=[1, 1, 0],
+        )
+        assert estimate(tr).counts == (1, 2, 0)
 
 
 class TestBehavior:
@@ -110,11 +105,11 @@ class TestGeneration:
     def test_deterministic_behavior_payoffs(self):
         t = np.zeros((2, 3, 2, 2))
         t[:, :, 0, 0] = 1.0  # both always output 0
-        tr = generate_transcript(Behavior(t), params(n=10))
-        for i in range(10):
-            r = tr[i]
-            if r.c != PERP:
-                assert r.c == payoff(0, 0, r.x, r.y)
+        tr = generate_transcript(Behavior(t), params(n=2000))
+        test = (tr.s == 0) & (tr.t == 0)
+        assert test.any()
+        assert np.array_equal(tr.c[test], (tr.a ^ tr.b)[test] == (tr.x & tr.y)[test])
+        assert np.all(tr.c[~test] == PERP)
 
     def test_replay_is_identical(self):
         p = params(n=5000, seed=101)
@@ -164,14 +159,6 @@ class TestGeneration:
         gg = 0.26 * 0.13
         band = 3 * math.sqrt(gg * (1 - gg) / n)
         assert abs(frac - gg) <= band
-
-    def test_record_invariants_enforced(self):
-        with pytest.raises(ValueError):
-            RoundRecord(s=1, t=0, x=1, y=0, a=0, b=0, c=PERP)
-        with pytest.raises(ValueError):
-            RoundRecord(s=0, t=0, x=0, y=0, a=0, b=0, c=PERP)
-        with pytest.raises(ValueError):
-            RoundRecord(s=0, t=0, x=1, y=1, a=0, b=0, c=1)  # payoff(0,0,1,1) = 0
 
 
 class TestSift:
@@ -302,27 +289,3 @@ def _random_transcript(seed: int, empty_cell: bool = False, no_key: bool = False
     p = ProtocolParams(n=n, gamma_a=gamma_a, gamma_b=gamma_b, omega_exp=0.8, delta=0.0, seed=seed)
     return Transcript(p, s, t, x, y, a, b, c)
 
-
-class TestSerialization:
-    def test_roundtrip(self):
-        p = params(n=500, seed=71)
-        tr = generate_transcript(CAL_BEHAVIOR, p)
-        buf = io.StringIO()
-        write_transcript(tr, buf)
-        buf.seek(0)
-        back = read_transcript(buf)
-        assert back.params == p
-        for col in ("s", "t", "x", "y", "a", "b", "c"):
-            assert np.array_equal(getattr(back, col), getattr(tr, col))
-
-    def test_format_is_ascii_integers(self):
-        p = params(n=3, seed=81)
-        tr = generate_transcript(CAL_BEHAVIOR, p)
-        buf = io.StringIO()
-        write_transcript(tr, buf)
-        lines = [l for l in buf.getvalue().splitlines() if not l.startswith("#")]
-        assert len(lines) == 3
-        for line in lines:
-            fields = line.split()
-            assert len(fields) == 7
-            assert all(f in "012" for f in fields)

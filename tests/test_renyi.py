@@ -18,7 +18,7 @@ from diqkd.renyi import (
     sift_weights,
     sifted_entropy_bound,
 )
-from diqkd.renyi import _inner_min_vec
+from diqkd.renyi import _inner_min_vec, _objective
 
 PAPER = HonestModel.from_chsh(2.612, 0.0285, 0.26, 0.13)
 N_PAPER = 1_208_000
@@ -246,8 +246,7 @@ class TestInnerSolve:
 class TestHAlpha:
     def test_point_box_forced_score(self):
         acc = AcceptanceSet(q_honest(0.26, 0.13, 0.8265), (0, 0, 0), (0, 0, 0))
-        cfg = RenyiConfig(alpha=1.2)
-        got = h_alpha(cfg, 0.26, 0.13, acc, omega_bounds=(0.8265, 0.8265))
+        got = _objective(1.2, 0.8265, 0.26, 0.13, acc.lower(), acc.upper())
         want = 0.96620 * sifted_entropy_bound(1.2, 0.26, 0.13, 2.612)
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -255,7 +254,7 @@ class TestHAlpha:
         ga = gb = 1e-5
         w = (2 + math.sqrt(2)) / 4
         acc = AcceptanceSet(q_honest(ga, gb, w), (0, 0, 0), (0, 0, 0))
-        got = h_alpha(RenyiConfig(alpha=1 + 1e-6), ga, gb, acc, omega_bounds=(w, w))
+        got = _objective(1 + 1e-6, w, ga, gb, acc.lower(), acc.upper())
         assert got == pytest.approx(1.0, abs=1e-3)
 
     def test_nonincreasing_in_alpha(self):
@@ -342,7 +341,7 @@ class TestKeyLength:
         for n in (10**5, N_PAPER, 10**8):
             acc = build_acceptance_set(q_honest(0.26, 0.13, PAPER.omega), n, 0.005)
             res = key_length_renyi(
-                paper_params(n), RenyiConfig(eps_sec=1e-5, alpha_grid=24), acc, leak_ec(n, PAPER, 0.005)
+                paper_params(n), RenyiConfig(eps_sec=1e-5), acc, leak_ec(n, PAPER, 0.005)
             )
             assert res.rate < asym
 

@@ -4,6 +4,11 @@ Everything here is expressed in bits (base-2 logarithms).  The binomial
 tail machinery works entirely in log space so that p-values far below
 the smallest positive double (say 1e-316) keep full relative accuracy.
 All functions are pure and reentrant.
+
+Only ``scipy.special`` is imported, never ``scipy.stats``: importing
+scipy.stats would add about a second and 45 MB of resident memory to
+every command's start-up, for a binomial quantile search that the
+incomplete-beta ufuncs answer directly.
 """
 
 from __future__ import annotations
@@ -12,8 +17,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln
-from scipy.stats import binom as _binom
+from scipy.special import bdtrik, betainc, betaincc, gammaln
 
 __all__ = [
     "LogNumber",
@@ -231,20 +235,27 @@ def binomial_box(n: int, p: float, eps: float) -> tuple[float, float]:
     if eps >= 1.0:
         return 0.0, 0.0
 
+    # P[X <= k] = 1 - I_p(k+1, n-k) and P[X > k] = I_p(k+1, n-k), the
+    # regularized incomplete beta that scipy.stats.binom evaluates too.
+    # k = -1 is outside the beta's domain (at p = 0 it gives P[X > -1] = 0);
+    # _last_true never lets the predicate at its lower end change the answer.
     def low_ok(j: int) -> bool:
-        return float(_binom.cdf(j - 1, n, p)) <= eps
+        return float(betaincc(j, n - j + 1, p)) <= eps
 
     def upp_fails(j: int) -> bool:
-        return float(_binom.sf(j, n, p)) > eps
+        return float(betainc(j + 1, n - j, p)) > eps
 
     # largest integer j in [0, n] with P[X <= j-1] <= eps; then
-    # delta_low = max(0, p - j/n).  j = 0 is always feasible.
-    j = _last_true(low_ok, _binom.ppf(eps, n, p), 0, n)
+    # delta_low = max(0, p - j/n).  j = 0 is always feasible.  The guess
+    # is the continuous k with P[X <= k] = eps, rounded up.
+    j = _last_true(low_ok, float(bdtrik(eps, n, p)) + 1.0, 0, n)
     delta_low = max(0.0, p - j / n)
 
     # smallest integer j in [-1, n] with P[X > j] <= eps; then
     # delta_upp = max(0, j/n - p).  j = n is always feasible, j = -1 never.
-    j = _last_true(upp_fails, _binom.isf(eps, n, p) - 1.0, -1, n - 1) + 1
+    # P[X > j] = P[Y <= n-1-j] for Y ~ Binomial(n, 1-p), so the guess is
+    # the mirrored lower quantile (1 - eps would round to 1 for tiny eps).
+    j = _last_true(upp_fails, n - 1.0 - float(bdtrik(eps, n, 1.0 - p)), -1, n - 1) + 1
     delta_upp = max(0.0, j / n - p)
     return delta_low, delta_upp
 
@@ -252,7 +263,8 @@ def binomial_box(n: int, p: float, eps: float) -> tuple[float, float]:
 def _last_true(ok, guess: float, lo: int, hi: int) -> int:
     """Largest j in [lo, hi] with ok(j), for ok true from lo up to a point, false after.
 
-    Gallops from the guess (lo if it is not finite), then
+    ok(lo) is taken as true whatever it returns.  Gallops from the guess
+    (lo if it is not finite), then
     bisects the bracket it found: a guess on the boundary costs two calls
     of ok, a far one O(log distance), and the answer is the one a
     bisection over [lo, hi] gives.

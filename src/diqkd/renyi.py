@@ -105,8 +105,11 @@ def build_acceptance_set(q_hon: Distribution3, n: int, eps_com_at: float) -> Acc
     """Box with per-symbol binomial tails at level eps_com_at / 6.
 
     The union bound over six tails keeps the honest abort probability at
-    or below eps_com_at.
+    or below eps_com_at, which must lie in (0, 1): at 1 or more the bound
+    promises nothing, yet the box would keep narrowing and certify more key.
     """
+    if not 0.0 < eps_com_at < 1.0:
+        raise ValueError(f"eps_com_at must lie in (0, 1), got {eps_com_at}")
     level = eps_com_at / 6.0
     lows, upps = [], []
     for p in q_hon.as_array():

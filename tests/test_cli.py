@@ -237,6 +237,8 @@ class TestMain:
             ("security.eps_ec", "1e-3"),  # not below eps_snd
             ("security.eps_ec_com", "0"),
             ("security.renyi_alpha", "3"),
+            ("security.eps_com_at", "1"),
+            ("security.eps_com_at", "7"),
         ],
     )
     def test_out_of_range_security_values_exit_three(self, tmp_path, key, value):

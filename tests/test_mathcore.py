@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from diqkd import cli
 from diqkd.mathcore import (
     Distribution3,
     LogNumber,
@@ -16,6 +17,7 @@ from diqkd.mathcore import (
     winprob_to_chsh,
 )
 from diqkd.mathcore import _last_true
+from diqkd.renyi import q_honest
 
 from oracles import binomial_box_bisect, binomial_cdf, log2_binomial_tail
 
@@ -247,13 +249,40 @@ class TestBinomialBox:
             (1, 0.5, 0.4),
             (1, 1e-7, 0.1),
             (1, 1 - 1e-7, 0.1),
-            (10**9, 0.5, 1e-300),  # scipy's isf is far off here; the search must still be short
+            (10**9, 0.5, 1e-300),  # the bdtrik guesses are ~4e5 counts off here; the search must still be short
             (100, 0.3, 1.0),
             (100, 0.3, 2.5),
+            # bdtrc's tail is 2e-6 relative low here and would end the upper
+            # side one count early, where the exact tail still exceeds eps
+            (491_119_230, 0.4978271325044268, 4.808143456492249e-10),
         ],
     )
     def test_equals_bisection_at_edges(self, n, p, eps):
         assert binomial_box(n, p, eps) == binomial_box_bisect(n, p, eps)
+
+    @pytest.mark.parametrize("n", [10_000, 500_000, 1_208_000, 10_000_000])
+    def test_equals_bisection_at_pipeline_cells(self, n):
+        # the (n, p, level) triples build_acceptance_set hands over: the
+        # q_honest cells at the paper point and at the default model's omega
+        config = cli.load_config(None, {})
+        omegas = (chsh_to_winprob(2.612), cli._model_behavior(config).chsh_win_probability())
+        level = config.eps_com_at / 6.0
+        for omega in omegas:
+            for p in q_honest(config.gamma_a, config.gamma_b, omega).as_array():
+                p = float(p)
+                assert binomial_box(n, p, level) == binomial_box_bisect(n, p, level), (n, p)
+
+    def test_tails_at_the_ends_of_the_range(self):
+        # lower and upper thresholds at j = 0, next to the predicates' k = -1
+        # end, then the mirror at j = n
+        p = 1e-4
+        assert binomial_box(10, p, 0.01) == (p, 0.0) == binomial_box_bisect(10, p, 0.01)
+        q = 1.0 - p
+        assert binomial_box(10, q, 0.01) == (0.0, 1.0 - q) == binomial_box_bisect(10, q, 0.01)
+        assert binomial_box(10, 0.0, 0.01) == (0.0, 0.0) == binomial_box(10, 1.0, 0.01)
+        # the predicate at the lower end is taken as true whatever it says
+        for guess in (-1, 0, 5, math.nan):
+            assert _last_true(lambda j: False, guess, -1, 5) == -1
 
     def test_boundary_search_from_any_guess(self):
         # the galloping search behind the box, on predicates with a known boundary

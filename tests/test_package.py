@@ -1,5 +1,9 @@
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import diqkd
 
@@ -13,3 +17,19 @@ def test_every_exported_name_exists():
         missing += [f"{name}.{attr}" for attr in module.__all__ if not hasattr(module, attr)]
     assert "diqkd.protocol" in names
     assert missing == []
+
+
+def test_start_up_does_not_import_scipy_stats():
+    # scipy.stats costs about a second and 45 MB on import; the binomial box
+    # needs only scipy.special, and a run must not pull it in on the way
+    script = (
+        "import dataclasses, sys\n"
+        "import diqkd, diqkd.cli\n"
+        "config = diqkd.cli.load_config(None, {})\n"
+        "diqkd.cli.run_pipeline(dataclasses.replace(config, analytic=True))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.stats')))\n"
+    )
+    src = str(Path(diqkd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

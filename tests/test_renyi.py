@@ -54,11 +54,11 @@ class TestHonestDistribution:
 
 
 class TestAcceptanceSet:
-    def test_degenerate_level_collapses_box(self):
-        acc = build_acceptance_set(q_honest(0.26, 0.13, 0.8265), 1000, 6.0)
-        assert acc.delta_low == (0.0, 0.0, 0.0)
-        assert acc.delta_upp == (0.0, 0.0, 0.0)
-        assert acc.contains(acc.q_hon.as_array())
+    @pytest.mark.parametrize("eps_com_at", [0.0, -0.1, 1.0, 2.0, 6.0, math.nan])
+    def test_level_outside_unit_interval_rejected(self, eps_com_at):
+        # at eps_com_at >= 1 the box would keep narrowing and certify more key
+        with pytest.raises(ValueError, match="eps_com_at"):
+            build_acceptance_set(q_honest(0.26, 0.13, 0.8265), 1000, eps_com_at)
 
     def test_box_contains_honest_point(self):
         acc = paper_acc()

@@ -489,8 +489,8 @@ def pvalue_table(rows: Optional[list[tuple[float, int, float]]] = None) -> list[
     for length, n, s_obs in rows:
         omega = chsh_to_winprob(s_obs)
         k = int(round(n * omega))
-        tail = binomial_tail(n, k, 0.75)
-        out.append({"length_km": length, "n_trials": n, "s_obs": s_obs, "k": k, "log10_p": tail.log10})
+        log10_p = binomial_tail(n, k, 0.75) * math.log10(2.0)
+        out.append({"length_km": length, "n_trials": n, "s_obs": s_obs, "k": k, "log10_p": log10_p})
     return out
 
 

@@ -1,95 +1,36 @@
 """Numerically robust scalar primitives shared by every other module.
 
-Everything here is expressed in bits (base-2 logarithms).  The binomial
-tail machinery works entirely in log space so that p-values far below
-the smallest positive double (say 1e-316) keep full relative accuracy.
-All functions are pure and reentrant.
-
-Only ``scipy.special`` is imported, never ``scipy.stats``: importing
-scipy.stats would add about a second and 45 MB of resident memory to
-every command's start-up, for a binomial quantile search that the
-incomplete-beta ufuncs answer directly.
+Entropies and divergences are in bits.  One binomial tail serves both
+the p-values and the acceptance box: the pmf at the threshold from
+Loader's saddle-point form, then a window of terms away from the mode
+summed by the pmf-ratio recurrence, in log space throughout.  Tails far
+below the smallest positive double (say 1e-316) keep full relative
+accuracy, memory is O(sqrt(n)) rather than O(n), and no scipy is
+imported.  All functions are pure and reentrant.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.special import bdtrik, betainc, betaincc, gammaln
 
 __all__ = [
-    "LogNumber",
     "Distribution3",
     "binary_entropy",
     "rel_entropy_binary",
-    "kl_divergence3",
     "binomial_tail",
     "binomial_box",
     "chsh_to_winprob",
-    "winprob_to_chsh",
     "golden_min",
     "TSIRELSON_CHSH",
     "TSIRELSON_WIN",
 ]
 
-_LOG2_10 = math.log2(10.0)
 TSIRELSON_CHSH = 2.0 * math.sqrt(2.0)  # maximal quantum CHSH score
 TSIRELSON_WIN = (2.0 + math.sqrt(2.0)) / 4.0  # the same bound as a game win probability
-
-
-@dataclass(frozen=True)
-class LogNumber:
-    """A nonnegative quantity stored as its base-2 logarithm.
-
-    Exact zero is represented by ``log2_value == -inf``, which float
-    arithmetic propagates correctly through multiplication.  Quantities
-    as small as 1e-400 (far below double underflow) round-trip through
-    the log representation without loss.
-    """
-
-    log2_value: float
-
-    @classmethod
-    def from_value(cls, x: float) -> "LogNumber":
-        if x < 0:
-            raise ValueError(f"LogNumber requires a nonnegative value, got {x}")
-        if x == 0:
-            return cls(-math.inf)
-        return cls(math.log2(x))
-
-    @classmethod
-    def from_log10(cls, log10_value: float) -> "LogNumber":
-        return cls(log10_value * _LOG2_10)
-
-    @classmethod
-    def zero(cls) -> "LogNumber":
-        return cls(-math.inf)
-
-    @property
-    def is_zero(self) -> bool:
-        return self.log2_value == -math.inf
-
-    @property
-    def value(self) -> float:
-        """The plain float value; underflows to 0.0 below ~1e-308."""
-        if self.is_zero:
-            return 0.0
-        return 2.0 ** self.log2_value
-
-    @property
-    def log10(self) -> float:
-        return self.log2_value / _LOG2_10
-
-    def __mul__(self, other: "LogNumber") -> "LogNumber":
-        return LogNumber(self.log2_value + other.log2_value)
-
-    def __le__(self, other: "LogNumber") -> bool:
-        return self.log2_value <= other.log2_value
-
-    def __lt__(self, other: "LogNumber") -> bool:
-        return self.log2_value < other.log2_value
 
 
 @dataclass(frozen=True)
@@ -110,10 +51,6 @@ class Distribution3:
 
     def as_array(self) -> np.ndarray:
         return np.array([self.q0, self.q1, self.q_perp], dtype=float)
-
-    @classmethod
-    def from_array(cls, a) -> "Distribution3":
-        return cls(float(a[0]), float(a[1]), float(a[2]))
 
 
 def binary_entropy(p: float) -> float:
@@ -149,72 +86,118 @@ def rel_entropy_binary(p: float, q: float) -> float:
     return out
 
 
-def kl_divergence3(q: Distribution3, p: Distribution3) -> float:
-    """KL divergence in bits between two distributions over {0, 1, perp}.
+# ln m! - (m + 1/2) ln m + m - ln sqrt(2 pi) for m = 1..15, where the
+# asymptotic series below is not yet accurate to a double (index 0 is unused)
+_STIRLERR = (
+    0.0, 0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+    0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+    0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+    0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+    0.006408994188004207, 0.0059513701127588475, 0.005554733551962801,
+)
 
-    +inf is returned when supp(q) is not contained in supp(p).
+
+def _stirlerr(m: int) -> float:
+    """The error of Stirling's formula for ln m!, to double precision."""
+    if m <= 15:
+        return _STIRLERR[m]
+    mm = float(m) * m
+    if m > 500:
+        return (1 / 12 - 1 / 360 / mm) / m
+    if m > 80:
+        return (1 / 12 - (1 / 360 - 1 / 1260 / mm) / mm) / m
+    if m > 35:
+        return (1 / 12 - (1 / 360 - (1 / 1260 - 1 / 1680 / mm) / mm) / mm) / m
+    return (1 / 12 - (1 / 360 - (1 / 1260 - (1 / 1680 - 1 / 1188 / mm) / mm) / mm) / mm) / m
+
+
+def _bd0(x: int, m: float, d: float) -> float:
+    """x ln(x/m) + m - x, given d = x - m, by its series in d/(x+m) when d is small.
+
+    Taking the deviation d apart from m keeps the result accurate when
+    m = n p is not a double: near the mode ln pmf depends on m through d.
     """
-    out = 0.0
-    for qc, pc in zip(q.as_array(), p.as_array()):
-        if qc == 0.0:
-            continue
-        if pc == 0.0:
-            return math.inf
-        out += qc * math.log2(qc / pc)
-    return out
+    if abs(d) >= 0.1 * (x + m):
+        # ln(x/m) by log1p, or as a difference where x/m would overflow
+        return x * (math.log1p(d / m) if d < 1e300 * m else math.log(x) - math.log(m)) - d
+    v = d / (x + m)
+    s, ej, v2 = d * v, 2.0 * x * v, v * v
+    j = 1
+    while True:
+        ej *= v2
+        s_next = s + ej / (2 * j + 1)
+        if s_next == s:
+            return s
+        s, j = s_next, j + 1
 
 
-def _log2_pmf_range(n: int, k_lo: int, k_hi: int, p0: float) -> np.ndarray:
-    """log2 of Binomial(n, p0) pmf on the integer range [k_lo, k_hi]."""
-    i = np.arange(k_lo, k_hi + 1, dtype=np.float64)
-    log2p = math.log2(p0)
-    log2q = math.log2(1.0 - p0)
-    lgc = gammaln(n + 1.0) - gammaln(i + 1.0) - gammaln(n - i + 1.0)
-    return lgc / math.log(2.0) + i * log2p + (n - i) * log2q
+def _ln_sum_from(n: int, k: int, num: int, den: int) -> float:
+    """ln P[X >= k] for X ~ Binomial(n, num/den) and n num/den < k <= n.
 
-
-def _log2_sum(log2_terms: np.ndarray) -> float:
-    """log2 of a sum of positive terms given in log2, anchored at the maximum.
-
-    fsum of the exp2-shifted terms is the compensated accumulation; the
-    dominant term carries weight exactly 1 so relative accuracy survives
-    at the 1e-316 scale.
+    The first term is Loader's saddle-point pmf ("Fast and accurate
+    computation of binomial probabilities", 2000), which has no
+    ln n! - ln k! - ln (n-k)! cancellation; p enters as the exact ratio
+    num/den, so k - n p and 1 - p carry no rounding.  Above the mean every
+    term ratio t(i+1)/t(i) = (n-i) p / ((i+1) q) is below 1 and falls with
+    i, so the terms past a window are below a geometric series with the
+    window's last ratio.  The window starts where a normal tail has fallen
+    by e^-48 and doubles until that bound is 2^-60 of the sum.
     """
-    m = float(log2_terms.max())
-    s = math.fsum(np.exp2(log2_terms - m).tolist())
-    return m + math.log2(s)
+    p, q = num / den, (den - num) / den
+    if k == n:
+        return n * (math.log1p(-q) if p > 0.5 else math.log(p))
+    d = (k * den - n * num) / den  # k - n p, correctly rounded
+    ln_first = (
+        _stirlerr(n) - _stirlerr(k) - _stirlerr(n - k) - _bd0(k, n * p, d) - _bd0(n - k, n * q, -d)
+        - 0.5 * math.log(2.0 * math.pi * k * (n - k) / n)
+    )
+    sigma = math.sqrt(n * p * q)
+    z = d / sigma
+    # sigma (sqrt(z^2 + 96) - z) terms, written without the cancellation at large z
+    w = max(1, math.ceil(96.0 * sigma / (math.hypot(z, math.sqrt(96.0)) + z)))
+    while True:
+        w = min(w, n - k)
+        i = np.arange(k, k + w, dtype=float)
+        ln_rel = np.cumsum(np.log((n - i) * p / ((i + 1.0) * q)))  # ln t(k+1..k+w) / t(k)
+        total = 1.0 + float(np.sum(np.exp(ln_rel)))
+        if k + w == n:
+            break
+        ratio = (n - k - w) * p / ((k + w + 1) * q)
+        if math.exp(ln_rel[-1]) * ratio / (1.0 - ratio) <= 2.0**-60 * total:
+            break
+        w *= 2
+    return ln_first + math.log(total)
 
 
-def binomial_tail(n: int, k: int, p0: float) -> LogNumber:
-    """Exact upper tail P[X >= k] for X ~ Binomial(n, p0), in log space.
+def _ln_tail(n: int, k: int, num: int, den: int) -> float:
+    """ln P[X >= k] for X ~ Binomial(n, num/den), for any integer k.
 
-    Monotone nonincreasing in k.  When the tail is the larger half it is
-    computed through the log-space complement of the lower sum, so the
-    result stays relatively accurate on both ends of the distribution.
+    The smaller half is summed; the larger is the complement of the
+    other, so both ends keep full relative accuracy.
+    """
+    if k <= 0 or num == den:
+        return 0.0 if k <= n else -math.inf
+    if k > n or num == 0:
+        return -math.inf
+    if k * den > n * num:
+        return _ln_sum_from(n, k, num, den)
+    # P[X >= k] = 1 - P[X <= k-1] = 1 - P[n - X >= n-k+1], with n - X ~ Binomial(n, 1 - p)
+    return math.log1p(-math.exp(_ln_sum_from(n, n - k + 1, den - num, den)))
+
+
+def binomial_tail(n: int, k: int, p0: float) -> float:
+    """log2 of the upper tail P[X >= k] for X ~ Binomial(n, p0).
+
+    Monotone nonincreasing in k, relatively accurate at both ends of the
+    distribution and far below the smallest positive double.
     """
     if n < 0 or not 0 <= k <= n:
         raise ValueError(f"binomial_tail requires 0 <= k <= n, got n={n}, k={k}")
     if not 0.0 <= p0 <= 1.0:
         raise ValueError(f"binomial_tail requires p0 in [0, 1], got {p0}")
-    if k == 0:
-        return LogNumber(0.0)
-    if p0 == 0.0:
-        return LogNumber.zero()
-    if p0 == 1.0:
-        return LogNumber(0.0)
-    if k == n:
-        # single term: exactly n*log2(p0)
-        return LogNumber(n * math.log2(p0))
-    upper = _log2_sum(_log2_pmf_range(n, k, n, p0))
-    lower = _log2_sum(_log2_pmf_range(n, 0, k - 1, p0))
-    if upper <= lower:
-        return LogNumber(min(upper, 0.0))
-    # tail = 1 - lower, with the lower sum known to full relative accuracy
-    x = 2.0 ** lower
-    if x >= 1.0:
-        # roundoff collision at the 50/50 split; fall back to the direct sum
-        return LogNumber(min(upper, 0.0))
-    return LogNumber(math.log1p(-x) / math.log(2.0))
+    if k == n and 0.0 < p0:
+        return n * math.log2(p0)  # a single term, exactly
+    return _ln_tail(n, k, *float(p0).as_integer_ratio()) / math.log(2.0)
 
 
 def binomial_box(n: int, p: float, eps: float) -> tuple[float, float]:
@@ -234,28 +217,30 @@ def binomial_box(n: int, p: float, eps: float) -> tuple[float, float]:
         raise ValueError(f"binomial_box requires eps > 0, got {eps}")
     if eps >= 1.0:
         return 0.0, 0.0
+    num, den = float(p).as_integer_ratio()
+    ln_eps = math.log(eps)
 
-    # P[X <= k] = 1 - I_p(k+1, n-k) and P[X > k] = I_p(k+1, n-k), the
-    # regularized incomplete beta that scipy.stats.binom evaluates too.
-    # k = -1 is outside the beta's domain (at p = 0 it gives P[X > -1] = 0);
-    # _last_true never lets the predicate at its lower end change the answer.
+    # P[X <= j-1] = P[n - X >= n-j+1] and P[X > j] = P[X >= j+1]
     def low_ok(j: int) -> bool:
-        return float(betaincc(j, n - j + 1, p)) <= eps
+        return _ln_tail(n, n - j + 1, den - num, den) <= ln_eps
 
     def upp_fails(j: int) -> bool:
-        return float(betainc(j + 1, n - j, p)) > eps
+        return _ln_tail(n, j + 1, num, den) > ln_eps
+
+    # The thresholds sit within about half a count of the normal quantile
+    # with Cornish-Fisher's skew term, n p -+ sigma z + (z^2 - 1)(1 - 2p)/6;
+    # each guess is one count above its answer, where _last_true takes two calls.
+    z = NormalDist().inv_cdf(eps)
+    spread, skew = math.sqrt(n * p * (1.0 - p)) * z, (z * z - 1.0) * (1.0 - 2.0 * p) / 6.0
 
     # largest integer j in [0, n] with P[X <= j-1] <= eps; then
-    # delta_low = max(0, p - j/n).  j = 0 is always feasible.  The guess
-    # is the continuous k with P[X <= k] = eps, rounded up.
-    j = _last_true(low_ok, float(bdtrik(eps, n, p)) + 1.0, 0, n)
+    # delta_low = max(0, p - j/n).  j = 0 is always feasible.
+    j = _last_true(low_ok, n * p + spread + skew + 1.0, 0, n)
     delta_low = max(0.0, p - j / n)
 
     # smallest integer j in [-1, n] with P[X > j] <= eps; then
     # delta_upp = max(0, j/n - p).  j = n is always feasible, j = -1 never.
-    # P[X > j] = P[Y <= n-1-j] for Y ~ Binomial(n, 1-p), so the guess is
-    # the mirrored lower quantile (1 - eps would round to 1 for tiny eps).
-    j = _last_true(upp_fails, n - 1.0 - float(bdtrik(eps, n, 1.0 - p)), -1, n - 1) + 1
+    j = _last_true(upp_fails, n * p - spread + skew, -1, n - 1) + 1
     delta_upp = max(0.0, j / n - p)
     return delta_low, delta_upp
 
@@ -321,9 +306,3 @@ def chsh_to_winprob(s: float) -> float:
         raise ValueError(f"CHSH value must lie in [-4, 4], got {s}")
     return 0.5 + s / 8.0
 
-
-def winprob_to_chsh(omega: float) -> float:
-    """Inverse of chsh_to_winprob; round-trips exactly."""
-    if not 0.0 <= omega <= 1.0:
-        raise ValueError(f"winning probability must lie in [0, 1], got {omega}")
-    return 8.0 * (omega - 0.5)

@@ -1,51 +1,29 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from diqkd import cli
+from diqkd import cli, mathcore
 from diqkd.mathcore import (
     Distribution3,
-    LogNumber,
     binary_entropy,
     binomial_box,
     binomial_tail,
     chsh_to_winprob,
     golden_min,
-    kl_divergence3,
     rel_entropy_binary,
-    winprob_to_chsh,
 )
 from diqkd.mathcore import _last_true
 from diqkd.renyi import q_honest
 
-from oracles import binomial_box_bisect, binomial_cdf, log2_binomial_tail
-
-
-class TestLogNumber:
-    def test_roundtrip_tiny(self):
-        x = LogNumber.from_log10(-400.0)
-        assert x.log10 == pytest.approx(-400.0, rel=1e-14)
-        assert not x.is_zero
-        assert x.value == 0.0  # underflows as a plain float, by design
-
-    def test_exact_zero(self):
-        z = LogNumber.zero()
-        assert z.is_zero
-        assert z.value == 0.0
-        assert (z * LogNumber.from_value(0.5)).is_zero
-
-    def test_multiplication_is_log_addition(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            a, b = rng.uniform(1e-300, 1.0, 2)
-            prod = LogNumber.from_value(a) * LogNumber.from_value(b)
-            expect = math.log2(a) + math.log2(b)
-            assert prod.log2_value == pytest.approx(expect, rel=1e-12)
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            LogNumber.from_value(-1.0)
+from oracles import (
+    binomial_box_bisect,
+    binomial_cdf,
+    log10_tail_three_quarters,
+    log2_binomial_tail,
+    log2_binomial_tail_mp,
+)
 
 
 class TestBinaryEntropy:
@@ -89,37 +67,7 @@ class TestRelEntropyBinary:
         assert rel_entropy_binary(1.0, 1.0) == 0.0
 
 
-class TestKlDivergence3:
-    def test_equal_is_zero(self):
-        d = Distribution3(0.1, 0.2, 0.7)
-        assert kl_divergence3(d, d) == 0.0
-
-    def test_point_mass(self):
-        q = Distribution3(1.0, 0.0, 0.0)
-        p = Distribution3(0.5, 0.25, 0.25)
-        assert kl_divergence3(q, p) == pytest.approx(1.0)
-
-    def test_frozen_value(self):
-        q = Distribution3(0.2, 0.3, 0.5)
-        p = Distribution3(0.1, 0.3, 0.6)
-        assert kl_divergence3(q, p) == pytest.approx(0.06848279708310312, abs=1e-12)
-
-    def test_support_violation(self):
-        q = Distribution3(0.5, 0.5, 0.0)
-        p = Distribution3(1.0, 0.0, 0.0)
-        assert kl_divergence3(q, p) == math.inf
-
-    def test_nonnegative_zero_iff_equal(self):
-        rng = np.random.default_rng(3)
-        for _ in range(300):
-            a = rng.dirichlet([1.0, 1.0, 1.0])
-            b = rng.dirichlet([1.0, 1.0, 1.0])
-            q = Distribution3.from_array(a / a.sum())
-            p = Distribution3.from_array(b / b.sum())
-            d = kl_divergence3(q, p)
-            assert d >= -1e-14
-            assert kl_divergence3(q, q) == 0.0
-
+class TestDistribution3:
     def test_invalid_distribution_rejected(self):
         with pytest.raises(ValueError):
             Distribution3(0.5, 0.5, 0.5)
@@ -129,18 +77,34 @@ class TestKlDivergence3:
 
 class TestBinomialTail:
     def test_single_trial(self):
-        assert binomial_tail(1, 1, 0.75).value == pytest.approx(0.75)
+        assert 2.0 ** binomial_tail(1, 1, 0.75) == pytest.approx(0.75)
 
     def test_two_trials(self):
-        assert binomial_tail(2, 2, 0.75).value == pytest.approx(0.5625)
+        assert 2.0 ** binomial_tail(2, 2, 0.75) == pytest.approx(0.5625)
 
     def test_k_zero_is_one(self):
         for n in (1, 10, 1000):
-            assert binomial_tail(n, 0, 0.3).log2_value == 0.0
+            assert binomial_tail(n, 0, 0.3) == 0.0
+
+    def test_exact_zero(self):
+        # an impossible tail is exactly -inf in log2, a certain one exactly 0
+        assert binomial_tail(10, 1, 0.0) == -math.inf
+        assert binomial_tail(10, 0, 0.0) == 0.0
+        assert binomial_tail(10, 10, 1.0) == 0.0
 
     def test_k_n_exact_in_log_space(self):
         for n, p in ((10, 0.25), (500, 0.75), (4000, 0.9)):
-            assert binomial_tail(n, n, p).log2_value == n * math.log2(p)
+            assert binomial_tail(n, n, p) == n * math.log2(p)
+
+    def test_tail_below_double_range(self):
+        # about 1e-1197, far below the smallest positive double, yet finite
+        # in log2 and accurate to its last digits
+        got, want = binomial_tail(10_000, 9_000, 0.5), log2_binomial_tail(10_000, 9_000, 0.5)
+        assert 2.0**got == 0.0
+        assert got == pytest.approx(want, rel=1e-14)
+        # a subnormal p0, where x/m in the saddle-point form overflows a double
+        p = 5e-324
+        assert binomial_tail(10, 3, p) == pytest.approx(math.log2(120) + 3 * math.log2(p), rel=1e-14)
 
     def test_monotone_in_k(self):
         n, p = 200, 0.4
@@ -154,7 +118,7 @@ class TestBinomialTail:
         # N = 39645, k = round(N * (1/2 + 2.612/8)) = 32767: the exact tail
         # sits near 1e-293 (frozen from the Decimal oracle below).
         t = binomial_tail(39645, 32767, 0.75)
-        assert t.log10 == pytest.approx(-292.8799767, abs=1e-3)
+        assert t * math.log10(2.0) == pytest.approx(-292.8799767, abs=1e-3)
 
     def test_against_decimal_oracle(self):
         rng = np.random.default_rng(2026)
@@ -162,15 +126,49 @@ class TestBinomialTail:
             n = int(rng.integers(1, 10_001))
             k = int(rng.integers(0, n + 1))
             p = float(rng.uniform(0.05, 0.95))
-            got = binomial_tail(n, k, p).log2_value
+            got = binomial_tail(n, k, p)
             want = log2_binomial_tail(n, k, p)
             if want == 0.0:
                 assert got == 0.0
             else:
-                # absolute floor covers tails within 1e-9/ln2 of exactly 1,
-                # where a relative-in-log comparison is void in any float
-                # representation; everywhere else the relative bound binds
-                assert got == pytest.approx(want, rel=1e-9, abs=1e-9)
+                # the oracle stops summing at terms 1e-45 of its total, so where
+                # the tail is that close to 1 its log is off by up to ~1e-44;
+                # the absolute floor covers that, the relative bound binds elsewhere
+                assert got == pytest.approx(want, rel=1e-12, abs=1e-40)
+
+    @pytest.mark.parametrize("n, k, p", [(10_000, 2, 1e-4), (1000, 3, 1e-3), (10**6, 1, 1e-6)])
+    def test_skewed_tail_past_the_first_window(self, n, k, p):
+        # at a mean near 1 the upper tail is far heavier than a normal one, so
+        # the first window stops short and the geometric bound must widen it
+        assert binomial_tail(n, k, p) == pytest.approx(log2_binomial_tail(n, k, p), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [0.3, 0.7, 1e-3])
+    def test_large_n_against_mpmath(self, p):
+        # at n = 1e8 neither n p nor 1 - p is a double, and an error of one
+        # rounding in either would move ln P by about (k - n p) 1e-16 ~ 1e-11
+        n = 10**8
+        k = round(n * p + 30.0 * math.sqrt(n * p * (1.0 - p)))
+        assert abs(binomial_tail(n, k, p) - log2_binomial_tail_mp(n, k, p)) <= 1e-12
+
+    def test_shipped_pvalues_against_exact_integer_sums(self):
+        # at p = 3/4 the tail is sum C(n, i) 3^i / 4^n, exact in integers
+        for row in cli.pvalue_table():
+            want = log10_tail_three_quarters(row["n_trials"], row["k"])
+            assert abs(row["log10_p"] - want) <= 1e-12, row
+
+    def test_memory_stays_in_a_window_at_large_n(self):
+        # the summed window is O(sigma) terms, not O(n): at n = 1e9 an O(n)
+        # tail would allocate gigabytes
+        n, p = 10**9, 0.5
+        k = round(n * p + 40.0 * math.sqrt(n * p * (1.0 - p)))
+        tracemalloc.start()
+        try:
+            got = binomial_tail(n, k, p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert -1200.0 < got < -1100.0
+        assert peak <= 16 * 2**20
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -200,12 +198,12 @@ class TestBinomialBox:
             # lower tail: P[X < n(p - dlow)] <= eps, re-checked in log space
             j = math.ceil(n * (p - dlow) - 1e-9) - 1
             if j >= 0:
-                low_tail = 1.0 - binomial_tail(n, j + 1, p).value
+                low_tail = 1.0 - 2.0 ** binomial_tail(n, j + 1, p)
                 assert low_tail <= eps + 1e-12
             # upper tail: P[X > n(p + dupp)] <= eps
             j = math.floor(n * (p + dupp) + 1e-9)
             if j < n:
-                assert binomial_tail(n, j + 1, p).value <= eps + 1e-12
+                assert 2.0 ** binomial_tail(n, j + 1, p) <= eps + 1e-12
 
     def test_minimality_small_n_exhaustive(self):
         # exhaustive check against direct enumeration for small n
@@ -249,7 +247,7 @@ class TestBinomialBox:
             (1, 0.5, 0.4),
             (1, 1e-7, 0.1),
             (1, 1 - 1e-7, 0.1),
-            (10**9, 0.5, 1e-300),  # the bdtrik guesses are ~4e5 counts off here; the search must still be short
+            (10**9, 0.5, 1e-300),  # thresholds 37 sigma out, near the bottom of the double range
             (100, 0.3, 1.0),
             (100, 0.3, 2.5),
             # bdtrc's tail is 2e-6 relative low here and would end the upper
@@ -257,8 +255,17 @@ class TestBinomialBox:
             (491_119_230, 0.4978271325044268, 4.808143456492249e-10),
         ],
     )
-    def test_equals_bisection_at_edges(self, n, p, eps):
+    def test_equals_bisection_at_edges(self, n, p, eps, monkeypatch):
+        tail, calls = mathcore._ln_tail, []
+
+        def counted(*args):
+            calls.append(args)
+            return tail(*args)
+
+        monkeypatch.setattr(mathcore, "_ln_tail", counted)
         assert binomial_box(n, p, eps) == binomial_box_bisect(n, p, eps)
+        # each predicate call is one tail; the quantile guesses keep the search short
+        assert len(calls) <= 10
 
     @pytest.mark.parametrize("n", [10_000, 500_000, 1_208_000, 10_000_000])
     def test_equals_bisection_at_pipeline_cells(self, n):
@@ -332,7 +339,7 @@ class TestChshWinprob:
     def test_roundtrip(self):
         rng = np.random.default_rng(1)
         for s in rng.uniform(-4, 4, 100):
-            assert winprob_to_chsh(chsh_to_winprob(s)) == pytest.approx(s, abs=1e-12)
+            assert 8.0 * (chsh_to_winprob(s) - 0.5) == pytest.approx(s, abs=1e-12)
 
     def test_domain(self):
         with pytest.raises(ValueError):

@@ -248,13 +248,12 @@ def binomial_box(n: int, p: float, eps: float) -> tuple[float, float]:
 def _last_true(ok, guess: float, lo: int, hi: int) -> int:
     """Largest j in [lo, hi] with ok(j), for ok true from lo up to a point, false after.
 
-    ok(lo) is taken as true whatever it returns.  Gallops from the guess
-    (lo if it is not finite), then
-    bisects the bracket it found: a guess on the boundary costs two calls
-    of ok, a far one O(log distance), and the answer is the one a
+    ok(lo) is taken as true whatever it returns.  Gallops from the guess,
+    then bisects the bracket it found: a guess on the boundary costs two
+    calls of ok, a far one O(log distance), and the answer is the one a
     bisection over [lo, hi] gives.
     """
-    j = min(max(int(guess), lo), hi) if math.isfinite(guess) else lo
+    j = min(max(int(guess), lo), hi)
     step = 1
     if ok(j):
         good = j

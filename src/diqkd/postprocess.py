@@ -3,24 +3,41 @@
 The extractor is the two-universal family of Toeplitz matrices over
 GF(2), applied matrix-free as a convolution of the seed with the input.
 Input and output are cut into blocks of B = 2^16 bits, and each pair of
-blocks is one real FFT convolution of length 2 min(B, m).  A length-m
-input with length-l output costs O(ceil(l/B) ceil(m/B) B log B)
-operations and O(B + l) memory.  The integer counts are summed per
-output bit and reduced mod 2.  Rounding each FFT entry to an integer is
-exact: a partial count is at most B, far below 2^53, so the float error
-stays orders of magnitude under 1/2, and a runtime guard raises if any
-entry lies 1/4 or more from its integer.
+blocks is one real FFT convolution of length 2 min(B, m).  The seed
+segment of a pair depends only on its diagonal (output block minus input
+block), and the convolution is linear, so each output block sums the
+products of seed and input spectra in the frequency domain and is
+inverted once.  A length-m input with length-l output costs
+ceil(m/B) input, ceil(m/B) + ceil(l/B) - 1 seed and ceil(l/B) inverse
+transforms, about (2m + l)/B + l/B, instead of 3 (m/B)(l/B); memory is
+O(B + l): per output block one complex accumulator and one carried seed
+spectrum.  The sums are rounded to integer counts, whose parities are
+the output, after every 2^10 input blocks and at the end.  Rounding is
+exact: a rounded entry is a count of at most 2^10 B = 2^26, far below
+2^53, and the float error of an FFT convolution grows like the unit
+roundoff times log B times the product of the input norms, here at most
+2^26 sqrt(2), so it stays orders of magnitude under 1/2; a runtime guard
+raises if any entry lies 1/4 or more from its integer.
 
 The verification tag is a polynomial hash over GF(2^128) (GCM modulus)
 composed with a multiply-then-truncate map to 64 bits.  For a message of
 t = ceil(bits/128) padded blocks the collision probability over a
 uniform key is at most (t + 1)/2^128 + 2^-64, which stays below 2^-61
-for every supported message length (up to 2^61 bits).
+for every supported message length (up to 2^61 bits).  Horner's rule
+seeded at 1 is the sum of b_i H^(t+1-i) with 1 added to the first
+block; one appended zero block makes the powers run down to H^0.  The
+sum is evaluated in k lanes, k the largest power of two up to an eighth
+of the block count, at most 256: zero blocks in front make the count a
+multiple of k, block r k + c goes to lane c, and each lane runs Horner
+with H^k.  One step for all lanes is a product with the 128 x 128 bit
+matrix of multiplication by H^k, exact in float32.  A tree of log2 k
+steps with H, H^2, H^4, ... then joins lane pairs (L, L') into L H + L'.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,8 +52,10 @@ __all__ = [
 
 _GF128_POLY = (1 << 128) | (1 << 7) | (1 << 2) | (1 << 1) | 1  # x^128 + x^7 + x^2 + x + 1
 
-# bits per FFT block of the extractor: every partial count is at most this
+# bits per FFT block of the extractor
 _BLOCK = 1 << 16
+# input blocks summed in the frequency domain between two roundings
+_FLUSH = 1 << 10
 
 
 class BitString:
@@ -45,12 +64,12 @@ class BitString:
     __slots__ = ("bits",)
 
     def __init__(self, bits):
-        a = np.asarray(bits, dtype=np.uint8)
+        a = np.asarray(bits)
         if a.ndim != 1:
             raise ValueError("bits must be one-dimensional")
-        if a.size and a.max() > 1:
+        if not np.array_equal(a, a != 0):
             raise ValueError("bits must be 0 or 1")
-        self.bits = a
+        self.bits = a.astype(np.uint8, copy=False)
 
     def __len__(self) -> int:
         return int(self.bits.size)
@@ -98,8 +117,7 @@ class BitString:
         return int.from_bytes(packed.tobytes(), "big") >> ((-len(self)) % 8)
 
 
-@dataclass(frozen=True)
-class ToeplitzSeed:
+class ToeplitzSeed(NamedTuple):
     """Seed bits defining the diagonal-constant matrix for (m, l) extraction."""
 
     bits: BitString
@@ -121,22 +139,51 @@ def toeplitz_extract(raw: BitString, seed: ToeplitzSeed, ell: int) -> BitString:
         raise ValueError(f"seed must have length m + ell - 1 = {m + ell - 1}, got {len(seed.bits)}")
 
     s, x = seed.bits.bits, raw.bits
-    size = 2 * min(_BLOCK, m)  # circular wrap-around never reaches the window kept below
-    counts = np.zeros(ell, dtype=np.int64)
-    for j0 in range(0, m, _BLOCK):
-        width = min(_BLOCK, m - j0)
-        raw_f = np.fft.rfft(x[j0 : j0 + width], size)
-        for i0 in range(0, ell, _BLOCK):
-            b = min(_BLOCK, ell - i0)
-            # seed[base + k + width - 1 - t] pairs out bit i0 + k with raw bit j0 + t
-            base = i0 + m - j0 - width
-            conv = np.fft.irfft(np.fft.rfft(s[base : base + b + width - 1], size) * raw_f, size)
-            part = conv[width - 1 : width - 1 + b]
-            rounded = np.rint(part)
-            if np.abs(part - rounded).max() >= 0.25:
-                raise ArithmeticError("FFT convolution too inexact for an exact GF(2) product")
-            counts[i0 : i0 + b] += rounded.astype(np.int64)
-    return BitString((counts & 1).astype(np.uint8))
+    b = min(_BLOCK, m)
+    size = 2 * b  # circular wrap-around never reaches the window kept below
+    n_out, n_in = -(-ell // b), -(-m // b)
+    # Output block i against input block j reads 2b seed bits from (i - j - 1) b + m
+    # (zero outside the seed: those terms meet padding or discarded rows), so all
+    # pairs on a diagonal d = i - j share one spectrum, kept in slot d % ring.
+    ring = max(n_out, 2)
+    spectra = np.empty((ring, b + 1), dtype=complex)
+    acc = np.zeros((n_out, b + 1), dtype=complex)
+    raw_f = np.empty(b + 1, dtype=complex)
+    out = np.zeros(n_out * b, dtype=np.uint8)
+
+    def load(buf, bits, lo, width):
+        """bits[lo : lo + width], zero outside bits, in the first size floats of buf."""
+        real = buf.view(float)[:size]
+        real.fill(0)
+        a, z = max(lo, 0), min(lo + width, len(bits))
+        real[a - lo : z - lo] = bits[a:z]
+        return real
+
+    for d in range(1, n_out):  # the diagonals input block 0 shares with later blocks
+        np.fft.rfft(load(raw_f, s, (d - 1) * b + m, size), out=spectra[d])
+    for j in range(n_in):
+        # Diagonal -j is first needed by output block 0, so it is transformed
+        # last, into slot new, whose memory first holds the raw block.  Slot
+        # free holds a spent diagonal, or the one output block n_out - 1 spends
+        # in its product, made first and in place; then it is scratch, so no
+        # step allocates.
+        new, free = -j % ring, (-j - 1) % ring
+        np.fft.rfft(load(spectra[new], x, j * b, b), out=raw_f)
+        for i in range(n_out - 1, -1, -1):
+            if i == 0:
+                np.fft.rfft(load(spectra[free], s, (-j - 1) * b + m, size), out=spectra[new])
+            np.multiply(spectra[(i - j) % ring], raw_f, out=spectra[free])
+            acc[i] += spectra[free]
+        if (j + 1) % _FLUSH == 0 or j + 1 == n_in:
+            for i in range(n_out):
+                part = np.fft.irfft(acc[i], size, out=raw_f.view(float)[:size])[b - 1 : 2 * b - 1]
+                whole = np.rint(part, out=spectra[free].view(float)[:b])
+                part -= whole
+                if np.abs(part, out=part).max() >= 0.25:
+                    raise ArithmeticError("FFT convolution too inexact for an exact GF(2) product")
+                out[i * b : (i + 1) * b] ^= np.fmod(whole, 2, out=whole).astype(np.uint8)
+            acc.fill(0)
+    return BitString(out[:ell])
 
 
 def _gf128_mul(x: int, y: int) -> int:
@@ -152,24 +199,29 @@ def _gf128_mul(x: int, y: int) -> int:
     return out
 
 
-_MASK128 = (1 << 128) - 1
-# t * x^128 reduced, for the 4 overflow bits a nibble shift can produce
-_RED4 = [_gf128_mul(t << 124, 1 << 4) if t else 0 for t in range(16)]
+# the low 128 bits of each of 128 slots of 256 bits
+_SLOT_LOW = int.from_bytes((bytes(16) + b"\xff" * 16) * 128, "big")
 
 
-def _nibble_tables(k: int) -> list[int]:
-    """Multiples v * k for v in 0..15, for windowed multiplication by k."""
-    return [_gf128_mul(k, v) for v in range(16)]
+def _mul_matrix(g: int) -> np.ndarray:
+    """The GF(2) matrix of multiplication by g, as 128 x 128 float32 zeros and ones.
+
+    Bits are big-endian (bit p of a block is the coefficient of x^(127-p)),
+    so row p is x^(127-p) g, and a row of bits times the matrix, mod 2, is
+    the bits of the product.
+    """
+    for c in (1, 2, 4, 8, 16, 32, 64):  # slot e of 256 bits gets x^e g, unreduced
+        g |= g << 257 * c
+    for _ in range(2):  # x^128 = x^7 + x^2 + x + 1 takes degree 254 to 133, then below 128
+        hi = (g >> 128) & _SLOT_LOW
+        g = (g & _SLOT_LOW) ^ hi ^ (hi << 1) ^ (hi << 2) ^ (hi << 7)
+    rows = np.frombuffer(g.to_bytes(128 * 32, "big"), dtype=np.uint8).reshape(128, 32)[:, 16:]
+    return np.unpackbits(rows, axis=1).astype(np.float32)
 
 
-def _mul_by_tables(acc: int, tables: list[int]) -> int:
-    """acc * k via 4-bit windows of acc, with incremental reduction."""
-    res = 0
-    for shift in range(124, -4, -4):
-        top = res >> 124
-        res = ((res << 4) & _MASK128) ^ _RED4[top]
-        res ^= tables[(acc >> shift) & 15]
-    return res
+def _times(bits: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """Rows of block bits times the element whose _mul_matrix is given (exact: sums <= 128)."""
+    return (bits.astype(np.float32) @ matrix).astype(np.uint8) & 1
 
 
 @dataclass(frozen=True)
@@ -191,29 +243,36 @@ class TagKey:
         return cls(point=v >> 128, mixer=v & ((1 << 128) - 1))
 
 
-def _padded_blocks(message: BitString) -> list[int]:
-    """128-bit blocks of the message with unambiguous 1000... padding."""
-    bits = np.concatenate([message.bits, np.ones(1, dtype=np.uint8)])
-    rem = (-bits.size) % 128
-    bits = np.concatenate([bits, np.zeros(rem, dtype=np.uint8)])
-    raw = np.packbits(bits, bitorder="big").tobytes()
-    return [int.from_bytes(raw[i : i + 16], "big") for i in range(0, len(raw), 16)]
-
-
 def verify_tag(message: BitString, key: TagKey) -> int:
     """64-bit verification tag of the message under the given key.
 
     Horner evaluation seeded at 1 (so differing block counts cannot
     collide identically), then a full-width multiply and truncation.
+    The message gets a single 1 bit and zeros up to whole 128-bit blocks.
     """
-    if len(message) > 2**61:
+    n = len(message)
+    if n > 2**61:
         raise ValueError("message exceeds the supported 2^61 bits")
-    point_tables = _nibble_tables(key.point)
-    acc = 1
-    for block in _padded_blocks(message):
-        acc = _mul_by_tables(acc ^ block, point_tables)
-    mixed = _gf128_mul(acc, key.mixer)
-    return mixed & ((1 << 64) - 1)
+    t = n // 128 + 2  # the padded blocks and a zero block, so the last power is H^0
+    lanes_log = min(max(t.bit_length() - 4, 0), 8)
+    k = 1 << lanes_log
+    bits = np.zeros(-(-t // k) * k * 128, dtype=np.uint8)
+    padded = bits[-t * 128 :]  # after leading zero blocks, which add nothing
+    padded[:n] = message.bits
+    padded[n] = 1
+    padded[127] ^= 1  # Horner's seed: the constant term of the first block
+
+    powers = [key.point]  # H^(2^i)
+    for _ in range(lanes_log):
+        powers.append(_gf128_mul(powers[-1], powers[-1]))
+    step = _mul_matrix(powers.pop())
+    blocks = bits.reshape(-1, k, 128)  # block r k + c goes to lane c
+    lanes = blocks[0]
+    for row in blocks[1:]:
+        lanes = _times(lanes, step) ^ row
+    for p in powers:
+        lanes = _times(lanes[0::2], _mul_matrix(p)) ^ lanes[1::2]
+    return _gf128_mul(int.from_bytes(np.packbits(lanes).tobytes(), "big"), key.mixer) & ((1 << 64) - 1)
 
 
 def tag_collision_bound(message_bits: int) -> float:

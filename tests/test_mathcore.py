@@ -288,7 +288,7 @@ class TestBinomialBox:
         assert binomial_box(10, q, 0.01) == (0.0, 1.0 - q) == binomial_box_bisect(10, q, 0.01)
         assert binomial_box(10, 0.0, 0.01) == (0.0, 0.0) == binomial_box(10, 1.0, 0.01)
         # the predicate at the lower end is taken as true whatever it says
-        for guess in (-1, 0, 5, math.nan):
+        for guess in (-1, 0, 5):
             assert _last_true(lambda j: False, guess, -1, 5) == -1
 
     def test_boundary_search_from_any_guess(self):
@@ -296,7 +296,7 @@ class TestBinomialBox:
         for lo, hi in ((0, 0), (-1, 5), (0, 1000), (-1, 10**9)):
             span = hi - lo + 1
             for k in sorted(k for k in {lo, lo + 1, (lo + hi) // 2, hi - 1, hi} if lo <= k <= hi):
-                for guess in (lo, hi, k, k - 1, k + 1, lo - 7.0, hi + 1e12, 0.37 * hi, math.nan):
+                for guess in (lo, hi, k, k - 1, k + 1, lo - 7.0, hi + 1e12, 0.37 * hi):
                     calls = []
 
                     def ok(j):

@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from diqkd import postprocess
 from diqkd.postprocess import (
     _BLOCK,
     BitString,
     TagKey,
     ToeplitzSeed,
     _gf128_mul,
+    _mul_matrix,
     tag_collision_bound,
     toeplitz_extract,
     verify_tag,
@@ -22,6 +26,28 @@ def dense_toeplitz_oracle(raw: BitString, seed: ToeplitzSeed, ell: int) -> BitSt
         for j in range(m):
             t[i, j] = s[i - j + m - 1]
     return BitString((t @ raw.bits) % 2)
+
+
+def horner_tag_oracle(message: BitString, key: TagKey) -> int:
+    """The tag by its definition: plain bitwise Horner seeded at 1 over the padded blocks."""
+    bits = np.concatenate([message.bits, [1], np.zeros((-len(message) - 1) % 128, dtype=np.uint8)])
+    data = np.packbits(bits).tobytes()
+    acc = 1
+    for i in range(0, len(data), 16):
+        acc = _gf128_mul(acc ^ int.from_bytes(data[i : i + 16], "big"), key.point)
+    return _gf128_mul(acc, key.mixer) & ((1 << 64) - 1)
+
+
+def traced_peak(f) -> int:
+    """Peak bytes allocated while f runs, as tracemalloc sees them."""
+    f()  # library set-up outside the measurement
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        f()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
 
 
 class TestBitString:
@@ -43,6 +69,17 @@ class TestBitString:
     def test_validation(self):
         with pytest.raises(ValueError):
             BitString([0, 2, 1])
+
+    @pytest.mark.parametrize("bad", [np.array([256, 1]), np.array([0.5, 1.0]), np.array([1.7]), np.array([-1, 0])])
+    def test_values_that_are_not_bits_rejected(self, bad):
+        # a uint8 cast would wrap or truncate these to bits
+        with pytest.raises(ValueError):
+            BitString(bad)
+
+    def test_bits_of_any_dtype_accepted(self):
+        for bits in (np.array([True, False, True]), np.array([1.0, 0.0, 1.0]), np.array([1, 0, 1], dtype=np.int64)):
+            b = BitString(bits)
+            assert b.bits.dtype == np.uint8 and b.bits.tolist() == [1, 0, 1]
 
 
 class TestToeplitzExtract:
@@ -107,6 +144,32 @@ class TestToeplitzExtract:
             for i in [0, ell - 1, *boundaries, *rng.integers(0, ell, 16)]:
                 row = seed.bits.bits[i : i + m][::-1]  # row[j] = seed[i - j + m - 1]
                 assert out[i] == np.count_nonzero(row & raw.bits) & 1, f"row {i}"
+
+    @pytest.mark.parametrize("flush", [None, 2])
+    def test_shared_diagonals_match_definition(self, monkeypatch, flush):
+        # three output blocks against five input blocks (m not a block multiple),
+        # so every diagonal but the outermost serves several block pairs; with
+        # flush = 2 the sums are also rounded partway through the input
+        if flush:
+            monkeypatch.setattr(postprocess, "_FLUSH", flush)
+        rng = np.random.default_rng(18)
+        m, ell = 4 * _BLOCK + 123, 2 * _BLOCK + 9
+        raw = BitString.random(m, rng)
+        seed = ToeplitzSeed(BitString.random(m + ell - 1, rng))
+        out = toeplitz_extract(raw, seed, ell).bits
+        edges = [i + d for i in range(0, ell + 1, _BLOCK) for d in (-1, 0, 1) if 0 <= i + d < ell]
+        for i in [*edges, *rng.integers(0, ell, 24)]:
+            row = seed.bits.bits[i : i + m][::-1]  # row[j] = seed[i - j + m - 1]
+            assert out[i] == np.count_nonzero(row & raw.bits) & 1, f"row {i}"
+
+    def test_traced_memory_at_paper_shape(self):
+        # the input spectra, seed spectra and sums stay O(B + ell): no more than
+        # the 5.6 MiB the per-pair loop peaked at
+        rng = np.random.default_rng(19)
+        m, ell = 1 << 20, 1 << 17
+        raw = BitString.random(m, rng)
+        seed = ToeplitzSeed(BitString.random(m + ell - 1, rng))
+        assert traced_peak(lambda: toeplitz_extract(raw, seed, ell)) <= 5.6 * 2**20
 
     def test_inexact_convolution_raises(self, monkeypatch):
         rng = np.random.default_rng(17)
@@ -183,14 +246,37 @@ class TestVerifyTag:
         for bits in (64, 10**6, 2**61):
             assert tag_collision_bound(bits) <= 2.0**-61
 
-    def test_windowed_multiply_matches_bitwise(self):
-        from diqkd.postprocess import _mul_by_tables, _nibble_tables
-
+    def test_mul_matrix_matches_bitwise(self):
         rng = np.random.default_rng(13)
-        for _ in range(50):
-            x = int(rng.integers(0, 2**63)) | (int(rng.integers(0, 2**63)) << 64)
-            y = int(rng.integers(0, 2**63)) | (int(rng.integers(0, 2**63)) << 64)
-            assert _mul_by_tables(x, _nibble_tables(y)) == _gf128_mul(x, y)
+        for y in (0, 1, 2**127, *(int.from_bytes(rng.bytes(16), "big") for _ in range(20))):
+            matrix = _mul_matrix(y)
+            for _ in range(5):
+                x = int.from_bytes(rng.bytes(16), "big")
+                row = np.unpackbits(np.frombuffer(x.to_bytes(16, "big"), dtype=np.uint8)).astype(np.float32)
+                got = np.packbits((row @ matrix).astype(np.uint8) & 1).tobytes()
+                assert int.from_bytes(got, "big") == _gf128_mul(x, y)
+
+    @pytest.mark.parametrize(
+        "bits",
+        # block edges, then around k blocks for k up to the 256 lanes of the
+        # paper-sized block: with the padding and the appended zero block,
+        # d = -257, -129, -1 make 2^p - 1, 2^p, 2^p + 1 blocks, which (from 16
+        # blocks on) take one, no and all but one leading zero blocks
+        [0, 1, 127, 128, 129, *(128 * k + d for k in (8, 32, 256, 2048) for d in (-257, -129, -1, 0, 1)), 1 << 20],
+    )
+    def test_matches_bitwise_horner(self, bits):
+        rng = np.random.default_rng(bits)
+        message = BitString.random(bits, rng)
+        keys = [TagKey(0, 3), TagKey(1, int.from_bytes(rng.bytes(16), "big"))]
+        keys += [TagKey.from_bits(BitString.random(256, rng)) for _ in range(1 if bits > 2**16 else 3)]
+        for key in keys:
+            assert verify_tag(message, key) == horner_tag_oracle(message, key), key
+
+    def test_traced_memory_at_paper_shape(self):
+        rng = np.random.default_rng(20)
+        message = BitString.random(1 << 20, rng)
+        key = TagKey.from_bits(BitString.random(256, rng))
+        assert traced_peak(lambda: verify_tag(message, key)) <= 2 * 2**20
 
     def test_field_properties(self):
         rng = np.random.default_rng(14)

@@ -307,32 +307,36 @@ class EatResult:
 
 def _ell_for_split(
     params: ProtocolParams,
-    budget: EatBudget,
+    eps_ec: float,
+    split: tuple[float, float, float, float, float],
     omega_in: float,
     lec: float,
 ) -> tuple[float, float]:
-    """(raw length, eta_opt per round) for a full split."""
+    """(raw length, eta_opt per round) for a full split, given in _SPLIT_FIELDS order."""
     n = params.n
-    eps_e = budget.eps_ea + budget.eps_ec
-    eo = eta_opt(omega_in, budget.eps_s_prime, eps_e, n, params.gamma_a, params.gamma_b)
-    eps_rem = budget.eps_s - budget.eps_s_prime - 2.0 * budget.eps_s_dprime
+    eps_pa, eps_s, eps_s_prime, eps_s_dprime, eps_ea = split
+    eps_e = eps_ea + eps_ec
+    eo = eta_opt(omega_in, eps_s_prime, eps_e, n, params.gamma_a, params.gamma_b)
+    eps_rem = eps_s - eps_s_prime - 2.0 * eps_s_dprime
     raw = (
         n * eo
         - lec
         - LEAK_EV_BITS
         - 2.0 * vartheta(eps_rem)
         - params.gamma_a * params.gamma_b * n
-        - math.sqrt(n) * math.log2(5.0) * math.sqrt(1.0 - 2.0 * math.log2(budget.eps_s_dprime * eps_e))
-        - 2.0 * math.log2(1.0 / budget.eps_pa)
+        - math.sqrt(n) * math.log2(5.0) * math.sqrt(1.0 - 2.0 * math.log2(eps_s_dprime * eps_e))
+        - 2.0 * math.log2(1.0 / eps_pa)
     )
     return raw, eo
 
 
-def _split_from_fractions(budget: EatBudget, fr: dict[str, float]) -> Optional[EatBudget]:
-    """Materialize a full budget from fractions (a, b, c, d); None if infeasible.
+def _split_from_fractions(budget: EatBudget, fr: dict[str, float]) -> Optional[tuple[float, float, float, float, float]]:
+    """A full split, in _SPLIT_FIELDS order, from fractions (a, b, c, d); None if infeasible.
 
     a: eps_s share of the soundness room; d: eps_ea share of the rest;
     b: eps_s_prime inside eps_s; c: the 2 eps_s_dprime share of what is left.
+    A feasible split passes EatBudget.validate_split: every part is
+    positive, and eps_ec + eps_pa + eps_s = eps_snd - eps_ea.
     """
     room = budget.eps_snd - budget.eps_ec
     eps_s = fr["a"] * room
@@ -344,14 +348,7 @@ def _split_from_fractions(budget: EatBudget, fr: dict[str, float]) -> Optional[E
         return None
     if eps_s - eps_sp - 2.0 * eps_spp <= 0.0:
         return None
-    return replace(
-        budget,
-        eps_pa=eps_pa,
-        eps_s=eps_s,
-        eps_s_prime=eps_sp,
-        eps_s_dprime=eps_spp,
-        eps_ea=eps_ea,
-    )
+    return eps_pa, eps_s, eps_sp, eps_spp, eps_ea
 
 
 def key_length_eat(
@@ -374,17 +371,18 @@ def key_length_eat(
     pt = _cut_point(omega_in)
 
     if budget.is_fully_split():
-        raw, eo = _ell_for_split(params, budget, omega_in, lec)
+        split = tuple(getattr(budget, name) for name in _SPLIT_FIELDS)
+        raw, eo = _ell_for_split(params, budget.eps_ec, split, omega_in, lec)
         return EatResult(max(raw, 0.0), raw, raw / n, budget, delta, lec, eo, pt)
 
     fr = {"a": 0.5, "b": 0.5, "c": 0.5, "d": 0.5}
     spans = {k: (1e-6, 1.0 - 1e-6) for k in fr}
 
     def evaluate(trial: dict[str, float]) -> float:
-        b = _split_from_fractions(budget, trial)
-        if b is None:
+        split = _split_from_fractions(budget, trial)
+        if split is None:
             return -math.inf
-        return _ell_for_split(params, b, omega_in, lec)[0]
+        return _ell_for_split(params, budget.eps_ec, split, omega_in, lec)[0]
 
     best_val = evaluate(fr)
     for sweep in range(_SPLIT_PASSES + 2):
@@ -401,8 +399,9 @@ def key_length_eat(
                 if v > best_val:
                     best_val, fr = v, trial
 
-    full = _split_from_fractions(budget, fr)
-    raw, eo = _ell_for_split(params, full, omega_in, lec)
+    split = _split_from_fractions(budget, fr)
+    full = replace(budget, **dict(zip(_SPLIT_FIELDS, split)))
+    raw, eo = _ell_for_split(params, budget.eps_ec, split, omega_in, lec)
     return EatResult(max(raw, 0.0), raw, raw / n, full, delta, lec, eo, pt)
 
 

@@ -36,7 +36,6 @@ steps with H, H^2, H^4, ... then joins lane pairs (L, L') into L H + L'.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -224,16 +223,24 @@ def _times(bits: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return (bits.astype(np.float32) @ matrix).astype(np.uint8) & 1
 
 
-@dataclass(frozen=True)
-class TagKey:
-    """256 bits of key material: the evaluation point and the output mixer."""
-
+class _TagKeyHalves(NamedTuple):
     point: int
     mixer: int
 
-    def __post_init__(self) -> None:
-        if not 0 <= self.point < 2**128 or not 0 <= self.mixer < 2**128:
+
+class TagKey(_TagKeyHalves):
+    """256 bits of key material: the evaluation point and the output mixer.
+
+    An immutable (point, mixer) pair; a NamedTuple because a dataclass
+    costs about 1 ms of code generation at every import.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, point: int, mixer: int) -> "TagKey":
+        if not 0 <= point < 2**128 or not 0 <= mixer < 2**128:
             raise ValueError("key halves must be 128-bit values")
+        return tuple.__new__(cls, (point, mixer))
 
     @classmethod
     def from_bits(cls, bits: BitString) -> "TagKey":

@@ -22,10 +22,14 @@ stays as a public, output-invariant function and a benchmark target.
 Generation is vectorized over a counter-based generator, so disjoint
 round ranges produced in parallel are bit-identical to a sequential run.
 It fills preallocated int8 columns CHUNK_ROUNDS rounds at a time, so its
-float and 64-bit temporaries stay in cache and its memory is the columns
-plus one chunk.  ``estimate`` reduces a transcript with one ``bincount``
-to a count tensor over the 96 cells (s, t, x, y, a, b) and reads every
-figure from it.
+64-bit temporaries stay in cache and its memory is the columns plus one
+chunk.  Each chunk draws its five slots as one block of 53-bit words w
+into one reused buffer.  The uniform is u = w * 2^-53 exactly, so
+u >= c exactly when w >= ceil(c * 2^53): the test fractions, 1/2 and
+the outcome cumulants become integer thresholds once per call, and no
+word is converted to a float.  ``estimate`` reduces a transcript to a
+count tensor over the 96 cells (s, t, x, y, a, b), one ``bincount`` per
+COUNT_ROUNDS-round block, and reads every figure from it.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ __all__ = [
 
 PERP = 2  # placeholder value of the test outcome c on non-test rounds
 CHUNK_ROUNDS = 1 << 13  # rounds generated per pass; their temporaries stay in cache
+COUNT_ROUNDS = 1 << 16  # rounds per count-tensor block
 
 
 @dataclass(frozen=True)
@@ -155,16 +160,30 @@ class Behavior:
         return float(self.table[0, 2, 0, 1] + self.table[0, 2, 1, 0])
 
 
+_COLUMN_TOPS = (1, 1, 1, 2, 1, 1, PERP)  # largest value of s, t, x, y, a, b, c
+
+
 class Transcript:
-    """Column-wise storage of n protocol rounds plus the generating params."""
+    """Column-wise storage of n protocol rounds plus the generating params.
+
+    Every column is int8 and holds round data only: s, t, x, a, b in
+    {0, 1}, y in {0, 1, 2}, c in {0, 1, PERP}.  Other values raise.
+    """
 
     __slots__ = ("s", "t", "x", "y", "a", "b", "c", "params")
 
     def __init__(self, params: ProtocolParams, s, t, x, y, a, b, c):
         self.params = params
-        arrays = [np.asarray(v, dtype=np.int8) for v in (s, t, x, y, a, b, c)]
-        if any(v.shape != (params.n,) for v in arrays):
-            raise ValueError("all columns must have length n")
+        arrays = []
+        for name, v, top in zip("stxyabc", (s, t, x, y, a, b, c), _COLUMN_TOPS):
+            raw = np.asarray(v)
+            col = raw.astype(np.int8, copy=False)
+            if col.shape != (params.n,):
+                raise ValueError("all columns must have length n")
+            # the cast must keep every value, and a uint8 view maps negatives above top
+            if (col is not raw and not np.array_equal(col, raw)) or (col.size and col.view(np.uint8).max() > top):
+                raise ValueError(f"column {name} must hold integers in 0..{top}")
+            arrays.append(col)
         self.s, self.t, self.x, self.y, self.a, self.b, self.c = arrays
 
     def __len__(self) -> int:
@@ -194,59 +213,64 @@ def behavior_from_state(
     return Behavior(table)
 
 
-def _generate_columns(rng: CounterRng, cuts: np.ndarray, params: ProtocolParams, start: int, out) -> None:
+def _thresholds(c) -> np.ndarray:
+    """Integer thresholds: a word w < 2^53 has w * 2^-53 >= c exactly when w >= _thresholds(c).
+
+    c * 2^53 is exact, so its ceiling is the least such w; c >= 1 maps to
+    2^53, which no word reaches.
+    """
+    return np.clip(np.ceil(np.multiply(c, 2.0**53)), 0.0, 2.0**53).astype(np.uint64)
+
+
+def _generate_columns(rng: CounterRng, thr: np.ndarray, cuts: np.ndarray, start: int, words: np.ndarray, out) -> None:
     """Fill the int8 column slices ``out`` (s, t, x, y, a, b, c) with rounds [start, start + len).
 
-    ``cuts[k, x * 3 + y]`` is P(outcome pair index <= k | x, y) for k < 3.
+    ``words`` is a (5, len) uint64 buffer for the rounds' draws.  ``thr``
+    holds the word thresholds of (gamma_a, 1/2, gamma_b, 1/2) for slots 0
+    to 3; ``cuts[k, x * 3 + y]`` is the threshold of P(outcome pair index
+    <= k | x, y) for k < 3.  Comparisons write bools into the int8 columns
+    through a bool view, which holds the same 0/1 bytes.
     """
     s, t, x, y, a, b, c = out
-    m = len(s)
-    np.greater_equal(rng.round_uniforms(start, m, 0), params.gamma_a, out=s)
-    np.greater_equal(rng.round_uniforms(start, m, 1), 0.5, out=x)
-    np.greater_equal(rng.round_uniforms(start, m, 2), params.gamma_b, out=t)
-    np.greater_equal(rng.round_uniforms(start, m, 3), 0.5, out=y)
+    w = rng.round_words(start, range(5), words)
+    np.greater_equal(w[0], thr[0], out=s.view(np.bool_))
+    np.greater_equal(w[1], thr[1], out=x.view(np.bool_))
+    np.greater_equal(w[2], thr[2], out=t.view(np.bool_))
+    np.greater_equal(w[3], thr[3], out=y.view(np.bool_))
     x &= s ^ 1  # key rounds use x = 0
     y &= t ^ 1
     y |= t << 1  # key rounds use y = 2
 
     # outcome pair index in the fixed order (0,0), (0,1), (1,0), (1,1)
-    u_o = rng.round_uniforms(start, m, 4)
     cell = (x * 3 + y).astype(np.intp)
-    idx = (u_o >= cuts[0].take(cell)).astype(np.int8)
-    idx += u_o >= cuts[1].take(cell)
-    idx += u_o >= cuts[2].take(cell)
+    idx = np.greater_equal(w[4], cuts[0].take(cell)).view(np.int8)
+    idx += np.greater_equal(w[4], cuts[1].take(cell)).view(np.int8)
+    idx += np.greater_equal(w[4], cuts[2].take(cell)).view(np.int8)
     np.right_shift(idx, 1, out=a)
     np.bitwise_and(idx, 1, out=b)
 
     # c: the payoff on test rounds (s = t = 0), PERP elsewhere
-    np.equal(a ^ b, x & y, out=c)
+    np.equal(a ^ b, x & y, out=c.view(np.bool_))
     not_test = s | t
     c &= not_test ^ 1
     c |= not_test * PERP
 
 
-def generate_transcript(
-    behavior: Behavior,
-    params: ProtocolParams,
-    chunks: int = 1,
-) -> Transcript:
+def generate_transcript(behavior: Behavior, params: ProtocolParams) -> Transcript:
     """n i.i.d. rounds from the behavior, reproducible from params.seed.
 
-    ``chunks > 1`` generates disjoint round ranges separately (as a
-    parallel driver would) and stitches them; the counter-based generator
-    makes the result bit-identical to the single-pass output.  Each range
-    is filled CHUNK_ROUNDS rounds at a time.
+    Rounds are filled CHUNK_ROUNDS at a time from one block of five words
+    per round (slots: s, x, t, y, outcome pair), drawn into one reused
+    buffer.
     """
-    if chunks < 1:
-        raise ValueError("chunks must be >= 1")
     rng = CounterRng(params.seed)
-    cuts = np.ascontiguousarray(np.cumsum(behavior.table.reshape(6, 4), axis=1)[:, :3].T)
+    thr = _thresholds([params.gamma_a, 0.5, params.gamma_b, 0.5])
+    cuts = _thresholds(np.cumsum(behavior.table.reshape(6, 4), axis=1)[:, :3].T)
     cols = [np.empty(params.n, dtype=np.int8) for _ in range(7)]
-    bounds = np.linspace(0, params.n, chunks + 1).astype(int).tolist()
-    for lo, hi in zip(bounds, bounds[1:]):
-        for start in range(lo, hi, CHUNK_ROUNDS):
-            stop = min(start + CHUNK_ROUNDS, hi)
-            _generate_columns(rng, cuts, params, start, [col[start:stop] for col in cols])
+    words = np.empty((5, min(CHUNK_ROUNDS, params.n)), dtype=np.uint64)
+    for start in range(0, params.n, CHUNK_ROUNDS):
+        stop = min(start + CHUNK_ROUNDS, params.n)
+        _generate_columns(rng, thr, cuts, start, words[:, : stop - start], [col[start:stop] for col in cols])
     return Transcript(params, *cols)
 
 
@@ -280,9 +304,16 @@ class EstimateResult:
 
 
 def _count_tensor(tr: Transcript) -> np.ndarray:
-    """Round counts over the 96 cells (s, t, x, y, a, b), shape (2, 2, 2, 3, 2, 2)."""
-    cell = tr.s * 48 + tr.t * 24 + tr.x * 12 + tr.y * 4 + tr.a * 2 + tr.b
-    return np.bincount(cell, minlength=96).reshape(2, 2, 2, 3, 2, 2)
+    """Round counts over the 96 cells (s, t, x, y, a, b), shape (2, 2, 2, 3, 2, 2).
+
+    Summed over COUNT_ROUNDS-round blocks, so the int8 cell index and the
+    intp copy ``bincount`` makes of it stay one block long.
+    """
+    counts = np.zeros(96, dtype=np.intp)
+    for lo in range(0, tr.params.n, COUNT_ROUNDS):
+        s, t, x, y, a, b = (v[lo : lo + COUNT_ROUNDS] for v in (tr.s, tr.t, tr.x, tr.y, tr.a, tr.b))
+        counts += np.bincount(s * 48 + t * 24 + x * 12 + y * 4 + a * 2 + b, minlength=96)
+    return counts.reshape(2, 2, 2, 3, 2, 2)
 
 
 def estimate(tr: Transcript) -> EstimateResult:

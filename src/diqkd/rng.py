@@ -4,6 +4,13 @@ Every draw is a pure function of (seed, round index, slot), so disjoint
 round ranges can be generated concurrently and are bit-identical to a
 sequential pass with the same master seed.  The mixer is the splitmix64
 finalizer over a Weyl sequence keyed by the seed.
+
+``round_words`` fills a (slots, rounds) buffer with the 53-bit words
+w = z >> 11 in one pass: one Weyl base per round, one offset per slot,
+one mix over the whole block.  ``round_uniforms`` is w * 2^-53 of the
+same words for one slot, so there is one copy of the mixer, and callers
+that compare uniforms with thresholds can compare the words with
+integer thresholds instead.
 """
 
 from __future__ import annotations
@@ -18,10 +25,11 @@ _audit_draws = 0
 
 
 def audit_total() -> int:
-    """Process-wide count of uniforms ever produced; for no-RNG assertions."""
+    """Process-wide count of words ever produced; for no-RNG assertions."""
     return _audit_draws
 
-_WEYL = np.uint64(0x9E3779B97F4A7C15)
+_WEYL = 0x9E3779B97F4A7C15
+_ROUND_STRIDE = np.uint64(SLOTS_PER_ROUND * _WEYL % 2**64)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
 
@@ -36,28 +44,37 @@ def _mix(z: np.ndarray) -> None:
 
 
 class CounterRng:
-    """Uniform doubles indexed by an absolute 64-bit counter."""
+    """Uniform 53-bit words and doubles indexed by an absolute 64-bit counter."""
 
     def __init__(self, seed: int):
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self.seed = np.uint64(seed)
 
+    def round_words(self, start_round: int, slots: range, out: np.ndarray) -> np.ndarray:
+        """Fill out[k, i] with the word in [0, 2^53) of slot slots[k] in round start + i; return out.
+
+        ``out`` is a (len(slots), n_rounds) uint64 array.  Callers that draw
+        block after block pass the same buffer each time: for 5 x 2^13
+        words, a fresh block per call took about as long as mixing it.
+        """
+        if any(not 0 <= k < SLOTS_PER_ROUND for k in slots):
+            raise ValueError(f"slots must lie in [0, {SLOTS_PER_ROUND})")
+        # z = seed + (round * SLOTS_PER_ROUND + slot + 1) * WEYL, mod 2^64
+        offsets = np.array([(k + 1) * _WEYL % 2**64 for k in slots], dtype=np.uint64)
+        base = np.arange(start_round, start_round + out.shape[1], dtype=np.uint64)
+        base *= _ROUND_STRIDE
+        base += self.seed
+        np.add(offsets[:, None], base, out=out)
+        _mix(out)
+        out >>= np.uint64(11)
+        global _audit_draws
+        _audit_draws += out.size
+        return out
+
     def round_uniforms(self, start_round: int, n_rounds: int, slot: int) -> np.ndarray:
         """One double per round for a fixed slot, rounds [start, start + n)."""
-        if not 0 <= slot < SLOTS_PER_ROUND:
-            raise ValueError(f"slot must lie in [0, {SLOTS_PER_ROUND})")
-        with np.errstate(over="ignore"):
-            # z = seed + (round * SLOTS_PER_ROUND + slot + 1) * WEYL, mod 2^64
-            z = np.arange(start_round, start_round + n_rounds, dtype=np.uint64)
-            z *= np.uint64(SLOTS_PER_ROUND)
-            z += np.uint64(slot + 1)
-            z *= _WEYL
-            z += self.seed
-            _mix(z)
-            z >>= np.uint64(11)
-        u = z.astype(np.float64)
+        words = self.round_words(start_round, range(slot, slot + 1), np.empty((1, n_rounds), dtype=np.uint64))
+        u = words[0].astype(np.float64)
         u *= 2.0**-53
-        global _audit_draws
-        _audit_draws += n_rounds
         return u

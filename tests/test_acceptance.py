@@ -40,7 +40,7 @@ from diqkd.protocol import test_statistic as beta_freq
 from diqkd.quantum import NoiseParams, build_heralded_state, fidelity_from_visibilities
 from diqkd.renyi import build_acceptance_set, q_honest, renyi_key_entropy, sift_weights
 
-from oracles import log2_binomial_tail
+from oracles import generate_columns_oneshot, log2_binomial_tail
 
 PAPER_ANALYTIC = RunConfig(analytic=True, s_obs=2.612, q_obs=0.0285)
 CAL_BEHAVIOR = behavior_from_state(build_heralded_state(NoiseParams.from_visibilities(0.943, 0.924)))
@@ -274,11 +274,10 @@ def test_criterion_10_property_suites():
         == toeplitz_extract(a, seed_bits, ell) ^ toeplitz_extract(b, seed_bits, ell)
     )
 
-    # deterministic replay: parallel chunking and repeated runs are bit-identical
+    # deterministic replay: chunked generation equals one pass over all rounds, repeated runs are bit-identical
     p = ProtocolParams(n=50_001, gamma_a=0.26, gamma_b=0.13, omega_exp=0.83, delta=1e-3, seed=5)
-    seq = generate_transcript(CAL_BEHAVIOR, p, chunks=1)
-    par = generate_transcript(CAL_BEHAVIOR, p, chunks=8)
-    checks.append(all(np.array_equal(getattr(seq, c), getattr(par, c)) for c in "stxyabc"))
+    tr = generate_transcript(CAL_BEHAVIOR, p)
+    checks.append(all(np.array_equal(getattr(tr, c), want) for c, want in zip("stxyabc", generate_columns_oneshot(CAL_BEHAVIOR, p))))
     r1 = run_pipeline(RunConfig(method="eat", analytic=True, s_obs=2.612, q_obs=0.0285))
     r2 = run_pipeline(RunConfig(method="eat", analytic=True, s_obs=2.612, q_obs=0.0285))
     checks.append(r1.to_json() == r2.to_json())

@@ -191,6 +191,23 @@ class TestToeplitzExtract:
 
 
 class TestVerifyTag:
+    @pytest.mark.parametrize("halves", [(-1, 0), (0, -1), (2**128, 0), (0, 2**128)])
+    def test_key_halves_outside_128_bits_rejected(self, halves):
+        with pytest.raises(ValueError):
+            TagKey(*halves)
+        with pytest.raises(ValueError):
+            TagKey(point=halves[0], mixer=halves[1])
+
+    def test_key_is_an_immutable_pair(self):
+        v = (5 << 128) | 9
+        key = TagKey.from_bits(BitString([(v >> (255 - i)) & 1 for i in range(256)]))
+        assert key == TagKey(5, 9) == TagKey(point=5, mixer=9) and key != TagKey(9, 5)
+        assert (key.point, key.mixer) == (5, 9) and hash(key) == hash(TagKey(5, 9))
+        with pytest.raises(AttributeError):
+            key.point = 1
+        with pytest.raises(ValueError):
+            TagKey.from_bits(BitString([0] * 255))
+
     def test_deterministic(self):
         rng = np.random.default_rng(7)
         key = TagKey.from_bits(BitString.random(256, rng))

@@ -7,6 +7,7 @@ import pytest
 
 from diqkd.protocol import (
     CHUNK_ROUNDS,
+    COUNT_ROUNDS,
     PERP,
     Behavior,
     ProtocolParams,
@@ -19,7 +20,8 @@ from diqkd.protocol import (
 )
 from diqkd.quantum import NoiseParams, build_heralded_state
 from diqkd.protocol import test_statistic as beta_freq
-from diqkd.rng import CounterRng, audit_total
+from diqkd.protocol import _thresholds
+from diqkd.rng import SLOTS_PER_ROUND, CounterRng, audit_total
 from oracles import estimate_masks, generate_columns_oneshot
 
 CAL_STATE = build_heralded_state(NoiseParams.from_visibilities(0.943, 0.924))
@@ -63,6 +65,65 @@ class TestCounterRng:
             CounterRng(-1)
         with pytest.raises(ValueError):
             CounterRng(2**64)
+
+    @pytest.mark.parametrize("seed, start", [(7, 2**40), (2**64 - 1, 0), (123, 3 * 2**61)])
+    def test_words_are_the_uniforms_times_two_to_the_53(self, seed, start):
+        rng = CounterRng(seed)
+        n = 1000
+        before = audit_total()
+        words = rng.round_words(start, range(SLOTS_PER_ROUND), np.empty((SLOTS_PER_ROUND, n), dtype=np.uint64))
+        assert audit_total() - before == SLOTS_PER_ROUND * n
+        assert words.dtype == np.uint64 and words.max() < 2**53
+        for slot in range(SLOTS_PER_ROUND):
+            assert np.array_equal(words[slot] * 2.0**-53, rng.round_uniforms(start, n, slot))
+        middle = rng.round_words(start + 100, range(3, 6), np.empty((3, 50), dtype=np.uint64))
+        assert np.array_equal(middle, words[3:6, 100:150])
+
+    @pytest.mark.parametrize("slots", [range(-1, 2), range(6, 9)])
+    def test_slots_outside_the_round_rejected(self, slots):
+        with pytest.raises(ValueError):
+            CounterRng(1).round_words(0, slots, np.empty((len(slots), 4), dtype=np.uint64))
+
+
+class TestThresholds:
+    @staticmethod
+    def _exact(c: float) -> int:
+        """Least word w with w * 2^-53 >= c, by search over the words around c * 2^53."""
+        if c <= 0.0:
+            return 0
+        w = min(int(c * 2.0**53), 2**53)
+        while w > 0 and (w - 1) * 2.0**-53 >= c:
+            w -= 1
+        while w < 2**53 and w * 2.0**-53 < c:
+            w += 1
+        return w
+
+    @pytest.mark.parametrize(
+        "c, want",
+        [(0.0, 0), (1.0, 2**53), (1.0 + 2.0**-52, 2**53), (0.5, 2**52), (3 * 2.0**-53, 3), (2.0**-1074, 1)],
+    )
+    def test_edges(self, c, want):
+        assert int(_thresholds(c)) == want == self._exact(c)
+
+    @pytest.mark.parametrize("k", [1, 2, 3, 2**52 - 1, 2**52 + 1, 123_456_789_012_345, 2**53 - 1])
+    def test_around_an_exact_word(self, k):
+        c = k * 2.0**-53
+        # above 1/2 the doubles are the word grid itself, so the next one down is word k - 1
+        below = k if c <= 0.5 else k - 1
+        assert int(_thresholds(c)) == k
+        assert int(_thresholds(np.nextafter(c, 0.0))) == below == self._exact(np.nextafter(c, 0.0))
+        assert int(_thresholds(np.nextafter(c, 2.0))) == k + 1 == self._exact(np.nextafter(c, 2.0))
+        for cc in (c, np.nextafter(c, 0.0), np.nextafter(c, 2.0)):
+            thr = int(_thresholds(cc))
+            for w in (k - 1, k, k + 1):
+                if 0 <= w < 2**53:
+                    assert (w >= thr) == (w * 2.0**-53 >= cc)
+
+    def test_arrays_keep_their_shape(self):
+        cuts = np.cumsum(CAL_BEHAVIOR.table.reshape(6, 4), axis=1)[:, :3].T
+        thr = _thresholds(cuts)
+        assert thr.shape == (3, 6) and thr.dtype == np.uint64
+        assert [int(v) for v in thr.ravel()] == [self._exact(float(c)) for c in cuts.ravel()]
 
 
 class TestPayoff:
@@ -118,18 +179,14 @@ class TestGeneration:
         for col in ("s", "t", "x", "y", "a", "b", "c"):
             assert np.array_equal(getattr(t1, col), getattr(t2, col))
 
-    def test_parallel_chunks_bit_identical(self):
-        p = params(n=30_001, seed=77)
-        seq = generate_transcript(CAL_BEHAVIOR, p, chunks=1)
-        par = generate_transcript(CAL_BEHAVIOR, p, chunks=7)
-        for col in ("s", "t", "x", "y", "a", "b", "c"):
-            assert np.array_equal(getattr(seq, col), getattr(par, col))
-
-    @pytest.mark.parametrize("n, chunks", [(3 * CHUNK_ROUNDS + 17, 1), (3 * CHUNK_ROUNDS + 17, 4), (1000, 1)])
-    def test_chunked_fill_matches_one_pass_oracle(self, n, chunks):
-        p = params(n=n, seed=13)
+    @pytest.mark.parametrize(
+        "n, seed",
+        [(n, seed) for seed in (13, 2**64 - 1) for n in (1, CHUNK_ROUNDS - 1, CHUNK_ROUNDS, CHUNK_ROUNDS + 1, 3 * CHUNK_ROUNDS + 17)],
+    )
+    def test_chunked_fill_matches_one_pass_oracle(self, n, seed):
+        p = params(n=n, seed=seed)
         before = audit_total()
-        tr = generate_transcript(CAL_BEHAVIOR, p, chunks=chunks)
+        tr = generate_transcript(CAL_BEHAVIOR, p)
         assert audit_total() - before == 5 * n
         for col, want in zip("stxyabc", generate_columns_oneshot(CAL_BEHAVIOR, p)):
             got = getattr(tr, col)
@@ -159,6 +216,42 @@ class TestGeneration:
         gg = 0.26 * 0.13
         band = 3 * math.sqrt(gg * (1 - gg) / n)
         assert abs(frac - gg) <= band
+
+
+class TestTranscript:
+    @staticmethod
+    def _columns(**changes):
+        cols = dict(s=[0] * 4, t=[0] * 4, x=[0, 1, 0, 1], y=[0, 0, 1, 1], a=[0] * 4, b=[0] * 4, c=[1, 1, 1, 0])
+        cols.update(changes)
+        return cols
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            {"a": [0, 2, 0, 0]},
+            {"a": np.array([0, 256, 0, 0])},
+            {"b": [0, -1, 0, 0]},
+            {"s": np.array([0, -256, 0, 0])},
+            {"t": [0.5, 0, 0, 0]},
+            {"x": [0, 1, 0, 2]},
+            {"y": [0, 0, 1, 3]},
+            {"y": np.array([0, 0, 1, 1], dtype=np.uint8) - np.uint8(1)},
+            {"c": [1, 1, 1, 3]},
+        ],
+    )
+    def test_values_that_are_not_round_data_rejected(self, change):
+        with pytest.raises(ValueError):
+            Transcript(params(n=4), **self._columns(**change))
+
+    def test_round_data_of_any_dtype_accepted(self):
+        tr = Transcript(params(n=4), **self._columns(a=np.array([False, True, False, True]), c=np.array([1, 0, 1, 1], dtype=np.int64)))
+        assert tr.a.dtype == np.int8 and tr.a.tolist() == [0, 1, 0, 1]
+        assert estimate(tr).counts == (1, 3, 0)
+
+    def test_int8_columns_are_kept_without_a_copy(self):
+        cols = {k: np.asarray(v, dtype=np.int8) for k, v in self._columns().items()}
+        tr = Transcript(params(n=4), **cols)
+        assert all(getattr(tr, k) is v for k, v in cols.items())
 
 
 class TestSift:
@@ -258,6 +351,21 @@ class TestEstimate:
         for seed in (1, 2, 3):
             tr = generate_transcript(CAL_BEHAVIOR, params(n=30_000, seed=seed))
             assert repr(dataclasses.astuple(estimate(tr))) == repr(estimate_masks(tr))
+
+    @pytest.mark.parametrize("n", [COUNT_ROUNDS - 1, COUNT_ROUNDS, COUNT_ROUNDS + 1, 2 * COUNT_ROUNDS + 5])
+    def test_block_edges_equal_mask_oracle(self, n):
+        tr = generate_transcript(CAL_BEHAVIOR, params(n=n, seed=n))
+        assert repr(dataclasses.astuple(estimate(tr))) == repr(estimate_masks(tr))
+
+    def test_traced_peak_is_one_count_block(self):
+        tr = generate_transcript(CAL_BEHAVIOR, params(n=1_208_000, seed=19))
+        tracemalloc.start()
+        try:
+            estimate(tr)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20
 
     def test_insufficient_counts_flagged(self):
         p = params(n=2)

@@ -49,8 +49,6 @@ __all__ = [
     "tag_collision_bound",
 ]
 
-_GF128_POLY = (1 << 128) | (1 << 7) | (1 << 2) | (1 << 1) | 1  # x^128 + x^7 + x^2 + x + 1
-
 # bits per FFT block of the extractor
 _BLOCK = 1 << 16
 # input blocks summed in the frequency domain between two roundings
@@ -185,21 +183,33 @@ def toeplitz_extract(raw: BitString, seed: ToeplitzSeed, ell: int) -> BitString:
     return BitString(out[:ell])
 
 
-def _gf128_mul(x: int, y: int) -> int:
-    """Carry-less product reduced by the GCM modulus."""
-    out = 0
-    while y:
-        if y & 1:
-            out ^= x
-        y >>= 1
-        x <<= 1
-        if x >> 128:
-            x ^= _GF128_POLY
-    return out
-
-
 # the low 128 bits of each of 128 slots of 256 bits
 _SLOT_LOW = int.from_bytes((bytes(16) + b"\xff" * 16) * 128, "big")
+_LOW = (1 << 128) - 1
+
+
+def _fold(g: int, low: int) -> int:
+    """One reduction step in every 256-bit slot that low masks: x^128 = x^7 + x^2 + x + 1.
+
+    Two steps take a product of degree up to 254 below 128: first to 133, then below.
+    """
+    hi = (g >> 128) & low
+    return (g & low) ^ hi ^ (hi << 1) ^ (hi << 2) ^ (hi << 7)
+
+
+def _gf128_mul(x: int, y: int) -> int:
+    """Carry-less product reduced by the GCM modulus.
+
+    y is read in 4-bit windows from the top against the table of x times
+    every window, then the product is folded twice.
+    """
+    table = [0, x]
+    for i in range(1, 8):
+        table += (table[i] << 1, (table[i] << 1) ^ x)
+    out = 0
+    for b in y.to_bytes(16, "big"):
+        out = (((out << 4) ^ table[b >> 4]) << 4) ^ table[b & 15]
+    return _fold(_fold(out, _LOW), _LOW)
 
 
 def _mul_matrix(g: int) -> np.ndarray:
@@ -211,9 +221,7 @@ def _mul_matrix(g: int) -> np.ndarray:
     """
     for c in (1, 2, 4, 8, 16, 32, 64):  # slot e of 256 bits gets x^e g, unreduced
         g |= g << 257 * c
-    for _ in range(2):  # x^128 = x^7 + x^2 + x + 1 takes degree 254 to 133, then below 128
-        hi = (g >> 128) & _SLOT_LOW
-        g = (g & _SLOT_LOW) ^ hi ^ (hi << 1) ^ (hi << 2) ^ (hi << 7)
+    g = _fold(_fold(g, _SLOT_LOW), _SLOT_LOW)
     rows = np.frombuffer(g.to_bytes(128 * 32, "big"), dtype=np.uint8).reshape(128, 32)[:, 16:]
     return np.unpackbits(rows, axis=1).astype(np.float32)
 

@@ -18,7 +18,10 @@ proportional scaling of the model distribution, and the scale is read
 off the piecewise-linear box mass between its breakpoints, with no
 iteration.  Every Renyi order of a search is evaluated in the same
 array calls: the score grid in chunks of orders, then one lockstep
-golden-section refinement for all of them.
+golden-section refinement for all of them.  h_alpha checks its inputs
+and computes the terms fixed for the search (box, grid, and per set of
+orders 1/a, 2^(1-a), 1-a, a-1) once; the solver takes all rows' three
+outcomes as one (3, rows) array, every entry positive.
 """
 
 from __future__ import annotations
@@ -129,6 +132,22 @@ def _float_if_scalar(x):
     return float(x) if np.ndim(x) == 0 else x
 
 
+def _halves(s):
+    """(1 - r)/2 and (1 + r)/2 at CHSH scores s, with r = sqrt(S^2/4 - 1) clamped to [0, 1]."""
+    r = np.sqrt(np.minimum(np.maximum(s * s / 4.0 - 1.0, 0.0), 1.0))
+    return (1.0 - r) / 2.0, (1.0 + r) / 2.0
+
+
+def _factor(halves, a, inv_a, two_1ma):
+    """2^{(1-a) H} above the classical bound, from _halves and the order terms a, 1/a and 2^(1-a)."""
+    return two_1ma * (halves[0] ** inv_a + halves[1] ** inv_a) ** a
+
+
+def _sifted(w_key, w_rest, factor, one_ma):
+    """Kept-round entropy from the key factor, the sift weights and 1 - a."""
+    return np.log2(w_key * factor + w_rest) / one_ma
+
+
 def renyi_entropy_factor(s_sigma: float | np.ndarray, alpha: float | np.ndarray) -> float | np.ndarray:
     """2^{(1-alpha) H} for the strongest attack at CHSH score s_sigma.
 
@@ -141,9 +160,7 @@ def renyi_entropy_factor(s_sigma: float | np.ndarray, alpha: float | np.ndarray)
         raise ValueError(f"CHSH score {s.max()} exceeds 2 sqrt 2")
     if np.any(a <= 1.0):
         raise ValueError(f"Renyi order must exceed 1, got {a.min()}")
-    r = np.sqrt(np.clip(s * s / 4.0 - 1.0, 0.0, 1.0))
-    bracket = ((1.0 - r) / 2.0) ** (1.0 / a) + ((1.0 + r) / 2.0) ** (1.0 / a)
-    return _float_if_scalar(np.where(s > 2.0, 2.0 ** (1.0 - a) * bracket**a, 1.0))
+    return _float_if_scalar(np.where(s > 2.0, _factor(_halves(s), a, 1.0 / a, 2.0 ** (1.0 - a)), 1.0))
 
 
 def renyi_key_entropy(s_sigma: float, alpha: float) -> float:
@@ -152,7 +169,9 @@ def renyi_key_entropy(s_sigma: float, alpha: float) -> float:
 
 
 def sift_weights(gamma_a: float, gamma_b: float) -> tuple[float, float]:
-    """(key weight, rest weight) of the entropy dilution; they sum to 1."""
+    """(key weight, rest weight) of the entropy dilution; they sum to 1.  Needs 0 < gamma < 1."""
+    if not (0.0 < gamma_a < 1.0 and 0.0 < gamma_b < 1.0):
+        raise ValueError(f"test fractions must lie in (0, 1), got {gamma_a} and {gamma_b}")
     gg = gamma_a * gamma_b
     w_key = (1.0 - gamma_b - 0.5 * gamma_a * (1.0 - gamma_b)) / (1.0 - gg)
     w_rest = ((1.0 - gamma_a) * gamma_b + 0.5 * gamma_a * (1.0 - gamma_b)) / (1.0 - gg)
@@ -167,77 +186,53 @@ def sifted_entropy_bound(
     Broadcasts over arrays of orders and scores like renyi_entropy_factor.
     """
     w_key, w_rest = sift_weights(gamma_a, gamma_b)
-    val = w_key * renyi_entropy_factor(s_sigma, alpha) + w_rest
-    return _float_if_scalar(np.log2(val) / (1.0 - np.asarray(alpha, dtype=float)))
+    factor = renyi_entropy_factor(s_sigma, alpha)
+    return _float_if_scalar(_sifted(w_key, w_rest, factor, 1.0 - np.asarray(alpha, dtype=float)))
 
 
-def _inner_min_vec(
-    p: np.ndarray,
-    lo: np.ndarray,
-    hi: np.ndarray,
-    kappa: np.ndarray,
-    alpha: float | np.ndarray,
-) -> np.ndarray:
+def _inner_min_vec(p: np.ndarray, lo: np.ndarray, hi: np.ndarray, kappa, am1) -> np.ndarray:
     """Exact inner minimum of D(q||p)/(alpha-1) + q_perp kappa over the box.
 
-    Vectorized over the leading axis of p, kappa and alpha (one row per
-    pair of order and outer score).  The KKT solution is
-    q_c(t) = clip(t p_c w_c, lo_c, hi_c), with w_c = 1 except
-    w_perp = 2^{-(alpha-1) kappa}, at the scale t where the mass
+    p holds one model distribution per column, shape (3, rows), and must
+    be positive everywhere; lo and hi are the box bounds as (3, 1)
+    columns, whose ceilings the caller has checked can carry the mass;
+    kappa and am1 = alpha - 1 give one value per row, or broadcast.  The
+    KKT solution is q_c(t) = clip(t p_c w_c, lo_c, hi_c), with w_c = 1
+    except w_perp = 2^{-(alpha-1) kappa}, at the scale t where the mass
     sum_c q_c(t) is 1.  The mass is nondecreasing and piecewise linear
-    in t with breakpoints lo_c/(p_c w_c) and hi_c/(p_c w_c), so it is
-    evaluated at the sorted breakpoints and t is interpolated linearly
-    in the segment that brackets 1: exact up to rounding.  If the floors
-    alone carry the mass, q is the floor.  Cells with a positive floor
-    off the model support, or whose ceilings on the support cannot carry
-    the mass, come back as +inf.
+    in t with breakpoints lo_c/(p_c w_c) and hi_c/(p_c w_c): the segment
+    that brackets 1 runs from the largest breakpoint whose mass falls
+    short of 1 to the smallest whose mass reaches it, and t is
+    interpolated linearly in it, exact up to rounding.  If the floors
+    alone carry the mass, q is the floor.  Sums over the outcomes run
+    left to right, (q_0 + q_1) + q_perp.
     """
+    if not p.min() > 0.0:
+        raise ValueError("model distributions must be positive in every outcome")
     pw = p.copy()
-    pw[:, 2] = p[:, 2] * 2.0 ** (-(alpha - 1.0) * kappa)
-    support = p > 0.0
+    pw[2] *= 2.0 ** (-am1 * kappa)
 
-    # coordinates outside the model support are forced to the box floor,
-    # which must be 0 for the cell to be feasible at all; the remaining
-    # ceilings must still be able to carry the full probability mass
-    forced_bad = (~support) & (lo[None, :] > 0.0)
-    infeasible = forced_bad.any(axis=1)
-    infeasible |= np.where(support, hi[None, :], 0.0).sum(axis=1) < 1.0 - 1e-12
+    def mass(t: np.ndarray) -> np.ndarray:
+        """Box mass at scales t of shape (j, rows)."""
+        q = pw[:, None, :] * t
+        np.maximum(q, lo[:, :, None], out=q)
+        np.minimum(q, hi[:, :, None], out=q)
+        m = q[0] + q[1]
+        m += q[2]
+        return m
 
-    def clipped(t: np.ndarray) -> np.ndarray:
-        """q at scales t of shape (g, k), as an array (g, k, 3)."""
-        q = np.clip(pw[:, None, :] * t[:, :, None], lo, hi)
-        return np.where(support[:, None, :], q, 0.0)
-
+    breaks = np.concatenate([lo / pw, hi / pw])
+    m = mass(breaks)
+    # the mass to reach is 1, or the full mass if the ceilings fall short by rounding
+    reach = m >= np.minimum(m.max(axis=0), 1.0)
+    t01 = np.array([np.where(reach, -np.inf, breaks).max(axis=0), np.where(reach, breaks, np.inf).min(axis=0)])
+    (t0, t1), (m0, m1) = t01, mass(t01)
     with np.errstate(divide="ignore", invalid="ignore"):
-        breaks = np.where(np.tile(support, 2), np.concatenate([lo / pw, hi / pw], axis=1), 0.0)
-    breaks.sort(axis=1)
-    mass = clipped(breaks).sum(axis=2)
-    # first breakpoint whose mass reaches 1, or the full mass if the ceilings fall short by rounding
-    k = np.argmax(mass >= np.minimum(mass[:, -1:], 1.0), axis=1)
-    rows = np.arange(len(p))
-    t1, m1 = breaks[rows, k], mass[rows, k]
-    t0, m0 = breaks[rows, k - 1], mass[rows, k - 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t = np.where(k > 0, t0 + (1.0 - m0) * (t1 - t0) / (m1 - m0), t1)
-    q = clipped(t[:, None])[:, 0, :]
-    q /= np.where(infeasible, 1.0, q.sum(axis=1))[:, None]  # rounding of the interpolated mass
-
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = np.where(q > 0.0, q * np.log2(np.maximum(q, 1e-300) / np.maximum(p, 1e-300)), 0.0)
-    div = terms.sum(axis=1)
-    obj = div / (alpha - 1.0) + q[:, 2] * kappa
-    return np.where(infeasible, np.inf, obj)
-
-
-def _objective(alphas, ws, gamma_a: float, gamma_b: float, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
-    """Inner minimum at the model distribution of score ws, for orders alphas (broadcast)."""
-    alphas, ws = np.broadcast_arrays(alphas, ws)
-    gg = gamma_a * gamma_b
-    s = 8.0 * (ws - 0.5)
-    kappa = np.where(s > 2.0, sifted_entropy_bound(alphas, gamma_a, gamma_b, s), 0.0)
-    p = np.stack([gg * (1.0 - ws), gg * ws, np.full_like(ws, 1.0 - gg)], axis=-1)
-    vals = _inner_min_vec(p.reshape(-1, 3), lo, hi, kappa.ravel(), alphas.ravel())
-    return vals.reshape(ws.shape)
+        t = np.where(t0 > -np.inf, t0 + (1.0 - m0) * (t1 - t0) / (m1 - m0), t1)
+    q = np.minimum(np.maximum(pw * t, lo), hi)
+    q /= (q[0] + q[1]) + q[2]  # rounding of the interpolated mass
+    div = q * np.log2(np.maximum(q, 1e-300) / p)
+    return ((div[0] + div[1]) + div[2]) / am1 + q[2] * kappa
 
 
 def h_alpha(
@@ -265,20 +260,45 @@ def h_alpha(
         if config.alpha is None:
             raise ValueError("h_alpha needs a fixed Renyi order in config.alpha")
         alphas = np.array([config.alpha])
-    lo_box, hi_box = acc.lower(), acc.upper()
+    if not np.all(alphas > 1.0):
+        raise ValueError(f"Renyi order must exceed 1, got {np.min(alphas)}")
+    w_key, w_rest = sift_weights(gamma_a, gamma_b)
+    gg = gamma_a * gamma_b
+    lo, hi = acc.lower()[:, None], acc.upper()[:, None]
+    if hi.sum() < 1.0 - 1e-12:
+        raise ValueError("acceptance box is infeasible for the model distribution")
 
-    def objective(orders: np.ndarray, ws: np.ndarray) -> np.ndarray:
-        return _objective(orders, ws, gamma_a, gamma_b, lo_box, hi_box)
+    def model(ws: np.ndarray) -> np.ndarray:
+        """Model distributions (lose, win, no-test) at win probabilities ws, one per column."""
+        return np.array([gg * (1.0 - ws), gg * ws, np.full_like(ws, 1.0 - gg)])
 
     grid = np.linspace(0.5, TSIRELSON_WIN, _SIGMA_GRID)
-    vals = np.concatenate(
-        [objective(alphas[j : j + _ORDER_CHUNK, None], grid) for j in range(0, len(alphas), _ORDER_CHUNK)]
-    )
-    if not np.isfinite(vals).any(axis=1).all():
-        raise ValueError("acceptance box is infeasible for the model distribution")
+    s = 8.0 * (grid - 0.5)
+    j0 = int(np.argmax(s > 2.0))  # the grid's scores above the classical bound
+    halves = _halves(s[j0:])
+    p_grid = np.tile(model(grid), _ORDER_CHUNK)
+    chunks = []
+    for j in range(0, len(alphas), _ORDER_CHUNK):
+        a = alphas[j : j + _ORDER_CHUNK, None]
+        # 1/a as a full array: numpy takes a broadcast exponent 0.5 as sqrt, which rounds differently
+        inv_a = np.repeat(1.0 / a, _SIGMA_GRID - j0, axis=1)
+        kappa = np.zeros((len(a), _SIGMA_GRID))
+        kappa[:, j0:] = _sifted(w_key, w_rest, _factor(halves, a, inv_a, 2.0 ** (1.0 - a)), 1.0 - a)
+        vals = _inner_min_vec(p_grid[:, : kappa.size], lo, hi, kappa.ravel(), np.repeat(a - 1.0, _SIGMA_GRID))
+        chunks.append(vals.reshape(kappa.shape))
+    vals = np.concatenate(chunks)
     i = np.argmin(vals, axis=1)
     lo_w, hi_w = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, len(grid) - 1)]
-    _, fc, _, fd = golden_min(lambda ws: objective(alphas, ws), lo_w, hi_w, 50)
+
+    terms = alphas, 1.0 / alphas, 2.0 ** (1.0 - alphas)
+    one_ma, am1 = 1.0 - alphas, alphas - 1.0
+
+    def refine(ws: np.ndarray) -> np.ndarray:
+        s = 8.0 * (ws - 0.5)
+        kappa = np.where(s > 2.0, _sifted(w_key, w_rest, _factor(_halves(s), *terms), one_ma), 0.0)
+        return _inner_min_vec(model(ws), lo, hi, kappa, am1)
+
+    _, fc, _, fd = golden_min(refine, lo_w, hi_w, 50)
     out = np.minimum(vals[np.arange(len(alphas)), i], np.minimum(fc, fd))
     return float(out[0]) if single else out
 

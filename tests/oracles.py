@@ -6,7 +6,8 @@ digits, starting from an exact integer binomial coefficient, in mpmath
 from a log-gamma first term, or at p = 3/4 in integers outright; the
 reference box takes its tails from scipy's incomplete beta functions.
 The reference implementations below (bisection box, one-pass
-generation, mask-based estimate) are the straightforward versions that
+generation, mask-based estimate, the masked row-per-cell Renyi solver,
+the bitwise GF(2^128) product) are the straightforward versions that
 the faster library code must reproduce exactly.
 """
 
@@ -17,6 +18,7 @@ import mpmath
 import numpy as np
 from scipy.special import betainc, betaincc
 
+from diqkd.mathcore import TSIRELSON_WIN, golden_min
 from diqkd.protocol import PERP
 from diqkd.rng import CounterRng
 
@@ -186,3 +188,90 @@ def estimate_masks(tr):
         int(np.count_nonzero(tr.c == PERP)),
     )
     return float(s_hat), s_err, q_hat, q_err, counts, flagged
+
+
+def gf128_mul_bitwise(x: int, y: int) -> int:
+    """Carry-less product reduced by x^128 + x^7 + x^2 + x + 1, one bit of y at a time."""
+    poly = (1 << 128) | (1 << 7) | (1 << 2) | (1 << 1) | 1
+    out = 0
+    while y:
+        if y & 1:
+            out ^= x
+        y >>= 1
+        x <<= 1
+        if x >> 128:
+            x ^= poly
+    return out
+
+
+def renyi_sifted_bound(alpha, gamma_a, gamma_b, s):
+    """The sifted Renyi entropy bound, one broadcast expression per term (no validation)."""
+    s, a = np.broadcast_arrays(np.asarray(s, dtype=float), np.asarray(alpha, dtype=float))
+    r = np.sqrt(np.clip(s * s / 4.0 - 1.0, 0.0, 1.0))
+    bracket = ((1.0 - r) / 2.0) ** (1.0 / a) + ((1.0 + r) / 2.0) ** (1.0 / a)
+    factor = np.where(s > 2.0, 2.0 ** (1.0 - a) * bracket**a, 1.0)
+    gg = gamma_a * gamma_b
+    w_key = (1.0 - gamma_b - 0.5 * gamma_a * (1.0 - gamma_b)) / (1.0 - gg)
+    w_rest = ((1.0 - gamma_a) * gamma_b + 0.5 * gamma_a * (1.0 - gamma_b)) / (1.0 - gg)
+    return np.log2(w_key * factor + w_rest) / (1.0 - np.asarray(alpha, dtype=float))
+
+
+def renyi_inner_min(p, lo, hi, kappa, alpha):
+    """Inner minimum of D(q||p)/(alpha-1) + q_perp kappa over the box, one row (p_0, p_1, p_perp) per cell.
+
+    Support masks on every row, np.clip against the box, +inf for a cell
+    the box cannot feed.
+    """
+    pw = p.copy()
+    pw[:, 2] = p[:, 2] * 2.0 ** (-(alpha - 1.0) * kappa)
+    support = p > 0.0
+    forced_bad = (~support) & (lo[None, :] > 0.0)
+    infeasible = forced_bad.any(axis=1)
+    infeasible |= np.where(support, hi[None, :], 0.0).sum(axis=1) < 1.0 - 1e-12
+
+    def clipped(t):
+        q = np.clip(pw[:, None, :] * t[:, :, None], lo, hi)
+        return np.where(support[:, None, :], q, 0.0)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        breaks = np.where(np.tile(support, 2), np.concatenate([lo / pw, hi / pw], axis=1), 0.0)
+    breaks.sort(axis=1)
+    mass = clipped(breaks).sum(axis=2)
+    k = np.argmax(mass >= np.minimum(mass[:, -1:], 1.0), axis=1)
+    rows = np.arange(len(p))
+    t1, m1 = breaks[rows, k], mass[rows, k]
+    t0, m0 = breaks[rows, k - 1], mass[rows, k - 1]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(k > 0, t0 + (1.0 - m0) * (t1 - t0) / (m1 - m0), t1)
+    q = clipped(t[:, None])[:, 0, :]
+    q /= np.where(infeasible, 1.0, q.sum(axis=1))[:, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = np.where(q > 0.0, q * np.log2(np.maximum(q, 1e-300) / np.maximum(p, 1e-300)), 0.0)
+    obj = terms.sum(axis=1) / (alpha - 1.0) + q[:, 2] * kappa
+    return np.where(infeasible, np.inf, obj)
+
+
+def renyi_objective(alphas, ws, gamma_a, gamma_b, lo, hi):
+    """Inner minimum at the model distribution of score ws, for orders alphas (broadcast)."""
+    alphas, ws = np.broadcast_arrays(alphas, ws)
+    gg = gamma_a * gamma_b
+    s = 8.0 * (ws - 0.5)
+    kappa = np.where(s > 2.0, renyi_sifted_bound(alphas, gamma_a, gamma_b, s), 0.0)
+    p = np.stack([gg * (1.0 - ws), gg * ws, np.full_like(ws, 1.0 - gg)], axis=-1)
+    return renyi_inner_min(p.reshape(-1, 3), lo, hi, kappa.ravel(), alphas.ravel()).reshape(ws.shape)
+
+
+def renyi_h_alpha(alphas, gamma_a, gamma_b, lo, hi, sigma_grid=192, order_chunk=8):
+    """Worst case over scores: a 192-point grid in chunks of 8 orders, then 50 lockstep golden steps.
+
+    alphas is a 1-d array of orders; returns one value per order.
+    """
+    grid = np.linspace(0.5, TSIRELSON_WIN, sigma_grid)
+    vals = np.concatenate(
+        [renyi_objective(alphas[j : j + order_chunk, None], grid, gamma_a, gamma_b, lo, hi)
+         for j in range(0, len(alphas), order_chunk)]
+    )
+    i = np.argmin(vals, axis=1)
+    lo_w, hi_w = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, len(grid) - 1)]
+    _, fc, _, fd = golden_min(lambda ws: renyi_objective(alphas, ws, gamma_a, gamma_b, lo, hi), lo_w, hi_w, 50)
+    return np.minimum(vals[np.arange(len(alphas)), i], np.minimum(fc, fd))

@@ -2,6 +2,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from oracles import gf128_mul_bitwise
 
 from diqkd import postprocess
 from diqkd.postprocess import (
@@ -34,8 +35,8 @@ def horner_tag_oracle(message: BitString, key: TagKey) -> int:
     data = np.packbits(bits).tobytes()
     acc = 1
     for i in range(0, len(data), 16):
-        acc = _gf128_mul(acc ^ int.from_bytes(data[i : i + 16], "big"), key.point)
-    return _gf128_mul(acc, key.mixer) & ((1 << 64) - 1)
+        acc = gf128_mul_bitwise(acc ^ int.from_bytes(data[i : i + 16], "big"), key.point)
+    return gf128_mul_bitwise(acc, key.mixer) & ((1 << 64) - 1)
 
 
 def traced_peak(f) -> int:
@@ -271,7 +272,15 @@ class TestVerifyTag:
                 x = int.from_bytes(rng.bytes(16), "big")
                 row = np.unpackbits(np.frombuffer(x.to_bytes(16, "big"), dtype=np.uint8)).astype(np.float32)
                 got = np.packbits((row @ matrix).astype(np.uint8) & 1).tobytes()
-                assert int.from_bytes(got, "big") == _gf128_mul(x, y)
+                assert int.from_bytes(got, "big") == gf128_mul_bitwise(x, y)
+
+    def test_windowed_product_matches_bitwise(self):
+        rng = np.random.default_rng(16)
+        edges = (0, 1, 2, 15, 16, 2**127, 2**128 - 1)
+        pairs = [(x, y) for x in edges for y in edges]
+        pairs += [tuple(int.from_bytes(rng.bytes(16), "big") for _ in range(2)) for _ in range(500)]
+        for x, y in pairs:
+            assert _gf128_mul(x, y) == gf128_mul_bitwise(x, y), (x, y)
 
     @pytest.mark.parametrize(
         "bits",

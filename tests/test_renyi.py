@@ -1,8 +1,11 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from oracles import renyi_h_alpha, renyi_objective
 
+from diqkd import renyi
 from diqkd.eat import EatBudget, HonestModel, asymptotic_rate_sifted, delta_for_completeness, key_length_eat, leak_ec
 from diqkd.mathcore import TSIRELSON_WIN, Distribution3
 from diqkd.protocol import ProtocolParams
@@ -18,7 +21,7 @@ from diqkd.renyi import (
     sift_weights,
     sifted_entropy_bound,
 )
-from diqkd.renyi import _inner_min_vec, _objective
+from diqkd.renyi import _inner_min_vec
 
 PAPER = HonestModel.from_chsh(2.612, 0.0285, 0.26, 0.13)
 N_PAPER = 1_208_000
@@ -35,6 +38,19 @@ def paper_leak(n=N_PAPER):
 def paper_params(n=N_PAPER):
     delta = delta_for_completeness(n, 0.26, 0.13, PAPER.omega, target=1e-2)
     return ProtocolParams(n=n, gamma_a=0.26, gamma_b=0.13, omega_exp=PAPER.omega, delta=delta)
+
+
+def model_objective(alpha, w, gamma_a, gamma_b, acc):
+    """Inner minimum at the model distribution of win probabilities w, from the public pieces."""
+    w = np.atleast_1d(np.asarray(w, dtype=float))
+    gg = gamma_a * gamma_b
+    s = 8.0 * (w - 0.5)
+    kappa = np.where(s > 2.0, sifted_entropy_bound(alpha, gamma_a, gamma_b, s), 0.0)
+    p = np.array([gg * (1.0 - w), gg * w, np.full_like(w, 1.0 - gg)])
+    return _inner_min_vec(p, acc.lower()[:, None], acc.upper()[:, None], kappa, alpha - 1.0)
+
+
+COARSE_ORDERS = np.unique(np.minimum(1.0 + np.logspace(-5.0, 0.0, 64), 2.0))
 
 
 class TestHonestDistribution:
@@ -133,12 +149,22 @@ class TestSiftedBound:
         assert wr == pytest.approx(0.2166218174291037, abs=1e-12)
 
     def test_weight_collapse_without_sifting(self):
-        wk, wr = sift_weights(0.0, 0.0)
-        assert (wk, wr) == (1.0, 0.0)
+        # the limit of vanishing test fractions: every kept round is a key round
+        wk, wr = sift_weights(1e-9, 1e-9)
+        assert wk == pytest.approx(1.0, abs=1e-8) and wr == pytest.approx(0.0, abs=1e-8)
         for alpha in (1.1, 1.7):
-            assert sifted_entropy_bound(alpha, 0.0, 0.0, 2.612) == pytest.approx(
+            assert sifted_entropy_bound(alpha, 1e-9, 1e-9, 2.612) == pytest.approx(
                 renyi_key_entropy(2.612, alpha)
             )
+
+    @pytest.mark.parametrize("gammas", [(1.5, 0.5), (1.0, 1.0), (0.0, 0.5), (0.5, 0.0), (-0.1, 0.5), (math.nan, 0.5)])
+    def test_fractions_outside_unit_interval_rejected(self, gammas):
+        # 1.5 used to certify 17 bits per round, (1, 1) divided by zero and (0, 0.5)
+        # reported an infeasible box
+        with pytest.raises(ValueError, match="test fractions"):
+            sift_weights(*gammas)
+        with pytest.raises(ValueError, match="test fractions"):
+            h_alpha(RenyiConfig(alpha=1.1), *gammas, paper_acc())
 
     def test_classical_score_certifies_nothing(self):
         assert sifted_entropy_bound(1.3, 0.26, 0.13, 2.0) == 0.0
@@ -182,20 +208,17 @@ def inner_reference(p, lo, hi, kappa, alpha, start):
 
 
 def solve_inner(p, lo, hi, kappa, alpha):
-    return float(_inner_min_vec(np.array([p], dtype=float), np.asarray(lo, float), np.asarray(hi, float), np.array([kappa]), alpha)[0])
+    column = lambda x: np.asarray(x, dtype=float)[:, None]  # noqa: E731
+    return float(_inner_min_vec(column(p), column(lo), column(hi), np.array([kappa]), alpha - 1.0)[0])
 
 
 class TestInnerSolve:
     def test_matches_constrained_minimizer_on_random_boxes(self):
         rng = np.random.default_rng(61)
-        for case in range(40):
+        for _ in range(40):
             p = rng.dirichlet(np.ones(3))
-            if case % 5 == 0:
-                p[case % 3] = 0.0  # a coordinate off the model support
-                p /= p.sum()
-            start = rng.dirichlet(np.ones(3)) * (p > 0.0)
-            start /= start.sum()
-            lo = np.maximum(start - rng.uniform(0.0, 0.3, 3), 0.0) * (p > 0.0)
+            start = rng.dirichlet(np.ones(3))
+            lo = np.maximum(start - rng.uniform(0.0, 0.3, 3), 0.0)
             hi = np.minimum(start + rng.uniform(0.0, 0.3, 3), 1.0)
             kappa, alpha = rng.uniform(0.0, 1.0), rng.uniform(1.01, 2.0)
             got = solve_inner(p, lo, hi, kappa, alpha)
@@ -229,24 +252,25 @@ class TestInnerSolve:
             got = solve_inner(p, ceiling - 0.1, ceiling, kappa, alpha)
             assert got == pytest.approx(inner_objective(ceiling / ceiling.sum(), p, kappa, alpha), rel=1e-12)
 
-    def test_infeasible_cells_are_infinite(self):
-        p = np.array([[0.0, 0.4, 0.6], [0.0, 0.4, 0.6], [0.3, 0.3, 0.4]])
-        kappa = np.array([0.2, 0.2, 0.2])
-        # a positive floor off the support; then support ceilings that cannot carry the mass
-        lo, hi = np.array([0.01, 0.0, 0.0]), np.array([1.0, 1.0, 1.0])
-        vals = _inner_min_vec(p, lo, hi, kappa, 1.3)
-        assert np.isinf(vals[:2]).all() and vals[0] > 0
-        assert np.isfinite(vals[2])
-        lo, hi = np.zeros(3), np.array([1.0, 0.45, 0.5])
-        vals = _inner_min_vec(p, lo, hi, kappa, 1.3)
-        assert np.isinf(vals[:2]).all() and vals[0] > 0
-        assert np.isfinite(vals[2])
+    def test_rows_off_the_support_rejected(self):
+        # with 0 < gamma_a gamma_b < 1 and a score in [1/2, (2+sqrt2)/4] every model entry is positive
+        p = np.array([[0.3, 0.0], [0.3, 0.4], [0.4, 0.6]])
+        lo, hi = np.zeros((3, 1)), np.ones((3, 1))
+        with pytest.raises(ValueError, match="positive"):
+            _inner_min_vec(p, lo, hi, np.array([0.2, 0.2]), 0.3)
+        assert np.isfinite(_inner_min_vec(p[:, :1], lo, hi, np.array([0.2]), 0.3)).all()
+
+    def test_box_whose_ceilings_cannot_carry_the_mass_rejected(self):
+        # AcceptanceSet refuses such a box, so the check sees a stand-in
+        short = SimpleNamespace(lower=lambda: np.zeros(3), upper=lambda: np.array([0.1, 0.3, 0.5]))
+        with pytest.raises(ValueError, match="infeasible"):
+            h_alpha(RenyiConfig(alpha=1.1), 0.26, 0.13, short)
 
 
 class TestHAlpha:
     def test_point_box_forced_score(self):
         acc = AcceptanceSet(q_honest(0.26, 0.13, 0.8265), (0, 0, 0), (0, 0, 0))
-        got = _objective(1.2, 0.8265, 0.26, 0.13, acc.lower(), acc.upper())
+        got = model_objective(1.2, 0.8265, 0.26, 0.13, acc)[0]
         want = 0.96620 * sifted_entropy_bound(1.2, 0.26, 0.13, 2.612)
         assert got == pytest.approx(want, rel=1e-9)
 
@@ -254,7 +278,7 @@ class TestHAlpha:
         ga = gb = 1e-5
         w = (2 + math.sqrt(2)) / 4
         acc = AcceptanceSet(q_honest(ga, gb, w), (0, 0, 0), (0, 0, 0))
-        got = _objective(1 + 1e-6, w, ga, gb, acc.lower(), acc.upper())
+        got = model_objective(1 + 1e-6, w, ga, gb, acc)[0]
         assert got == pytest.approx(1.0, abs=1e-3)
 
     def test_nonincreasing_in_alpha(self):
@@ -277,8 +301,7 @@ class TestHAlpha:
 
     def test_batched_orders_equal_single_orders(self):
         acc = paper_acc()
-        coarse = np.unique(np.minimum(1.0 + np.logspace(-5.0, 0.0, 64), 2.0))
-        alphas = np.concatenate([coarse, [1.0004010279139497, 1.01, 1.2]])  # 67: a partial last chunk
+        alphas = np.concatenate([COARSE_ORDERS, [1.0004010279139497, 1.01, 1.2]])  # 67: a partial last chunk
         batched = h_alpha(RenyiConfig(), 0.26, 0.13, acc, alphas=alphas)
         for a, got in zip(alphas, batched):
             assert got == h_alpha(RenyiConfig(alpha=float(a)), 0.26, 0.13, acc)
@@ -286,13 +309,9 @@ class TestHAlpha:
     def test_dense_grid_minimum_and_kink(self):
         acc = paper_acc()
         ws = np.linspace(0.5, TSIRELSON_WIN, 4001)
-        gg = 0.26 * 0.13
 
         def outer(alpha, w):
-            s = 8.0 * (w - 0.5)
-            kappa = np.where(s > 2.0, sifted_entropy_bound(alpha, 0.26, 0.13, s), 0.0)
-            p = np.stack([gg * (1.0 - w), gg * w, np.full_like(w, 1.0 - gg)], axis=1)
-            return _inner_min_vec(p, acc.lower(), acc.upper(), kappa, alpha)
+            return model_objective(alpha, w, 0.26, 0.13, acc)
 
         for alpha in (1.0004, 1.01, 1.2):
             dense = outer(alpha, ws)
@@ -309,6 +328,66 @@ class TestHAlpha:
         tight = paper_acc()
         cfg = RenyiConfig(alpha=1.05)
         assert h_alpha(cfg, 0.26, 0.13, wide) < h_alpha(cfg, 0.26, 0.13, tight)
+
+
+def random_cells(seed, count):
+    """(gamma_a, gamma_b, box) over the ranges the calculator meets, box from n and eps_com_at."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        ga, gb = rng.uniform(0.02, 0.98, 2)
+        omega, n, eps = rng.uniform(0.76, 0.85), int(10 ** rng.uniform(3.0, 9.0)), 10 ** rng.uniform(-6.0, -1.0)
+        yield ga, gb, build_acceptance_set(q_honest(ga, gb, omega), n, eps)
+
+
+class TestKernelMatchesOracle:
+    """The hoisted kernel reproduces the masked row-per-cell solver bit for bit."""
+
+    @pytest.mark.parametrize("seed", [101, 102, 103, 104, 105])
+    def test_order_search_bitwise_on_random_cells(self, seed):
+        for ga, gb, acc in random_cells(seed, 30):
+            got = h_alpha(RenyiConfig(), ga, gb, acc, alphas=COARSE_ORDERS)
+            want = renyi_h_alpha(COARSE_ORDERS, ga, gb, acc.lower(), acc.upper())
+            assert np.array_equal(got, want), (ga, gb, acc)
+
+    def test_grid_stage_bitwise(self, monkeypatch):
+        # the golden refinement sets most reported values, so compare the grid chunks themselves
+        seen = []
+        solve = renyi._inner_min_vec
+        monkeypatch.setattr(renyi, "_inner_min_vec", lambda *args: seen.append(solve(*args)) or seen[-1])
+        grid = np.linspace(0.5, TSIRELSON_WIN, renyi._SIGMA_GRID)
+        for ga, gb, acc in random_cells(107, 4):
+            for alphas in (COARSE_ORDERS, np.array([2.0])):
+                seen.clear()
+                h_alpha(RenyiConfig(), ga, gb, acc, alphas=alphas)
+                for j, got in zip(range(0, len(alphas), renyi._ORDER_CHUNK), seen):
+                    chunk = alphas[j : j + renyi._ORDER_CHUNK, None]
+                    want = renyi_objective(chunk, grid, ga, gb, acc.lower(), acc.upper())
+                    assert np.array_equal(got, want.ravel())
+
+    def test_fixed_order_bitwise(self):
+        # a lone order takes numpy's scalar-exponent shortcuts (alpha = 2: sqrt and squaring)
+        for ga, gb, acc in random_cells(106, 6):
+            for alpha in (1.0004, 1.01, 1.3, 2.0):
+                want = renyi_h_alpha(np.array([alpha]), ga, gb, acc.lower(), acc.upper())[0]
+                assert h_alpha(RenyiConfig(alpha=alpha), ga, gb, acc) == want
+
+    def test_optimum_at_or_below_classical_point_bitwise(self):
+        # a wide box at small n lets the attack sit where the entropy term is off
+        acc = build_acceptance_set(q_honest(0.5, 0.5, 0.78), 1000, 0.1)
+        grid = np.linspace(0.5, TSIRELSON_WIN, renyi._SIGMA_GRID)
+        best = grid[np.argmin(renyi_objective(COARSE_ORDERS[:, None], grid, 0.5, 0.5, acc.lower(), acc.upper()), axis=1)]
+        assert (best <= 0.75).any()
+        got = h_alpha(RenyiConfig(), 0.5, 0.5, acc, alphas=COARSE_ORDERS)
+        assert np.array_equal(got, renyi_h_alpha(COARSE_ORDERS, 0.5, 0.5, acc.lower(), acc.upper()))
+
+    @pytest.mark.parametrize("alpha, calls", [(None, 114), (1.001, 53)])
+    def test_solver_calls_per_search(self, monkeypatch, alpha, calls):
+        # an order search: (8 + 2) grid chunks and 2 x 52 golden evaluations; a fixed order: 1 + 52
+        seen = []
+        solve = renyi._inner_min_vec
+        monkeypatch.setattr(renyi, "_inner_min_vec", lambda *args: seen.append(1) or solve(*args))
+        key_length_renyi(paper_params(), RenyiConfig(alpha=alpha), paper_acc(), paper_leak())
+        assert len(seen) == calls
 
 
 class TestKeyLength:

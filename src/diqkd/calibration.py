@@ -63,7 +63,6 @@ class DistanceCalibration:
     s_pvalue: float
     n_trials: int
     pvalue_log10: float
-    visibility_interference: float
     alpha_excitation: float
     s_obs: Optional[float] = None  # directly measured CHSH value, where available
 
@@ -90,7 +89,6 @@ def load_distance_table() -> list[DistanceCalibration]:
                 s_pvalue=float(cfg[pre + "s_pvalue"]),
                 n_trials=int(cfg[pre + "n_trials"]),
                 pvalue_log10=float(cfg[pre + "pvalue_log10"]),
-                visibility_interference=float(cfg[pre + "visibility_interference"]),
                 alpha_excitation=float(cfg[pre + "alpha_excitation"]),
                 s_obs=float(cfg[pre + "s_obs"]) if pre + "s_obs" in cfg else None,
             )

@@ -31,7 +31,7 @@ from . import calibration, eat, link, protocol, renyi
 from .calibration import DistanceCalibration, load_distance_table, load_error_budget
 from .eat import EatBudget, HonestModel
 from .mathcore import binomial_tail, chsh_to_winprob
-from .quantum import NoiseParams, build_heralded_state
+from .quantum import NoiseParams, build_heralded_state, fidelity_from_visibilities
 from .renyi import RenyiConfig, build_acceptance_set, q_honest
 
 __all__ = [
@@ -456,7 +456,6 @@ def sweep_rate_vs_distance(config: RunConfig, table: Optional[list[DistanceCalib
         rate_tpi = link.event_rate(p_tpi, timing, row.length_km)
         s_model = math.sqrt(2.0) * (row.v_zz + row.v_xx)
         per_event = eat.asymptotic_rate_nosift(s_model, row.qber)
-        fidelity = 0.25 * (1.0 + row.v_zz + 2.0 * row.v_xx)
         rows_out.append(
             {
                 "length_km": row.length_km,
@@ -467,7 +466,7 @@ def sweep_rate_vs_distance(config: RunConfig, table: Optional[list[DistanceCalib
                 "events_per_s_tpi": rate_tpi,
                 "s_model": s_model,
                 "qber": row.qber,
-                "fidelity_model": fidelity,
+                "fidelity_model": fidelity_from_visibilities(row.v_zz, row.v_xx),
                 "fidelity_target": row.fidelity,
                 "rate_per_event": per_event,
                 "rate_per_s": per_event * rate_s,
@@ -593,7 +592,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
         if args.command == "sweep-n":
             grid = args.n_grid if args.n_grid is not None else config.sweep_n_grid
-            rows = sweep_keyrate_vs_n(config, [int(x) for x in _parse_grid(grid, "n grid")])
+            n_grid = _parse_grid(grid, "n grid")
+            if not all(n.is_integer() for n in n_grid):
+                raise ConfigError(f"n grid: block sizes must be integers, got {grid!r}")
+            rows = sweep_keyrate_vs_n(config, [int(n) for n in n_grid])
             write_csv(rows, out_dir / "keyrate_vs_n.csv", h)
         elif args.command == "contour":
             s_grid = args.s_grid if args.s_grid is not None else (
@@ -615,6 +617,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             rows = sweep_rate_vs_distance(config)
             if config.sweep_lengths:
                 keep = set(_parse_grid(config.sweep_lengths, "sweep.lengths"))
+                unknown = keep.difference(r["length_km"] for r in rows)
+                if unknown:
+                    raise ConfigError(f"sweep.lengths: {sorted(unknown)} are not calibrated lengths")
                 rows = [r for r in rows if r["length_km"] in keep]
             write_csv(rows, out_dir / "distance.csv", h)
         elif args.command == "pvalues":

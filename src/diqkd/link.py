@@ -1,4 +1,4 @@
-"""Photonic link budget, heralding success probabilities, and phase bookkeeping.
+"""Photonic link budget, heralding success probabilities, and event rates.
 
 The arm efficiency multiplies the component chain with the fiber
 transmission over half the total length (each node sits L/2 from the
@@ -11,7 +11,6 @@ midpoint plus the classical herald back to the nodes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -19,12 +18,10 @@ __all__ = [
     "SPEED_OF_LIGHT",
     "LinkBudget",
     "TimingModel",
-    "PhasePaths",
     "arm_efficiency",
     "success_probability_spi",
     "success_probability_tpi",
     "event_rate",
-    "phase_difference",
 ]
 
 SPEED_OF_LIGHT = 299_792_458.0  # vacuum, m/s
@@ -79,28 +76,6 @@ class TimingModel:
             raise ValueError("duty cycle must lie in (0, 1]")
 
 
-@dataclass(frozen=True)
-class PhasePaths:
-    """Per-node optical path lengths (m) and the shared wave numbers (rad/m)."""
-
-    l_780: float
-    l_signal: float
-    l_wg: float
-    l_tel: float
-    l_pump: float
-    k_pho: float
-    k_tel: float
-    k_pump: float
-
-    def __post_init__(self) -> None:
-        for name in ("l_780", "l_signal", "l_wg", "l_tel", "l_pump"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be nonnegative")
-        for name in ("k_pho", "k_tel", "k_pump"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
-
-
 def arm_efficiency(budget: LinkBudget) -> float:
     """Total one-arm efficiency: component product times fiber transmission."""
     comp = (
@@ -144,36 +119,3 @@ def event_rate(p_s: float, timing: TimingModel, length_km: float) -> float:
         raise ValueError("success probability must be nonnegative")
     latency = 1.5 * (length_km * 1000.0) / timing.c_mps
     return p_s * timing.duty_cycle / (timing.overhead_s + latency)
-
-
-def _wrap_phase(x: float) -> float:
-    """Reduce to (-pi, pi]."""
-    r = math.remainder(x, 2.0 * math.pi)
-    if r <= -math.pi:
-        r += 2.0 * math.pi
-    return r
-
-
-def phase_difference(paths_a: PhasePaths, paths_b: PhasePaths) -> float:
-    """Interferometer phase difference between the two arms, in (-pi, pi].
-
-    Three terms survive the common-mode cancellations: the 780-band paths
-    seen by the photon, the telecom-band paths after conversion, and the
-    conversion pump path.  The wave numbers are shared lasers and must
-    agree between the two nodes.
-    """
-    for name in ("k_pho", "k_tel", "k_pump"):
-        ka, kb = getattr(paths_a, name), getattr(paths_b, name)
-        if abs(ka - kb) > 1e-9 * max(ka, kb):
-            raise ValueError(f"{name} differs between nodes ({ka} vs {kb}); lasers are shared")
-    d780 = paths_a.l_780 - paths_b.l_780
-    dsig = paths_a.l_signal - paths_b.l_signal
-    dwg = paths_a.l_wg - paths_b.l_wg
-    dtel = paths_a.l_tel - paths_b.l_tel
-    dpump = paths_a.l_pump - paths_b.l_pump
-    phi = (
-        paths_a.k_pho * (d780 + dsig)
-        + paths_a.k_tel * (dwg + dtel)
-        + paths_a.k_pump * dpump
-    )
-    return _wrap_phase(phi)

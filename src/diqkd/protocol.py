@@ -36,20 +36,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from .mathcore import TSIRELSON_WIN
-from .quantum import BlochVector, TwoQubitState, X_AXIS, Z_AXIS, diag_axis, outcome_distribution
+from .quantum import TwoQubitState, X_AXIS, Z_AXIS, diag_axis, outcome_distribution
 from .rng import CounterRng
 
 __all__ = [
     "PERP",
     "TSIRELSON_WIN",
     "ProtocolParams",
-    "SettingsMap",
-    "paper_settings",
     "Behavior",
     "Transcript",
     "behavior_from_state",
@@ -94,22 +91,10 @@ class ProtocolParams:
             raise ValueError(f"delta must be nonnegative, got {self.delta}")
 
 
-@dataclass(frozen=True)
-class SettingsMap:
-    """Bloch axes per setting; flip_b bit-flips the three-setting party."""
-
-    a_axes: tuple[BlochVector, BlochVector]
-    b_axes: tuple[BlochVector, BlochVector, BlochVector]
-    flip_b: bool = True
-
-
-def paper_settings() -> SettingsMap:
-    """Default axes: x-party {Z, X}; y-party {diag+, diag-, Z} with y=2 the key basis."""
-    return SettingsMap(
-        a_axes=(Z_AXIS, X_AXIS),
-        b_axes=(diag_axis(+1), diag_axis(-1), Z_AXIS),
-        flip_b=True,
-    )
+# Measurement axes per setting: x-party {Z, X}; y-party {diag+, diag-, Z},
+# y = 2 the key basis, bit-flipped to the positive-correlation convention.
+_X_AXES = (Z_AXIS, X_AXIS)
+_Y_AXES = tuple(axis.bit_flipped() for axis in (diag_axis(+1), diag_axis(-1), Z_AXIS))
 
 
 class Behavior:
@@ -127,19 +112,6 @@ class Behavior:
         if np.max(np.abs(sums - 1.0)) > 1e-12:
             raise ValueError("conditional distributions must each sum to 1")
         self.table = np.clip(t, 0.0, 1.0)
-
-    def no_signaling_residual(self) -> float:
-        """Largest marginal inconsistency across the other party's settings."""
-        pa = self.table.sum(axis=3)  # P(a | x, y)
-        pb = self.table.sum(axis=2)  # P(b | x, y)
-        res = 0.0
-        for x in range(2):
-            spread = pa[x].max(axis=0) - pa[x].min(axis=0)
-            res = max(res, float(spread.max()))
-        for y in range(3):
-            spread = pb[:, y].max(axis=0) - pb[:, y].min(axis=0)
-            res = max(res, float(spread.max()))
-        return res
 
     def chsh_win_probability(self) -> float:
         """Winning probability of the game under uniform test settings."""
@@ -197,19 +169,12 @@ class Transcript:
         )
 
 
-def behavior_from_state(
-    rho: TwoQubitState,
-    settings: Optional[SettingsMap] = None,
-    readout_flip: float = 0.0,
-) -> Behavior:
-    """Born-rule behavior table for a state and a settings map."""
-    if settings is None:
-        settings = paper_settings()
+def behavior_from_state(rho: TwoQubitState, readout_flip: float = 0.0) -> Behavior:
+    """Born-rule behavior table of a state under the protocol's measurement axes."""
     table = np.empty((2, 3, 2, 2), dtype=float)
-    for x, a_axis in enumerate(settings.a_axes):
-        for y, b_axis in enumerate(settings.b_axes):
-            axis_b = b_axis.bit_flipped() if settings.flip_b else b_axis
-            table[x, y] = outcome_distribution(rho, a_axis, axis_b, readout_flip)
+    for x, a_axis in enumerate(_X_AXES):
+        for y, b_axis in enumerate(_Y_AXES):
+            table[x, y] = outcome_distribution(rho, a_axis, b_axis, readout_flip)
     return Behavior(table)
 
 

@@ -1,15 +1,14 @@
 """Two-qubit density-matrix model of the heralded atom-atom state.
 
 Covers the noisy Bell-state family produced by single-photon heralding,
-Born-rule measurement statistics in arbitrary Bloch bases, fidelity
-bookkeeping, and the photon-recoil physics that caps the single-photon
-interference visibility.
+Born-rule measurement statistics in arbitrary Bloch bases, and the
+fidelity estimate from the two measured visibilities.
 
 Basis order throughout is (uu, ud, du, dd) for the two spin qubits.
 The heralded family is anti-correlated in Z; measured correlators in the
 experiment's convention are made positive by a local bit flip on the
-second qubit (the ``flip_b`` switch), implemented as conjugation of that
-qubit's measurement axis by sigma_x.
+second qubit, implemented as conjugation of that qubit's measurement
+axis by sigma_x (``BlochVector.bit_flipped``).
 """
 
 from __future__ import annotations
@@ -24,21 +23,12 @@ __all__ = [
     "BlochVector",
     "TwoQubitState",
     "NoiseParams",
-    "LambDickeParams",
     "Z_AXIS",
     "X_AXIS",
-    "Y_AXIS",
     "diag_axis",
     "build_heralded_state",
-    "correlator",
     "outcome_distribution",
-    "chsh_value",
-    "qber",
     "fidelity_from_visibilities",
-    "bell_fidelity",
-    "debye_waller",
-    "spi_visibility",
-    "interference_fringe",
 ]
 
 _I2 = np.eye(2, dtype=complex)
@@ -70,7 +60,6 @@ class BlochVector:
 
 Z_AXIS = BlochVector(0.0, 0.0, 1.0)
 X_AXIS = BlochVector(1.0, 0.0, 0.0)
-Y_AXIS = BlochVector(0.0, 1.0, 0.0)
 
 
 def diag_axis(sign: int = +1) -> BlochVector:
@@ -172,19 +161,6 @@ class NoiseParams:
         )
 
 
-@dataclass(frozen=True)
-class LambDickeParams:
-    """Recoil parameters: Lamb-Dicke factors, trap frequencies, release time."""
-
-    eta: tuple[float, float, float]
-    omega: tuple[float, float, float] = (0.0, 0.0, 0.0)
-    t: float = 0.0
-
-    def __post_init__(self) -> None:
-        if any(e < 0 for e in self.eta) or any(w < 0 for w in self.omega) or self.t < 0:
-            raise ValueError("eta, omega and t must be nonnegative")
-
-
 def build_heralded_state(params: NoiseParams) -> TwoQubitState:
     """Heralded two-qubit state: Bell admixture plus dephasing and white noise.
 
@@ -206,16 +182,6 @@ def build_heralded_state(params: NoiseParams) -> TwoQubitState:
     p = params.white_noise
     rho = (1.0 - p) * rho + p * np.eye(4, dtype=complex) / 4.0
     return TwoQubitState(rho)
-
-
-def _pair_operator(a: BlochVector, b: BlochVector, flip_b: bool) -> np.ndarray:
-    bb = b.bit_flipped() if flip_b else b
-    return np.kron(a.operator(), bb.operator())
-
-
-def correlator(rho: TwoQubitState, a: BlochVector, b: BlochVector, flip_b: bool = False) -> float:
-    """Tr[rho (a.sigma x b.sigma)], optionally with the second qubit bit-flipped."""
-    return rho.expectation(_pair_operator(a, b, flip_b))
 
 
 def outcome_distribution(
@@ -246,75 +212,8 @@ def outcome_distribution(
     return probs
 
 
-def chsh_value(
-    rho: TwoQubitState,
-    a_axes: tuple[BlochVector, BlochVector],
-    b_axes: tuple[BlochVector, BlochVector],
-    flip_b: bool = False,
-) -> float:
-    """S = E(0,0) + E(0,1) + E(1,0) - E(1,1) for the given setting pairs."""
-    e = [[correlator(rho, a, b, flip_b) for b in b_axes] for a in a_axes]
-    return e[0][0] + e[0][1] + e[1][0] - e[1][1]
-
-
-def qber(
-    rho: TwoQubitState,
-    key_a: BlochVector,
-    key_b: BlochVector,
-    flip_b: bool = False,
-    readout_flip: float = 0.0,
-) -> float:
-    """Probability the two parties disagree in their key bases."""
-    b = key_b.bit_flipped() if flip_b else key_b
-    probs = outcome_distribution(rho, key_a, b, readout_flip)
-    return float(probs[0, 1] + probs[1, 0])
-
-
 def fidelity_from_visibilities(v_zz: float, v_xx: float) -> float:
     """Bell-state fidelity estimate (1 + V_ZZ + 2 V_XX) / 4 from two visibilities."""
     if not -1.0 <= v_zz <= 1.0 or not -1.0 <= v_xx <= 1.0:
         raise ValueError("visibilities must lie in [-1, 1]")
     return 0.25 * (1.0 + v_zz + 2.0 * v_xx)
-
-
-def bell_fidelity(rho: TwoQubitState, sign: int = +1, delta_phi: float = 0.0) -> float:
-    """Overlap of rho with the phase-tagged Bell state (ud + sign e^{i phi} du)/sqrt2."""
-    if sign not in (+1, -1):
-        raise ValueError(f"sign must be +1 or -1, got {sign}")
-    psi = np.zeros(4, dtype=complex)
-    psi[1] = 1.0 / math.sqrt(2.0)
-    psi[2] = sign * cmath.exp(1j * delta_phi) / math.sqrt(2.0)
-    return float(np.real(psi.conj() @ rho.matrix @ psi))
-
-
-def debye_waller(p: LambDickeParams) -> float:
-    """Probability the motional state survives recoil: prod exp(-eta^2 (1 + w^2 t^2))."""
-    out = 1.0
-    for eta, omega in zip(p.eta, p.omega):
-        out *= math.exp(-(eta**2) * (1.0 + (omega * p.t) ** 2))
-    return out
-
-
-def spi_visibility(dw: float, p: float) -> float:
-    """Maximal single-photon interference visibility D (1 - p)."""
-    if not 0.0 < dw <= 1.0:
-        raise ValueError(f"Debye-Waller factor must lie in (0, 1], got {dw}")
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"excitation probability must lie in [0, 1], got {p}")
-    return dw * (1.0 - p)
-
-
-def interference_fringe(p: float, dw: float, phi: float) -> tuple[float, float]:
-    """Single-click intensities at the two interferometer outputs.
-
-    I_pm = p (1 pm D (1 - p) cos phi) / 2, so the two outputs always sum
-    to the emission probability p and a visibility fit over phi recovers
-    spi_visibility(D, p).
-    """
-    if not 0.0 <= p <= 1.0:
-        raise ValueError(f"excitation probability must lie in [0, 1], got {p}")
-    if not 0.0 < dw <= 1.0:
-        raise ValueError(f"Debye-Waller factor must lie in (0, 1], got {dw}")
-    v = spi_visibility(dw, p)
-    c = math.cos(phi)
-    return 0.5 * p * (1.0 + v * c), 0.5 * p * (1.0 - v * c)

@@ -8,7 +8,10 @@ import pytest
 
 from diqkd import cli, eat, renyi
 from diqkd import rng as rng_module
+from diqkd.calibration import load_distance_table
 from diqkd.link import LinkBudget, TimingModel
+from diqkd.protocol import behavior_from_state
+from diqkd.quantum import NoiseParams, build_heralded_state
 from diqkd.cli import (
     ConfigError,
     RunConfig,
@@ -206,13 +209,17 @@ class TestMain:
             ["sweep-n", "--n-grid", "abc"],
             ["sweep-n", "--n-grid", "inf"],
             ["sweep-n", "--n-grid", ","],
+            ["sweep-n", "--n-grid", "12345.7,1e4"],  # block sizes are integers
         ):
             assert main(out + argv) == 3, argv
         for body, command in (
             ("sweep.s_grid = 1.9\n", "contour"),
             ("sweep.q_grid = q\n", "contour"),
             ("sweep.n_grid = 1e4,x\n", "sweep-n"),
+            ("sweep.n_grid = 1e4,12345.7\n", "sweep-n"),
             ("sweep.lengths = 11,abc\n", "distance"),
+            ("sweep.lengths = 11,12\n", "distance"),  # 12 km is not a calibrated length
+            ("sweep.lengths = 12\n", "distance"),
         ):
             bad.write_text(body)
             assert main(["--config", str(bad)] + out + [command]) == 3, body
@@ -355,6 +362,16 @@ class TestSweeps:
             assert r["p_spi"] > r["p_tpi"]
         assert rows[0]["events_per_s"] == pytest.approx(0.72, rel=0.10)
         assert rows[-1]["events_per_s"] / rows[-1]["events_per_s_tpi"] > 100.0
+
+    def test_distance_columns_match_the_model_path(self):
+        # s_model = sqrt2 (v_zz + v_xx) and the row's qber are what the
+        # pipeline's heralded-state model gives at each shipped length
+        for cal, row in zip(load_distance_table(), sweep_rate_vs_distance(RunConfig()), strict=True):
+            assert row["length_km"] == cal.length_km
+            state = build_heralded_state(NoiseParams.from_visibilities(cal.v_zz, cal.v_xx))
+            behavior = behavior_from_state(state)
+            assert row["s_model"] == pytest.approx(behavior.chsh_value(), abs=1e-12)
+            assert row["qber"] == pytest.approx(behavior.key_qber(), abs=1e-12)
 
 
 class TestPvalueTable:

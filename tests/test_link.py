@@ -10,30 +10,16 @@ from diqkd.calibration import (
 )
 from diqkd.link import (
     LinkBudget,
-    PhasePaths,
     TimingModel,
     arm_efficiency,
     event_rate,
-    phase_difference,
     success_probability_spi,
     success_probability_tpi,
 )
+from diqkd.quantum import fidelity_from_visibilities
 
 DEFAULTS, TIMING = LinkBudget(), TimingModel()
 TABLE = load_distance_table()
-
-
-def paths(l780=1.0, lsig=2.0, lwg=0.05, ltel=5500.0, lpump=3.0):
-    return PhasePaths(
-        l_780=l780,
-        l_signal=lsig,
-        l_wg=lwg,
-        l_tel=ltel,
-        l_pump=lpump,
-        k_pho=2 * math.pi / 780e-9,
-        k_tel=2 * math.pi / 1315e-9,
-        k_pump=2 * math.pi / 1917e-9,
-    )
 
 
 class TestArmEfficiency:
@@ -127,48 +113,6 @@ class TestEventRate:
         assert s_spi / s_tpi == pytest.approx(0.5, abs=0.02)
 
 
-class TestPhaseDifference:
-    def test_identical_paths_cancel(self):
-        rng = np.random.default_rng(8)
-        for _ in range(50):
-            p = paths(*rng.uniform(0.1, 100.0, 5))
-            assert phase_difference(p, p) == 0.0
-
-    def test_half_wave_on_780_path(self):
-        # a half wavelength on one 780-band arm is a pi phase; the (-pi, pi]
-        # wrap makes the sign of the boundary value float-noise dependent
-        k = 2 * math.pi / 780e-9
-        pa = paths(l780=1.0 + math.pi / k)
-        pb = paths(l780=1.0)
-        assert abs(phase_difference(pa, pb)) == pytest.approx(math.pi, abs=1e-6)
-
-    def test_mixed_terms_against_independent_sum(self):
-        rng = np.random.default_rng(13)
-        for _ in range(50):
-            pa = paths(*rng.uniform(0.0, 10.0, 5))
-            pb = paths(*rng.uniform(0.0, 10.0, 5))
-            expect = (
-                pa.k_pho * ((pa.l_780 - pb.l_780) + (pa.l_signal - pb.l_signal))
-                + pa.k_tel * ((pa.l_wg - pb.l_wg) + (pa.l_tel - pb.l_tel))
-                + pa.k_pump * (pa.l_pump - pb.l_pump)
-            )
-            expect = math.remainder(expect, 2 * math.pi)
-            if expect <= -math.pi:
-                expect += 2 * math.pi
-            got = phase_difference(pa, pb)
-            assert got == pytest.approx(expect, abs=1e-9)
-            assert -math.pi < got <= math.pi
-
-    def test_mismatched_lasers_rejected(self):
-        pa = paths()
-        pb = PhasePaths(
-            l_780=1.0, l_signal=2.0, l_wg=0.05, l_tel=5500.0, l_pump=3.0,
-            k_pho=2 * math.pi / 781e-9, k_tel=pa.k_tel, k_pump=pa.k_pump,
-        )
-        with pytest.raises(ValueError):
-            phase_difference(pa, pb)
-
-
 class TestCalibrationData:
     def test_parse_flat_rejects_garbage(self):
         with pytest.raises(ValueError):
@@ -189,8 +133,7 @@ class TestCalibrationData:
         # shipped (v_zz, v_xx) reproduce the fidelity anchors via the
         # visibility combination, within the +-0.01 calibration band
         for r in TABLE:
-            f = 0.25 * (1 + r.v_zz + 2 * r.v_xx)
-            assert f == pytest.approx(r.fidelity, abs=0.01)
+            assert fidelity_from_visibilities(r.v_zz, r.v_xx) == pytest.approx(r.fidelity, abs=0.01)
 
     def test_error_budget_sums(self):
         sources, table = load_error_budget()

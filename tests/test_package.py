@@ -1,3 +1,4 @@
+import ast
 import importlib
 import os
 import pkgutil
@@ -35,3 +36,22 @@ def test_start_up_does_not_import_scipy_stats():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_every_import_is_used():
+    # no linter is a dependency, so this stands in for an unused-import
+    # rule: an imported name must be read somewhere or be re-exported
+    unused = []
+    for path in sorted(Path(diqkd.__file__).resolve().parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported, exported = {}, set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((a.asname or a.name.partition(".")[0], node.lineno) for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update((a.asname or a.name, node.lineno) for a in node.names)
+            elif isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                exported = set(ast.literal_eval(node.value))
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used | exported]
+    assert unused == []

@@ -153,7 +153,12 @@ class TestBehavior:
         assert CAL_BEHAVIOR.key_qber() == pytest.approx(0.0285, abs=1e-12)
 
     def test_no_signaling(self):
-        assert CAL_BEHAVIOR.no_signaling_residual() < 1e-9
+        # each party's marginal is the same whatever setting the other party holds
+        t = CAL_BEHAVIOR.table
+        pa = t.sum(axis=3)  # P(a | x, y)
+        pb = t.sum(axis=2)  # P(b | x, y)
+        assert np.ptp(pa, axis=1).max() < 1e-9
+        assert np.ptp(pb, axis=0).max() < 1e-9
 
     def test_bad_tables_rejected(self):
         t = np.full((2, 3, 2, 2), 0.25)

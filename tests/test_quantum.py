@@ -5,27 +5,42 @@ import pytest
 
 from diqkd.quantum import (
     BlochVector,
-    LambDickeParams,
     NoiseParams,
     TwoQubitState,
     X_AXIS,
-    Y_AXIS,
     Z_AXIS,
-    bell_fidelity,
     build_heralded_state,
-    chsh_value,
-    correlator,
-    debye_waller,
     diag_axis,
     fidelity_from_visibilities,
-    interference_fringe,
     outcome_distribution,
-    qber,
-    spi_visibility,
 )
 
 MIXED = TwoQubitState(np.eye(4) / 4.0)
 CAL_11KM = NoiseParams.from_visibilities(0.943, 0.924)
+Y_AXIS = BlochVector(0.0, 1.0, 0.0)
+
+
+def correlator(rho, a, b, flip_b=False):
+    """E = P(equal) - P(differ), read from the outcome distribution."""
+    probs = outcome_distribution(rho, a, b.bit_flipped() if flip_b else b)
+    return probs[0, 0] - probs[0, 1] - probs[1, 0] + probs[1, 1]
+
+
+def chsh_value(rho, a_axes, b_axes, flip_b=False):
+    e = [[correlator(rho, a, b, flip_b) for b in b_axes] for a in a_axes]
+    return e[0][0] + e[0][1] + e[1][0] - e[1][1]
+
+
+def qber(rho, a, b):
+    """Disagreement probability in the bit-flipped convention of the key bases."""
+    probs = outcome_distribution(rho, a, b.bit_flipped())
+    return probs[0, 1] + probs[1, 0]
+
+
+def bell_overlap(rho, sign=+1, delta_phi=0.0):
+    """<psi|rho|psi> for psi = (ud + sign e^{i phi} du)/sqrt2."""
+    psi = np.array([0.0, 1.0, sign * np.exp(1j * delta_phi), 0.0]) / math.sqrt(2.0)
+    return float(np.real(psi.conj() @ rho.matrix @ psi))
 
 
 def random_state(rng) -> TwoQubitState:
@@ -43,7 +58,7 @@ def random_axis(rng) -> BlochVector:
 class TestStateConstruction:
     def test_pure_bell_at_alpha_zero(self):
         rho = build_heralded_state(NoiseParams(alpha_exc=0.0))
-        assert bell_fidelity(rho, +1, 0.0) == pytest.approx(1.0)
+        assert bell_overlap(rho) == pytest.approx(1.0)
 
     def test_alpha_one_is_uu(self):
         rho = build_heralded_state(NoiseParams(alpha_exc=1.0))
@@ -113,13 +128,13 @@ class TestOutcomeDistribution:
         assert np.allclose(probs, [[0.0, 0.5], [0.5, 0.0]], atol=1e-12)
 
     def test_signed_sum_matches_correlator(self):
+        # the signed sum of the Born-rule table is Tr[rho (a.sigma x b.sigma)]
         rng = np.random.default_rng(2)
         for _ in range(100):
             rho = random_state(rng)
             a, b = random_axis(rng), random_axis(rng)
-            probs = outcome_distribution(rho, a, b)
-            signed = probs[0, 0] - probs[0, 1] - probs[1, 0] + probs[1, 1]
-            assert signed == pytest.approx(correlator(rho, a, b), abs=1e-10)
+            direct = rho.expectation(np.kron(a.operator(), b.operator()))
+            assert correlator(rho, a, b) == pytest.approx(direct, abs=1e-10)
 
     def test_readout_flip_half_randomizes(self):
         rho = build_heralded_state(NoiseParams())
@@ -162,22 +177,22 @@ class TestChsh:
 class TestQber:
     def test_bell_flipped_convention(self):
         rho = build_heralded_state(NoiseParams())
-        assert qber(rho, Z_AXIS, Z_AXIS, flip_b=True) == pytest.approx(0.0, abs=1e-12)
+        assert qber(rho, Z_AXIS, Z_AXIS) == pytest.approx(0.0, abs=1e-12)
 
     def test_calibrated(self):
         rho = build_heralded_state(CAL_11KM)
-        assert qber(rho, Z_AXIS, Z_AXIS, flip_b=True) == pytest.approx(0.0285, abs=1e-12)
+        assert qber(rho, Z_AXIS, Z_AXIS) == pytest.approx(0.0285, abs=1e-12)
 
     def test_white_noise_limit(self):
         rho = build_heralded_state(NoiseParams(white_noise=1.0))
-        assert qber(rho, Z_AXIS, Z_AXIS, flip_b=True) == pytest.approx(0.5)
+        assert qber(rho, Z_AXIS, Z_AXIS) == pytest.approx(0.5)
 
     def test_error_plus_agreement_is_one(self):
         rng = np.random.default_rng(5)
         for _ in range(50):
             rho = random_state(rng)
             a, b = random_axis(rng), random_axis(rng)
-            q = qber(rho, a, b, flip_b=True)
+            q = qber(rho, a, b)
             probs = outcome_distribution(rho, a, b.bit_flipped())
             agree = probs[0, 0] + probs[1, 1]
             assert q + agree == pytest.approx(1.0, abs=1e-12)
@@ -194,9 +209,13 @@ class TestFidelity:
         assert fidelity_from_visibilities(0.943, 0.924) == pytest.approx(0.94775)
 
     def test_bell_fidelity_limits(self):
-        rho = build_heralded_state(NoiseParams())
-        assert bell_fidelity(rho, +1, 0.0) == pytest.approx(1.0)
-        assert bell_fidelity(MIXED, +1, 0.0) == pytest.approx(0.25)
+        # the formula at the visibilities read from the ideal and the
+        # maximally mixed state equals their Bell-state overlaps, 1 and 1/4
+        for rho, expect in ((build_heralded_state(NoiseParams()), 1.0), (MIXED, 0.25)):
+            v_zz = correlator(rho, Z_AXIS, Z_AXIS, flip_b=True)
+            v_xx = correlator(rho, X_AXIS, X_AXIS, flip_b=True)
+            assert fidelity_from_visibilities(v_zz, v_xx) == pytest.approx(expect, abs=1e-12)
+            assert bell_overlap(rho) == pytest.approx(expect, abs=1e-12)
 
     def test_visibility_formula_matches_overlap(self):
         # the visibility combination equals the direct overlap on every state
@@ -217,50 +236,5 @@ class TestFidelity:
             re = correlator(rho, X_AXIS, X_AXIS, flip_b=True)
             im = correlator(rho, X_AXIS, Y_AXIS, flip_b=True)
             v_xx = math.hypot(re, im)
-            f = bell_fidelity(rho, params.sign, params.delta_phi)
+            f = bell_overlap(rho, params.sign, params.delta_phi)
             assert fidelity_from_visibilities(v_zz, v_xx) == pytest.approx(f, abs=1e-10)
-
-
-class TestRecoil:
-    def test_no_recoil(self):
-        assert debye_waller(LambDickeParams(eta=(0, 0, 0))) == 1.0
-
-    def test_isotropic_t_zero(self):
-        d = debye_waller(LambDickeParams(eta=(0.1, 0.1, 0.1)))
-        assert d == pytest.approx(math.exp(-0.03))
-
-    def test_paper_value(self):
-        # eta chosen with sum of squares 0.04604 reproduces the quoted factor
-        eta = math.sqrt(0.04604 / 3.0)
-        d = debye_waller(LambDickeParams(eta=(eta, eta, eta)))
-        assert d == pytest.approx(0.955, abs=5e-4)
-
-    def test_monotone_in_eta_and_t(self):
-        base = LambDickeParams(eta=(0.1, 0.2, 0.1), omega=(2e5, 2e5, 2e5), t=1e-6)
-        d0 = debye_waller(base)
-        assert debye_waller(LambDickeParams(eta=(0.15, 0.2, 0.1), omega=base.omega, t=base.t)) < d0
-        assert debye_waller(LambDickeParams(eta=base.eta, omega=base.omega, t=2e-6)) < d0
-
-    def test_visibility_values(self):
-        assert spi_visibility(1.0, 0.0) == 1.0
-        assert spi_visibility(0.955, 0.02) == pytest.approx(0.9359)
-        assert spi_visibility(0.955, 0.0) == 0.955
-
-    def test_fringe_balanced_point(self):
-        ip, im = interference_fringe(1e-6, 1.0, math.pi / 2)
-        assert ip == pytest.approx(im)
-
-    def test_fringe_fit_recovers_visibility(self):
-        p, dw = 0.02, 0.955
-        phis = np.linspace(0, 2 * math.pi, 721)
-        up = np.array([interference_fringe(p, dw, f)[0] for f in phis])
-        down = np.array([interference_fringe(p, dw, f)[1] for f in phis])
-        assert np.allclose(up + down, p)
-        vis = (up.max() - up.min()) / (up.max() + up.min())
-        assert vis == pytest.approx(0.9359, abs=1e-6)
-        # least-squares sinusoid fit, as one would fit measured fringes
-        a = np.vstack([np.ones_like(phis), np.cos(phis)]).T
-        coef, *_ = np.linalg.lstsq(a, up, rcond=None)
-        assert coef[1] / coef[0] == pytest.approx(0.9359, abs=1e-9)
-        # experiment anchor: observed contrast 0.93 +- 0.01
-        assert abs(vis - 0.93) <= 0.01

@@ -8,9 +8,9 @@ from .eat import (
     key_length_eat,
 )
 from .mathcore import binomial_tail, chsh_to_winprob
-from .protocol import ProtocolParams, behavior_from_state, generate_transcript
+from .protocol import ProtocolParams, behavior_from_state, build_acceptance_set, generate_transcript
 from .quantum import NoiseParams, build_heralded_state, fidelity_from_visibilities
-from .renyi import RenyiConfig, build_acceptance_set, key_length_renyi, q_honest
+from .renyi import RenyiConfig, key_length_renyi
 
 __version__ = "0.1.0"
 
@@ -31,6 +31,5 @@ __all__ = [
     "generate_transcript",
     "key_length_eat",
     "key_length_renyi",
-    "q_honest",
     "__version__",
 ]

@@ -30,9 +30,10 @@ import numpy as np
 from . import calibration, eat, link, protocol, renyi
 from .calibration import DistanceCalibration, load_distance_table, load_error_budget
 from .eat import EatBudget, HonestModel
-from .mathcore import binomial_tail, chsh_to_winprob
+from .mathcore import TSIRELSON_WIN, binomial_tail, chsh_to_winprob
+from .protocol import build_acceptance_set
 from .quantum import NoiseParams, build_heralded_state, fidelity_from_visibilities
-from .renyi import RenyiConfig, build_acceptance_set, q_honest
+from .renyi import RenyiConfig
 
 __all__ = [
     "ConfigError",
@@ -128,6 +129,14 @@ class RunConfig:
             raise ConfigError("protocol.n must be >= 1")
         if not 0 <= self.seed < 2**64:
             raise ConfigError("seed must be a 64-bit unsigned integer")
+        if self.omega_exp is not None:
+            if self.analytic:
+                raise ConfigError(
+                    "protocol.omega_exp applies to simulated runs only; "
+                    "analytic runs and sweep-n test the operating point"
+                )
+            if not 0.75 < self.omega_exp <= TSIRELSON_WIN:
+                raise ConfigError(f"protocol.omega_exp={self.omega_exp} outside (3/4, (2+sqrt2)/4]")
 
     def config_hash(self) -> str:
         payload = json.dumps(sorted(self.raw_items), separators=(",", ":")).encode()
@@ -259,12 +268,14 @@ def _link_models(config: RunConfig) -> tuple[link.LinkBudget, link.TimingModel]:
 def run_pipeline(config: RunConfig) -> KeyRateReport:
     """Model -> (transcript) -> estimates -> acceptance -> key lengths.
 
-    The protocol is fixed once as a ProtocolParams: omega_exp is the
-    stated operating point in analytic mode and protocol.omega_exp (or
-    the model's win probability) in a simulated run; delta is
-    protocol.delta or the slack meeting eps_ea_com.  The frequency box is
-    built around the same omega_exp.  The transcript is tested with this
-    threshold and box, and both key lengths are certified for them.
+    The protocol and its acceptance test are fixed once as a
+    ProtocolParams: omega_exp is the stated operating point in analytic
+    mode and protocol.omega_exp (or the model's win probability) in a
+    simulated run; delta is protocol.delta or the slack meeting
+    eps_ea_com; the count box is built around the same omega_exp.
+    ``protocol.accept`` tests the transcript's counts against this
+    threshold and box in integers, and both key lengths are certified
+    for them.
     """
     t0 = time.perf_counter()
     try:
@@ -288,15 +299,17 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
             delta = eat.delta_for_completeness(
                 config.n, config.gamma_a, config.gamma_b, omega_test, target=config.eps_ea_com
             )
+        box_lo, box_hi = build_acceptance_set(config.n, config.gamma_a, config.gamma_b, omega_test, config.eps_com_at)
         params = protocol.ProtocolParams(
             n=config.n,
             gamma_a=config.gamma_a,
             gamma_b=config.gamma_b,
             omega_exp=omega_test,
             delta=delta,
+            box_lo=box_lo,
+            box_hi=box_hi,
             seed=config.seed,
         )
-        box = build_acceptance_set(q_honest(config.gamma_a, config.gamma_b, omega_test), config.n, config.eps_com_at)
     except ValueError as exc:
         raise ConfigError(f"acceptance test: {exc}") from exc
     try:
@@ -317,12 +330,9 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
         tr = protocol.generate_transcript(behavior, params)
         draws = _rng.audit_total() - before
         beta = protocol.test_statistic(tr)
-        accepted = protocol.accept(beta, params)
         est = protocol.estimate(tr)
         s_hat, s_err, q_hat, q_err = est.s_hat, est.s_err, est.q_hat, est.q_err
-        counts = est.counts
-        freq = np.array([counts[0], counts[1], counts[2]], dtype=float) / config.n
-        accepted_box = box.contains(freq)
+        accepted, accepted_box = protocol.accept(est.counts, params)
 
     budget_l, timing = _link_models(config)
     eff = link.arm_efficiency(budget_l)
@@ -342,7 +352,7 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
             raise InfeasibleError(str(exc)) from exc
     if config.method in ("renyi", "both"):
         try:
-            renyi_res = renyi.key_length_renyi(params, renyi_config, box, lec)
+            renyi_res = renyi.key_length_renyi(params, renyi_config, lec)
         except ValueError as exc:
             raise InfeasibleError(str(exc)) from exc
 
@@ -374,15 +384,7 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
         eat_length=None if eat_res is None else eat_res.length,
         eat_raw_length=None if eat_res is None else eat_res.raw_length,
         eat_rate=None if eat_res is None else eat_res.rate,
-        eat_splits=None
-        if eat_res is None
-        else {
-            "eps_pa": eat_res.budget.eps_pa,
-            "eps_s": eat_res.budget.eps_s,
-            "eps_s_prime": eat_res.budget.eps_s_prime,
-            "eps_s_dprime": eat_res.budget.eps_s_dprime,
-            "eps_ea": eat_res.budget.eps_ea,
-        },
+        eat_splits=None if eat_res is None else eat_res.splits,
         eat_pt=None if eat_res is None else eat_res.pt_opt,
         eat_delta=None if eat_res is None else eat_res.delta,
         renyi_length=None if renyi_res is None else renyi_res.length,

@@ -28,7 +28,7 @@ fixed here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -68,44 +68,20 @@ _SPLIT_FIELDS = ("eps_pa", "eps_s", "eps_s_prime", "eps_s_dprime", "eps_ea")
 
 @dataclass(frozen=True)
 class EatBudget:
-    """Failure-probability decomposition of the accumulation analysis.
+    """Soundness budget of the accumulation analysis: the total and its error-correction part.
 
-    The five split parameters (eps_pa, eps_s, eps_s_prime, eps_s_dprime,
-    eps_ea) are set all together, and then used as given, or all left
-    unset (None), and then optimized by key_length_eat.
+    key_length_eat optimizes the split of the rest into eps_pa, eps_s,
+    eps_s_prime, eps_s_dprime and eps_ea.
     """
 
     eps_snd: float = 1e-5
     eps_ec: float = 2.0**-61
-    eps_pa: Optional[float] = None
-    eps_s: Optional[float] = None
-    eps_s_prime: Optional[float] = None
-    eps_s_dprime: Optional[float] = None
-    eps_ea: Optional[float] = None
 
     def __post_init__(self) -> None:
         if not 0.0 < self.eps_snd < 1.0:
             raise ValueError(f"eps_snd={self.eps_snd} outside (0, 1)")
         if not 0.0 < self.eps_ec < self.eps_snd:
             raise ValueError("eps_ec must lie in (0, eps_snd)")
-        n_set = sum(getattr(self, name) is not None for name in _SPLIT_FIELDS)
-        if n_set == len(_SPLIT_FIELDS):
-            self.validate_split()
-        elif n_set:
-            raise ValueError(f"set all five budget splits or none, got {n_set} set")
-
-    def is_fully_split(self) -> bool:
-        return self.eps_pa is not None  # the five splits are set together or not at all
-
-    def validate_split(self) -> None:
-        if self.eps_s - self.eps_s_prime - 2.0 * self.eps_s_dprime <= 0.0:
-            raise ValueError("need eps_s - eps_s_prime - 2 eps_s_dprime > 0")
-        if self.eps_ec + self.eps_pa + self.eps_s > self.eps_snd * (1.0 + 1e-12):
-            raise ValueError("need eps_ec + eps_pa + eps_s <= eps_snd")
-        for name in _SPLIT_FIELDS:
-            v = getattr(self, name)
-            if not 0.0 < v < 1.0:
-                raise ValueError(f"{name}={v} outside (0, 1)")
 
 
 @dataclass(frozen=True)
@@ -298,7 +274,7 @@ class EatResult:
     length: float  # zero-clamped
     raw_length: float
     rate: float
-    budget: EatBudget
+    splits: dict[str, float]  # the optimized split, keyed by _SPLIT_FIELDS
     delta: float
     leak_ec_bits: float
     eta_opt_bits: float
@@ -335,8 +311,8 @@ def _split_from_fractions(budget: EatBudget, fr: dict[str, float]) -> Optional[t
 
     a: eps_s share of the soundness room; d: eps_ea share of the rest;
     b: eps_s_prime inside eps_s; c: the 2 eps_s_dprime share of what is left.
-    A feasible split passes EatBudget.validate_split: every part is
-    positive, and eps_ec + eps_pa + eps_s = eps_snd - eps_ea.
+    A feasible split has every part positive, eps_s - eps_s_prime -
+    2 eps_s_dprime > 0, and eps_ec + eps_pa + eps_s = eps_snd - eps_ea.
     """
     room = budget.eps_snd - budget.eps_ec
     eps_s = fr["a"] * room
@@ -361,19 +337,14 @@ def key_length_eat(
     The certificate is evaluated at the acceptance threshold the run
     tested, omega_exp - delta / gamma_eff (the slack converted to a win
     rate margin by the surviving-round fraction, the certificate's own
-    normalization); lec is the reconciliation leakage in bits.  Unset
-    budget splits are optimized by deterministic coordinate descent on a
+    normalization); lec is the reconciliation leakage in bits.  The
+    budget split is optimized by deterministic coordinate descent on a
     log grid (_SPLIT_GRID_POINTS per parameter, _SPLIT_PASSES full-span
     passes, then two refinement passes).
     """
     n, delta = params.n, params.delta
     omega_in = params.omega_exp - delta / gamma_eff(params.gamma_a, params.gamma_b)
     pt = _cut_point(omega_in)
-
-    if budget.is_fully_split():
-        split = tuple(getattr(budget, name) for name in _SPLIT_FIELDS)
-        raw, eo = _ell_for_split(params, budget.eps_ec, split, omega_in, lec)
-        return EatResult(max(raw, 0.0), raw, raw / n, budget, delta, lec, eo, pt)
 
     fr = {"a": 0.5, "b": 0.5, "c": 0.5, "d": 0.5}
     spans = {k: (1e-6, 1.0 - 1e-6) for k in fr}
@@ -400,9 +371,8 @@ def key_length_eat(
                     best_val, fr = v, trial
 
     split = _split_from_fractions(budget, fr)
-    full = replace(budget, **dict(zip(_SPLIT_FIELDS, split)))
     raw, eo = _ell_for_split(params, budget.eps_ec, split, omega_in, lec)
-    return EatResult(max(raw, 0.0), raw, raw / n, full, delta, lec, eo, pt)
+    return EatResult(max(raw, 0.0), raw, raw / n, dict(zip(_SPLIT_FIELDS, split)), delta, lec, eo, pt)
 
 
 def asymptotic_rate_sifted(s: float, q: float, gamma_a: float, gamma_b: float) -> float:

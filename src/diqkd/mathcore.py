@@ -12,13 +12,11 @@ imported.  All functions are pure and reentrant.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
 
 __all__ = [
-    "Distribution3",
     "binary_entropy",
     "rel_entropy_binary",
     "binomial_tail",
@@ -31,26 +29,6 @@ __all__ = [
 
 TSIRELSON_CHSH = 2.0 * math.sqrt(2.0)  # maximal quantum CHSH score
 TSIRELSON_WIN = (2.0 + math.sqrt(2.0)) / 4.0  # the same bound as a game win probability
-
-
-@dataclass(frozen=True)
-class Distribution3:
-    """Probabilities over the per-round test outcome alphabet {0, 1, perp}."""
-
-    q0: float
-    q1: float
-    q_perp: float
-
-    def __post_init__(self) -> None:
-        for name, v in (("q0", self.q0), ("q1", self.q1), ("q_perp", self.q_perp)):
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name}={v} outside [0, 1]")
-        s = self.q0 + self.q1 + self.q_perp
-        if abs(s - 1.0) > 1e-12:
-            raise ValueError(f"entries sum to {s}, not 1")
-
-    def as_array(self) -> np.ndarray:
-        return np.array([self.q0, self.q1, self.q_perp], dtype=float)
 
 
 def binary_entropy(p: float) -> float:
@@ -200,14 +178,13 @@ def binomial_tail(n: int, k: int, p0: float) -> float:
     return _ln_tail(n, k, *float(p0).as_integer_ratio()) / math.log(2.0)
 
 
-def binomial_box(n: int, p: float, eps: float) -> tuple[float, float]:
-    """Smallest deviations (delta_low, delta_upp) with both binomial tails <= eps.
+def binomial_box(n: int, p: float, eps: float) -> tuple[int, int]:
+    """Count thresholds (L, H) of Binomial(n, p) with both tails at most eps.
 
-    delta_low is the smallest nonnegative value such that
-    P[freq < p - delta_low] <= eps under Binomial(n, p) frequencies, and
-    delta_upp likewise for P[freq > p + delta_upp].  The meaningful
-    candidates live on the grid where n*(p -+ delta) crosses integers, so
-    the search is an exact quantile inversion over integer thresholds.
+    L is the largest j in [0, n] with P[X < j] <= eps and H the smallest
+    j in [0, n] with P[X > j] <= eps: an exact quantile inversion over
+    integer thresholds.  At eps >= 1 every threshold qualifies, so the
+    answer is (n, 0).
     """
     if n < 1:
         raise ValueError(f"binomial_box requires n >= 1, got {n}")
@@ -216,7 +193,7 @@ def binomial_box(n: int, p: float, eps: float) -> tuple[float, float]:
     if not 0.0 < eps:
         raise ValueError(f"binomial_box requires eps > 0, got {eps}")
     if eps >= 1.0:
-        return 0.0, 0.0
+        return n, 0
     num, den = float(p).as_integer_ratio()
     ln_eps = math.log(eps)
 
@@ -232,17 +209,11 @@ def binomial_box(n: int, p: float, eps: float) -> tuple[float, float]:
     # each guess is one count above its answer, where _last_true takes two calls.
     z = NormalDist().inv_cdf(eps)
     spread, skew = math.sqrt(n * p * (1.0 - p)) * z, (z * z - 1.0) * (1.0 - 2.0 * p) / 6.0
-
-    # largest integer j in [0, n] with P[X <= j-1] <= eps; then
-    # delta_low = max(0, p - j/n).  j = 0 is always feasible.
-    j = _last_true(low_ok, n * p + spread + skew + 1.0, 0, n)
-    delta_low = max(0.0, p - j / n)
-
-    # smallest integer j in [-1, n] with P[X > j] <= eps; then
-    # delta_upp = max(0, j/n - p).  j = n is always feasible, j = -1 never.
-    j = _last_true(upp_fails, n * p - spread + skew, -1, n - 1) + 1
-    delta_upp = max(0.0, j / n - p)
-    return delta_low, delta_upp
+    # j = 0 always meets the lower tail; on the upper side j = n always
+    # does, and j = -1 (P[X > -1] = 1) never
+    low = _last_true(low_ok, n * p + spread + skew + 1.0, 0, n)
+    upp = _last_true(upp_fails, n * p - spread + skew, -1, n - 1) + 1
+    return low, upp
 
 
 def _last_true(ok, guess: float, lo: int, hi: int) -> int:

@@ -1,4 +1,10 @@
-"""Monte-Carlo protocol transcripts: round generation, sifting, estimation.
+"""The acceptance test and Monte-Carlo protocol transcripts: generation, sifting, estimation.
+
+A run's acceptance test is its ProtocolParams, built once: the
+threshold test accepts at least ``win_min`` wins, and the box test
+accepts (lose, win, no-test) counts inside [box_lo, box_hi], the count
+bounds ``build_acceptance_set`` finds.  ``accept`` applies both to a
+run's counts in integers, and both key lengths are certified for them.
 
 Round structure (one party holds two settings, the other three):
 
@@ -39,7 +45,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .mathcore import TSIRELSON_WIN
+from .mathcore import TSIRELSON_WIN, binomial_box
 from .quantum import TwoQubitState, X_AXIS, Z_AXIS, diag_axis, outcome_distribution
 from .rng import CounterRng
 
@@ -47,6 +53,7 @@ __all__ = [
     "PERP",
     "TSIRELSON_WIN",
     "ProtocolParams",
+    "build_acceptance_set",
     "Behavior",
     "Transcript",
     "behavior_from_state",
@@ -65,10 +72,13 @@ COUNT_ROUNDS = 1 << 16  # rounds per count-tensor block
 
 @dataclass(frozen=True)
 class ProtocolParams:
-    """The protocol a run executes: block size, test fractions, threshold, seed.
+    """The protocol a run executes and the acceptance test it applies.
 
-    The simulator, the acceptance test and both key-length certificates
-    read it, so a key is certified for the test the transcript passed.
+    Besides block size, test fractions and seed it fixes both tests in
+    counts: the threshold win_min, from omega_exp and delta, and the box
+    [box_lo, box_hi] over (lose, win, no-test).  The simulator, ``accept``
+    and both key-length certificates read it, so a key is certified for
+    the test the transcript passed.
     """
 
     n: int
@@ -76,6 +86,8 @@ class ProtocolParams:
     gamma_b: float
     omega_exp: float
     delta: float
+    box_lo: tuple[int, int, int]
+    box_hi: tuple[int, int, int]
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -84,11 +96,51 @@ class ProtocolParams:
         for name in ("gamma_a", "gamma_b"):
             v = getattr(self, name)
             if not 0.0 < v < 1.0:
-                raise ValueError(f"{name}={v} outside (0, 1)")
+                raise ValueError(f"test fractions must lie in (0, 1), got {name}={v}")
         if not 0.75 < self.omega_exp <= TSIRELSON_WIN + 1e-15:
             raise ValueError(f"omega_exp={self.omega_exp} outside (3/4, (2+sqrt2)/4]")
-        if self.delta < 0:
+        if not self.delta >= 0.0:
             raise ValueError(f"delta must be nonnegative, got {self.delta}")
+        if not len(self.box_lo) == len(self.box_hi) == 3 or not all(
+            isinstance(lo, int) and isinstance(hi, int) and 0 <= lo <= hi <= self.n
+            for lo, hi in zip(self.box_lo, self.box_hi)
+        ):
+            raise ValueError(f"box needs three integer counts 0 <= lo <= hi <= n, got {self.box_lo}, {self.box_hi}")
+
+    @property
+    def win_min(self) -> int:
+        """Fewest wins the threshold test accepts: the least k with k / n >= gamma_a gamma_b omega_exp - delta.
+
+        The comparison is the float one, so a count passes exactly when
+        its frequency k / n reaches the threshold.
+        """
+        thr = self.gamma_a * self.gamma_b * self.omega_exp - self.delta
+        k = max(math.ceil(thr * self.n), 0)
+        # thr * n and k / n both round: step to the boundary of the float comparison
+        while k > 0 and (k - 1) / self.n >= thr:
+            k -= 1
+        while k / self.n < thr:
+            k += 1
+        return k
+
+
+def build_acceptance_set(
+    n: int, gamma_a: float, gamma_b: float, omega_exp: float, eps_com_at: float
+) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+    """Count bounds (box_lo, box_hi) with per-symbol binomial tails at level eps_com_at / 6.
+
+    The symbols are (lose, win, no-test), with honest probabilities
+    gamma_a gamma_b (1 - omega_exp), gamma_a gamma_b omega_exp and
+    1 - gamma_a gamma_b.  The union bound over six tails keeps the honest
+    abort probability at or below eps_com_at, which must lie in (0, 1):
+    at 1 or more the bound promises nothing, yet the box would keep
+    narrowing and certify more key.
+    """
+    if not 0.0 < eps_com_at < 1.0:
+        raise ValueError(f"eps_com_at must lie in (0, 1), got {eps_com_at}")
+    gg = gamma_a * gamma_b
+    lo, hi = zip(*(binomial_box(n, p, eps_com_at / 6.0) for p in (gg * (1.0 - omega_exp), gg * omega_exp, 1.0 - gg)))
+    return lo, hi
 
 
 # Measurement axes per setting: x-party {Z, X}; y-party {diag+, diag-, Z},
@@ -253,9 +305,14 @@ def test_statistic(tr: Transcript) -> float:
     return float(np.count_nonzero(tr.c == 1)) / tr.params.n
 
 
-def accept(beta: float, params: ProtocolParams) -> bool:
-    """Acceptance test: abort only strictly below the expected-payoff threshold."""
-    return beta >= params.gamma_a * params.gamma_b * params.omega_exp - params.delta
+def accept(counts: tuple[int, int, int], params: ProtocolParams) -> tuple[bool, bool]:
+    """The acceptance test on a run's (lose, win, no-test) counts: (threshold test, box test).
+
+    The threshold test aborts only below params.win_min wins; the box
+    test aborts when any count leaves [params.box_lo, params.box_hi].
+    """
+    in_box = all(lo <= k <= hi for lo, k, hi in zip(params.box_lo, counts, params.box_hi))
+    return counts[1] >= params.win_min, in_box
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,8 @@
 """Finite-size key length from Renyi-order entropy accumulation.
 
-The acceptance test is a per-symbol frequency box around the honest test
-distribution over {0, 1, perp}.  Security rests on a single-round bound:
+The acceptance test is the run's box of count bounds over the test
+symbols {0, 1, perp} (ProtocolParams.box_lo and box_hi), read here as
+frequency bounds L/n and H/n.  Security rests on a single-round bound:
 for any attack producing CHSH score S, the order-alpha conditional
 entropy of the key bit satisfies
 
@@ -33,14 +34,11 @@ from typing import Optional
 import numpy as np
 
 from .eat import LEAK_EV_BITS
-from .mathcore import TSIRELSON_CHSH, TSIRELSON_WIN, Distribution3, binomial_box, golden_min
+from .mathcore import TSIRELSON_CHSH, TSIRELSON_WIN, golden_min
 from .protocol import ProtocolParams
 
 __all__ = [
-    "AcceptanceSet",
     "RenyiConfig",
-    "q_honest",
-    "build_acceptance_set",
     "renyi_entropy_factor",
     "renyi_key_entropy",
     "sift_weights",
@@ -56,35 +54,6 @@ _ORDER_CHUNK = 8  # Renyi orders per array call of the score grid: 8 x 192 rows 
 
 
 @dataclass(frozen=True)
-class AcceptanceSet:
-    """Frequency box around the honest test distribution, per symbol (0, 1, perp)."""
-
-    q_hon: Distribution3
-    delta_low: tuple[float, float, float]
-    delta_upp: tuple[float, float, float]
-
-    def __post_init__(self) -> None:
-        if any(d < 0 for d in self.delta_low) or any(d < 0 for d in self.delta_upp):
-            raise ValueError("box deviations must be nonnegative")
-        if not (self.lower().sum() <= 1.0 + 1e-12 <= self.upper().sum() + 2e-12):
-            raise ValueError("box does not intersect the probability simplex")
-
-    def lower(self) -> np.ndarray:
-        return np.maximum(self.q_hon.as_array() - np.asarray(self.delta_low), 0.0)
-
-    def upper(self) -> np.ndarray:
-        return np.minimum(self.q_hon.as_array() + np.asarray(self.delta_upp), 1.0)
-
-    def contains(self, freq: np.ndarray) -> bool:
-        f = np.asarray(freq, dtype=float)
-        return bool(np.all(f >= self.lower() - 1e-15) and np.all(f <= self.upper() + 1e-15))
-
-    @property
-    def delta_low_perp(self) -> float:
-        return self.delta_low[2]
-
-
-@dataclass(frozen=True)
 class RenyiConfig:
     """Renyi order (None = optimize) and secrecy level."""
 
@@ -96,35 +65,6 @@ class RenyiConfig:
             raise ValueError(f"alpha={self.alpha} outside (1, 2]")
         if not 0.0 < self.eps_sec < 1.0:
             raise ValueError(f"eps_sec={self.eps_sec} outside (0, 1)")
-
-
-def q_honest(gamma_a: float, gamma_b: float, omega_exp: float) -> Distribution3:
-    """Honest per-round test distribution (lose, win, no-test)."""
-    gg = gamma_a * gamma_b
-    return Distribution3(gg * (1.0 - omega_exp), gg * omega_exp, 1.0 - gg)
-
-
-def build_acceptance_set(q_hon: Distribution3, n: int, eps_com_at: float) -> AcceptanceSet:
-    """Box with per-symbol binomial tails at level eps_com_at / 6.
-
-    The union bound over six tails keeps the honest abort probability at
-    or below eps_com_at, which must lie in (0, 1): at 1 or more the bound
-    promises nothing, yet the box would keep narrowing and certify more key.
-    """
-    if not 0.0 < eps_com_at < 1.0:
-        raise ValueError(f"eps_com_at must lie in (0, 1), got {eps_com_at}")
-    level = eps_com_at / 6.0
-    lows, upps = [], []
-    for p in q_hon.as_array():
-        if p in (0.0, 1.0):
-            # degenerate symbol: the frequency is deterministic
-            lows.append(0.0)
-            upps.append(0.0)
-            continue
-        dl, du = binomial_box(n, float(p), level)
-        lows.append(dl)
-        upps.append(du)
-    return AcceptanceSet(q_hon, tuple(lows), tuple(upps))
 
 
 def _float_if_scalar(x):
@@ -237,14 +177,14 @@ def _inner_min_vec(p: np.ndarray, lo: np.ndarray, hi: np.ndarray, kappa, am1) ->
 
 def h_alpha(
     config: RenyiConfig,
-    gamma_a: float,
-    gamma_b: float,
-    acc: AcceptanceSet,
+    params: ProtocolParams,
     alphas: Optional[np.ndarray] = None,
 ) -> float | np.ndarray:
     """Certified per-round entropy: worst case over scores and box frequencies.
 
-    The outer score search runs on [1/2, (2+sqrt2)/4] (entropy clamped to
+    The test fractions and the box come from params; a frequency q_c
+    ranges over [box_lo_c / n, box_hi_c / n], and a box whose ceilings
+    sum to fewer than n counts is infeasible.  The outer score search runs on [1/2, (2+sqrt2)/4] (entropy clamped to
     zero at and below the classical point, where an attack only pays the
     divergence cost), localized on a grid of _SIGMA_GRID cells and
     polished by golden-section refinement around the best cell.
@@ -262,11 +202,11 @@ def h_alpha(
         alphas = np.array([config.alpha])
     if not np.all(alphas > 1.0):
         raise ValueError(f"Renyi order must exceed 1, got {np.min(alphas)}")
-    w_key, w_rest = sift_weights(gamma_a, gamma_b)
-    gg = gamma_a * gamma_b
-    lo, hi = acc.lower()[:, None], acc.upper()[:, None]
-    if hi.sum() < 1.0 - 1e-12:
-        raise ValueError("acceptance box is infeasible for the model distribution")
+    w_key, w_rest = sift_weights(params.gamma_a, params.gamma_b)
+    gg = params.gamma_a * params.gamma_b
+    if sum(params.box_hi) < params.n:
+        raise ValueError("acceptance box is infeasible: its ceilings hold fewer than n rounds")
+    lo, hi = (np.array(bound, dtype=float)[:, None] / params.n for bound in (params.box_lo, params.box_hi))
 
     def model(ws: np.ndarray) -> np.ndarray:
         """Model distributions (lose, win, no-test) at win probabilities ws, one per column."""
@@ -315,23 +255,24 @@ class RenyiResult:
 def key_length_renyi(
     params: ProtocolParams,
     config: RenyiConfig,
-    acc: AcceptanceSet,
     leak_ec_bits: float,
 ) -> RenyiResult:
     """Secret key length of the box-accepted protocol.
 
-    params supplies the block size and test fractions; acc is the box
-    the run tested.  With config.alpha unset, the order is optimized on
+    params supplies the block size, the test fractions and the box the
+    run tested; an accepted run has at most n - box_lo_perp test rounds.
+    With config.alpha unset, the order is optimized on
     a log-spaced grid over (1, 2] (_ALPHA_GRID points) and refined
     once around the best point; each pass is one h_alpha call over all
     its orders.
     """
     n, ga, gb = params.n, params.gamma_a, params.gamma_b
+    delta_low_perp = (1.0 - ga * gb) - params.box_lo[2] / n
 
     def raw_length(alpha, ha):
         return (
             n * ha
-            - n * (ga * gb + acc.delta_low_perp)
+            - n * (ga * gb + delta_low_perp)
             - leak_ec_bits
             - LEAK_EV_BITS
             - alpha / (alpha - 1.0) * math.log2(1.0 / config.eps_sec)
@@ -339,12 +280,12 @@ def key_length_renyi(
         )
 
     if config.alpha is not None:
-        ha = h_alpha(config, ga, gb, acc)
+        ha = h_alpha(config, params)
         ell = raw_length(config.alpha, ha)
         return RenyiResult(max(ell, 0.0), ell, ell / n, config.alpha, ha)
 
     def best_of(alphas: np.ndarray) -> tuple[float, float, float]:
-        ha = h_alpha(config, ga, gb, acc, alphas=alphas)
+        ha = h_alpha(config, params, alphas=alphas)
         ell = raw_length(alphas, ha)
         i = int(np.argmax(ell))  # the first order on a tie
         return float(ell[i]), float(alphas[i]), float(ha[i])

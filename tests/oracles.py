@@ -5,10 +5,10 @@ summed term by term with stdlib Decimal arithmetic at 60 significant
 digits, starting from an exact integer binomial coefficient, in mpmath
 from a log-gamma first term, or at p = 3/4 in integers outright; the
 reference box takes its tails from scipy's incomplete beta functions.
-The reference implementations below (bisection box, one-pass
-generation, mask-based estimate, the masked row-per-cell Renyi solver,
-the bitwise GF(2^128) product) are the straightforward versions that
-the faster library code must reproduce exactly.
+The reference implementations below (bisection box, float threshold
+test, one-pass generation, mask-based estimate, the masked row-per-cell
+Renyi solver, the bitwise GF(2^128) product) are the straightforward
+versions that the faster library code must reproduce exactly.
 """
 
 import math
@@ -95,15 +95,13 @@ def binomial_cdf(n: int, j: int, p: float) -> float:
     return float(total)
 
 
-def binomial_box_bisect(n: int, p: float, eps: float) -> tuple[float, float]:
-    """The binomial box by bisection over [0, n] on each tail's predicate.
+def binomial_box_bisect(n: int, p: float, eps: float) -> tuple[int, int]:
+    """The binomial box's count thresholds by bisection over [0, n] on each tail's predicate.
 
     P[X <= j-1] = 1 - I_p(j, n-j+1) and P[X > j] = I_p(j+1, n-j), the
     regularized incomplete beta; scipy's came within 3.5e-16 relative of
     exact sums on 2,663 points with n <= 1e6.
     """
-    if eps >= 1.0:
-        return 0.0, 0.0
     # largest j in [0, n] with P[X <= j-1] <= eps
     lo, hi = 0, n
     while lo < hi:
@@ -112,8 +110,8 @@ def binomial_box_bisect(n: int, p: float, eps: float) -> tuple[float, float]:
             lo = mid
         else:
             hi = mid - 1
-    delta_low = max(0.0, p - lo / n)
-    # smallest j in [-1, n] with P[X > j] <= eps
+    low = lo
+    # smallest j in [0, n] with P[X > j] <= eps
     lo, hi = -1, n
     while lo < hi:
         mid = (lo + hi) // 2
@@ -121,8 +119,12 @@ def binomial_box_bisect(n: int, p: float, eps: float) -> tuple[float, float]:
             hi = mid
         else:
             lo = mid + 1
-    delta_upp = max(0.0, lo / n - p)
-    return delta_low, delta_upp
+    return low, lo
+
+
+def accept_threshold_float(beta: float, params) -> bool:
+    """The threshold test on the win frequency beta = wins / n, as a float comparison."""
+    return beta >= params.gamma_a * params.gamma_b * params.omega_exp - params.delta
 
 
 def generate_columns_oneshot(behavior, params):

@@ -33,12 +33,12 @@ from diqkd.protocol import (
     ProtocolParams,
     accept,
     behavior_from_state,
+    build_acceptance_set,
     estimate,
     generate_transcript,
 )
-from diqkd.protocol import test_statistic as beta_freq
 from diqkd.quantum import NoiseParams, build_heralded_state, fidelity_from_visibilities
-from diqkd.renyi import build_acceptance_set, q_honest, renyi_key_entropy, sift_weights
+from diqkd.renyi import renyi_key_entropy, sift_weights
 
 from oracles import generate_columns_oneshot, log2_binomial_tail
 
@@ -108,8 +108,8 @@ def test_criterion_6_monte_carlo_consistency():
     t0 = time.perf_counter()
     n = 1_000_000
     params = ProtocolParams(
-        n=n, gamma_a=0.26, gamma_b=0.13,
-        omega_exp=CAL_BEHAVIOR.chsh_win_probability(), delta=1e-3, seed=20260808,
+        n=n, gamma_a=0.26, gamma_b=0.13, omega_exp=CAL_BEHAVIOR.chsh_win_probability(), delta=1e-3,
+        box_lo=(0, 0, 0), box_hi=(n, n, n), seed=20260808,
     )
     tr = generate_transcript(CAL_BEHAVIOR, params)
     est = estimate(tr)
@@ -207,17 +207,18 @@ def test_criterion_9_completeness():
     n, runs = 100_000, 300
     eat_target, box_target = 1e-2, 0.05
     delta = delta_for_completeness(n, 0.26, 0.13, omega, target=eat_target)
-    box = build_acceptance_set(q_honest(0.26, 0.13, omega), n, box_target)
+    box_lo, box_hi = build_acceptance_set(n, 0.26, 0.13, omega, box_target)
     aborts_eat = aborts_box = 0
     for seed in range(runs):
-        p = ProtocolParams(n=n, gamma_a=0.26, gamma_b=0.13, omega_exp=omega, delta=delta, seed=seed)
+        p = ProtocolParams(
+            n=n, gamma_a=0.26, gamma_b=0.13, omega_exp=omega, delta=delta, box_lo=box_lo, box_hi=box_hi, seed=seed
+        )
         tr = generate_transcript(behavior, p)
-        if not accept(beta_freq(tr), p):
-            aborts_eat += 1
         c0 = int(np.count_nonzero(tr.c == 0))
         c1 = int(np.count_nonzero(tr.c == 1))
-        if not box.contains(np.array([c0, c1, n - c0 - c1]) / n):
-            aborts_box += 1
+        accepted, accepted_box = accept((c0, c1, n - c0 - c1), p)
+        aborts_eat += not accepted
+        aborts_box += not accepted_box
     ok = aborts_eat / runs <= eat_target and aborts_box / runs <= box_target
     _report(
         9,
@@ -232,7 +233,9 @@ def test_criterion_10_property_suites():
 
     # survivor fraction of sifting matches gamma_eff statistically
     n = 1_000_000
-    params = ProtocolParams(n=n, gamma_a=0.26, gamma_b=0.13, omega_exp=0.83, delta=1e-3, seed=99)
+    params = ProtocolParams(
+        n=n, gamma_a=0.26, gamma_b=0.13, omega_exp=0.83, delta=1e-3, box_lo=(0, 0, 0), box_hi=(n, n, n), seed=99
+    )
     tr = generate_transcript(CAL_BEHAVIOR, params)
     dead = ((tr.s == 1) & (tr.t == 0)) | ((tr.s == 0) & (tr.t == 1) & (tr.x == 1) & (tr.y == 2))
     frac = 1.0 - np.count_nonzero(dead) / n
@@ -275,7 +278,10 @@ def test_criterion_10_property_suites():
     )
 
     # deterministic replay: chunked generation equals one pass over all rounds, repeated runs are bit-identical
-    p = ProtocolParams(n=50_001, gamma_a=0.26, gamma_b=0.13, omega_exp=0.83, delta=1e-3, seed=5)
+    n = 50_001
+    p = ProtocolParams(
+        n=n, gamma_a=0.26, gamma_b=0.13, omega_exp=0.83, delta=1e-3, box_lo=(0, 0, 0), box_hi=(n, n, n), seed=5
+    )
     tr = generate_transcript(CAL_BEHAVIOR, p)
     checks.append(all(np.array_equal(getattr(tr, c), want) for c, want in zip("stxyabc", generate_columns_oneshot(CAL_BEHAVIOR, p))))
     r1 = run_pipeline(RunConfig(method="eat", analytic=True, s_obs=2.612, q_obs=0.0285))

@@ -220,6 +220,8 @@ class TestMain:
             ("sweep.lengths = 11,abc\n", "distance"),
             ("sweep.lengths = 11,12\n", "distance"),  # 12 km is not a calibrated length
             ("sweep.lengths = 12\n", "distance"),
+            ("protocol.omega_exp = 0.80\n", "sweep-n"),  # every sweep point is an analytic run
+            ("protocol.omega_exp = 1.5\n", "pipeline"),
         ):
             bad.write_text(body)
             assert main(["--config", str(bad)] + out + [command]) == 3, body
@@ -231,6 +233,8 @@ class TestMain:
             "physical.v_zz = 1.5\n",
             "timing.duty_cycle = 2.0\n",
             "analysis.s_obs = 1.5\n",  # sub-classical stated operating point
+            "protocol.omega_exp = 0.80\n",  # an analytic run tests the operating point, so this would be ignored
+            "protocol.delta = nan\n",  # used to certify a NaN key length (and crash a simulated run's integer test)
         ]
         for body in cases:
             cfg = tmp_path / "c.cfg"
@@ -313,9 +317,9 @@ class TestSweeps:
         orders = []
         original = renyi.key_length_renyi
 
-        def recording(params, config, acc, lec):
+        def recording(params, config, lec):
             orders.append(config.alpha)
-            return original(params, config, acc, lec)
+            return original(params, config, lec)
 
         monkeypatch.setattr(renyi, "key_length_renyi", recording)
         cfg = RunConfig(method="renyi", renyi_alpha=1.01, delta=0.002)

@@ -22,17 +22,24 @@ from diqkd.eat import (
     leak_ec,
     vartheta,
 )
+from diqkd.eat import _ell_for_split
 from diqkd.protocol import ProtocolParams
 
 PAPER = HonestModel.from_chsh(2.612, 0.0285, 0.26, 0.13)
 
 
-def eat_length(n, model=PAPER, budget=EatBudget(eps_snd=1e-5), delta=None):
-    """key_length_eat for a protocol tested at the model's win probability."""
-    if delta is None:
-        delta = delta_for_completeness(n, model.gamma_a, model.gamma_b, model.omega, target=1e-2)
-    params = ProtocolParams(n=n, gamma_a=model.gamma_a, gamma_b=model.gamma_b, omega_exp=model.omega, delta=delta)
-    return key_length_eat(params, budget, leak_ec(n, model, 0.005))
+def protocol_at(n, model, delta):
+    """A protocol tested at the model's win probability; the accumulation bound reads no box, so it is open."""
+    return ProtocolParams(
+        n=n, gamma_a=model.gamma_a, gamma_b=model.gamma_b, omega_exp=model.omega, delta=delta,
+        box_lo=(0, 0, 0), box_hi=(n, n, n),
+    )
+
+
+def eat_length(n, model=PAPER, budget=EatBudget(eps_snd=1e-5)):
+    """key_length_eat at the delta meeting a 1e-2 completeness target."""
+    delta = delta_for_completeness(n, model.gamma_a, model.gamma_b, model.omega, target=1e-2)
+    return key_length_eat(protocol_at(n, model, delta), budget, leak_ec(n, model, 0.005))
 
 
 class TestGammaEff:
@@ -186,8 +193,7 @@ class TestCompleteness:
     def test_monte_carlo_abort_below_bound(self):
         # 500 honest runs at n = 10^4: observed abort frequency must stay
         # below the Chernoff-style bound the delta was calibrated to
-        from diqkd.protocol import ProtocolParams, accept, behavior_from_state, generate_transcript
-        from diqkd.protocol import test_statistic as beta_freq
+        from diqkd.protocol import accept, behavior_from_state, estimate, generate_transcript
         from diqkd.quantum import NoiseParams, build_heralded_state
 
         behavior = behavior_from_state(build_heralded_state(NoiseParams.from_visibilities(0.943, 0.924)))
@@ -196,9 +202,12 @@ class TestCompleteness:
         delta = delta_for_completeness(n, 0.26, 0.13, omega, target=target)
         aborts = 0
         for seed in range(500):
-            p = ProtocolParams(n=n, gamma_a=0.26, gamma_b=0.13, omega_exp=omega, delta=delta, seed=seed)
+            p = ProtocolParams(
+                n=n, gamma_a=0.26, gamma_b=0.13, omega_exp=omega, delta=delta,
+                box_lo=(0, 0, 0), box_hi=(n, n, n), seed=seed,
+            )
             tr = generate_transcript(behavior, p)
-            if not accept(beta_freq(tr), p):
+            if not accept(estimate(tr).counts, p)[0]:
                 aborts += 1
         assert aborts / 500 <= target
 
@@ -228,17 +237,12 @@ class TestKeyLength:
         assert res.length == 0.0
 
     def test_budget_invariants_hold_at_optimum(self):
-        res = eat_length(1_208_000)
-        b = res.budget
-        b.validate_split()  # raises on violation
-        assert b.eps_ec + b.eps_pa + b.eps_s <= 1e-5
-
-    def test_partial_split_rejected(self):
-        # a split set in part would otherwise be overwritten by the optimizer
-        with pytest.raises(ValueError, match="all five"):
-            EatBudget(eps_snd=1e-5, eps_pa=1e-9)
-        with pytest.raises(ValueError, match="all five"):
-            EatBudget(eps_snd=1e-5, eps_pa=2.5e-6, eps_s=5e-6, eps_s_prime=2.5e-6, eps_s_dprime=5e-7)
+        s = eat_length(1_208_000).splits
+        assert set(s) == {"eps_pa", "eps_s", "eps_s_prime", "eps_s_dprime", "eps_ea"}
+        assert all(0.0 < v < 1.0 for v in s.values())
+        assert s["eps_s"] - s["eps_s_prime"] - 2.0 * s["eps_s_dprime"] > 0.0
+        assert 2.0**-61 + s["eps_pa"] + s["eps_s"] <= 1e-5
+        assert 2.0**-61 + s["eps_pa"] + s["eps_s"] + s["eps_ea"] == pytest.approx(1e-5, rel=1e-12)
 
     def test_converges_to_sifted_asymptote(self):
         target = asymptotic_rate_sifted(2.612, 0.0285, 0.26, 0.13)
@@ -247,27 +251,23 @@ class TestKeyLength:
         assert target - res.rate < 0.002
 
     def test_monotonicities_fixed_split(self):
-        # fixed epsilon split isolates the formula's monotone structure;
-        # omega_exp enters through the protocol, q through the leakage
-        budget = EatBudget(
-            eps_snd=1e-5, eps_pa=2.5e-6, eps_s=5e-6,
-            eps_s_prime=2.5e-6, eps_s_dprime=5e-7, eps_ea=2.4e-6,
-        )
+        # fixed epsilon split (eps_pa, eps_s, eps_s_prime, eps_s_dprime, eps_ea)
+        # isolates the formula's monotone structure; omega_exp enters
+        # through the protocol, q through the leakage
+        split = (2.5e-6, 5e-6, 2.5e-6, 5e-7, 2.4e-6)
         delta = 5e-4
-        rates_n = [
-            eat_length(int(n), PAPER, budget, delta).raw_length
-            for n in np.logspace(5.5, 9, 20)
-        ]
+
+        def raw_length(n, model):
+            omega_in = model.omega - delta / gamma_eff(model.gamma_a, model.gamma_b)
+            return _ell_for_split(protocol_at(n, model, delta), 2.0**-61, split, omega_in, leak_ec(n, model, 0.005))[0]
+
+        rates_n = [raw_length(int(n), PAPER) for n in np.logspace(5.5, 9, 20)]
         assert all(b > a for a, b in zip(rates_n, rates_n[1:]))
         lengths_s = [
-            eat_length(1_208_000, HonestModel.from_chsh(s, 0.0285, 0.26, 0.13), budget, delta).raw_length
-            for s in np.linspace(2.35, 2.82, 20)
+            raw_length(1_208_000, HonestModel.from_chsh(s, 0.0285, 0.26, 0.13)) for s in np.linspace(2.35, 2.82, 20)
         ]
         assert all(b > a for a, b in zip(lengths_s, lengths_s[1:]))
-        lengths_q = [
-            eat_length(1_208_000, HonestModel(0.8265, q, 0.26, 0.13), budget, delta).raw_length
-            for q in np.linspace(0.0, 0.08, 20)
-        ]
+        lengths_q = [raw_length(1_208_000, HonestModel(0.8265, q, 0.26, 0.13)) for q in np.linspace(0.0, 0.08, 20)]
         assert all(b < a for a, b in zip(lengths_q, lengths_q[1:]))
 
     def test_below_asymptote(self):

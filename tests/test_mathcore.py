@@ -4,9 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from diqkd import cli, mathcore
+from diqkd import cli, mathcore, protocol
 from diqkd.mathcore import (
-    Distribution3,
     binary_entropy,
     binomial_box,
     binomial_tail,
@@ -15,7 +14,6 @@ from diqkd.mathcore import (
     rel_entropy_binary,
 )
 from diqkd.mathcore import _last_true
-from diqkd.renyi import q_honest
 
 from oracles import (
     binomial_box_bisect,
@@ -65,14 +63,6 @@ class TestRelEntropyBinary:
         assert rel_entropy_binary(0.5, 1.0) == math.inf
         assert rel_entropy_binary(0.0, 0.0) == 0.0
         assert rel_entropy_binary(1.0, 1.0) == 0.0
-
-
-class TestDistribution3:
-    def test_invalid_distribution_rejected(self):
-        with pytest.raises(ValueError):
-            Distribution3(0.5, 0.5, 0.5)
-        with pytest.raises(ValueError):
-            Distribution3(-0.1, 0.6, 0.5)
 
 
 class TestBinomialTail:
@@ -179,14 +169,13 @@ class TestBinomialTail:
 
 class TestBinomialBox:
     def test_no_constraint_level(self):
-        assert binomial_box(100, 0.3, 1.0) == (0.0, 0.0)
+        # every threshold meets a level of 1: the largest lower, the smallest upper
+        assert binomial_box(100, 0.3, 1.0) == (100, 0)
 
     def test_single_trial_enumeration(self):
-        # freq in {0, 1}; P[freq = 0] = 0.5 > 0.4, so the lower deviation
-        # must push the threshold all the way to 0.
-        dlow, dupp = binomial_box(1, 0.5, 0.4)
-        assert dlow == pytest.approx(0.5)
-        assert dupp == pytest.approx(0.5)
+        # X in {0, 1}; P[X = 0] = P[X = 1] = 0.5 > 0.4, so the thresholds
+        # must open all the way to 0 and 1
+        assert binomial_box(1, 0.5, 0.4) == (0, 1)
 
     def test_defining_inequalities_via_binomial_tail(self):
         rng = np.random.default_rng(5)
@@ -194,16 +183,13 @@ class TestBinomialBox:
             n = int(rng.integers(2, 2000))
             p = float(rng.uniform(0.01, 0.99))
             eps = float(rng.uniform(1e-6, 0.5))
-            dlow, dupp = binomial_box(n, p, eps)
-            # lower tail: P[X < n(p - dlow)] <= eps, re-checked in log space
-            j = math.ceil(n * (p - dlow) - 1e-9) - 1
-            if j >= 0:
-                low_tail = 1.0 - 2.0 ** binomial_tail(n, j + 1, p)
-                assert low_tail <= eps + 1e-12
-            # upper tail: P[X > n(p + dupp)] <= eps
-            j = math.floor(n * (p + dupp) + 1e-9)
-            if j < n:
-                assert 2.0 ** binomial_tail(n, j + 1, p) <= eps + 1e-12
+            low, upp = binomial_box(n, p, eps)
+            # lower tail: P[X < low] <= eps, re-checked in log space
+            if low > 0:
+                assert 1.0 - 2.0 ** binomial_tail(n, low, p) <= eps + 1e-12
+            # upper tail: P[X > upp] <= eps
+            if upp < n:
+                assert 2.0 ** binomial_tail(n, upp + 1, p) <= eps + 1e-12
 
     def test_minimality_small_n_exhaustive(self):
         # exhaustive check against direct enumeration for small n
@@ -212,21 +198,21 @@ class TestBinomialBox:
             n = int(rng.integers(1, 12))
             p = float(rng.uniform(0.1, 0.9))
             eps = float(rng.uniform(0.001, 0.9))
-            dlow, dupp = binomial_box(n, p, eps)
+            low, upp = binomial_box(n, p, eps)
             pmf = [math.comb(n, i) * p**i * (1 - p) ** (n - i) for i in range(n + 1)]
 
-            def low_ok(d):
-                return sum(pmf[i] for i in range(n + 1) if i / n < p - d - 1e-12) <= eps
+            def below(j):  # P[X < j]
+                return sum(pmf[:j])
 
-            def upp_ok(d):
-                return sum(pmf[i] for i in range(n + 1) if i / n > p + d + 1e-12) <= eps
+            def above(j):  # P[X > j]
+                return sum(pmf[j + 1 :])
 
-            assert low_ok(dlow) and upp_ok(dupp)
-            step = 1.0 / n
-            if dlow > 0:
-                assert not low_ok(max(dlow - step, dlow * 0.5) if dlow - step < 0 else dlow - step)
-            if dupp > 0:
-                assert not upp_ok(max(dupp - step, dupp * 0.5) if dupp - step < 0 else dupp - step)
+            assert below(low) <= eps and above(upp) <= eps
+            # one count further in, a tail exceeds eps
+            if low < n:
+                assert below(low + 1) > eps
+            if upp > 0:
+                assert above(upp - 1) > eps
 
     def test_equals_bisection_on_random_cases(self):
         # the quantile-seeded search must land where a bisection over [0, n] does
@@ -268,25 +254,27 @@ class TestBinomialBox:
         assert len(calls) <= 10
 
     @pytest.mark.parametrize("n", [10_000, 500_000, 1_208_000, 10_000_000])
-    def test_equals_bisection_at_pipeline_cells(self, n):
-        # the (n, p, level) triples build_acceptance_set hands over: the
-        # q_honest cells at the paper point and at the default model's omega
+    def test_equals_bisection_at_pipeline_cells(self, n, monkeypatch):
+        # the (n, p, level) triples build_acceptance_set hands over, at the
+        # paper point and at the default model's omega
         config = cli.load_config(None, {})
         omegas = (chsh_to_winprob(2.612), cli._model_behavior(config).chsh_win_probability())
-        level = config.eps_com_at / 6.0
+        seen = []
+        monkeypatch.setattr(protocol, "binomial_box", lambda *args: seen.append(args) or binomial_box(*args))
         for omega in omegas:
-            for p in q_honest(config.gamma_a, config.gamma_b, omega).as_array():
-                p = float(p)
-                assert binomial_box(n, p, level) == binomial_box_bisect(n, p, level), (n, p)
+            protocol.build_acceptance_set(n, config.gamma_a, config.gamma_b, omega, config.eps_com_at)
+        assert len(seen) == 6
+        for args in seen:
+            assert binomial_box(*args) == binomial_box_bisect(*args), args
 
     def test_tails_at_the_ends_of_the_range(self):
         # lower and upper thresholds at j = 0, next to the predicates' k = -1
         # end, then the mirror at j = n
         p = 1e-4
-        assert binomial_box(10, p, 0.01) == (p, 0.0) == binomial_box_bisect(10, p, 0.01)
+        assert binomial_box(10, p, 0.01) == (0, 0) == binomial_box_bisect(10, p, 0.01)
         q = 1.0 - p
-        assert binomial_box(10, q, 0.01) == (0.0, 1.0 - q) == binomial_box_bisect(10, q, 0.01)
-        assert binomial_box(10, 0.0, 0.01) == (0.0, 0.0) == binomial_box(10, 1.0, 0.01)
+        assert binomial_box(10, q, 0.01) == (10, 10) == binomial_box_bisect(10, q, 0.01)
+        assert binomial_box(10, 0.0, 0.01) == (0, 0) and binomial_box(10, 1.0, 0.01) == (10, 10)
         # the predicate at the lower end is taken as true whatever it says
         for guess in (-1, 0, 5):
             assert _last_true(lambda j: False, guess, -1, 5) == -1
@@ -309,20 +297,18 @@ class TestBinomialBox:
 
     def test_paper_scale_against_cdf_oracle(self):
         n, p, eps = 10_000, 0.0338 * 0.8265, 0.01 / 6
-        dlow, dupp = binomial_box(n, p, eps)
-        jlow = round(n * (p - dlow))
-        assert binomial_cdf(n, jlow - 1, p) <= eps
-        assert binomial_cdf(n, jlow, p) > eps
-        jupp = round(n * (p + dupp))
-        assert 1.0 - binomial_cdf(n, jupp, p) <= eps
-        assert 1.0 - binomial_cdf(n, jupp - 1, p) > eps
+        low, upp = binomial_box(n, p, eps)
+        assert binomial_cdf(n, low - 1, p) <= eps
+        assert binomial_cdf(n, low, p) > eps
+        assert 1.0 - binomial_cdf(n, upp, p) <= eps
+        assert 1.0 - binomial_cdf(n, upp - 1, p) > eps
 
     def test_scaling_with_n(self):
-        # deviations shrink like 1/sqrt(n)
+        # frequency deviations shrink like 1/sqrt(n)
         p, eps = 0.1, 0.01
         for n in (10_000, 100_000):
-            d1, _ = binomial_box(n, p, eps)
-            d4, _ = binomial_box(4 * n, p, eps)
+            d1 = p - binomial_box(n, p, eps)[0] / n
+            d4 = p - binomial_box(4 * n, p, eps)[0] / (4 * n)
             assert 0.4 <= d4 / d1 <= 0.6
 
 

@@ -55,3 +55,22 @@ def test_every_import_is_used():
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused += [f"{path.name}:{line} {name}" for name, line in imported.items() if name not in used | exported]
     assert unused == []
+
+
+def test_benchmark_targets_resolve_and_trace_the_same_report(monkeypatch):
+    # perfbench wraps these names by module attribute; a renamed or
+    # deleted one would only show in its own suite, outside testpaths
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    workloads = importlib.import_module("workloads")
+    spans = importlib.import_module("spans")
+    assert [t.attr for t in workloads.TARGETS if not callable(getattr(t.module, t.attr, None))] == []
+
+    from diqkd import cli
+
+    config = cli.load_config(None, {"security.method": "eat", "protocol.n": "20000", "seed": "7"})
+    plain = cli.run_pipeline(config).to_json()
+    tracer = spans.Tracer()
+    with tracer.patched(workloads.TARGETS):
+        traced = cli.run_pipeline(config).to_json()
+    assert traced == plain
+    assert tracer.counts["renyi.acceptance_box.calls"] == tracer.counts["eat.delta_for_completeness.calls"] == 1

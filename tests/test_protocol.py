@@ -22,7 +22,7 @@ from diqkd.quantum import NoiseParams, build_heralded_state
 from diqkd.protocol import test_statistic as beta_freq
 from diqkd.protocol import _thresholds
 from diqkd.rng import SLOTS_PER_ROUND, CounterRng, audit_total
-from oracles import estimate_masks, generate_columns_oneshot
+from oracles import accept_threshold_float, estimate_masks, generate_columns_oneshot
 
 CAL_STATE = build_heralded_state(NoiseParams.from_visibilities(0.943, 0.924))
 CAL_BEHAVIOR = behavior_from_state(CAL_STATE)
@@ -30,8 +30,12 @@ IDEAL_BEHAVIOR = behavior_from_state(build_heralded_state(NoiseParams()))
 S_MODEL = math.sqrt(2) * (0.943 + 0.924)
 
 
-def params(n=10_000, seed=7, omega=0.83, delta=0.01):
-    return ProtocolParams(n=n, gamma_a=0.26, gamma_b=0.13, omega_exp=omega, delta=delta, seed=seed)
+def params(n=10_000, seed=7, omega=0.83, delta=0.01, box_lo=(0, 0, 0), box_hi=None):
+    """A protocol at the paper's test fractions; the box is open unless given."""
+    box_hi = (n, n, n) if box_hi is None else box_hi
+    return ProtocolParams(
+        n=n, gamma_a=0.26, gamma_b=0.13, omega_exp=omega, delta=delta, box_lo=box_lo, box_hi=box_hi, seed=seed
+    )
 
 
 class TestCounterRng:
@@ -324,11 +328,36 @@ class TestStatisticAndAccept:
         assert abs(beta - gg * w) <= band
 
     def test_accept_boundary(self):
-        p = params(omega=0.8265, delta=0.001)
-        thr = p.gamma_a * p.gamma_b * p.omega_exp - p.delta
-        assert accept(thr, p)
-        assert not accept(thr - 1e-12, p)
-        assert not accept(0.0, params(delta=0.0))
+        # at win_min - 1 and win_min the integer test gives the float
+        # test's verdict on the frequency wins / n, over many (n, omega,
+        # delta); half the thresholds are set within an ulp of a count
+        # k0 / n, where thr * n and k / n round across the boundary
+        rng = np.random.default_rng(29)
+        gg = 0.26 * 0.13
+        for _ in range(3000):
+            n = int(10 ** rng.uniform(0.0, 9.0))
+            omega = float(rng.uniform(0.7501, 0.85))
+            if rng.random() < 0.5:
+                delta = float(10 ** rng.uniform(-9.0, -1.0))
+            else:
+                t = int(rng.integers(0, int(gg * omega * n) + 1)) / n
+                t = float(np.nextafter(t, (-np.inf, t, np.inf)[int(rng.integers(0, 3))]))
+                delta = max(gg * omega - t, 0.0)
+            p = params(n=n, omega=omega, delta=delta)
+            k = p.win_min
+            assert 0 <= k <= n
+            for wins in (k - 1, k):
+                if wins >= 0:
+                    assert accept((0, wins, n - wins), p)[0] == accept_threshold_float(wins / n, p), (n, omega, delta)
+            assert accept((0, k, n - k), p)[0]
+        assert accept((10_000, 0, 0), params(delta=0.0)) == (False, True)
+
+    def test_accept_box_bounds_inclusive(self):
+        p = params(n=1000, box_lo=(10, 20, 900), box_hi=(30, 40, 960))
+        assert accept((30, 40, 930), p) == (True, True)  # both ends of a bound accept
+        assert accept((10, 30, 960), p)[1]
+        for counts in ((9, 30, 961), (31, 40, 929), (20, 19, 961), (20, 41, 939), (50, 40, 910)):
+            assert accept(counts, p)[1] is False, counts
 
 
 class TestEstimate:
@@ -399,6 +428,8 @@ def _random_transcript(seed: int, empty_cell: bool = False, no_key: bool = False
         y[(s == 0) & (t == 0) & (x == 1) & (y == 1)] = 0
     a, b = rng.integers(0, 2, (2, n))
     c = np.where((s == 0) & (t == 0), (a ^ b) == (x & y), PERP)
-    p = ProtocolParams(n=n, gamma_a=gamma_a, gamma_b=gamma_b, omega_exp=0.8, delta=0.0, seed=seed)
+    p = ProtocolParams(
+        n=n, gamma_a=gamma_a, gamma_b=gamma_b, omega_exp=0.8, delta=0.0, box_lo=(0, 0, 0), box_hi=(n, n, n), seed=seed
+    )
     return Transcript(p, s, t, x, y, a, b, c)
 

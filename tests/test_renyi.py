@@ -1,5 +1,4 @@
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,15 +6,12 @@ from oracles import renyi_h_alpha, renyi_objective
 
 from diqkd import renyi
 from diqkd.eat import EatBudget, HonestModel, asymptotic_rate_sifted, delta_for_completeness, key_length_eat, leak_ec
-from diqkd.mathcore import TSIRELSON_WIN, Distribution3
-from diqkd.protocol import ProtocolParams
+from diqkd.mathcore import TSIRELSON_WIN
+from diqkd.protocol import ProtocolParams, accept, build_acceptance_set
 from diqkd.renyi import (
-    AcceptanceSet,
     RenyiConfig,
-    build_acceptance_set,
     h_alpha,
     key_length_renyi,
-    q_honest,
     renyi_entropy_factor,
     renyi_key_entropy,
     sift_weights,
@@ -27,46 +23,69 @@ PAPER = HonestModel.from_chsh(2.612, 0.0285, 0.26, 0.13)
 N_PAPER = 1_208_000
 
 
-def paper_acc(n=N_PAPER, eps_com_at=0.005):
-    return build_acceptance_set(q_honest(0.26, 0.13, PAPER.omega), n, eps_com_at)
+def honest(gamma_a, gamma_b, omega):
+    """The honest (lose, win, no-test) distribution."""
+    gg = gamma_a * gamma_b
+    return np.array([gg * (1.0 - omega), gg * omega, 1.0 - gg])
+
+
+def box_params(n, gamma_a, gamma_b, omega, box_lo, box_hi):
+    """A protocol testing the given count box (the Renyi bound does not read delta)."""
+    return ProtocolParams(
+        n=n, gamma_a=gamma_a, gamma_b=gamma_b, omega_exp=omega, delta=0.0, box_lo=box_lo, box_hi=box_hi
+    )
+
+
+def cell_params(n, gamma_a, gamma_b, omega, eps_com_at):
+    """A protocol testing the box build_acceptance_set finds for the cell."""
+    return box_params(n, gamma_a, gamma_b, omega, *build_acceptance_set(n, gamma_a, gamma_b, omega, eps_com_at))
+
+
+def paper_params(n=N_PAPER, eps_com_at=0.005):
+    delta = delta_for_completeness(n, 0.26, 0.13, PAPER.omega, target=1e-2)
+    box_lo, box_hi = build_acceptance_set(n, 0.26, 0.13, PAPER.omega, eps_com_at)
+    return ProtocolParams(
+        n=n, gamma_a=0.26, gamma_b=0.13, omega_exp=PAPER.omega, delta=delta, box_lo=box_lo, box_hi=box_hi
+    )
 
 
 def paper_leak(n=N_PAPER):
     return leak_ec(n, PAPER, 0.005)
 
 
-def paper_params(n=N_PAPER):
-    delta = delta_for_completeness(n, 0.26, 0.13, PAPER.omega, target=1e-2)
-    return ProtocolParams(n=n, gamma_a=0.26, gamma_b=0.13, omega_exp=PAPER.omega, delta=delta)
+def bounds(params):
+    """The box as frequency bounds (lo, hi): counts over n."""
+    return tuple(np.array(b, dtype=float) / params.n for b in (params.box_lo, params.box_hi))
 
 
-def model_objective(alpha, w, gamma_a, gamma_b, acc):
+def model_objective(alpha, w, gamma_a, gamma_b, lo, hi):
     """Inner minimum at the model distribution of win probabilities w, from the public pieces."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
     gg = gamma_a * gamma_b
     s = 8.0 * (w - 0.5)
     kappa = np.where(s > 2.0, sifted_entropy_bound(alpha, gamma_a, gamma_b, s), 0.0)
     p = np.array([gg * (1.0 - w), gg * w, np.full_like(w, 1.0 - gg)])
-    return _inner_min_vec(p, acc.lower()[:, None], acc.upper()[:, None], kappa, alpha - 1.0)
+    return _inner_min_vec(p, lo[:, None], hi[:, None], kappa, alpha - 1.0)
 
 
 COARSE_ORDERS = np.unique(np.minimum(1.0 + np.logspace(-5.0, 0.0, 64), 2.0))
 
 
 class TestHonestDistribution:
+    """build_acceptance_set centres the box on the honest (lose, win, no-test) distribution."""
+
     def test_no_tests(self):
-        d = q_honest(1e-12, 1e-12, 0.8)
-        assert d.q_perp == pytest.approx(1.0)
+        # with vanishing test fractions every round is a no-test round
+        assert build_acceptance_set(1000, 1e-12, 1e-12, 0.8, 0.005) == ((0, 0, 1000), (0, 0, 1000))
 
     def test_all_tests_all_wins(self):
-        d = q_honest(1.0, 1.0, 1.0)
-        assert (d.q0, d.q1, d.q_perp) == (0.0, 1.0, 0.0)
+        assert build_acceptance_set(1000, 1.0, 1.0, 1.0, 0.005) == ((0, 1000, 0), (0, 1000, 0))
 
     def test_paper_point(self):
-        d = q_honest(0.26, 0.13, 0.8265)
-        assert d.q0 == pytest.approx(0.005864, abs=1e-6)
-        assert d.q1 == pytest.approx(0.027936, abs=1e-6)
-        assert d.q_perp == pytest.approx(0.96620, abs=1e-6)
+        n = 10**9
+        lo, hi = build_acceptance_set(n, 0.26, 0.13, 0.8265, 0.005)
+        mid = (np.array(lo) + np.array(hi)) / (2 * n)
+        assert mid == pytest.approx([0.005864, 0.027936, 0.96620], abs=1e-6)
 
 
 class TestAcceptanceSet:
@@ -74,25 +93,33 @@ class TestAcceptanceSet:
     def test_level_outside_unit_interval_rejected(self, eps_com_at):
         # at eps_com_at >= 1 the box would keep narrowing and certify more key
         with pytest.raises(ValueError, match="eps_com_at"):
-            build_acceptance_set(q_honest(0.26, 0.13, 0.8265), 1000, eps_com_at)
+            build_acceptance_set(1000, 0.26, 0.13, 0.8265, eps_com_at)
 
     def test_box_contains_honest_point(self):
-        acc = paper_acc()
-        assert acc.contains(acc.q_hon.as_array())
-        assert np.all(acc.lower() <= acc.q_hon.as_array())
-        assert np.all(acc.upper() >= acc.q_hon.as_array())
+        params = paper_params()
+        mean = honest(0.26, 0.13, PAPER.omega) * N_PAPER
+        assert np.all(np.array(params.box_lo) <= mean) and np.all(mean <= np.array(params.box_hi))
+        c0, c1 = (int(round(c)) for c in mean[:2])
+        assert accept((c0, c1, N_PAPER - c0 - c1), params) == (True, True)
 
     def test_deviations_shrink_like_sqrt_n(self):
+        p = honest(0.26, 0.13, 0.8265)
         for n in (10_000, 100_000):
-            d1 = build_acceptance_set(q_honest(0.26, 0.13, 0.8265), n, 0.05)
-            d4 = build_acceptance_set(q_honest(0.26, 0.13, 0.8265), 4 * n, 0.05)
-            for i in range(3):
-                assert 0.4 <= d4.delta_low[i] / d1.delta_low[i] <= 0.6
-                assert 0.4 <= d4.delta_upp[i] / d1.delta_upp[i] <= 0.6
+            lo1, hi1 = (np.array(b) / n for b in build_acceptance_set(n, 0.26, 0.13, 0.8265, 0.05))
+            lo4, hi4 = (np.array(b) / (4 * n) for b in build_acceptance_set(4 * n, 0.26, 0.13, 0.8265, 0.05))
+            assert np.all((0.4 <= (p - lo4) / (p - lo1)) & ((p - lo4) / (p - lo1) <= 0.6))
+            assert np.all((0.4 <= (hi4 - p) / (hi1 - p)) & ((hi4 - p) / (hi1 - p) <= 0.6))
 
     def test_invalid_box_rejected(self):
-        with pytest.raises(ValueError):
-            AcceptanceSet(Distribution3(0.1, 0.2, 0.7), (-0.1, 0, 0), (0, 0, 0))
+        for box_lo, box_hi in (
+            ((-1, 0, 0), (10, 40, 1000)),  # a negative floor
+            ((0, 41, 0), (10, 40, 1000)),  # a floor above its ceiling
+            ((0, 0, 0), (10, 40, 1001)),  # a ceiling above n
+            ((0, 0), (10, 40)),  # two symbols
+            ((0.0, 0.02, 0.9), (0.01, 0.04, 1.0)),  # frequencies, not counts
+        ):
+            with pytest.raises(ValueError, match="box"):
+                box_params(1000, 0.26, 0.13, 0.8265, box_lo, box_hi)
 
 
 class TestEntropyFactor:
@@ -160,11 +187,11 @@ class TestSiftedBound:
     @pytest.mark.parametrize("gammas", [(1.5, 0.5), (1.0, 1.0), (0.0, 0.5), (0.5, 0.0), (-0.1, 0.5), (math.nan, 0.5)])
     def test_fractions_outside_unit_interval_rejected(self, gammas):
         # 1.5 used to certify 17 bits per round, (1, 1) divided by zero and (0, 0.5)
-        # reported an infeasible box
+        # reported an infeasible box; no protocol, so no h_alpha call, holds them now
         with pytest.raises(ValueError, match="test fractions"):
             sift_weights(*gammas)
         with pytest.raises(ValueError, match="test fractions"):
-            h_alpha(RenyiConfig(alpha=1.1), *gammas, paper_acc())
+            box_params(1000, *gammas, 0.8265, (0, 0, 0), (1000, 1000, 1000))
 
     def test_classical_score_certifies_nothing(self):
         assert sifted_entropy_bound(1.3, 0.26, 0.13, 2.0) == 0.0
@@ -226,8 +253,7 @@ class TestInnerSolve:
             assert got == pytest.approx(want, rel=1e-9, abs=1e-12)
 
     def test_paper_box_against_dense_simplex_grid(self):
-        acc = paper_acc()
-        lo, hi = acc.lower(), acc.upper()
+        lo, hi = bounds(paper_params())
         q0 = np.linspace(lo[0], hi[0], 401)[:, None]
         q1 = np.linspace(lo[1], hi[1], 401)[None, :]
         q2 = 1.0 - q0 - q1
@@ -261,61 +287,61 @@ class TestInnerSolve:
         assert np.isfinite(_inner_min_vec(p[:, :1], lo, hi, np.array([0.2]), 0.3)).all()
 
     def test_box_whose_ceilings_cannot_carry_the_mass_rejected(self):
-        # AcceptanceSet refuses such a box, so the check sees a stand-in
-        short = SimpleNamespace(lower=lambda: np.zeros(3), upper=lambda: np.array([0.1, 0.3, 0.5]))
+        # ceilings of 100 + 300 + 500 counts cannot hold n = 1000 rounds
+        short = box_params(1000, 0.26, 0.13, 0.8265, (0, 0, 0), (100, 300, 500))
         with pytest.raises(ValueError, match="infeasible"):
-            h_alpha(RenyiConfig(alpha=1.1), 0.26, 0.13, short)
+            h_alpha(RenyiConfig(alpha=1.1), short)
 
 
 class TestHAlpha:
     def test_point_box_forced_score(self):
-        acc = AcceptanceSet(q_honest(0.26, 0.13, 0.8265), (0, 0, 0), (0, 0, 0))
-        got = model_objective(1.2, 0.8265, 0.26, 0.13, acc)[0]
+        q = honest(0.26, 0.13, 0.8265)
+        got = model_objective(1.2, 0.8265, 0.26, 0.13, q, q)[0]
         want = 0.96620 * sifted_entropy_bound(1.2, 0.26, 0.13, 2.612)
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_perfect_violation_limit(self):
         ga = gb = 1e-5
         w = (2 + math.sqrt(2)) / 4
-        acc = AcceptanceSet(q_honest(ga, gb, w), (0, 0, 0), (0, 0, 0))
-        got = model_objective(1 + 1e-6, w, ga, gb, acc)[0]
+        q = honest(ga, gb, w)
+        got = model_objective(1 + 1e-6, w, ga, gb, q, q)[0]
         assert got == pytest.approx(1.0, abs=1e-3)
 
     def test_nonincreasing_in_alpha(self):
-        acc = paper_acc()
-        vals = [h_alpha(RenyiConfig(alpha=a), 0.26, 0.13, acc) for a in np.linspace(1.001, 2.0, 10)]
+        params = paper_params()
+        vals = [h_alpha(RenyiConfig(alpha=a), params) for a in np.linspace(1.001, 2.0, 10)]
         assert all(y <= x + 1e-12 for x, y in zip(vals, vals[1:]))
 
     def test_nondecreasing_as_box_shrinks(self):
-        base = paper_acc()
+        # the paper box's count deviations from the honest mean, scaled; the
+        # floors and ceilings round outward, so each box holds the next
+        base = paper_params()
+        mean = honest(0.26, 0.13, PAPER.omega) * N_PAPER
         cfg = RenyiConfig(alpha=1.01)
         vals = []
         for scale in (4.0, 2.0, 1.0, 0.5, 0.25, 0.0):
-            acc = AcceptanceSet(
-                base.q_hon,
-                tuple(d * scale for d in base.delta_low),
-                tuple(d * scale for d in base.delta_upp),
-            )
-            vals.append(h_alpha(cfg, 0.26, 0.13, acc))
+            lo = tuple(max(0, math.floor(m - scale * (m - b))) for m, b in zip(mean, base.box_lo))
+            hi = tuple(min(N_PAPER, math.ceil(m + scale * (b - m))) for m, b in zip(mean, base.box_hi))
+            vals.append(h_alpha(cfg, box_params(N_PAPER, 0.26, 0.13, PAPER.omega, lo, hi)))
         assert all(y >= x - 1e-12 for x, y in zip(vals, vals[1:]))
 
     def test_batched_orders_equal_single_orders(self):
-        acc = paper_acc()
+        params = paper_params()
         alphas = np.concatenate([COARSE_ORDERS, [1.0004010279139497, 1.01, 1.2]])  # 67: a partial last chunk
-        batched = h_alpha(RenyiConfig(), 0.26, 0.13, acc, alphas=alphas)
+        batched = h_alpha(RenyiConfig(), params, alphas=alphas)
         for a, got in zip(alphas, batched):
-            assert got == h_alpha(RenyiConfig(alpha=float(a)), 0.26, 0.13, acc)
+            assert got == h_alpha(RenyiConfig(alpha=float(a)), params)
 
     def test_dense_grid_minimum_and_kink(self):
-        acc = paper_acc()
+        params = paper_params()
         ws = np.linspace(0.5, TSIRELSON_WIN, 4001)
 
         def outer(alpha, w):
-            return model_objective(alpha, w, 0.26, 0.13, acc)
+            return model_objective(alpha, w, 0.26, 0.13, *bounds(params))
 
         for alpha in (1.0004, 1.01, 1.2):
             dense = outer(alpha, ws)
-            got = h_alpha(RenyiConfig(alpha=alpha), 0.26, 0.13, acc)
+            got = h_alpha(RenyiConfig(alpha=alpha), params)
             assert got <= dense.min()
             if alpha >= 1.01:
                 # the minimizer sits at the kink omega = 3/4, where the entropy term switches on
@@ -323,20 +349,23 @@ class TestHAlpha:
                 assert got == pytest.approx(float(outer(alpha, np.array([0.75]))[0]), rel=1e-12)
 
     def test_adversary_exploits_wide_box(self):
-        # a much wider box lets the attack drop the certified score
-        wide = AcceptanceSet(q_honest(0.26, 0.13, 0.8265), (0.03, 0.03, 0.03), (0.03, 0.03, 0.03))
-        tight = paper_acc()
+        # a much wider box, 0.03 n counts either side of the honest mean, lets the attack drop the certified score
+        tight = paper_params()
+        mean = honest(0.26, 0.13, PAPER.omega) * N_PAPER
+        lo = tuple(max(0, math.floor(m - 0.03 * N_PAPER)) for m in mean)
+        hi = tuple(min(N_PAPER, math.ceil(m + 0.03 * N_PAPER)) for m in mean)
+        wide = box_params(N_PAPER, 0.26, 0.13, PAPER.omega, lo, hi)
         cfg = RenyiConfig(alpha=1.05)
-        assert h_alpha(cfg, 0.26, 0.13, wide) < h_alpha(cfg, 0.26, 0.13, tight)
+        assert h_alpha(cfg, wide) < h_alpha(cfg, tight)
 
 
 def random_cells(seed, count):
-    """(gamma_a, gamma_b, box) over the ranges the calculator meets, box from n and eps_com_at."""
+    """Protocols over the ranges the calculator meets, each box from its n and eps_com_at."""
     rng = np.random.default_rng(seed)
     for _ in range(count):
         ga, gb = rng.uniform(0.02, 0.98, 2)
         omega, n, eps = rng.uniform(0.76, 0.85), int(10 ** rng.uniform(3.0, 9.0)), 10 ** rng.uniform(-6.0, -1.0)
-        yield ga, gb, build_acceptance_set(q_honest(ga, gb, omega), n, eps)
+        yield cell_params(n, float(ga), float(gb), float(omega), eps)
 
 
 class TestKernelMatchesOracle:
@@ -344,10 +373,10 @@ class TestKernelMatchesOracle:
 
     @pytest.mark.parametrize("seed", [101, 102, 103, 104, 105])
     def test_order_search_bitwise_on_random_cells(self, seed):
-        for ga, gb, acc in random_cells(seed, 30):
-            got = h_alpha(RenyiConfig(), ga, gb, acc, alphas=COARSE_ORDERS)
-            want = renyi_h_alpha(COARSE_ORDERS, ga, gb, acc.lower(), acc.upper())
-            assert np.array_equal(got, want), (ga, gb, acc)
+        for params in random_cells(seed, 30):
+            got = h_alpha(RenyiConfig(), params, alphas=COARSE_ORDERS)
+            want = renyi_h_alpha(COARSE_ORDERS, params.gamma_a, params.gamma_b, *bounds(params))
+            assert np.array_equal(got, want), params
 
     def test_grid_stage_bitwise(self, monkeypatch):
         # the golden refinement sets most reported values, so compare the grid chunks themselves
@@ -355,30 +384,30 @@ class TestKernelMatchesOracle:
         solve = renyi._inner_min_vec
         monkeypatch.setattr(renyi, "_inner_min_vec", lambda *args: seen.append(solve(*args)) or seen[-1])
         grid = np.linspace(0.5, TSIRELSON_WIN, renyi._SIGMA_GRID)
-        for ga, gb, acc in random_cells(107, 4):
+        for params in random_cells(107, 4):
             for alphas in (COARSE_ORDERS, np.array([2.0])):
                 seen.clear()
-                h_alpha(RenyiConfig(), ga, gb, acc, alphas=alphas)
+                h_alpha(RenyiConfig(), params, alphas=alphas)
                 for j, got in zip(range(0, len(alphas), renyi._ORDER_CHUNK), seen):
                     chunk = alphas[j : j + renyi._ORDER_CHUNK, None]
-                    want = renyi_objective(chunk, grid, ga, gb, acc.lower(), acc.upper())
+                    want = renyi_objective(chunk, grid, params.gamma_a, params.gamma_b, *bounds(params))
                     assert np.array_equal(got, want.ravel())
 
     def test_fixed_order_bitwise(self):
         # a lone order takes numpy's scalar-exponent shortcuts (alpha = 2: sqrt and squaring)
-        for ga, gb, acc in random_cells(106, 6):
+        for params in random_cells(106, 6):
             for alpha in (1.0004, 1.01, 1.3, 2.0):
-                want = renyi_h_alpha(np.array([alpha]), ga, gb, acc.lower(), acc.upper())[0]
-                assert h_alpha(RenyiConfig(alpha=alpha), ga, gb, acc) == want
+                want = renyi_h_alpha(np.array([alpha]), params.gamma_a, params.gamma_b, *bounds(params))[0]
+                assert h_alpha(RenyiConfig(alpha=alpha), params) == want
 
     def test_optimum_at_or_below_classical_point_bitwise(self):
         # a wide box at small n lets the attack sit where the entropy term is off
-        acc = build_acceptance_set(q_honest(0.5, 0.5, 0.78), 1000, 0.1)
+        params = cell_params(1000, 0.5, 0.5, 0.78, 0.1)
         grid = np.linspace(0.5, TSIRELSON_WIN, renyi._SIGMA_GRID)
-        best = grid[np.argmin(renyi_objective(COARSE_ORDERS[:, None], grid, 0.5, 0.5, acc.lower(), acc.upper()), axis=1)]
+        best = grid[np.argmin(renyi_objective(COARSE_ORDERS[:, None], grid, 0.5, 0.5, *bounds(params)), axis=1)]
         assert (best <= 0.75).any()
-        got = h_alpha(RenyiConfig(), 0.5, 0.5, acc, alphas=COARSE_ORDERS)
-        assert np.array_equal(got, renyi_h_alpha(COARSE_ORDERS, 0.5, 0.5, acc.lower(), acc.upper()))
+        got = h_alpha(RenyiConfig(), params, alphas=COARSE_ORDERS)
+        assert np.array_equal(got, renyi_h_alpha(COARSE_ORDERS, 0.5, 0.5, *bounds(params)))
 
     @pytest.mark.parametrize("alpha, calls", [(None, 114), (1.001, 53)])
     def test_solver_calls_per_search(self, monkeypatch, alpha, calls):
@@ -386,51 +415,47 @@ class TestKernelMatchesOracle:
         seen = []
         solve = renyi._inner_min_vec
         monkeypatch.setattr(renyi, "_inner_min_vec", lambda *args: seen.append(1) or solve(*args))
-        key_length_renyi(paper_params(), RenyiConfig(alpha=alpha), paper_acc(), paper_leak())
+        key_length_renyi(paper_params(), RenyiConfig(alpha=alpha), paper_leak())
         assert len(seen) == calls
 
 
 class TestKeyLength:
     def test_paper_point(self):
-        res = key_length_renyi(paper_params(), RenyiConfig(eps_sec=1e-5 - 2.0**-61), paper_acc(), paper_leak())
+        res = key_length_renyi(paper_params(), RenyiConfig(eps_sec=1e-5 - 2.0**-61), paper_leak())
         assert res.rate == pytest.approx(0.112, abs=0.015)
         assert res.length == pytest.approx(135_300, abs=18_000)
         assert 1.0 < res.alpha <= 2.0
 
     def test_tight_soundness(self):
-        res = key_length_renyi(paper_params(), RenyiConfig(eps_sec=1e-15 - 2.0**-61), paper_acc(), paper_leak())
+        res = key_length_renyi(paper_params(), RenyiConfig(eps_sec=1e-15 - 2.0**-61), paper_leak())
         assert res.rate == pytest.approx(0.075, abs=0.015)
 
     def test_tiny_n_yields_nothing(self):
         n = 1000
-        acc = build_acceptance_set(q_honest(0.26, 0.13, PAPER.omega), n, 0.005)
-        res = key_length_renyi(paper_params(n), RenyiConfig(eps_sec=1e-5), acc, leak_ec(n, PAPER, 0.005))
+        res = key_length_renyi(paper_params(n), RenyiConfig(eps_sec=1e-5), leak_ec(n, PAPER, 0.005))
         assert res.raw_length <= 0.0
         assert res.length == 0.0
 
     def test_beats_accumulation_at_paper_block(self):
-        renyi = key_length_renyi(
-            paper_params(), RenyiConfig(eps_sec=1e-5 - 2.0**-61), paper_acc(), paper_leak()
-        )
+        renyi = key_length_renyi(paper_params(), RenyiConfig(eps_sec=1e-5 - 2.0**-61), paper_leak())
         eat = key_length_eat(paper_params(), EatBudget(eps_snd=1e-5), paper_leak())
         assert renyi.rate > eat.rate
 
     def test_below_sifted_asymptote(self):
         asym = asymptotic_rate_sifted(2.612, 0.0285, 0.26, 0.13)
         for n in (10**5, N_PAPER, 10**8):
-            acc = build_acceptance_set(q_honest(0.26, 0.13, PAPER.omega), n, 0.005)
-            res = key_length_renyi(
-                paper_params(n), RenyiConfig(eps_sec=1e-5), acc, leak_ec(n, PAPER, 0.005)
-            )
+            res = key_length_renyi(paper_params(n), RenyiConfig(eps_sec=1e-5), leak_ec(n, PAPER, 0.005))
             assert res.rate < asym
 
     def test_fixed_alpha_evaluation(self):
+        # an accepted run has at most n - box_lo_perp test rounds, each charged one bit
         cfg = RenyiConfig(alpha=1.001, eps_sec=1e-5)
-        res = key_length_renyi(paper_params(), cfg, paper_acc(), paper_leak())
+        params = paper_params()
+        res = key_length_renyi(params, cfg, paper_leak())
         assert res.alpha == 1.001
         assert res.raw_length == pytest.approx(
             N_PAPER * res.h_alpha_bits
-            - N_PAPER * (0.26 * 0.13 + paper_acc().delta_low_perp)
+            - (N_PAPER - params.box_lo[2])
             - paper_leak()
             - 64.0
             - 1.001 / 0.001 * math.log2(1 / 1e-5)

@@ -266,16 +266,17 @@ def _link_models(config: RunConfig) -> tuple[link.LinkBudget, link.TimingModel]:
 
 
 def run_pipeline(config: RunConfig) -> KeyRateReport:
-    """Model -> (transcript) -> estimates -> acceptance -> key lengths.
+    """Model -> (streamed rounds -> counts) -> estimates -> acceptance -> key lengths.
 
     The protocol and its acceptance test are fixed once as a
     ProtocolParams: omega_exp is the stated operating point in analytic
     mode and protocol.omega_exp (or the model's win probability) in a
     simulated run; delta is protocol.delta or the slack meeting
     eps_ea_com; the count box is built around the same omega_exp.
-    ``protocol.accept`` tests the transcript's counts against this
-    threshold and box in integers, and both key lengths are certified
-    for them.
+    A simulated run streams its rounds chunk by chunk into the count
+    tensor, so it holds no n-long column.  ``protocol.accept`` tests the
+    run's counts against this threshold and box in integers, and both
+    key lengths are certified for them.
     """
     t0 = time.perf_counter()
     try:
@@ -327,10 +328,9 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
         from . import rng as _rng
 
         before = _rng.audit_total()
-        tr = protocol.generate_transcript(behavior, params)
+        est = protocol.estimate(protocol.simulate_rounds(behavior, params))
         draws = _rng.audit_total() - before
-        beta = protocol.test_statistic(tr)
-        est = protocol.estimate(tr)
+        beta = est.counts[1] / params.n
         s_hat, s_err, q_hat, q_err = est.s_hat, est.s_err, est.q_hat, est.q_err
         accepted, accepted_box = protocol.accept(est.counts, params)
 

@@ -27,21 +27,25 @@ stays as a public, output-invariant function and a benchmark target.
 
 Generation is vectorized over a counter-based generator, so disjoint
 round ranges produced in parallel are bit-identical to a sequential run.
-It fills preallocated int8 columns CHUNK_ROUNDS rounds at a time, so its
-64-bit temporaries stay in cache and its memory is the columns plus one
-chunk.  Each chunk draws its five slots as one block of 53-bit words w
-into one reused buffer.  The uniform is u = w * 2^-53 exactly, so
-u >= c exactly when w >= ceil(c * 2^53): the test fractions, 1/2 and
-the outcome cumulants become integer thresholds once per call, and no
-word is converted to a float.  ``estimate`` reduces a transcript to a
-count tensor over the 96 cells (s, t, x, y, a, b), one ``bincount`` per
-COUNT_ROUNDS-round block, and reads every figure from it.
+``simulate_rounds`` streams the rounds CHUNK_ROUNDS at a time through
+one reused chunk of int8 columns, so its 64-bit temporaries stay in
+cache and its memory is one chunk, whatever n is.  Each chunk draws its
+five slots as one block of 53-bit words w into one reused buffer.  The
+uniform is u = w * 2^-53 exactly, so u >= c exactly when
+w >= ceil(c * 2^53): the test fractions, 1/2 and the outcome cumulants
+become integer thresholds once per run, and no word is converted to a
+float.  ``estimate`` reduces a stream of column blocks, or a stored
+Transcript, to a count tensor over the 96 cells (s, t, x, y, a, b), one
+``bincount`` per block, and reads every figure from it; the simulated
+pipeline never holds an n-long column.  ``generate_transcript`` copies
+the same stream into full columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -57,6 +61,7 @@ __all__ = [
     "Behavior",
     "Transcript",
     "behavior_from_state",
+    "simulate_rounds",
     "generate_transcript",
     "sift",
     "test_statistic",
@@ -67,7 +72,7 @@ __all__ = [
 
 PERP = 2  # placeholder value of the test outcome c on non-test rounds
 CHUNK_ROUNDS = 1 << 13  # rounds generated per pass; their temporaries stay in cache
-COUNT_ROUNDS = 1 << 16  # rounds per count-tensor block
+COUNT_ROUNDS = 1 << 16  # rounds per count-tensor block of a stored Transcript
 
 
 @dataclass(frozen=True)
@@ -213,6 +218,12 @@ class Transcript:
     def __len__(self) -> int:
         return self.params.n
 
+    def __iter__(self) -> Iterator[tuple[np.ndarray, ...]]:
+        """The columns (s, t, x, y, a, b, c) as views of COUNT_ROUNDS rounds at a time, for ``estimate``."""
+        cols = (self.s, self.t, self.x, self.y, self.a, self.b, self.c)
+        for lo in range(0, self.params.n, COUNT_ROUNDS):
+            yield tuple(col[lo : lo + COUNT_ROUNDS] for col in cols)
+
     def copy(self) -> "Transcript":
         return Transcript(
             self.params,
@@ -240,7 +251,7 @@ def _thresholds(c) -> np.ndarray:
 
 
 def _generate_columns(rng: CounterRng, thr: np.ndarray, cuts: np.ndarray, start: int, words: np.ndarray, out) -> None:
-    """Fill the int8 column slices ``out`` (s, t, x, y, a, b, c) with rounds [start, start + len).
+    """Fill the int8 columns ``out`` (s, t, x, y, a, b, c) with rounds [start, start + len).
 
     ``words`` is a (5, len) uint64 buffer for the rounds' draws.  ``thr``
     holds the word thresholds of (gamma_a, 1/2, gamma_b, 1/2) for slots 0
@@ -273,21 +284,34 @@ def _generate_columns(rng: CounterRng, thr: np.ndarray, cuts: np.ndarray, start:
     c |= not_test * PERP
 
 
-def generate_transcript(behavior: Behavior, params: ProtocolParams) -> Transcript:
-    """n i.i.d. rounds from the behavior, reproducible from params.seed.
+def simulate_rounds(behavior: Behavior, params: ProtocolParams) -> Iterator[np.ndarray]:
+    """n i.i.d. rounds from the behavior, reproducible from params.seed, CHUNK_ROUNDS at a time.
 
-    Rounds are filled CHUNK_ROUNDS at a time from one block of five words
-    per round (slots: s, x, t, y, outcome pair), drawn into one reused
-    buffer.
+    Yields each chunk as a (7, rounds) int8 view whose rows are the
+    columns (s, t, x, y, a, b, c).  Every chunk is one block of five words
+    per round (slots: s, x, t, y, outcome pair), and chunks and words
+    share one reused buffer each, so a chunk is overwritten by the next:
+    consume or copy it before stepping on.
     """
     rng = CounterRng(params.seed)
     thr = _thresholds([params.gamma_a, 0.5, params.gamma_b, 0.5])
     cuts = _thresholds(np.cumsum(behavior.table.reshape(6, 4), axis=1)[:, :3].T)
-    cols = [np.empty(params.n, dtype=np.int8) for _ in range(7)]
-    words = np.empty((5, min(CHUNK_ROUNDS, params.n)), dtype=np.uint64)
+    size = min(CHUNK_ROUNDS, params.n)
+    cols = np.empty((7, size), dtype=np.int8)
+    words = np.empty((5, size), dtype=np.uint64)
     for start in range(0, params.n, CHUNK_ROUNDS):
-        stop = min(start + CHUNK_ROUNDS, params.n)
-        _generate_columns(rng, thr, cuts, start, words[:, : stop - start], [col[start:stop] for col in cols])
+        m = min(CHUNK_ROUNDS, params.n - start)
+        _generate_columns(rng, thr, cuts, start, words[:, :m], cols[:, :m])
+        yield cols[:, :m]
+
+
+def generate_transcript(behavior: Behavior, params: ProtocolParams) -> Transcript:
+    """The rounds of ``simulate_rounds`` stored as a Transcript's n-long columns."""
+    cols = np.empty((7, params.n), dtype=np.int8)
+    start = 0
+    for chunk in simulate_rounds(behavior, params):
+        cols[:, start : start + chunk.shape[1]] = chunk
+        start += chunk.shape[1]
     return Transcript(params, *cols)
 
 
@@ -325,30 +349,32 @@ class EstimateResult:
     flagged: bool
 
 
-def _count_tensor(tr: Transcript) -> np.ndarray:
+def _count_tensor(blocks: Iterable[Sequence[np.ndarray]]) -> np.ndarray:
     """Round counts over the 96 cells (s, t, x, y, a, b), shape (2, 2, 2, 3, 2, 2).
 
-    Summed over COUNT_ROUNDS-round blocks, so the int8 cell index and the
-    intp copy ``bincount`` makes of it stay one block long.
+    Summed over the blocks of columns (s, t, x, y, a, b, c), so the int8
+    cell index and the intp copy ``bincount`` makes of it stay one block
+    long.
     """
     counts = np.zeros(96, dtype=np.intp)
-    for lo in range(0, tr.params.n, COUNT_ROUNDS):
-        s, t, x, y, a, b = (v[lo : lo + COUNT_ROUNDS] for v in (tr.s, tr.t, tr.x, tr.y, tr.a, tr.b))
+    for s, t, x, y, a, b, _ in blocks:
         counts += np.bincount(s * 48 + t * 24 + x * 12 + y * 4 + a * 2 + b, minlength=96)
     return counts.reshape(2, 2, 2, 3, 2, 2)
 
 
-def estimate(tr: Transcript) -> EstimateResult:
+def estimate(rounds: Iterable[Sequence[np.ndarray]]) -> EstimateResult:
     """Point estimates of the CHSH value and key-basis error rate.
 
-    The CHSH value comes from the four test-setting correlators, the
-    error rate from all (x, y) = (0, 2) rounds; both carry Poissonian
-    standard errors.  Estimates with an empty cell are flagged.  Every
-    figure is read from the count tensor, so the c column enters only
-    through the transcript invariant: c is the payoff on test rounds and
-    PERP on all others.
+    ``rounds`` is a Transcript or any iterable of column blocks, such as
+    ``simulate_rounds``; n is the number of rounds it holds.  The CHSH
+    value comes from the four test-setting correlators, the error rate
+    from all (x, y) = (0, 2) rounds; both carry Poissonian standard
+    errors.  Estimates with an empty cell are flagged.  Every figure is
+    read from the count tensor, so the c column enters only through the
+    transcript invariant: c is the payoff on test rounds and PERP on all
+    others.
     """
-    cells = _count_tensor(tr)
+    cells = _count_tensor(rounds)
     test = cells[0, 0, :, :2]  # (x, y, a, b) on rounds with s = t = 0
     flagged = False
     wins = 0
@@ -377,6 +403,6 @@ def estimate(tr: Transcript) -> EstimateResult:
         q_err = math.sqrt(max(q_hat * (1.0 - q_hat), 1.0 / n_key) / n_key)
 
     n_test = int(test.sum())
-    counts = (n_test - wins, wins, tr.params.n - n_test)
+    counts = (n_test - wins, wins, int(cells.sum()) - n_test)
     return EstimateResult(float(s_hat), s_err, q_hat, q_err, counts, flagged)
 

@@ -36,6 +36,7 @@ from diqkd.protocol import (
     build_acceptance_set,
     estimate,
     generate_transcript,
+    simulate_rounds,
 )
 from diqkd.quantum import NoiseParams, build_heralded_state, fidelity_from_visibilities
 from diqkd.renyi import renyi_key_entropy, sift_weights
@@ -213,10 +214,7 @@ def test_criterion_9_completeness():
         p = ProtocolParams(
             n=n, gamma_a=0.26, gamma_b=0.13, omega_exp=omega, delta=delta, box_lo=box_lo, box_hi=box_hi, seed=seed
         )
-        tr = generate_transcript(behavior, p)
-        c0 = int(np.count_nonzero(tr.c == 0))
-        c1 = int(np.count_nonzero(tr.c == 1))
-        accepted, accepted_box = accept((c0, c1, n - c0 - c1), p)
+        accepted, accepted_box = accept(estimate(simulate_rounds(behavior, p)).counts, p)
         aborts_eat += not accepted
         aborts_box += not accepted_box
     ok = aborts_eat / runs <= eat_target and aborts_box / runs <= box_target

@@ -193,7 +193,7 @@ class TestCompleteness:
     def test_monte_carlo_abort_below_bound(self):
         # 500 honest runs at n = 10^4: observed abort frequency must stay
         # below the Chernoff-style bound the delta was calibrated to
-        from diqkd.protocol import accept, behavior_from_state, estimate, generate_transcript
+        from diqkd.protocol import accept, behavior_from_state, estimate, simulate_rounds
         from diqkd.quantum import NoiseParams, build_heralded_state
 
         behavior = behavior_from_state(build_heralded_state(NoiseParams.from_visibilities(0.943, 0.924)))
@@ -206,8 +206,7 @@ class TestCompleteness:
                 n=n, gamma_a=0.26, gamma_b=0.13, omega_exp=omega, delta=delta,
                 box_lo=(0, 0, 0), box_hi=(n, n, n), seed=seed,
             )
-            tr = generate_transcript(behavior, p)
-            if not accept(estimate(tr).counts, p)[0]:
+            if not accept(estimate(simulate_rounds(behavior, p)).counts, p)[0]:
                 aborts += 1
         assert aborts / 500 <= target
 

@@ -66,11 +66,23 @@ def test_benchmark_targets_resolve_and_trace_the_same_report(monkeypatch):
     assert [t.attr for t in workloads.TARGETS if not callable(getattr(t.module, t.attr, None))] == []
 
     from diqkd import cli
+    from diqkd.rng import CounterRng
 
     config = cli.load_config(None, {"security.method": "eat", "protocol.n": "20000", "seed": "7"})
     plain = cli.run_pipeline(config).to_json()
     tracer = spans.Tracer()
+    # the innermost open span at each draw: perfbench fails an operation
+    # whose time sits outside the wrapped layers, in its root span
+    drawn_in = []
+    round_words = CounterRng.round_words
+
+    def recorded(self, *args):
+        drawn_in.append(tracer.spans[tracer._stack[-1]][0])
+        return round_words(self, *args)
+
+    monkeypatch.setattr(CounterRng, "round_words", recorded)
     with tracer.patched(workloads.TARGETS):
-        traced = cli.run_pipeline(config).to_json()
+        traced = tracer.wrap("cli.run_pipeline", cli.run_pipeline)(config).to_json()
     assert traced == plain
     assert tracer.counts["renyi.acceptance_box.calls"] == tracer.counts["eat.delta_for_completeness.calls"] == 1
+    assert drawn_in and "cli.run_pipeline" not in drawn_in

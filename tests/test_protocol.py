@@ -17,7 +17,9 @@ from diqkd.protocol import (
     estimate,
     generate_transcript,
     sift,
+    simulate_rounds,
 )
+from diqkd import cli
 from diqkd.quantum import NoiseParams, build_heralded_state
 from diqkd.protocol import test_statistic as beta_freq
 from diqkd.protocol import _thresholds
@@ -190,7 +192,11 @@ class TestGeneration:
 
     @pytest.mark.parametrize(
         "n, seed",
-        [(n, seed) for seed in (13, 2**64 - 1) for n in (1, CHUNK_ROUNDS - 1, CHUNK_ROUNDS, CHUNK_ROUNDS + 1, 3 * CHUNK_ROUNDS + 17)],
+        [
+            (n, seed)
+            for seed in (13, 2**64 - 1)
+            for n in (1, CHUNK_ROUNDS - 1, CHUNK_ROUNDS, CHUNK_ROUNDS + 1, 3 * CHUNK_ROUNDS + 17, COUNT_ROUNDS + 1)
+        ],
     )
     def test_chunked_fill_matches_one_pass_oracle(self, n, seed):
         p = params(n=n, seed=seed)
@@ -200,6 +206,14 @@ class TestGeneration:
         for col, want in zip("stxyabc", generate_columns_oneshot(CAL_BEHAVIOR, p)):
             got = getattr(tr, col)
             assert got.dtype == np.int8 and np.array_equal(got, want), col
+        # the stream the pipeline counts is the transcript, chunk for chunk
+        # (the default config's model is CAL_BEHAVIOR)
+        before = audit_total()
+        streamed = estimate(simulate_rounds(CAL_BEHAVIOR, p))
+        assert audit_total() - before == 5 * n
+        assert repr(dataclasses.astuple(streamed)) == repr(dataclasses.astuple(estimate(tr)))
+        config = cli.load_config(None, {"security.method": "eat", "protocol.n": str(n), "seed": str(seed)})
+        assert cli.run_pipeline(config).beta_freq == beta_freq(tr)
 
     def test_traced_peak_is_the_columns_plus_one_chunk(self):
         n = 1_208_000
@@ -390,6 +404,20 @@ class TestEstimate:
     def test_block_edges_equal_mask_oracle(self, n):
         tr = generate_transcript(CAL_BEHAVIOR, params(n=n, seed=n))
         assert repr(dataclasses.astuple(estimate(tr))) == repr(estimate_masks(tr))
+
+    def test_streamed_peak_is_flat_in_n(self):
+        peaks = []
+        for n in (200_000, 2_000_000):
+            rounds = simulate_rounds(CAL_BEHAVIOR, params(n=n, seed=23))
+            tracemalloc.start()
+            try:
+                estimate(rounds)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert max(peaks) < 1.5 * 2**20
+        assert max(peaks) <= 1.1 * min(peaks)
 
     def test_traced_peak_is_one_count_block(self):
         tr = generate_transcript(CAL_BEHAVIOR, params(n=1_208_000, seed=19))

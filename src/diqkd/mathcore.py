@@ -12,7 +12,7 @@ imported.  All functions are pure and reentrant.
 from __future__ import annotations
 
 import math
-from statistics import NormalDist
+from functools import reduce
 
 import numpy as np
 
@@ -178,6 +178,26 @@ def binomial_tail(n: int, k: int, p0: float) -> float:
     return _ln_tail(n, k, *float(p0).as_integer_ratio()) / math.log(2.0)
 
 
+# Acklam's normal quantile: (numerator, denominator) coefficients, highest power first
+_QUANTILE_CENTRE = (
+    (-39.69683028665376, 220.9460984245205, -275.9285104469687, 138.357751867269, -30.66479806614716, 2.506628277459239),
+    (-54.47609879822406, 161.5858368580409, -155.6989798598866, 66.80131188771972, -13.28068155288572, 1.0),
+)
+_QUANTILE_TAIL = (
+    (-0.007784894002430293, -0.3223964580411365, -2.400758277161838, -2.549732539343734, 4.374664141464968,
+     2.938163982698783),
+    (0.007784695709041462, 0.3224671290700398, 2.445134137142996, 3.754408661907416, 1.0),
+)
+
+
+def _normal_quantile(p: float) -> float:
+    """The standard normal quantile at p in (0, 1), to a relative 1.15e-9."""
+    centre = 0.02425 <= p <= 0.97575
+    x = (p - 0.5) ** 2 if centre else math.sqrt(-2.0 * math.log(min(p, 1.0 - p)))
+    num, den = (reduce(lambda acc, c: acc * x + c, row) for row in (_QUANTILE_CENTRE if centre else _QUANTILE_TAIL))
+    return (p - 0.5) * num / den if centre else math.copysign(num / den, p - 0.5)
+
+
 def binomial_box(n: int, p: float, eps: float) -> tuple[int, int]:
     """Count thresholds (L, H) of Binomial(n, p) with both tails at most eps.
 
@@ -207,7 +227,7 @@ def binomial_box(n: int, p: float, eps: float) -> tuple[int, int]:
     # The thresholds sit within about half a count of the normal quantile
     # with Cornish-Fisher's skew term, n p -+ sigma z + (z^2 - 1)(1 - 2p)/6;
     # each guess is one count above its answer, where _last_true takes two calls.
-    z = NormalDist().inv_cdf(eps)
+    z = _normal_quantile(eps)
     spread, skew = math.sqrt(n * p * (1.0 - p)) * z, (z * z - 1.0) * (1.0 - 2.0 * p) / 6.0
     # j = 0 always meets the lower tail; on the upper side j = n always
     # does, and j = -1 (P[X > -1] = 1) never

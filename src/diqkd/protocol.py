@@ -27,25 +27,25 @@ stays as a public, output-invariant function and a benchmark target.
 
 Generation is vectorized over a counter-based generator, so disjoint
 round ranges produced in parallel are bit-identical to a sequential run.
-``simulate_rounds`` streams the rounds CHUNK_ROUNDS at a time through
-one reused chunk of int8 columns, so its 64-bit temporaries stay in
-cache and its memory is one chunk, whatever n is.  Each chunk draws its
-five slots as one block of 53-bit words w into one reused buffer.  The
-uniform is u = w * 2^-53 exactly, so u >= c exactly when
-w >= ceil(c * 2^53): the test fractions, 1/2 and the outcome cumulants
-become integer thresholds once per run, and no word is converted to a
-float.  ``estimate`` reduces a stream of column blocks, or a stored
-Transcript, to a count tensor over the 96 cells (s, t, x, y, a, b), one
-``bincount`` per block, and reads every figure from it; the simulated
-pipeline never holds an n-long column.  ``generate_transcript`` copies
-the same stream into full columns.
+A run is its counts over the 96 cells (s, t, x, y, a, b), of index
+v = 48 s + 24 t + 12 x + 4 y + 2 a + b.  Each chunk of CHUNK_ROUNDS rounds
+draws five raw 64-bit words z per round (slots S, X, T, Y, outcome) into
+one reused buffer and reduces them to v, with no per-round column.  As
+u = (z >> 11) 2^-53, u >= c exactly when z >= ceil(c 2^53) << 11: no word
+becomes a float.  The key-round rules x = X (1 - S), y = Y (1 - T) + 2 T
+make the setting part 48 S + 32 T + 12 [X > S] + 4 [Y > T].  With the
+outcome word w = z >> 11 and cuts c_k = ceil(P(pair index <= k | x, y) 2^53),
+the pair is a = [w >= c_1], b = [w >= c_{2a}].  ``simulate_rounds`` yields
+one count tensor per chunk, so memory is one chunk whatever n is;
+``estimate`` sums count tensors, of that stream or of a stored
+Transcript.  ``generate_transcript`` decodes the same v into columns.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -172,14 +172,8 @@ class Behavior:
 
     def chsh_win_probability(self) -> float:
         """Winning probability of the game under uniform test settings."""
-        win = 0.0
-        for x in range(2):
-            for y in range(2):
-                for a in range(2):
-                    for b in range(2):
-                        if (a ^ b) == (x & y):
-                            win += 0.25 * self.table[x, y, a, b]
-        return float(win)
+        cells = np.ndindex(2, 2, 2, 2)
+        return float(sum(0.25 * self.table[x, y, a, b] for x, y, a, b in cells if (a ^ b) == (x & y)))
 
     def chsh_value(self) -> float:
         e = self.table[..., 0, 0] - self.table[..., 0, 1] - self.table[..., 1, 0] + self.table[..., 1, 1]
@@ -189,7 +183,12 @@ class Behavior:
         return float(self.table[0, 2, 0, 1] + self.table[0, 2, 1, 0])
 
 
-_COLUMN_TOPS = (1, 1, 1, 2, 1, 1, PERP)  # largest value of s, t, x, y, a, b, c
+# (s, t, x, y, a, b) of each cell index v, and the columns a Transcript stores for it
+_CELL = np.unravel_index(np.arange(96), (2, 2, 2, 3, 2, 2))
+_CELL_COLUMNS = np.array(
+    [*_CELL, np.where(_CELL[0] | _CELL[1], PERP, (_CELL[4] ^ _CELL[5]) == (_CELL[2] & _CELL[3]))], dtype=np.int8
+)
+_SETTING_WEIGHTS = np.array([[48], [12], [32], [4]], dtype=np.uint8)  # of S, [X > S], T, [Y > T]
 
 
 class Transcript:
@@ -204,7 +203,7 @@ class Transcript:
     def __init__(self, params: ProtocolParams, s, t, x, y, a, b, c):
         self.params = params
         arrays = []
-        for name, v, top in zip("stxyabc", (s, t, x, y, a, b, c), _COLUMN_TOPS):
+        for name, v, top in zip("stxyabc", (s, t, x, y, a, b, c), _CELL_COLUMNS.max(axis=1)):
             raw = np.asarray(v)
             col = raw.astype(np.int8, copy=False)
             if col.shape != (params.n,):
@@ -218,18 +217,11 @@ class Transcript:
     def __len__(self) -> int:
         return self.params.n
 
-    def __iter__(self) -> Iterator[tuple[np.ndarray, ...]]:
-        """The columns (s, t, x, y, a, b, c) as views of COUNT_ROUNDS rounds at a time, for ``estimate``."""
-        cols = (self.s, self.t, self.x, self.y, self.a, self.b, self.c)
+    def __iter__(self) -> Iterator[np.ndarray]:
+        """The 96-cell count tensors of COUNT_ROUNDS rounds at a time, for ``estimate``."""
         for lo in range(0, self.params.n, COUNT_ROUNDS):
-            yield tuple(col[lo : lo + COUNT_ROUNDS] for col in cols)
-
-    def copy(self) -> "Transcript":
-        return Transcript(
-            self.params,
-            self.s.copy(), self.t.copy(), self.x.copy(), self.y.copy(),
-            self.a.copy(), self.b.copy(), self.c.copy(),
-        )
+            s, t, x, y, a, b = (col[lo : lo + COUNT_ROUNDS] for col in (self.s, self.t, self.x, self.y, self.a, self.b))
+            yield np.bincount(s * 48 + t * 24 + x * 12 + y * 4 + a * 2 + b, minlength=96)
 
 
 def behavior_from_state(rho: TwoQubitState, readout_flip: float = 0.0) -> Behavior:
@@ -250,74 +242,67 @@ def _thresholds(c) -> np.ndarray:
     return np.clip(np.ceil(np.multiply(c, 2.0**53)), 0.0, 2.0**53).astype(np.uint64)
 
 
-def _generate_columns(rng: CounterRng, thr: np.ndarray, cuts: np.ndarray, start: int, words: np.ndarray, out) -> None:
-    """Fill the int8 columns ``out`` (s, t, x, y, a, b, c) with rounds [start, start + len).
+def _setting_index(flags: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The setting part 48 s + 24 t + 12 x + 4 y of each round's cell index, into the uint8 array ``out``.
 
-    ``words`` is a (5, len) uint64 buffer for the rounds' draws.  ``thr``
-    holds the word thresholds of (gamma_a, 1/2, gamma_b, 1/2) for slots 0
-    to 3; ``cuts[k, x * 3 + y]`` is the threshold of P(outcome pair index
-    <= k | x, y) for k < 3.  Comparisons write bools into the int8 columns
-    through a bool view, which holds the same 0/1 bytes.
+    Overwrites ``flags``, the (4, rounds) bools (S, X, T, Y).
     """
-    s, t, x, y, a, b, c = out
-    w = rng.round_words(start, range(5), words)
-    np.greater_equal(w[0], thr[0], out=s.view(np.bool_))
-    np.greater_equal(w[1], thr[1], out=x.view(np.bool_))
-    np.greater_equal(w[2], thr[2], out=t.view(np.bool_))
-    np.greater_equal(w[3], thr[3], out=y.view(np.bool_))
-    x &= s ^ 1  # key rounds use x = 0
-    y &= t ^ 1
-    y |= t << 1  # key rounds use y = 2
+    np.greater(flags[1], flags[0], out=flags[1])
+    np.greater(flags[3], flags[2], out=flags[3])
+    weighted = flags.view(np.uint8)
+    weighted *= _SETTING_WEIGHTS
+    return weighted.sum(axis=0, dtype=np.uint8, out=out)
 
-    # outcome pair index in the fixed order (0,0), (0,1), (1,0), (1,1)
-    cell = (x * 3 + y).astype(np.intp)
-    idx = np.greater_equal(w[4], cuts[0].take(cell)).view(np.int8)
-    idx += np.greater_equal(w[4], cuts[1].take(cell)).view(np.int8)
-    idx += np.greater_equal(w[4], cuts[2].take(cell)).view(np.int8)
-    np.right_shift(idx, 1, out=a)
-    np.bitwise_and(idx, 1, out=b)
 
-    # c: the payoff on test rounds (s = t = 0), PERP elsewhere
-    np.equal(a ^ b, x & y, out=c.view(np.bool_))
-    not_test = s | t
-    c &= not_test ^ 1
-    c |= not_test * PERP
+def _cell_indices(behavior: Behavior, params: ProtocolParams) -> Iterator[np.ndarray]:
+    """Each round's cell index v, as one reused uint8 array per chunk of CHUNK_ROUNDS rounds.
+
+    Consume a chunk before stepping on.  Row 0 of the (2, 96) cut table
+    holds c_1 of each setting at its setting part, row 1 c_{2a} at the
+    setting part plus 2a.
+    """
+    rng = CounterRng(params.seed)
+    flag_thr = (_thresholds([params.gamma_a, 0.5, params.gamma_b, 0.5]) << np.uint64(11))[:, None]
+    cum = _thresholds(np.cumsum(behavior.table.reshape(6, 4), axis=1))  # [x * 3 + y, k]: the cut c_k
+    cuts = cum[_CELL[2] * 3 + _CELL[3], np.stack([np.ones(96, dtype=np.intp), 2 * _CELL[4]])]
+    size = min(CHUNK_ROUNDS, params.n)
+    words = np.empty((5, size), dtype=np.uint64)
+    flags = np.empty((4, size), dtype=np.bool_)
+    cells = np.empty(size, dtype=np.uint8)
+    for start in range(0, params.n, CHUNK_ROUNDS):
+        m = min(CHUNK_ROUNDS, params.n - start)
+        z = rng.round_words(start, range(5), words[:, :m])
+        f = np.greater_equal(z[:4], flag_thr, out=flags[:, :m])
+        v = _setting_index(f, cells[:m])
+        w = np.right_shift(z[4], np.uint64(11), out=z[4])
+        a = np.greater_equal(w, cuts[0].take(v), out=f[0])
+        v += a
+        v += a
+        v += np.greater_equal(w, cuts[1].take(v), out=f[1])
+        yield v
 
 
 def simulate_rounds(behavior: Behavior, params: ProtocolParams) -> Iterator[np.ndarray]:
-    """n i.i.d. rounds from the behavior, reproducible from params.seed, CHUNK_ROUNDS at a time.
+    """n i.i.d. rounds from the behavior, reproducible from params.seed, as the 96-cell count tensor of each chunk.
 
-    Yields each chunk as a (7, rounds) int8 view whose rows are the
-    columns (s, t, x, y, a, b, c).  Every chunk is one block of five words
-    per round (slots: s, x, t, y, outcome pair), and chunks and words
-    share one reused buffer each, so a chunk is overwritten by the next:
-    consume or copy it before stepping on.
+    Nothing is drawn until the stream is consumed, by ``estimate``.
     """
-    rng = CounterRng(params.seed)
-    thr = _thresholds([params.gamma_a, 0.5, params.gamma_b, 0.5])
-    cuts = _thresholds(np.cumsum(behavior.table.reshape(6, 4), axis=1)[:, :3].T)
-    size = min(CHUNK_ROUNDS, params.n)
-    cols = np.empty((7, size), dtype=np.int8)
-    words = np.empty((5, size), dtype=np.uint64)
-    for start in range(0, params.n, CHUNK_ROUNDS):
-        m = min(CHUNK_ROUNDS, params.n - start)
-        _generate_columns(rng, thr, cuts, start, words[:, :m], cols[:, :m])
-        yield cols[:, :m]
+    return (np.bincount(v, minlength=96) for v in _cell_indices(behavior, params))
 
 
 def generate_transcript(behavior: Behavior, params: ProtocolParams) -> Transcript:
-    """The rounds of ``simulate_rounds`` stored as a Transcript's n-long columns."""
+    """The rounds of ``simulate_rounds`` as a Transcript's n-long columns, decoded from their cell indices."""
     cols = np.empty((7, params.n), dtype=np.int8)
     start = 0
-    for chunk in simulate_rounds(behavior, params):
-        cols[:, start : start + chunk.shape[1]] = chunk
-        start += chunk.shape[1]
+    for v in _cell_indices(behavior, params):
+        cols[:, start : start + v.size] = _CELL_COLUMNS[:, v]
+        start += v.size
     return Transcript(params, *cols)
 
 
 def sift(tr: Transcript) -> Transcript:
     """Zero outcomes on the two deterministically useless round classes."""
-    out = tr.copy()
+    out = Transcript(tr.params, *(getattr(tr, col).copy() for col in "stxyabc"))
     dead = ((tr.s == 1) & (tr.t == 0)) | ((tr.s == 0) & (tr.t == 1) & (tr.x == 1) & (tr.y == 2))
     out.a[dead] = 0
     out.b[dead] = 0
@@ -349,24 +334,16 @@ class EstimateResult:
     flagged: bool
 
 
-def _count_tensor(blocks: Iterable[Sequence[np.ndarray]]) -> np.ndarray:
-    """Round counts over the 96 cells (s, t, x, y, a, b), shape (2, 2, 2, 3, 2, 2).
-
-    Summed over the blocks of columns (s, t, x, y, a, b, c), so the int8
-    cell index and the intp copy ``bincount`` makes of it stay one block
-    long.
-    """
-    counts = np.zeros(96, dtype=np.intp)
-    for s, t, x, y, a, b, _ in blocks:
-        counts += np.bincount(s * 48 + t * 24 + x * 12 + y * 4 + a * 2 + b, minlength=96)
-    return counts.reshape(2, 2, 2, 3, 2, 2)
+def _count_tensor(blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """Round counts over the 96 cells (s, t, x, y, a, b), shape (2, 2, 2, 3, 2, 2), summed over count tensors."""
+    return sum(blocks, np.zeros(96, dtype=np.intp)).reshape(2, 2, 2, 3, 2, 2)
 
 
-def estimate(rounds: Iterable[Sequence[np.ndarray]]) -> EstimateResult:
+def estimate(rounds: Iterable[np.ndarray]) -> EstimateResult:
     """Point estimates of the CHSH value and key-basis error rate.
 
-    ``rounds`` is a Transcript or any iterable of column blocks, such as
-    ``simulate_rounds``; n is the number of rounds it holds.  The CHSH
+    ``rounds`` is a Transcript or any iterable of 96-cell count tensors,
+    such as ``simulate_rounds``; n is the number of rounds they count.  The CHSH
     value comes from the four test-setting correlators, the error rate
     from all (x, y) = (0, 2) rounds; both carry Poissonian standard
     errors.  Estimates with an empty cell are flagged.  Every figure is

@@ -5,12 +5,12 @@ round ranges can be generated concurrently and are bit-identical to a
 sequential pass with the same master seed.  The mixer is the splitmix64
 finalizer over a Weyl sequence keyed by the seed.
 
-``round_words`` fills a (slots, rounds) buffer with the 53-bit words
-w = z >> 11 in one pass: one Weyl base per round, one offset per slot,
-one mix over the whole block.  ``round_uniforms`` is w * 2^-53 of the
-same words for one slot, so there is one copy of the mixer, and callers
-that compare uniforms with thresholds can compare the words with
-integer thresholds instead.
+``round_words`` fills a (slots, rounds) buffer with the raw 64-bit mixed
+words z in one pass: the counters of rounds 0, 1, ... are cached per
+slot range, so a block costs one add and one mix.  The uniform of a word
+is u = (z >> 11) * 2^-53, which ``round_uniforms`` returns for one slot,
+so there is one copy of the mixer.  A caller comparing u with an integer
+threshold w in [0, 2^53) compares z with w << 11 instead.
 """
 
 from __future__ import annotations
@@ -35,39 +35,41 @@ _M2 = np.uint64(0x94D049BB133111EB)
 
 
 def _mix(z: np.ndarray) -> None:
-    """splitmix64 finalizer, in place."""
-    z ^= z >> np.uint64(30)
+    """splitmix64 finalizer, in place, through one temporary block."""
+    t = z >> np.uint64(30)
+    z ^= t
     z *= _M1
-    z ^= z >> np.uint64(27)
+    z ^= np.right_shift(z, np.uint64(27), out=t)
     z *= _M2
-    z ^= z >> np.uint64(31)
+    z ^= np.right_shift(z, np.uint64(31), out=t)
 
 
 class CounterRng:
-    """Uniform 53-bit words and doubles indexed by an absolute 64-bit counter."""
+    """Uniform 64-bit words and doubles indexed by an absolute 64-bit counter."""
 
     def __init__(self, seed: int):
         if not 0 <= seed < 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self.seed = np.uint64(seed)
+        self._bases: dict[range, np.ndarray] = {}
 
     def round_words(self, start_round: int, slots: range, out: np.ndarray) -> np.ndarray:
-        """Fill out[k, i] with the word in [0, 2^53) of slot slots[k] in round start + i; return out.
+        """Fill out[k, i] with the 64-bit word of slot slots[k] in round start + i; return out.
 
         ``out`` is a (len(slots), n_rounds) uint64 array.  Callers that draw
         block after block pass the same buffer each time: for 5 x 2^13
         words, a fresh block per call took about as long as mixing it.
         """
-        if any(not 0 <= k < SLOTS_PER_ROUND for k in slots):
-            raise ValueError(f"slots must lie in [0, {SLOTS_PER_ROUND})")
-        # z = seed + (round * SLOTS_PER_ROUND + slot + 1) * WEYL, mod 2^64
-        offsets = np.array([(k + 1) * _WEYL % 2**64 for k in slots], dtype=np.uint64)
-        base = np.arange(start_round, start_round + out.shape[1], dtype=np.uint64)
-        base *= _ROUND_STRIDE
-        base += self.seed
-        np.add(offsets[:, None], base, out=out)
+        width = out.shape[1]
+        base = self._bases.get(slots)
+        if base is None or base.shape[1] < width:
+            if any(not 0 <= k < SLOTS_PER_ROUND for k in slots):
+                raise ValueError(f"slots must lie in [0, {SLOTS_PER_ROUND})")
+            # z = seed + (round * SLOTS_PER_ROUND + slot + 1) * WEYL, mod 2^64, from round 0
+            offsets = np.array([[(k + 1) * _WEYL % 2**64] for k in slots], dtype=np.uint64)
+            base = self._bases[slots] = offsets + (np.arange(width, dtype=np.uint64) * _ROUND_STRIDE + self.seed)
+        np.add(base[:, :width], np.uint64(start_round * int(_ROUND_STRIDE) % 2**64), out=out)
         _mix(out)
-        out >>= np.uint64(11)
         global _audit_draws
         _audit_draws += out.size
         return out
@@ -75,6 +77,6 @@ class CounterRng:
     def round_uniforms(self, start_round: int, n_rounds: int, slot: int) -> np.ndarray:
         """One double per round for a fixed slot, rounds [start, start + n)."""
         words = self.round_words(start_round, range(slot, slot + 1), np.empty((1, n_rounds), dtype=np.uint64))
-        u = words[0].astype(np.float64)
+        u = (words[0] >> np.uint64(11)).astype(np.float64)
         u *= 2.0**-53
         return u

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from diqkd.mathcore import (
     golden_min,
     rel_entropy_binary,
 )
-from diqkd.mathcore import _last_true
+from diqkd.mathcore import _last_true, _normal_quantile
 
 from oracles import (
     binomial_box_bisect,
@@ -168,6 +169,12 @@ class TestBinomialTail:
 
 
 class TestBinomialBox:
+    def test_start_guess_quantile_matches_normal_dist(self):
+        # the closed-form quantile behind the start guess, from eps = 1e-300 to 1/2
+        for eps in [*np.logspace(-300.0, math.log10(0.5), 3001), 0.02425, 0.5]:
+            want = NormalDist().inv_cdf(float(eps))
+            assert abs(_normal_quantile(float(eps)) - want) <= 1.15e-9 * abs(want) + 1e-15, eps
+
     def test_no_constraint_level(self):
         # every threshold meets a level of 1: the largest lower, the smallest upper
         assert binomial_box(100, 0.3, 1.0) == (100, 0)

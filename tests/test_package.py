@@ -23,14 +23,15 @@ def test_every_exported_name_exists():
 def test_start_up_does_not_import_scipy_stats():
     # scipy is a test dependency only: importing scipy.special alone costs
     # about 0.25 s and 24 MB of every command's start-up, so no module of
-    # it may be loaded by the package, an analytic run or a simulated run
+    # it may be loaded by the package, an analytic run or a simulated run;
+    # nor statistics, which pulls in fractions and decimal (4-8 ms)
     script = (
         "import dataclasses, sys\n"
         "import diqkd, diqkd.cli\n"
         "config = diqkd.cli.load_config(None, {})\n"
         "diqkd.cli.run_pipeline(dataclasses.replace(config, analytic=True))\n"
         "diqkd.cli.run_pipeline(dataclasses.replace(config, n=10_000))\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy')))\n"
+        "print(sorted(m for m in sys.modules if m.startswith('scipy') or m == 'statistics'))\n"
     )
     src = str(Path(diqkd.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

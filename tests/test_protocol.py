@@ -22,7 +22,7 @@ from diqkd.protocol import (
 from diqkd import cli
 from diqkd.quantum import NoiseParams, build_heralded_state
 from diqkd.protocol import test_statistic as beta_freq
-from diqkd.protocol import _thresholds
+from diqkd.protocol import _count_tensor, _setting_index, _thresholds
 from diqkd.rng import SLOTS_PER_ROUND, CounterRng, audit_total
 from oracles import accept_threshold_float, estimate_masks, generate_columns_oneshot
 
@@ -30,6 +30,12 @@ CAL_STATE = build_heralded_state(NoiseParams.from_visibilities(0.943, 0.924))
 CAL_BEHAVIOR = behavior_from_state(CAL_STATE)
 IDEAL_BEHAVIOR = behavior_from_state(build_heralded_state(NoiseParams()))
 S_MODEL = math.sqrt(2) * (0.943 + 0.924)
+# outcome pairs of probability 0 and 1, so that some cuts are 0 and some 2^53
+ZEROS_BEHAVIOR = Behavior(
+    np.array(
+        [[[0, 0.5, 0.5, 0], [1, 0, 0, 0], [0, 0, 0, 1]], [[0, 0.3, 0, 0.7], [0.25] * 4, [0.6, 0, 0.4, 0]]]
+    ).reshape(2, 3, 2, 2)
+)
 
 
 def params(n=10_000, seed=7, omega=0.83, delta=0.01, box_lo=(0, 0, 0), box_hi=None):
@@ -79,11 +85,14 @@ class TestCounterRng:
         before = audit_total()
         words = rng.round_words(start, range(SLOTS_PER_ROUND), np.empty((SLOTS_PER_ROUND, n), dtype=np.uint64))
         assert audit_total() - before == SLOTS_PER_ROUND * n
-        assert words.dtype == np.uint64 and words.max() < 2**53
+        assert words.dtype == np.uint64 and words.max() >= 2**63  # the raw 64-bit words
         for slot in range(SLOTS_PER_ROUND):
-            assert np.array_equal(words[slot] * 2.0**-53, rng.round_uniforms(start, n, slot))
+            assert np.array_equal((words[slot] >> np.uint64(11)) * 2.0**-53, rng.round_uniforms(start, n, slot))
         middle = rng.round_words(start + 100, range(3, 6), np.empty((3, 50), dtype=np.uint64))
         assert np.array_equal(middle, words[3:6, 100:150])
+        # the cached Weyl base serves narrower and wider blocks alike
+        wider = rng.round_words(start + 100, range(3, 6), np.empty((3, 2 * n), dtype=np.uint64))
+        assert np.array_equal(wider[:, : n - 100], words[3:6, 100:])
 
     @pytest.mark.parametrize("slots", [range(-1, 2), range(6, 9)])
     def test_slots_outside_the_round_rejected(self, slots):
@@ -214,6 +223,37 @@ class TestGeneration:
         assert repr(dataclasses.astuple(streamed)) == repr(dataclasses.astuple(estimate(tr)))
         config = cli.load_config(None, {"security.method": "eat", "protocol.n": str(n), "seed": str(seed)})
         assert cli.run_pipeline(config).beta_freq == beta_freq(tr)
+
+    @pytest.mark.parametrize("behavior", ["cal", "ideal", "zeros"])
+    @pytest.mark.parametrize(
+        "n, seed",
+        [
+            (n, seed)
+            for seed in (13, 2**64 - 1)
+            for n in (1, CHUNK_ROUNDS - 1, CHUNK_ROUNDS + 1, 3 * CHUNK_ROUNDS + 17, COUNT_ROUNDS + 1)
+        ],
+    )
+    def test_stream_counts_equal_transcript_and_oracle(self, behavior, n, seed):
+        behavior = {"cal": CAL_BEHAVIOR, "ideal": IDEAL_BEHAVIOR, "zeros": ZEROS_BEHAVIOR}[behavior]
+        p = params(n=n, seed=seed)
+        before = audit_total()
+        streamed = _count_tensor(simulate_rounds(behavior, p))
+        assert audit_total() - before == 5 * n
+        s, t, x, y, a, b, _ = generate_columns_oneshot(behavior, p)
+        oracle = np.bincount(s * 48 + t * 24 + x * 12 + y * 4 + a * 2 + b, minlength=96).reshape(streamed.shape)
+        assert np.array_equal(streamed, oracle)
+        assert np.array_equal(streamed, _count_tensor(generate_transcript(behavior, p)))
+
+    def test_zero_probability_outcomes_give_the_extreme_cuts(self):
+        cuts = _thresholds(np.cumsum(ZEROS_BEHAVIOR.table.reshape(6, 4), axis=1)[:, :3])
+        assert cuts.min() == 0 and cuts.max() == 2**53
+
+    def test_setting_index_is_the_canonical_layout(self):
+        # every (S, X, T, Y), through the key-round rules x = X (1 - S), y = Y (1 - T) + 2 T
+        S, X, T, Y = (np.array(bits) for bits in zip(*np.ndindex(2, 2, 2, 2)))
+        x, y = X * (1 - S), Y * (1 - T) + 2 * T
+        got = _setting_index(np.array([S, X, T, Y], dtype=np.bool_), np.empty(16, dtype=np.uint8))
+        assert got.tolist() == (S * 48 + T * 24 + x * 12 + y * 4).tolist()
 
     def test_traced_peak_is_the_columns_plus_one_chunk(self):
         n = 1_208_000
@@ -412,6 +452,21 @@ class TestEstimate:
             tracemalloc.start()
             try:
                 estimate(rounds)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            peaks.append(peak)
+        assert max(peaks) < 1.5 * 2**20
+        assert max(peaks) <= 1.1 * min(peaks)
+
+    def test_simulated_pipeline_peak_is_flat_in_n(self):
+        # the whole simulated run, not only its estimate: no n-long array on the path
+        peaks = []
+        for n in (200_000, 2_000_000):
+            config = cli.load_config(None, {"security.method": "eat", "protocol.n": str(n), "seed": "23"})
+            tracemalloc.start()
+            try:
+                cli.run_pipeline(config)
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()

@@ -1,7 +1,6 @@
 """CHSH-based device-independent QKD: link simulator and key-rate calculators."""
 
 from .eat import (
-    EatBudget,
     HonestModel,
     asymptotic_rate_nosift,
     asymptotic_rate_sifted,
@@ -10,16 +9,14 @@ from .eat import (
 from .mathcore import binomial_tail, chsh_to_winprob
 from .protocol import ProtocolParams, behavior_from_state, build_acceptance_set, generate_transcript
 from .quantum import NoiseParams, build_heralded_state, fidelity_from_visibilities
-from .renyi import RenyiConfig, key_length_renyi
+from .renyi import key_length_renyi
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "EatBudget",
     "HonestModel",
     "NoiseParams",
     "ProtocolParams",
-    "RenyiConfig",
     "asymptotic_rate_nosift",
     "asymptotic_rate_sifted",
     "behavior_from_state",

@@ -27,13 +27,12 @@ from typing import Optional
 
 import numpy as np
 
-from . import calibration, eat, link, protocol, renyi
+from . import calibration, eat, link, protocol, renyi, rng
 from .calibration import DistanceCalibration, load_distance_table, load_error_budget
-from .eat import EatBudget, HonestModel
+from .eat import HonestModel
 from .mathcore import TSIRELSON_WIN, binomial_tail, chsh_to_winprob
 from .protocol import build_acceptance_set
 from .quantum import NoiseParams, build_heralded_state, fidelity_from_visibilities
-from .renyi import RenyiConfig
 
 __all__ = [
     "ConfigError",
@@ -77,7 +76,6 @@ class RunConfig:
     white_noise: float = _key("physical.white_noise", 0.0)
     readout_flip: float = _key("physical.readout_flip", 0.0)
     delta_phi: float = _key("physical.delta_phi", 0.0)
-    sign: int = _key("physical.sign", +1)
     # protocol
     n: int = _key("protocol.n", 1_208_000)
     gamma_a: float = _key("protocol.gamma_a", 0.26)
@@ -87,8 +85,7 @@ class RunConfig:
     seed: int = _key("seed", 20260808)
     abort_is_error: bool = _key("protocol.abort_is_error", True)
     # security
-    eps_snd: float = _key("security.eps_snd", 1e-5)
-    eps_ec: float = _key("security.eps_ec", 2.0**-61)
+    eps_snd: float = _key("security.eps_snd", 1e-5)  # the tag's share is the constant eat.EPS_EC
     eps_ec_com: float = _key("security.eps_ec_com", 0.005)
     eps_com_at: float = _key("security.eps_com_at", 0.005)
     eps_ea_com: float = _key("security.eps_ea_com", 1e-2)
@@ -137,6 +134,11 @@ class RunConfig:
                 )
             if not 0.75 < self.omega_exp <= TSIRELSON_WIN:
                 raise ConfigError(f"protocol.omega_exp={self.omega_exp} outside (3/4, (2+sqrt2)/4]")
+        # the certificates' own range checks, made before any of them runs
+        if not eat.EPS_EC < self.eps_snd < 1.0:
+            raise ConfigError(f"security.eps_snd={self.eps_snd} outside (EPS_EC = 2^-61, 1)")
+        if self.renyi_alpha is not None and not 1.0 < self.renyi_alpha <= 2.0:
+            raise ConfigError(f"security.renyi_alpha={self.renyi_alpha} outside (1, 2]")
 
     def config_hash(self) -> str:
         payload = json.dumps(sorted(self.raw_items), separators=(",", ":")).encode()
@@ -239,7 +241,6 @@ def _model_behavior(config: RunConfig):
         white_noise=config.white_noise,
         readout_flip=config.readout_flip,
         delta_phi=config.delta_phi,
-        sign=config.sign,
     )
     state = build_heralded_state(noise)
     return protocol.behavior_from_state(state, readout_flip=config.readout_flip)
@@ -314,8 +315,6 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
     except ValueError as exc:
         raise ConfigError(f"acceptance test: {exc}") from exc
     try:
-        eat_budget = EatBudget(eps_snd=config.eps_snd, eps_ec=config.eps_ec)
-        renyi_config = RenyiConfig(alpha=config.renyi_alpha, eps_sec=config.eps_snd - config.eps_ec)
         lec = eat.leak_ec(config.n, model, config.eps_ec_com)
     except ValueError as exc:
         raise ConfigError(f"security: {exc}") from exc
@@ -325,11 +324,9 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
         accepted = accepted_box = None
         draws = 0
     else:
-        from . import rng as _rng
-
-        before = _rng.audit_total()
+        before = rng.audit_total()
         est = protocol.estimate(protocol.simulate_rounds(behavior, params))
-        draws = _rng.audit_total() - before
+        draws = rng.audit_total() - before
         beta = est.counts[1] / params.n
         s_hat, s_err, q_hat, q_err = est.s_hat, est.s_err, est.q_hat, est.q_err
         accepted, accepted_box = protocol.accept(est.counts, params)
@@ -347,12 +344,12 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
     eat_res = renyi_res = None
     if config.method in ("eat", "both"):
         try:
-            eat_res = eat.key_length_eat(params, eat_budget, lec)
+            eat_res = eat.key_length_eat(params, config.eps_snd, lec)
         except ValueError as exc:
             raise InfeasibleError(str(exc)) from exc
     if config.method in ("renyi", "both"):
         try:
-            renyi_res = renyi.key_length_renyi(params, renyi_config, lec)
+            renyi_res = renyi.key_length_renyi(params, config.eps_snd, lec, alpha=config.renyi_alpha)
         except ValueError as exc:
             raise InfeasibleError(str(exc)) from exc
 

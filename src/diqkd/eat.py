@@ -14,8 +14,12 @@ fixed here:
 
 * the soundness budget is split additively across the error-correction,
   privacy-amplification, smoothing, and accumulation-conditioning terms
-  (``eps_ec + eps_pa + eps_s + eps_ea <= eps_snd``), the conservative
-  decomposition of the lineage this analysis follows;
+  (``EPS_EC + eps_pa + eps_s + eps_ea <= eps_snd``), the conservative
+  decomposition of the lineage this analysis follows.  The
+  error-correction part EPS_EC is the verification tag's: the
+  LEAK_EV_BITS tag collides with probability below it, so it is a
+  property of the tag rather than a choice, and both certificates split
+  the same eps_snd around it;
 * the cut point is restricted to w_t >= w_in, i.e. the certificate is
   used in its exact branch rather than the affine-extension branch.
   There f(w_in, w_t) = g(w_in) does not depend on w_t, while the
@@ -39,7 +43,7 @@ from .protocol import ProtocolParams
 __all__ = [
     "TSIRELSON_WIN",
     "LEAK_EV_BITS",
-    "EatBudget",
+    "EPS_EC",
     "HonestModel",
     "gamma_eff",
     "g_func",
@@ -59,29 +63,12 @@ __all__ = [
     "asymptotic_rate_nosift",
 ]
 
-LEAK_EV_BITS = 64.0  # verification tag length; fixed with eps_ec = 2^-61
+LEAK_EV_BITS = 64.0  # verification tag length
+EPS_EC = 2.0**-61  # the tag's collision budget: postprocess.tag_collision_bound is about 2^-64 up to 2^61 bits
 _PT_EPS = 1e-9  # cut-point inset from the singular interval endpoints
 _SPLIT_GRID_POINTS = 16  # log-grid points per budget fraction in the split search
 _SPLIT_PASSES = 2  # full-span coordinate-descent passes before the two refinement passes
 _SPLIT_FIELDS = ("eps_pa", "eps_s", "eps_s_prime", "eps_s_dprime", "eps_ea")
-
-
-@dataclass(frozen=True)
-class EatBudget:
-    """Soundness budget of the accumulation analysis: the total and its error-correction part.
-
-    key_length_eat optimizes the split of the rest into eps_pa, eps_s,
-    eps_s_prime, eps_s_dprime and eps_ea.
-    """
-
-    eps_snd: float = 1e-5
-    eps_ec: float = 2.0**-61
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.eps_snd < 1.0:
-            raise ValueError(f"eps_snd={self.eps_snd} outside (0, 1)")
-        if not 0.0 < self.eps_ec < self.eps_snd:
-            raise ValueError("eps_ec must lie in (0, eps_snd)")
 
 
 @dataclass(frozen=True)
@@ -276,22 +263,19 @@ class EatResult:
     rate: float
     splits: dict[str, float]  # the optimized split, keyed by _SPLIT_FIELDS
     delta: float
-    leak_ec_bits: float
-    eta_opt_bits: float
     pt_opt: float
 
 
 def _ell_for_split(
     params: ProtocolParams,
-    eps_ec: float,
     split: tuple[float, float, float, float, float],
     omega_in: float,
     lec: float,
-) -> tuple[float, float]:
-    """(raw length, eta_opt per round) for a full split, given in _SPLIT_FIELDS order."""
+) -> float:
+    """Raw length for a full split, given in _SPLIT_FIELDS order."""
     n = params.n
     eps_pa, eps_s, eps_s_prime, eps_s_dprime, eps_ea = split
-    eps_e = eps_ea + eps_ec
+    eps_e = eps_ea + EPS_EC
     eo = eta_opt(omega_in, eps_s_prime, eps_e, n, params.gamma_a, params.gamma_b)
     eps_rem = eps_s - eps_s_prime - 2.0 * eps_s_dprime
     raw = (
@@ -303,18 +287,18 @@ def _ell_for_split(
         - math.sqrt(n) * math.log2(5.0) * math.sqrt(1.0 - 2.0 * math.log2(eps_s_dprime * eps_e))
         - 2.0 * math.log2(1.0 / eps_pa)
     )
-    return raw, eo
+    return raw
 
 
-def _split_from_fractions(budget: EatBudget, fr: dict[str, float]) -> Optional[tuple[float, float, float, float, float]]:
+def _split_from_fractions(eps_snd: float, fr: dict[str, float]) -> Optional[tuple[float, float, float, float, float]]:
     """A full split, in _SPLIT_FIELDS order, from fractions (a, b, c, d); None if infeasible.
 
     a: eps_s share of the soundness room; d: eps_ea share of the rest;
     b: eps_s_prime inside eps_s; c: the 2 eps_s_dprime share of what is left.
     A feasible split has every part positive, eps_s - eps_s_prime -
-    2 eps_s_dprime > 0, and eps_ec + eps_pa + eps_s = eps_snd - eps_ea.
+    2 eps_s_dprime > 0, and EPS_EC + eps_pa + eps_s = eps_snd - eps_ea.
     """
-    room = budget.eps_snd - budget.eps_ec
+    room = eps_snd - EPS_EC
     eps_s = fr["a"] * room
     eps_ea = fr["d"] * (room - eps_s)
     eps_pa = room - eps_s - eps_ea
@@ -327,21 +311,20 @@ def _split_from_fractions(budget: EatBudget, fr: dict[str, float]) -> Optional[t
     return eps_pa, eps_s, eps_sp, eps_spp, eps_ea
 
 
-def key_length_eat(
-    params: ProtocolParams,
-    budget: EatBudget,
-    lec: float,
-) -> EatResult:
+def key_length_eat(params: ProtocolParams, eps_snd: float, lec: float) -> EatResult:
     """Secret key length certified by entropy accumulation for a tested protocol.
 
     The certificate is evaluated at the acceptance threshold the run
     tested, omega_exp - delta / gamma_eff (the slack converted to a win
     rate margin by the surviving-round fraction, the certificate's own
-    normalization); lec is the reconciliation leakage in bits.  The
-    budget split is optimized by deterministic coordinate descent on a
-    log grid (_SPLIT_GRID_POINTS per parameter, _SPLIT_PASSES full-span
-    passes, then two refinement passes).
+    normalization); eps_snd is the total soundness, in (EPS_EC, 1), and
+    lec the reconciliation leakage in bits.  The split of eps_snd - EPS_EC
+    is optimized by deterministic coordinate descent on a log grid
+    (_SPLIT_GRID_POINTS per parameter, _SPLIT_PASSES full-span passes,
+    then two refinement passes).
     """
+    if not EPS_EC < eps_snd < 1.0:
+        raise ValueError(f"eps_snd={eps_snd} outside (EPS_EC, 1)")
     n, delta = params.n, params.delta
     omega_in = params.omega_exp - delta / gamma_eff(params.gamma_a, params.gamma_b)
     pt = _cut_point(omega_in)
@@ -350,10 +333,10 @@ def key_length_eat(
     spans = {k: (1e-6, 1.0 - 1e-6) for k in fr}
 
     def evaluate(trial: dict[str, float]) -> float:
-        split = _split_from_fractions(budget, trial)
+        split = _split_from_fractions(eps_snd, trial)
         if split is None:
             return -math.inf
-        return _ell_for_split(params, budget.eps_ec, split, omega_in, lec)[0]
+        return _ell_for_split(params, split, omega_in, lec)
 
     best_val = evaluate(fr)
     for sweep in range(_SPLIT_PASSES + 2):
@@ -370,9 +353,9 @@ def key_length_eat(
                 if v > best_val:
                     best_val, fr = v, trial
 
-    split = _split_from_fractions(budget, fr)
-    raw, eo = _ell_for_split(params, budget.eps_ec, split, omega_in, lec)
-    return EatResult(max(raw, 0.0), raw, raw / n, dict(zip(_SPLIT_FIELDS, split)), delta, lec, eo, pt)
+    split = _split_from_fractions(eps_snd, fr)
+    raw = _ell_for_split(params, split, omega_in, lec)
+    return EatResult(max(raw, 0.0), raw, raw / n, dict(zip(_SPLIT_FIELDS, split)), delta, pt)
 
 
 def asymptotic_rate_sifted(s: float, q: float, gamma_a: float, gamma_b: float) -> float:

@@ -106,8 +106,8 @@ class NoiseParams:
     alpha_exc is the double-excitation admixture of the heralded state;
     dephase_lambda scales down the ud/du coherence; white_noise mixes in
     the maximally mixed state; readout_flip acts on measurement outcomes,
-    not on the state.  sign and delta_phi select which Bell state the
-    herald produced and its interferometer phase.
+    not on the state.  delta_phi is the interferometer phase of the
+    heralded Bell state (pi gives the other sign).
     """
 
     alpha_exc: float = 0.0
@@ -115,15 +115,12 @@ class NoiseParams:
     white_noise: float = 0.0
     readout_flip: float = 0.0
     delta_phi: float = 0.0
-    sign: int = +1
 
     def __post_init__(self) -> None:
         for name in ("alpha_exc", "dephase_lambda", "white_noise", "readout_flip"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
-        if self.sign not in (+1, -1):
-            raise ValueError(f"sign must be +1 or -1, got {self.sign}")
 
     @classmethod
     def from_visibilities(
@@ -133,13 +130,12 @@ class NoiseParams:
         white_noise: float = 0.0,
         readout_flip: float = 0.0,
         delta_phi: float = 0.0,
-        sign: int = +1,
     ) -> "NoiseParams":
         """Calibrate (alpha_exc, dephase_lambda) to hit measured visibilities.
 
         Inverts v_zz = (1 - 2a)(1 - w) and v_xx = (1 - a)(1 - l)(1 - w)
-        for the sign=+1, delta_phi=0 convention with white-noise level w;
-        delta_phi and sign are then passed through to the state.
+        for the delta_phi=0 convention with white-noise level w; delta_phi
+        is then passed through to the state.
         """
         if not 0.0 <= white_noise < 1.0:
             raise ValueError("white_noise must lie in [0, 1)")
@@ -157,7 +153,6 @@ class NoiseParams:
             white_noise=white_noise,
             readout_flip=readout_flip,
             delta_phi=delta_phi,
-            sign=sign,
         )
 
 
@@ -173,7 +168,7 @@ def build_heralded_state(params: NoiseParams) -> TwoQubitState:
     phase = cmath.exp(1j * params.delta_phi)
     psi = np.zeros(4, dtype=complex)
     psi[1] = 1.0 / math.sqrt(2.0)
-    psi[2] = params.sign * phase / math.sqrt(2.0)
+    psi[2] = phase / math.sqrt(2.0)
     rho = a * np.diag([1.0, 0.0, 0.0, 0.0]).astype(complex)
     rho += (1.0 - a) * np.outer(psi, psi.conj())
     lam = params.dephase_lambda

@@ -33,12 +33,11 @@ from typing import Optional
 
 import numpy as np
 
-from .eat import LEAK_EV_BITS
+from .eat import EPS_EC, LEAK_EV_BITS
 from .mathcore import TSIRELSON_CHSH, TSIRELSON_WIN, golden_min
 from .protocol import ProtocolParams
 
 __all__ = [
-    "RenyiConfig",
     "renyi_entropy_factor",
     "renyi_key_entropy",
     "sift_weights",
@@ -51,20 +50,6 @@ __all__ = [
 _SIGMA_GRID = 192  # outer score grid cells on [1/2, (2+sqrt2)/4]
 _ALPHA_GRID = 64  # log-spaced Renyi orders of the coarse order search
 _ORDER_CHUNK = 8  # Renyi orders per array call of the score grid: 8 x 192 rows keep peak memory flat
-
-
-@dataclass(frozen=True)
-class RenyiConfig:
-    """Renyi order (None = optimize) and secrecy level."""
-
-    alpha: Optional[float] = None
-    eps_sec: float = 1e-5
-
-    def __post_init__(self) -> None:
-        if self.alpha is not None and not 1.0 < self.alpha <= 2.0:
-            raise ValueError(f"alpha={self.alpha} outside (1, 2]")
-        if not 0.0 < self.eps_sec < 1.0:
-            raise ValueError(f"eps_sec={self.eps_sec} outside (0, 1)")
 
 
 def _float_if_scalar(x):
@@ -175,12 +160,8 @@ def _inner_min_vec(p: np.ndarray, lo: np.ndarray, hi: np.ndarray, kappa, am1) ->
     return ((div[0] + div[1]) + div[2]) / am1 + q[2] * kappa
 
 
-def h_alpha(
-    config: RenyiConfig,
-    params: ProtocolParams,
-    alphas: Optional[np.ndarray] = None,
-) -> float | np.ndarray:
-    """Certified per-round entropy: worst case over scores and box frequencies.
+def h_alpha(params: ProtocolParams, alphas: np.ndarray) -> np.ndarray:
+    """Certified per-round entropy at each Renyi order of alphas: worst case over scores and box frequencies.
 
     The test fractions and the box come from params; a frequency q_c
     ranges over [box_lo_c / n, box_hi_c / n], and a box whose ceilings
@@ -189,17 +170,11 @@ def h_alpha(
     divergence cost), localized on a grid of _SIGMA_GRID cells and
     polished by golden-section refinement around the best cell.
 
-    With alphas unset the order is config.alpha and the result a float.
-    An array of alphas is evaluated at once and gives an array, each
-    entry equal to that order's own value: the grid is scored
+    All orders are evaluated at once, each entry of the result equal to
+    that order's value as a one-order array: the grid is scored
     _ORDER_CHUNK orders per array call, and the refinements of all
     orders run in lockstep.
     """
-    single = alphas is None
-    if single:
-        if config.alpha is None:
-            raise ValueError("h_alpha needs a fixed Renyi order in config.alpha")
-        alphas = np.array([config.alpha])
     if not np.all(alphas > 1.0):
         raise ValueError(f"Renyi order must exceed 1, got {np.min(alphas)}")
     w_key, w_rest = sift_weights(params.gamma_a, params.gamma_b)
@@ -239,8 +214,7 @@ def h_alpha(
         return _inner_min_vec(model(ws), lo, hi, kappa, am1)
 
     _, fc, _, fd = golden_min(refine, lo_w, hi_w, 50)
-    out = np.minimum(vals[np.arange(len(alphas)), i], np.minimum(fc, fd))
-    return float(out[0]) if single else out
+    return np.minimum(vals[np.arange(len(alphas)), i], np.minimum(fc, fd))
 
 
 @dataclass(frozen=True)
@@ -254,19 +228,27 @@ class RenyiResult:
 
 def key_length_renyi(
     params: ProtocolParams,
-    config: RenyiConfig,
+    eps_snd: float,
     leak_ec_bits: float,
+    alpha: Optional[float] = None,
 ) -> RenyiResult:
-    """Secret key length of the box-accepted protocol.
+    """Secret key length of the box-accepted protocol at total soundness eps_snd.
 
     params supplies the block size, the test fractions and the box the
     run tested; an accepted run has at most n - box_lo_perp test rounds.
-    With config.alpha unset, the order is optimized on
-    a log-spaced grid over (1, 2] (_ALPHA_GRID points) and refined
-    once around the best point; each pass is one h_alpha call over all
-    its orders.
+    eps_snd, in (EPS_EC, 1), is split as in the accumulation bound: the
+    tag takes EPS_EC and the secrecy term gets eps_sec = eps_snd - EPS_EC.
+    A fixed alpha in (1, 2] is evaluated as a one-order h_alpha call.
+    With alpha unset, the order is optimized on a log-spaced grid over
+    (1, 2] (_ALPHA_GRID points) and refined once around the best point;
+    each pass is one h_alpha call over all its orders.
     """
+    if not EPS_EC < eps_snd < 1.0:
+        raise ValueError(f"eps_snd={eps_snd} outside (EPS_EC, 1)")
+    if alpha is not None and not 1.0 < alpha <= 2.0:
+        raise ValueError(f"alpha={alpha} outside (1, 2]")
     n, ga, gb = params.n, params.gamma_a, params.gamma_b
+    eps_sec = eps_snd - EPS_EC
     delta_low_perp = (1.0 - ga * gb) - params.box_lo[2] / n
 
     def raw_length(alpha, ha):
@@ -275,30 +257,27 @@ def key_length_renyi(
             - n * (ga * gb + delta_low_perp)
             - leak_ec_bits
             - LEAK_EV_BITS
-            - alpha / (alpha - 1.0) * math.log2(1.0 / config.eps_sec)
+            - alpha / (alpha - 1.0) * math.log2(1.0 / eps_sec)
             + 2.0
         )
 
-    if config.alpha is not None:
-        ha = h_alpha(config, params)
-        ell = raw_length(config.alpha, ha)
-        return RenyiResult(max(ell, 0.0), ell, ell / n, config.alpha, ha)
-
     def best_of(alphas: np.ndarray) -> tuple[float, float, float]:
-        ha = h_alpha(config, params, alphas=alphas)
+        ha = h_alpha(params, alphas)
         ell = raw_length(alphas, ha)
         i = int(np.argmax(ell))  # the first order on a tie
         return float(ell[i]), float(alphas[i]), float(ha[i])
 
-    best = best_of(np.unique(np.minimum(1.0 + np.logspace(-5.0, 0.0, _ALPHA_GRID), 2.0)))
-
-    # one refinement pass: a finer log grid spanning one coarse spacing
-    spacing = 10.0 ** (5.0 / (_ALPHA_GRID - 1))
-    lo = max((best[1] - 1.0) / spacing, 1e-7)
-    hi = min((best[1] - 1.0) * spacing, 1.0)
-    refined = best_of(np.minimum(1.0 + np.logspace(math.log10(lo), math.log10(hi), 16), 2.0))
-    if refined[0] > best[0]:
-        best = refined
+    if alpha is not None:
+        best = best_of(np.array([alpha]))
+    else:
+        best = best_of(np.unique(np.minimum(1.0 + np.logspace(-5.0, 0.0, _ALPHA_GRID), 2.0)))
+        # one refinement pass: a finer log grid spanning one coarse spacing
+        spacing = 10.0 ** (5.0 / (_ALPHA_GRID - 1))
+        lo = max((best[1] - 1.0) / spacing, 1e-7)
+        hi = min((best[1] - 1.0) * spacing, 1.0)
+        refined = best_of(np.minimum(1.0 + np.logspace(math.log10(lo), math.log10(hi), 16), 2.0))
+        if refined[0] > best[0]:
+            best = refined
 
     ell, alpha, ha = best
     return RenyiResult(max(ell, 0.0), ell, ell / n, alpha, ha)

@@ -10,7 +10,7 @@ from diqkd import cli, eat, renyi
 from diqkd import rng as rng_module
 from diqkd.calibration import load_distance_table
 from diqkd.link import LinkBudget, TimingModel
-from diqkd.protocol import behavior_from_state
+from diqkd.protocol import ProtocolParams, behavior_from_state
 from diqkd.quantum import NoiseParams, build_heralded_state
 from diqkd.cli import (
     ConfigError,
@@ -59,6 +59,30 @@ class TestConfig:
         p.write_text("protocol.n = many\n")
         with pytest.raises(ConfigError):
             load_config(str(p))
+
+    @pytest.mark.parametrize("eps_snd", [eat.EPS_EC, 1e-5, 1.0])
+    @pytest.mark.parametrize("alpha", [1.0, 1.01, 2.0, 2.5])
+    def test_config_rejects_what_the_certificates_reject(self, eps_snd, alpha):
+        # the config makes the certificates' range checks up front, so a bad value exits 3 before any certificate runs
+        def error(call):
+            try:
+                call()
+            except ValueError as exc:
+                return exc
+            return None
+
+        params = ProtocolParams(
+            n=1000, gamma_a=0.26, gamma_b=0.13, omega_exp=0.8265, delta=0.0, box_lo=(0, 0, 0), box_hi=(1000,) * 3
+        )
+        overrides = {"security.eps_snd": repr(eps_snd), "security.renyi_alpha": repr(alpha)}
+        rejected = error(lambda: load_config(None, overrides))
+        assert rejected is None or isinstance(rejected, ConfigError)
+        certified = [
+            error(lambda: eat.key_length_eat(params, eps_snd, 0.0)),
+            error(lambda: renyi.key_length_renyi(params, eps_snd, 0.0, alpha=alpha)),
+        ]
+        assert (rejected is not None) == any(certified)
+        assert (eps_snd == 1e-5) == (certified[0] is None)
 
     def test_boolean_keys_reject_other_words(self):
         assert load_config(None, {"security.analytic": "YES"}).analytic is True
@@ -245,7 +269,7 @@ class TestMain:
         "key, value",
         [
             ("security.eps_snd", "1.5"),
-            ("security.eps_ec", "1e-3"),  # not below eps_snd
+            ("security.eps_ec", "1e-3"),  # not a key: the tag's budget is the constant eat.EPS_EC
             ("security.eps_ec_com", "0"),
             ("security.renyi_alpha", "3"),
             ("security.eps_com_at", "1"),
@@ -256,6 +280,13 @@ class TestMain:
         cfg = tmp_path / "c.cfg"
         cfg.write_text(f"{key} = {value}\nsecurity.analytic = true\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path), "pipeline"]) == 3
+
+    def test_tag_budget_is_not_a_key(self, tmp_path, capsys):
+        # a budget below the tag's collision bound would lengthen both keys
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("security.eps_ec = 1e-30\nsecurity.analytic = true\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "pipeline"]) == 3
+        assert "unknown config key 'security.eps_ec'" in capsys.readouterr().err
 
     def test_abort_exit_two(self, tmp_path):
         # expected win probability far above the honest model forces abort
@@ -317,9 +348,9 @@ class TestSweeps:
         orders = []
         original = renyi.key_length_renyi
 
-        def recording(params, config, lec):
-            orders.append(config.alpha)
-            return original(params, config, lec)
+        def recording(params, eps_snd, lec, alpha=None):
+            orders.append(alpha)
+            return original(params, eps_snd, lec, alpha=alpha)
 
         monkeypatch.setattr(renyi, "key_length_renyi", recording)
         cfg = RunConfig(method="renyi", renyi_alpha=1.01, delta=0.002)
@@ -431,7 +462,6 @@ LIVE_CASES = {
     "physical.white_noise": (_PIPE_EAT, None, "0.01"),
     "physical.readout_flip": (_PIPE_EAT, None, "0.01"),
     "physical.delta_phi": (_PIPE_EAT, None, "0.3"),
-    "physical.sign": (_PIPE_EAT, None, "-1"),
     "protocol.n": (_PIPE_EAT, None, "200000"),
     "protocol.gamma_a": (_PIPE_EAT, None, "0.3"),
     "protocol.gamma_b": (_PIPE_EAT, None, "0.15"),
@@ -439,7 +469,6 @@ LIVE_CASES = {
     "protocol.delta": (_PIPE_EAT, None, "0.002"),
     "protocol.abort_is_error": (_ABORTING, None, "false"),
     "security.eps_snd": (_PIPE_EAT, None, "1e-6"),
-    "security.eps_ec": (_PIPE_EAT, None, "1e-12"),
     "security.eps_ec_com": (_PIPE_EAT, None, "0.01"),
     "security.eps_com_at": (_PIPE_RENYI, None, "0.05"),
     "security.eps_ea_com": (_PIPE_EAT, None, "1e-6"),
@@ -474,7 +503,10 @@ def _stub_sweep_n(config, n_grid):
 
 
 def test_every_config_key_is_live(tmp_path, monkeypatch):
-    """Two values of each key give different outputs (hash and inputs echo excluded) or exit codes."""
+    """Two values of each key give different outputs (hash and inputs echo excluded) or exit codes.
+
+    A value that is only rejected (exit 3) shows nothing of what the key does.
+    """
     monkeypatch.setattr(cli, "sweep_keyrate_vs_n", _stub_sweep_n)
     cache = {}
 
@@ -507,7 +539,9 @@ def test_every_config_key_is_live(tmp_path, monkeypatch):
             continue
         (command, base), a, b = LIVE_CASES[key]
         outputs = [run(command, {**base, **({} if v is None else {key: v})}) for v in (a, b)]
-        if outputs[0] == outputs[1]:
+        if any(rc == 3 for rc, _ in outputs):
+            dead.append(f"{key}: config error")
+        elif outputs[0] == outputs[1]:
             dead.append(key)
     assert not dead, f"keys that change no output: {dead}"
     assert set(LIVE_CASES) | OUTPUT_ONLY == set(cli._KEYS)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from diqkd.eat import (
-    EatBudget,
+    EPS_EC,
     HonestModel,
     TSIRELSON_WIN,
     asymptotic_rate_nosift,
@@ -36,10 +36,10 @@ def protocol_at(n, model, delta):
     )
 
 
-def eat_length(n, model=PAPER, budget=EatBudget(eps_snd=1e-5)):
-    """key_length_eat at the delta meeting a 1e-2 completeness target."""
+def eat_length(n, model=PAPER):
+    """key_length_eat at eps_snd = 1e-5 and the delta meeting a 1e-2 completeness target."""
     delta = delta_for_completeness(n, model.gamma_a, model.gamma_b, model.omega, target=1e-2)
-    return key_length_eat(protocol_at(n, model, delta), budget, leak_ec(n, model, 0.005))
+    return key_length_eat(protocol_at(n, model, delta), 1e-5, leak_ec(n, model, 0.005))
 
 
 class TestGammaEff:
@@ -240,8 +240,8 @@ class TestKeyLength:
         assert set(s) == {"eps_pa", "eps_s", "eps_s_prime", "eps_s_dprime", "eps_ea"}
         assert all(0.0 < v < 1.0 for v in s.values())
         assert s["eps_s"] - s["eps_s_prime"] - 2.0 * s["eps_s_dprime"] > 0.0
-        assert 2.0**-61 + s["eps_pa"] + s["eps_s"] <= 1e-5
-        assert 2.0**-61 + s["eps_pa"] + s["eps_s"] + s["eps_ea"] == pytest.approx(1e-5, rel=1e-12)
+        assert EPS_EC + s["eps_pa"] + s["eps_s"] <= 1e-5
+        assert EPS_EC + s["eps_pa"] + s["eps_s"] + s["eps_ea"] == pytest.approx(1e-5, rel=1e-12)
 
     def test_converges_to_sifted_asymptote(self):
         target = asymptotic_rate_sifted(2.612, 0.0285, 0.26, 0.13)
@@ -258,7 +258,7 @@ class TestKeyLength:
 
         def raw_length(n, model):
             omega_in = model.omega - delta / gamma_eff(model.gamma_a, model.gamma_b)
-            return _ell_for_split(protocol_at(n, model, delta), 2.0**-61, split, omega_in, leak_ec(n, model, 0.005))[0]
+            return _ell_for_split(protocol_at(n, model, delta), split, omega_in, leak_ec(n, model, 0.005))
 
         rates_n = [raw_length(int(n), PAPER) for n in np.logspace(5.5, 9, 20)]
         assert all(b > a for a, b in zip(rates_n, rates_n[1:]))

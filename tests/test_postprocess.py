@@ -5,6 +5,7 @@ import pytest
 from oracles import gf128_mul_bitwise
 
 from diqkd import postprocess
+from diqkd.eat import EPS_EC
 from diqkd.postprocess import (
     _BLOCK,
     BitString,
@@ -260,9 +261,10 @@ class TestVerifyTag:
         assert collisions <= 1
         assert trials * tag_collision_bound(1000) < 1e-10
 
-    def test_collision_bound_supports_protocol_sizes(self):
+    def test_collision_bound_is_within_the_tag_budget(self):
+        # both certificates charge the tag EPS_EC of the soundness budget
         for bits in (64, 10**6, 2**61):
-            assert tag_collision_bound(bits) <= 2.0**-61
+            assert tag_collision_bound(bits) <= EPS_EC
 
     def test_mul_matrix_matches_bitwise(self):
         rng = np.random.default_rng(13)

@@ -37,10 +37,15 @@ def qber(rho, a, b):
     return probs[0, 1] + probs[1, 0]
 
 
-def bell_overlap(rho, sign=+1, delta_phi=0.0):
-    """<psi|rho|psi> for psi = (ud + sign e^{i phi} du)/sqrt2."""
-    psi = np.array([0.0, 1.0, sign * np.exp(1j * delta_phi), 0.0]) / math.sqrt(2.0)
+def bell_overlap(rho, delta_phi=0.0):
+    """<psi|rho|psi> for psi = (ud + e^{i phi} du)/sqrt2."""
+    psi = np.array([0.0, 1.0, np.exp(1j * delta_phi), 0.0]) / math.sqrt(2.0)
     return float(np.real(psi.conj() @ rho.matrix @ psi))
+
+
+def random_phase(rng) -> float:
+    """An interferometer phase: pi (the other Bell sign) or uniform on [-pi, pi), evenly."""
+    return math.pi if rng.random() < 0.5 else rng.uniform(-math.pi, math.pi)
 
 
 def random_state(rng) -> TwoQubitState:
@@ -78,8 +83,7 @@ class TestStateConstruction:
                 alpha_exc=rng.uniform(0, 1),
                 dephase_lambda=rng.uniform(0, 1),
                 white_noise=rng.uniform(0, 1),
-                delta_phi=rng.uniform(-math.pi, math.pi),
-                sign=int(rng.choice([-1, 1])),
+                delta_phi=random_phase(rng),
             )
             rho = build_heralded_state(p)  # constructor enforces the invariants
             assert abs(np.trace(rho.matrix) - 1.0) < 1e-12
@@ -226,15 +230,14 @@ class TestFidelity:
                 alpha_exc=rng.uniform(0, 0.5),
                 dephase_lambda=rng.uniform(0, 0.5),
                 white_noise=rng.uniform(0, 0.5),
-                delta_phi=rng.uniform(-math.pi, math.pi),
-                sign=int(rng.choice([-1, 1])),
+                delta_phi=random_phase(rng),
             )
             rho = build_heralded_state(params)
             v_zz = correlator(rho, Z_AXIS, Z_AXIS, flip_b=True)
             # XX visibility as fitted from parity oscillations: the fringe
-            # amplitude of the ud/du coherence, independent of sign and phase
+            # amplitude of the ud/du coherence, independent of the phase
             re = correlator(rho, X_AXIS, X_AXIS, flip_b=True)
             im = correlator(rho, X_AXIS, Y_AXIS, flip_b=True)
             v_xx = math.hypot(re, im)
-            f = bell_overlap(rho, params.sign, params.delta_phi)
+            f = bell_overlap(rho, params.delta_phi)
             assert fidelity_from_visibilities(v_zz, v_xx) == pytest.approx(f, abs=1e-10)

@@ -5,11 +5,10 @@ import pytest
 from oracles import renyi_h_alpha, renyi_objective
 
 from diqkd import renyi
-from diqkd.eat import EatBudget, HonestModel, asymptotic_rate_sifted, delta_for_completeness, key_length_eat, leak_ec
+from diqkd.eat import EPS_EC, HonestModel, asymptotic_rate_sifted, delta_for_completeness, key_length_eat, leak_ec
 from diqkd.mathcore import TSIRELSON_WIN
 from diqkd.protocol import ProtocolParams, accept, build_acceptance_set
 from diqkd.renyi import (
-    RenyiConfig,
     h_alpha,
     key_length_renyi,
     renyi_entropy_factor,
@@ -290,7 +289,7 @@ class TestInnerSolve:
         # ceilings of 100 + 300 + 500 counts cannot hold n = 1000 rounds
         short = box_params(1000, 0.26, 0.13, 0.8265, (0, 0, 0), (100, 300, 500))
         with pytest.raises(ValueError, match="infeasible"):
-            h_alpha(RenyiConfig(alpha=1.1), short)
+            h_alpha(short, np.array([1.1]))
 
 
 class TestHAlpha:
@@ -309,7 +308,7 @@ class TestHAlpha:
 
     def test_nonincreasing_in_alpha(self):
         params = paper_params()
-        vals = [h_alpha(RenyiConfig(alpha=a), params) for a in np.linspace(1.001, 2.0, 10)]
+        vals = h_alpha(params, np.linspace(1.001, 2.0, 10))
         assert all(y <= x + 1e-12 for x, y in zip(vals, vals[1:]))
 
     def test_nondecreasing_as_box_shrinks(self):
@@ -317,20 +316,19 @@ class TestHAlpha:
         # floors and ceilings round outward, so each box holds the next
         base = paper_params()
         mean = honest(0.26, 0.13, PAPER.omega) * N_PAPER
-        cfg = RenyiConfig(alpha=1.01)
         vals = []
         for scale in (4.0, 2.0, 1.0, 0.5, 0.25, 0.0):
             lo = tuple(max(0, math.floor(m - scale * (m - b))) for m, b in zip(mean, base.box_lo))
             hi = tuple(min(N_PAPER, math.ceil(m + scale * (b - m))) for m, b in zip(mean, base.box_hi))
-            vals.append(h_alpha(cfg, box_params(N_PAPER, 0.26, 0.13, PAPER.omega, lo, hi)))
+            vals.append(h_alpha(box_params(N_PAPER, 0.26, 0.13, PAPER.omega, lo, hi), np.array([1.01]))[0])
         assert all(y >= x - 1e-12 for x, y in zip(vals, vals[1:]))
 
-    def test_batched_orders_equal_single_orders(self):
+    def test_batched_orders_equal_one_order_batches(self):
         params = paper_params()
         alphas = np.concatenate([COARSE_ORDERS, [1.0004010279139497, 1.01, 1.2]])  # 67: a partial last chunk
-        batched = h_alpha(RenyiConfig(), params, alphas=alphas)
+        batched = h_alpha(params, alphas)
         for a, got in zip(alphas, batched):
-            assert got == h_alpha(RenyiConfig(alpha=float(a)), params)
+            assert got == h_alpha(params, np.array([a]))[0]
 
     def test_dense_grid_minimum_and_kink(self):
         params = paper_params()
@@ -341,7 +339,7 @@ class TestHAlpha:
 
         for alpha in (1.0004, 1.01, 1.2):
             dense = outer(alpha, ws)
-            got = h_alpha(RenyiConfig(alpha=alpha), params)
+            got = h_alpha(params, np.array([alpha]))[0]
             assert got <= dense.min()
             if alpha >= 1.01:
                 # the minimizer sits at the kink omega = 3/4, where the entropy term switches on
@@ -355,8 +353,8 @@ class TestHAlpha:
         lo = tuple(max(0, math.floor(m - 0.03 * N_PAPER)) for m in mean)
         hi = tuple(min(N_PAPER, math.ceil(m + 0.03 * N_PAPER)) for m in mean)
         wide = box_params(N_PAPER, 0.26, 0.13, PAPER.omega, lo, hi)
-        cfg = RenyiConfig(alpha=1.05)
-        assert h_alpha(cfg, wide) < h_alpha(cfg, tight)
+        alphas = np.array([1.05])
+        assert h_alpha(wide, alphas) < h_alpha(tight, alphas)
 
 
 def random_cells(seed, count):
@@ -374,7 +372,7 @@ class TestKernelMatchesOracle:
     @pytest.mark.parametrize("seed", [101, 102, 103, 104, 105])
     def test_order_search_bitwise_on_random_cells(self, seed):
         for params in random_cells(seed, 30):
-            got = h_alpha(RenyiConfig(), params, alphas=COARSE_ORDERS)
+            got = h_alpha(params, COARSE_ORDERS)
             want = renyi_h_alpha(COARSE_ORDERS, params.gamma_a, params.gamma_b, *bounds(params))
             assert np.array_equal(got, want), params
 
@@ -387,7 +385,7 @@ class TestKernelMatchesOracle:
         for params in random_cells(107, 4):
             for alphas in (COARSE_ORDERS, np.array([2.0])):
                 seen.clear()
-                h_alpha(RenyiConfig(), params, alphas=alphas)
+                h_alpha(params, alphas)
                 for j, got in zip(range(0, len(alphas), renyi._ORDER_CHUNK), seen):
                     chunk = alphas[j : j + renyi._ORDER_CHUNK, None]
                     want = renyi_objective(chunk, grid, params.gamma_a, params.gamma_b, *bounds(params))
@@ -398,7 +396,7 @@ class TestKernelMatchesOracle:
         for params in random_cells(106, 6):
             for alpha in (1.0004, 1.01, 1.3, 2.0):
                 want = renyi_h_alpha(np.array([alpha]), params.gamma_a, params.gamma_b, *bounds(params))[0]
-                assert h_alpha(RenyiConfig(alpha=alpha), params) == want
+                assert h_alpha(params, np.array([alpha]))[0] == want
 
     def test_optimum_at_or_below_classical_point_bitwise(self):
         # a wide box at small n lets the attack sit where the entropy term is off
@@ -406,7 +404,7 @@ class TestKernelMatchesOracle:
         grid = np.linspace(0.5, TSIRELSON_WIN, renyi._SIGMA_GRID)
         best = grid[np.argmin(renyi_objective(COARSE_ORDERS[:, None], grid, 0.5, 0.5, *bounds(params)), axis=1)]
         assert (best <= 0.75).any()
-        got = h_alpha(RenyiConfig(), params, alphas=COARSE_ORDERS)
+        got = h_alpha(params, COARSE_ORDERS)
         assert np.array_equal(got, renyi_h_alpha(COARSE_ORDERS, 0.5, 0.5, *bounds(params)))
 
     @pytest.mark.parametrize("alpha, calls", [(None, 114), (1.001, 53)])
@@ -415,50 +413,49 @@ class TestKernelMatchesOracle:
         seen = []
         solve = renyi._inner_min_vec
         monkeypatch.setattr(renyi, "_inner_min_vec", lambda *args: seen.append(1) or solve(*args))
-        key_length_renyi(paper_params(), RenyiConfig(alpha=alpha), paper_leak())
+        key_length_renyi(paper_params(), 1e-5, paper_leak(), alpha=alpha)
         assert len(seen) == calls
 
 
 class TestKeyLength:
     def test_paper_point(self):
-        res = key_length_renyi(paper_params(), RenyiConfig(eps_sec=1e-5 - 2.0**-61), paper_leak())
+        res = key_length_renyi(paper_params(), 1e-5, paper_leak())
         assert res.rate == pytest.approx(0.112, abs=0.015)
         assert res.length == pytest.approx(135_300, abs=18_000)
         assert 1.0 < res.alpha <= 2.0
 
     def test_tight_soundness(self):
-        res = key_length_renyi(paper_params(), RenyiConfig(eps_sec=1e-15 - 2.0**-61), paper_leak())
+        res = key_length_renyi(paper_params(), 1e-15, paper_leak())
         assert res.rate == pytest.approx(0.075, abs=0.015)
 
     def test_tiny_n_yields_nothing(self):
         n = 1000
-        res = key_length_renyi(paper_params(n), RenyiConfig(eps_sec=1e-5), leak_ec(n, PAPER, 0.005))
+        res = key_length_renyi(paper_params(n), 1e-5, leak_ec(n, PAPER, 0.005))
         assert res.raw_length <= 0.0
         assert res.length == 0.0
 
     def test_beats_accumulation_at_paper_block(self):
-        renyi = key_length_renyi(paper_params(), RenyiConfig(eps_sec=1e-5 - 2.0**-61), paper_leak())
-        eat = key_length_eat(paper_params(), EatBudget(eps_snd=1e-5), paper_leak())
+        renyi = key_length_renyi(paper_params(), 1e-5, paper_leak())
+        eat = key_length_eat(paper_params(), 1e-5, paper_leak())
         assert renyi.rate > eat.rate
 
     def test_below_sifted_asymptote(self):
         asym = asymptotic_rate_sifted(2.612, 0.0285, 0.26, 0.13)
         for n in (10**5, N_PAPER, 10**8):
-            res = key_length_renyi(paper_params(n), RenyiConfig(eps_sec=1e-5), leak_ec(n, PAPER, 0.005))
+            res = key_length_renyi(paper_params(n), 1e-5, leak_ec(n, PAPER, 0.005))
             assert res.rate < asym
 
     def test_fixed_alpha_evaluation(self):
         # an accepted run has at most n - box_lo_perp test rounds, each charged one bit
-        cfg = RenyiConfig(alpha=1.001, eps_sec=1e-5)
         params = paper_params()
-        res = key_length_renyi(params, cfg, paper_leak())
+        res = key_length_renyi(params, 1e-5, paper_leak(), alpha=1.001)
         assert res.alpha == 1.001
         assert res.raw_length == pytest.approx(
             N_PAPER * res.h_alpha_bits
             - (N_PAPER - params.box_lo[2])
             - paper_leak()
             - 64.0
-            - 1.001 / 0.001 * math.log2(1 / 1e-5)
+            - 1.001 / 0.001 * math.log2(1 / (1e-5 - EPS_EC))
             + 2.0,
             rel=1e-12,
         )

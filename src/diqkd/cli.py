@@ -28,7 +28,7 @@ from typing import Optional
 import numpy as np
 
 from . import calibration, eat, link, protocol, renyi, rng
-from .calibration import DistanceCalibration, load_distance_table, load_error_budget
+from .calibration import load_distance_table, load_error_budget
 from .eat import HonestModel
 from .mathcore import TSIRELSON_WIN, binomial_tail, chsh_to_winprob
 from .protocol import build_acceptance_set
@@ -109,10 +109,10 @@ class RunConfig:
     )
     overhead_s: float = _key("timing.overhead_s", link.TimingModel.overhead_s)
     duty_cycle: float = _key("timing.duty_cycle", link.TimingModel.duty_cycle)
-    # sweep grids (comma-separated; used when the flags are absent)
+    # sweep grids (comma-separated; the --n-grid, --s-grid and --q-grid flags set them)
     sweep_n_grid: str = _key("sweep.n_grid", "1e4,3e4,1e5,3e5,1e6,1.208e6,3e6,1e7")
-    sweep_s_grid: str = _key("sweep.s_grid", "")
-    sweep_q_grid: str = _key("sweep.q_grid", "")
+    sweep_s_grid: str = _key("sweep.s_grid", ",".join(map(str, np.linspace(2.0, 2.828, 25).round(4))))
+    sweep_q_grid: str = _key("sweep.q_grid", ",".join(map(str, np.linspace(0.0, 0.12, 25).round(4))))
     sweep_lengths: str = _key("sweep.lengths", "")
     # output
     out_dir: str = _key("output.dir", ".")
@@ -236,11 +236,7 @@ class KeyRateReport:
 
 def _model_behavior(config: RunConfig):
     noise = NoiseParams.from_visibilities(
-        config.v_zz,
-        config.v_xx,
-        white_noise=config.white_noise,
-        readout_flip=config.readout_flip,
-        delta_phi=config.delta_phi,
+        config.v_zz, config.v_xx, white_noise=config.white_noise, delta_phi=config.delta_phi
     )
     state = build_heralded_state(noise)
     return protocol.behavior_from_state(state, readout_flip=config.readout_flip)
@@ -333,7 +329,7 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
 
     budget_l, timing = _link_models(config)
     eff = link.arm_efficiency(budget_l)
-    p_s = link.success_probability_spi(config.alpha_excitation, eff, config.alpha_excitation, eff)
+    p_s = link.success_probability_spi(config.alpha_excitation, eff)
     link_summary = {
         "length_km": config.length_km,
         "arm_efficiency": eff,
@@ -383,7 +379,7 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
         eat_rate=None if eat_res is None else eat_res.rate,
         eat_splits=None if eat_res is None else eat_res.splits,
         eat_pt=None if eat_res is None else eat_res.pt_opt,
-        eat_delta=None if eat_res is None else eat_res.delta,
+        eat_delta=None if eat_res is None else params.delta,
         renyi_length=None if renyi_res is None else renyi_res.length,
         renyi_raw_length=None if renyi_res is None else renyi_res.raw_length,
         renyi_rate=None if renyi_res is None else renyi_res.rate,
@@ -438,19 +434,26 @@ def sweep_asymptotic_contour(s_grid: list[float], q_grid: list[float]) -> dict:
     return {"s_grid": s_sorted, "q_grid": q_sorted, "rates": rates.tolist(), "zero_contour": zero}
 
 
-def sweep_rate_vs_distance(config: RunConfig, table: Optional[list[DistanceCalibration]] = None) -> list[dict]:
+def sweep_rate_vs_distance(config: RunConfig) -> list[dict]:
     """Per-length link and key-rate summary from the calibration bundle.
 
     Link components and timing come from the config; each length's row
     supplies its measured fiber transmission and excitation probability.
+    sweep.lengths, when set, keeps only those calibrated lengths.
     """
     defaults, timing = _link_models(config)
+    table = load_distance_table()
+    if config.sweep_lengths:
+        keep = set(_parse_grid(config.sweep_lengths, "sweep.lengths"))
+        unknown = keep.difference(r.length_km for r in table)
+        if unknown:
+            raise ConfigError(f"sweep.lengths: {sorted(unknown)} are not calibrated lengths")
+        table = [r for r in table if r.length_km in keep]
     rows_out = []
-    for row in sorted(table or load_distance_table(), key=lambda r: r.length_km):
+    for row in sorted(table, key=lambda r: r.length_km):
         eff = link.arm_efficiency(row.link_budget(defaults))
-        a = row.alpha_excitation
-        p_spi = link.success_probability_spi(a, eff, a, eff)
-        p_tpi = link.success_probability_tpi(eff, eff)
+        p_spi = link.success_probability_spi(row.alpha_excitation, eff)
+        p_tpi = link.success_probability_tpi(eff)
         rate_s = link.event_rate(p_spi, timing, row.length_km)
         rate_tpi = link.event_rate(p_tpi, timing, row.length_km)
         s_model = math.sqrt(2.0) * (row.v_zz + row.v_xx)
@@ -541,40 +544,40 @@ def _parse_grid(text: str, name: str) -> list[float]:
     return values
 
 
-def main(argv: Optional[list[str]] = None) -> int:
+def _parser() -> argparse.ArgumentParser:
+    """The command line.  Every option but --config is named (dest) by the config key it overrides."""
     parser = argparse.ArgumentParser(prog="diqkd", description="Heralded-link CHSH key-rate toolkit")
     parser.add_argument("--config", default=None, help="flat key = value config file")
-    parser.add_argument("--seed", type=int, default=None, help="64-bit master seed override")
-    parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--analytic", action="store_true", help="skip simulation; evaluate stated (S, Q)")
+    parser.add_argument("--seed", dest="seed", help="64-bit master seed")
+    parser.add_argument("--out", dest="output.dir", help="output directory")
+    parser.add_argument(
+        "--analytic", dest="security.analytic", action="store_const", const="true",
+        help="skip simulation; evaluate stated (S, Q)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("pipeline", help="single end-to-end run")
     p_n = sub.add_parser("sweep-n", help="key rate vs block size")
-    p_n.add_argument("--n-grid", default=None)
+    p_n.add_argument("--n-grid", dest="sweep.n_grid", help="comma-separated block sizes")
     p_c = sub.add_parser("contour", help="asymptotic rate over (S, Q)")
-    p_c.add_argument("--s-grid", default=None)
-    p_c.add_argument("--q-grid", default=None)
+    p_c.add_argument("--s-grid", dest="sweep.s_grid", help="comma-separated CHSH values")
+    p_c.add_argument("--q-grid", dest="sweep.q_grid", help="comma-separated QBERs")
     sub.add_parser("distance", help="link and rate summary per fiber length")
     sub.add_parser("pvalues", help="binomial-test table per fiber length")
     sub.add_parser("budget", help="infidelity budget consistency report")
+    return parser
 
-    args = parser.parse_args(argv)
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.out is not None:
-        overrides["output.dir"] = args.out
-    if args.analytic:
-        overrides["security.analytic"] = "true"
 
+def main(argv: Optional[list[str]] = None) -> int:
+    overrides = vars(_parser().parse_args(argv))
+    config_path, command = overrides.pop("config"), overrides.pop("command")
     try:
-        config = load_config(args.config, overrides)
+        config = load_config(config_path, overrides)
         out_dir = Path(config.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
         h = config.config_hash()
 
-        if args.command == "pipeline":
+        if command == "pipeline":
             report = run_pipeline(config)
             path = out_dir / "report.json"
             path.write_text(report.to_json(), encoding="utf-8")
@@ -589,21 +592,15 @@ def main(argv: Optional[list[str]] = None) -> int:
                 return 2
             return 0
 
-        if args.command == "sweep-n":
-            grid = args.n_grid if args.n_grid is not None else config.sweep_n_grid
-            n_grid = _parse_grid(grid, "n grid")
+        if command == "sweep-n":
+            n_grid = _parse_grid(config.sweep_n_grid, "sweep.n_grid")
             if not all(n.is_integer() for n in n_grid):
-                raise ConfigError(f"n grid: block sizes must be integers, got {grid!r}")
+                raise ConfigError(f"sweep.n_grid: block sizes must be integers, got {config.sweep_n_grid!r}")
             rows = sweep_keyrate_vs_n(config, [int(n) for n in n_grid])
             write_csv(rows, out_dir / "keyrate_vs_n.csv", h)
-        elif args.command == "contour":
-            s_grid = args.s_grid if args.s_grid is not None else (
-                config.sweep_s_grid or ",".join(str(s) for s in np.linspace(2.0, 2.828, 25).round(4))
-            )
-            q_grid = args.q_grid if args.q_grid is not None else (
-                config.sweep_q_grid or ",".join(str(q) for q in np.linspace(0.0, 0.12, 25).round(4))
-            )
-            res = sweep_asymptotic_contour(_parse_grid(s_grid, "s grid"), _parse_grid(q_grid, "q grid"))
+        elif command == "contour":
+            s_grid = _parse_grid(config.sweep_s_grid, "sweep.s_grid")
+            res = sweep_asymptotic_contour(s_grid, _parse_grid(config.sweep_q_grid, "sweep.q_grid"))
             grid_rows = [
                 {"s": s, "q": q, "rate": res["rates"][i][j]}
                 for i, s in enumerate(res["s_grid"])
@@ -612,18 +609,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             write_csv(grid_rows, out_dir / "contour.csv", h)
             if res["zero_contour"]:
                 write_csv(res["zero_contour"], out_dir / "contour_zero.csv", h)
-        elif args.command == "distance":
-            rows = sweep_rate_vs_distance(config)
-            if config.sweep_lengths:
-                keep = set(_parse_grid(config.sweep_lengths, "sweep.lengths"))
-                unknown = keep.difference(r["length_km"] for r in rows)
-                if unknown:
-                    raise ConfigError(f"sweep.lengths: {sorted(unknown)} are not calibrated lengths")
-                rows = [r for r in rows if r["length_km"] in keep]
-            write_csv(rows, out_dir / "distance.csv", h)
-        elif args.command == "pvalues":
+        elif command == "distance":
+            write_csv(sweep_rate_vs_distance(config), out_dir / "distance.csv", h)
+        elif command == "pvalues":
             write_csv(pvalue_table(), out_dir / "pvalues.csv", h)
-        elif args.command == "budget":
+        elif command == "budget":
             write_csv(error_budget_report(), out_dir / "budget.csv", h)
         return 0
     except ConfigError as exc:

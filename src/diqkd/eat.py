@@ -192,14 +192,9 @@ def eta_inf(model: HonestModel) -> float:
 
 
 def optimal_eps_tilde(n: int, eps_ec_com: float) -> float:
-    """1-D log-grid scan for the eps_tilde minimizing the leak overhead."""
-    grid = eps_ec_com * np.logspace(-12.0, -0.05, 200)
-    best, best_v = None, math.inf
-    for et in grid:
-        v = _leak_overhead(n, eps_ec_com, float(et))
-        if v < best_v:
-            best, best_v = float(et), v
-    return best
+    """1-D log-grid scan for the eps_tilde minimizing the leak overhead; the first minimum wins a tie."""
+    grid = (float(et) for et in eps_ec_com * np.logspace(-12.0, -0.05, 200))
+    return min(grid, key=lambda et: _leak_overhead(n, eps_ec_com, et))
 
 
 def _leak_overhead(n: int, eps_ec_com: float, eps_tilde: float) -> float:
@@ -228,13 +223,7 @@ def completeness_ea(n: int, c: float, gamma_a: float, gamma_b: float, omega_exp:
     return min(1.0, 2.0 ** (-n * d))
 
 
-def delta_for_completeness(
-    n: int,
-    gamma_a: float,
-    gamma_b: float,
-    omega_exp: float,
-    target: float = 1e-2,
-) -> float:
+def delta_for_completeness(n: int, gamma_a: float, gamma_b: float, omega_exp: float, target: float) -> float:
     """Acceptance slack delta making the honest abort bound equal the target."""
     if not 0.0 < target < 1.0:
         raise ValueError("target must lie in (0, 1)")
@@ -262,7 +251,6 @@ class EatResult:
     raw_length: float
     rate: float
     splits: dict[str, float]  # the optimized split, keyed by _SPLIT_FIELDS
-    delta: float
     pt_opt: float
 
 
@@ -355,7 +343,7 @@ def key_length_eat(params: ProtocolParams, eps_snd: float, lec: float) -> EatRes
 
     split = _split_from_fractions(eps_snd, fr)
     raw = _ell_for_split(params, split, omega_in, lec)
-    return EatResult(max(raw, 0.0), raw, raw / n, dict(zip(_SPLIT_FIELDS, split)), delta, pt)
+    return EatResult(max(raw, 0.0), raw, raw / n, dict(zip(_SPLIT_FIELDS, split)), pt)
 
 
 def asymptotic_rate_sifted(s: float, q: float, gamma_a: float, gamma_b: float) -> float:

@@ -60,14 +60,13 @@ class LinkBudget:
 
 @dataclass(frozen=True)
 class TimingModel:
-    """Per-trial timing: fixed overhead, duty cycle, and signalling speed.
+    """Per-trial timing: fixed overhead and duty cycle.
 
     The trial period is the overhead plus the 3L/2c herald round trip.
     """
 
     overhead_s: float = 12e-6
     duty_cycle: float = 0.15
-    c_mps: float = SPEED_OF_LIGHT
 
     def __post_init__(self) -> None:
         if self.overhead_s <= 0:
@@ -93,29 +92,27 @@ def arm_efficiency(budget: LinkBudget) -> float:
     return comp * fiber
 
 
-def success_probability_spi(
-    alpha_a: float, eta_a: float, alpha_b: float, eta_b: float
-) -> float:
-    """Single-photon heralding success probability alpha_A eta_A + alpha_B eta_B."""
-    for name, v in (("alpha_a", alpha_a), ("eta_a", eta_a), ("alpha_b", alpha_b), ("eta_b", eta_b)):
+def success_probability_spi(alpha: float, eta: float) -> float:
+    """Single-photon heralding success probability alpha eta + alpha eta, for two equal arms."""
+    for name, v in (("alpha", alpha), ("eta", eta)):
         if not 0.0 <= v <= 1.0:
             raise ValueError(f"{name}={v} outside [0, 1]")
-    p = alpha_a * eta_a + alpha_b * eta_b
+    p = alpha * eta + alpha * eta
     if p > 1.0:
         raise ValueError(f"success probability {p} exceeds 1; inputs are inconsistent")
     return p
 
 
-def success_probability_tpi(eta_a: float, eta_b: float) -> float:
-    """Two-photon heralding success probability 0.5 eta_A eta_B."""
-    if not 0.0 <= eta_a <= 1.0 or not 0.0 <= eta_b <= 1.0:
-        raise ValueError("efficiencies must lie in [0, 1]")
-    return 0.5 * eta_a * eta_b
+def success_probability_tpi(eta: float) -> float:
+    """Two-photon heralding success probability 0.5 eta eta, for two equal arms."""
+    if not 0.0 <= eta <= 1.0:
+        raise ValueError("efficiency must lie in [0, 1]")
+    return 0.5 * eta * eta
 
 
 def event_rate(p_s: float, timing: TimingModel, length_km: float) -> float:
     """Heralded events per second: p_s times the latency-limited repetition rate."""
     if p_s < 0:
         raise ValueError("success probability must be nonnegative")
-    latency = 1.5 * (length_km * 1000.0) / timing.c_mps
+    latency = 1.5 * (length_km * 1000.0) / SPEED_OF_LIGHT
     return p_s * timing.duty_cycle / (timing.overhead_s + latency)

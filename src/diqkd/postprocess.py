@@ -83,22 +83,6 @@ class BitString:
     def random(cls, n: int, rng: np.random.Generator) -> "BitString":
         return cls(rng.integers(0, 2, size=n, dtype=np.uint8))
 
-    @classmethod
-    def from_hex(cls, text: str) -> "BitString":
-        """Parse the 'length:hexdigits' serialization."""
-        head, _, body = text.strip().partition(":")
-        n = int(head)
-        if n == 0:
-            if body:
-                raise ValueError("zero-length bitstring must have empty body")
-            return cls(np.zeros(0, dtype=np.uint8))
-        nbytes = (n + 7) // 8
-        if len(body) != 2 * nbytes:
-            raise ValueError(f"expected {2 * nbytes} hex digits for {n} bits, got {len(body)}")
-        data = np.frombuffer(bytes.fromhex(body), dtype=np.uint8)
-        bits = np.unpackbits(data, bitorder="big")[:n]
-        return cls(bits)
-
     def to_hex(self) -> str:
         n = len(self)
         if n == 0:

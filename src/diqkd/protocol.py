@@ -49,7 +49,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .mathcore import TSIRELSON_WIN, binomial_box
+from .mathcore import TSIRELSON_WIN, _last_true, binomial_box
 from .quantum import TwoQubitState, X_AXIS, Z_AXIS, diag_axis, outcome_distribution
 from .rng import CounterRng
 
@@ -71,8 +71,7 @@ __all__ = [
 ]
 
 PERP = 2  # placeholder value of the test outcome c on non-test rounds
-CHUNK_ROUNDS = 1 << 13  # rounds generated per pass; their temporaries stay in cache
-COUNT_ROUNDS = 1 << 16  # rounds per count-tensor block of a stored Transcript
+CHUNK_ROUNDS = 1 << 13  # rounds per pass (and per count tensor); their temporaries stay in cache
 
 
 @dataclass(frozen=True)
@@ -117,16 +116,11 @@ class ProtocolParams:
         """Fewest wins the threshold test accepts: the least k with k / n >= gamma_a gamma_b omega_exp - delta.
 
         The comparison is the float one, so a count passes exactly when
-        its frequency k / n reaches the threshold.
+        its frequency k / n reaches the threshold; thr * n is only the
+        search's first guess.
         """
-        thr = self.gamma_a * self.gamma_b * self.omega_exp - self.delta
-        k = max(math.ceil(thr * self.n), 0)
-        # thr * n and k / n both round: step to the boundary of the float comparison
-        while k > 0 and (k - 1) / self.n >= thr:
-            k -= 1
-        while k / self.n < thr:
-            k += 1
-        return k
+        n, thr = self.n, self.gamma_a * self.gamma_b * self.omega_exp - self.delta
+        return _last_true(lambda j: j / n < thr, thr * n, -1, n - 1) + 1
 
 
 def build_acceptance_set(
@@ -218,9 +212,9 @@ class Transcript:
         return self.params.n
 
     def __iter__(self) -> Iterator[np.ndarray]:
-        """The 96-cell count tensors of COUNT_ROUNDS rounds at a time, for ``estimate``."""
-        for lo in range(0, self.params.n, COUNT_ROUNDS):
-            s, t, x, y, a, b = (col[lo : lo + COUNT_ROUNDS] for col in (self.s, self.t, self.x, self.y, self.a, self.b))
+        """The 96-cell count tensors of CHUNK_ROUNDS rounds at a time, for ``estimate``."""
+        for lo in range(0, self.params.n, CHUNK_ROUNDS):
+            s, t, x, y, a, b = (col[lo : lo + CHUNK_ROUNDS] for col in (self.s, self.t, self.x, self.y, self.a, self.b))
             yield np.bincount(s * 48 + t * 24 + x * 12 + y * 4 + a * 2 + b, minlength=96)
 
 

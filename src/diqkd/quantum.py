@@ -95,9 +95,6 @@ class TwoQubitState:
     def expectation(self, op: np.ndarray) -> float:
         return float(np.trace(self.matrix @ op).real)
 
-    def __repr__(self) -> str:
-        return f"TwoQubitState(trace={np.trace(self.matrix).real:.6f})"
-
 
 @dataclass(frozen=True)
 class NoiseParams:
@@ -105,31 +102,25 @@ class NoiseParams:
 
     alpha_exc is the double-excitation admixture of the heralded state;
     dephase_lambda scales down the ud/du coherence; white_noise mixes in
-    the maximally mixed state; readout_flip acts on measurement outcomes,
-    not on the state.  delta_phi is the interferometer phase of the
-    heralded Bell state (pi gives the other sign).
+    the maximally mixed state.  delta_phi is the interferometer phase of
+    the heralded Bell state (pi gives the other sign).  Readout errors act
+    on outcomes, not on the state: see ``outcome_distribution``.
     """
 
     alpha_exc: float = 0.0
     dephase_lambda: float = 0.0
     white_noise: float = 0.0
-    readout_flip: float = 0.0
     delta_phi: float = 0.0
 
     def __post_init__(self) -> None:
-        for name in ("alpha_exc", "dephase_lambda", "white_noise", "readout_flip"):
+        for name in ("alpha_exc", "dephase_lambda", "white_noise"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
 
     @classmethod
     def from_visibilities(
-        cls,
-        v_zz: float,
-        v_xx: float,
-        white_noise: float = 0.0,
-        readout_flip: float = 0.0,
-        delta_phi: float = 0.0,
+        cls, v_zz: float, v_xx: float, white_noise: float = 0.0, delta_phi: float = 0.0
     ) -> "NoiseParams":
         """Calibrate (alpha_exc, dephase_lambda) to hit measured visibilities.
 
@@ -147,13 +138,7 @@ class NoiseParams:
         lam = 1.0 - vx / (1.0 - alpha)
         if not 0.0 <= lam <= 1.0:
             raise ValueError(f"v_xx={v_xx} not reachable (lambda={lam})")
-        return cls(
-            alpha_exc=alpha,
-            dephase_lambda=lam,
-            white_noise=white_noise,
-            readout_flip=readout_flip,
-            delta_phi=delta_phi,
-        )
+        return cls(alpha_exc=alpha, dephase_lambda=lam, white_noise=white_noise, delta_phi=delta_phi)
 
 
 def build_heralded_state(params: NoiseParams) -> TwoQubitState:
@@ -162,7 +147,6 @@ def build_heralded_state(params: NoiseParams) -> TwoQubitState:
     Construction order: the ideal mixture of |uu> (weight alpha_exc) with
     the phase-tagged Bell state, then coherence damping by
     (1 - dephase_lambda) on the ud/du element, then white-noise mixing.
-    readout_flip is deliberately not applied here; it acts on outcomes.
     """
     a = params.alpha_exc
     phase = cmath.exp(1j * params.delta_phi)

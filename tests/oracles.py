@@ -6,7 +6,7 @@ digits, starting from an exact integer binomial coefficient, in mpmath
 from a log-gamma first term, or at p = 3/4 in integers outright; the
 reference box takes its tails from scipy's incomplete beta functions.
 The reference implementations below (bisection box, float threshold
-test, one-pass generation, mask-based estimate, the masked row-per-cell
+test, stepped threshold count, one-pass generation, mask-based estimate, the masked row-per-cell
 Renyi solver, the bitwise GF(2^128) product) are the straightforward
 versions that the faster library code must reproduce exactly.
 """
@@ -125,6 +125,17 @@ def binomial_box_bisect(n: int, p: float, eps: float) -> tuple[int, int]:
 def accept_threshold_float(beta: float, params) -> bool:
     """The threshold test on the win frequency beta = wins / n, as a float comparison."""
     return beta >= params.gamma_a * params.gamma_b * params.omega_exp - params.delta
+
+
+def win_min_stepping(params) -> int:
+    """Least k with k / n >= the threshold, stepped one count at a time from ceil(thr n)."""
+    n, thr = params.n, params.gamma_a * params.gamma_b * params.omega_exp - params.delta
+    k = max(math.ceil(thr * n), 0)
+    while k > 0 and (k - 1) / n >= thr:
+        k -= 1
+    while k / n < thr:
+        k += 1
+    return k
 
 
 def generate_columns_oneshot(behavior, params):

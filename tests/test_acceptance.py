@@ -185,14 +185,14 @@ def test_criterion_8_link_scaling():
     spi, tpi = [], []
     for length in lengths:
         eta = arm_efficiency(LinkBudget(length_km=float(length)))
-        spi.append(success_probability_spi(alpha, eta, alpha, eta))
-        tpi.append(success_probability_tpi(eta, eta))
+        spi.append(success_probability_spi(alpha, eta))
+        tpi.append(success_probability_tpi(eta))
     ratio = np.polyfit(lengths, np.log10(spi), 1)[0] / np.polyfit(lengths, np.log10(tpi), 1)[0]
 
     timing = TimingModel()
     # calibrated against the table's total arm efficiency at 11 km
     eff11 = next(r for r in load_distance_table() if r.length_km == 11.0).total_arm_eff
-    rate11 = event_rate(success_probability_spi(alpha, eff11, alpha, eff11), timing, 11.0)
+    rate11 = event_rate(success_probability_spi(alpha, eff11), timing, 11.0)
     ok = abs(ratio - 0.5) <= 0.02 and abs(rate11 - 0.72) / 0.72 <= 0.10
     _report(
         8,

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import os
@@ -287,6 +288,69 @@ class TestMain:
         cfg.write_text("security.eps_ec = 1e-30\nsecurity.analytic = true\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path), "pipeline"]) == 3
         assert "unknown config key 'security.eps_ec'" in capsys.readouterr().err
+
+    def test_out_of_range_readout_flip_exits_three(self, tmp_path, capsys):
+        # the outcome model's range check is the one check of the flip probability
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("physical.readout_flip = 1.5\nsecurity.analytic = true\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "pipeline"]) == 3
+        assert "physical model: readout_flip=1.5 outside [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flag, key, value",
+        [
+            ("sweep-n", "--n-grid", "sweep.n_grid", "5e5,1e7"),
+            ("contour", "--s-grid", "sweep.s_grid", "2.5,2.7"),
+            ("contour", "--q-grid", "sweep.q_grid", "0.01,0.03"),
+        ],
+    )
+    def test_grid_flag_is_its_config_key(self, tmp_path, command, flag, key, value):
+        # a grid given by flag or by key writes the same bytes, config hash included
+        out = ["--out", str(tmp_path / "out")]
+        assert main(out + [command, flag, value]) == 0
+        by_flag = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        cfg = tmp_path / "grid.cfg"
+        cfg.write_text(f"{key} = {value}\n")
+        assert main(["--config", str(cfg)] + out + [command]) == 0
+        assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == by_flag
+
+    def test_grid_flag_enters_the_hash(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(cli, "sweep_keyrate_vs_n", _stub_sweep_n)
+        hashes = set()
+        for grid in ("1e5", "1e6"):
+            assert main(["--out", str(tmp_path), "sweep-n", "--n-grid", grid]) == 0
+            hashes.add((tmp_path / "keyrate_vs_n.csv").read_text().splitlines()[0])
+        assert len(hashes) == 2
+
+    def test_every_flag_overrides_a_config_key(self, tmp_path, monkeypatch):
+        """Each option but --config and --help lands in raw_items, so no flag can skip the config hash."""
+        monkeypatch.chdir(tmp_path)
+        seen = []
+
+        def recording(path=None, overrides=None):
+            seen.append(load_config(path, overrides))
+            raise ConfigError("stop before the command runs")
+
+        monkeypatch.setattr(cli, "load_config", recording)
+        parser = cli._parser()
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        checked = set()
+        for command, subparser in sub.choices.items():
+            assert main([command]) == 3
+            (plain,) = seen
+            assert plain.raw_items == ()
+            for owner in (parser, subparser):
+                for action in owner._actions:
+                    if not action.option_strings or action.dest in ("config", "help"):
+                        continue
+                    flag = [action.option_strings[0]] + ([] if action.nargs == 0 else ["7"])
+                    seen.clear()
+                    assert main(flag + [command] if owner is parser else [command] + flag) == 3
+                    (config,) = seen
+                    assert len(config.raw_items) == 1 and config.config_hash() != plain.config_hash(), flag
+                    checked.add(flag[0])
+            seen.clear()
+        assert checked == {"--seed", "--out", "--analytic", "--n-grid", "--s-grid", "--q-grid"}
 
     def test_abort_exit_two(self, tmp_path):
         # expected win probability far above the honest model forces abort

@@ -130,7 +130,8 @@ class TestEta:
         assert val == eta_func(w_in, w_in, 1e-6, 1e-5, 10**14, 0.26, 0.13)
         assert val == pytest.approx(gamma_eff(0.26, 0.13) * g_func(w_in), abs=1e-4)
         res = eat_length(10**14)
-        w_tested = PAPER.omega - res.delta / gamma_eff(0.26, 0.13)
+        delta = delta_for_completeness(10**14, 0.26, 0.13, PAPER.omega, target=1e-2)
+        w_tested = PAPER.omega - delta / gamma_eff(0.26, 0.13)
         assert res.pt_opt == w_tested
 
     def test_g_slope_nondecreasing(self):

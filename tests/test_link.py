@@ -55,31 +55,36 @@ class TestArmEfficiency:
 
 class TestSuccessProbability:
     def test_zeros(self):
-        assert success_probability_spi(0, 0, 0, 0) == 0.0
+        assert success_probability_spi(0, 0) == 0.0
+        assert success_probability_spi(0.0, 0.5) == 0.0
 
-    def test_one_sided(self):
-        assert success_probability_spi(1.0, 1.0, 0.0, 0.5) == 1.0
+    def test_both_arms_at_one_half(self):
+        assert success_probability_spi(0.5, 1.0) == 1.0
 
     def test_paper_point(self):
-        p = success_probability_spi(0.022, 0.0072, 0.022, 0.0072)
+        p = success_probability_spi(0.022, 0.0072)
         assert p == pytest.approx(3.168e-4, rel=1e-9)
 
     def test_overflow_flagged(self):
         with pytest.raises(ValueError):
-            success_probability_spi(1.0, 1.0, 1.0, 0.5)
+            success_probability_spi(1.0, 0.6)  # two arms at 0.6 each sum past 1
+        with pytest.raises(ValueError):
+            success_probability_spi(1.5, 0.1)
+        with pytest.raises(ValueError):
+            success_probability_tpi(-0.1)
 
     def test_tpi(self):
-        assert success_probability_tpi(1.0, 1.0) == 0.5
-        assert success_probability_tpi(0.0072, 0.0072) == pytest.approx(2.592e-5, rel=1e-9)
+        assert success_probability_tpi(1.0) == 0.5
+        assert success_probability_tpi(0.0072) == pytest.approx(2.592e-5, rel=1e-9)
 
     def test_spi_tpi_ratio(self):
-        spi = success_probability_spi(0.022, 0.0072, 0.022, 0.0072)
-        tpi = success_probability_tpi(0.0072, 0.0072)
+        spi = success_probability_spi(0.022, 0.0072)
+        tpi = success_probability_tpi(0.0072)
         assert spi / tpi == pytest.approx(2 * 0.022 / (0.5 * 0.0072), rel=1e-9)
         assert spi / tpi == pytest.approx(12.22, abs=0.01)
         # at 100 km the linear-vs-quadratic scaling is worth >100x
         eta100 = 0.00023
-        ratio100 = success_probability_spi(0.022, eta100, 0.022, eta100) / success_probability_tpi(eta100, eta100)
+        ratio100 = success_probability_spi(0.022, eta100) / success_probability_tpi(eta100)
         assert ratio100 > 100.0
 
 
@@ -88,7 +93,7 @@ class TestEventRate:
         assert event_rate(0.0, TIMING, 11.0) == 0.0
 
     def test_paper_rate_at_11km(self):
-        p = success_probability_spi(0.022, 0.0072, 0.022, 0.0072)
+        p = success_probability_spi(0.022, 0.0072)
         r = event_rate(p, TIMING, 11.0)
         assert r == pytest.approx(0.709, abs=2e-3)
         assert abs(r - 0.72) / 0.72 < 0.05
@@ -106,8 +111,8 @@ class TestEventRate:
         spi, tpi = [], []
         for l in lengths:
             eta = arm_efficiency(LinkBudget(length_km=l))
-            spi.append(success_probability_spi(alpha, eta, alpha, eta))
-            tpi.append(success_probability_tpi(eta, eta))
+            spi.append(success_probability_spi(alpha, eta))
+            tpi.append(success_probability_tpi(eta))
         s_spi = np.polyfit(lengths, np.log10(spi), 1)[0]
         s_tpi = np.polyfit(lengths, np.log10(tpi), 1)[0]
         assert s_spi / s_tpi == pytest.approx(0.5, abs=0.02)

@@ -7,7 +7,6 @@ import pytest
 
 from diqkd.protocol import (
     CHUNK_ROUNDS,
-    COUNT_ROUNDS,
     PERP,
     Behavior,
     ProtocolParams,
@@ -24,7 +23,7 @@ from diqkd.quantum import NoiseParams, build_heralded_state
 from diqkd.protocol import test_statistic as beta_freq
 from diqkd.protocol import _count_tensor, _setting_index, _thresholds
 from diqkd.rng import SLOTS_PER_ROUND, CounterRng, audit_total
-from oracles import accept_threshold_float, estimate_masks, generate_columns_oneshot
+from oracles import accept_threshold_float, estimate_masks, generate_columns_oneshot, win_min_stepping
 
 CAL_STATE = build_heralded_state(NoiseParams.from_visibilities(0.943, 0.924))
 CAL_BEHAVIOR = behavior_from_state(CAL_STATE)
@@ -204,7 +203,7 @@ class TestGeneration:
         [
             (n, seed)
             for seed in (13, 2**64 - 1)
-            for n in (1, CHUNK_ROUNDS - 1, CHUNK_ROUNDS, CHUNK_ROUNDS + 1, 3 * CHUNK_ROUNDS + 17, COUNT_ROUNDS + 1)
+            for n in (1, CHUNK_ROUNDS - 1, CHUNK_ROUNDS, CHUNK_ROUNDS + 1, 3 * CHUNK_ROUNDS + 17, 8 * CHUNK_ROUNDS + 1)
         ],
     )
     def test_chunked_fill_matches_one_pass_oracle(self, n, seed):
@@ -230,7 +229,7 @@ class TestGeneration:
         [
             (n, seed)
             for seed in (13, 2**64 - 1)
-            for n in (1, CHUNK_ROUNDS - 1, CHUNK_ROUNDS + 1, 3 * CHUNK_ROUNDS + 17, COUNT_ROUNDS + 1)
+            for n in (1, CHUNK_ROUNDS - 1, CHUNK_ROUNDS + 1, 3 * CHUNK_ROUNDS + 17, 8 * CHUNK_ROUNDS + 1)
         ],
     )
     def test_stream_counts_equal_transcript_and_oracle(self, behavior, n, seed):
@@ -406,6 +405,27 @@ class TestStatisticAndAccept:
             assert accept((0, k, n - k), p)[0]
         assert accept((10_000, 0, 0), params(delta=0.0)) == (False, True)
 
+    def test_win_min_matches_stepping_search(self):
+        # one _last_true search gives the count the stepping loops gave, and
+        # the definition holds: k / n reaches the threshold, (k - 1) / n does
+        # not.  Thresholds are random, at or below 0, or within an ulp of a
+        # count k0 / n, where thr * n and k / n round across the boundary.
+        rng = np.random.default_rng(37)
+        gg = 0.26 * 0.13
+        for _ in range(20_000):
+            n = int(10 ** rng.uniform(0.0, 9.0))
+            omega = float(rng.uniform(0.7501, 0.85))
+            if rng.random() < 0.5:
+                delta = float(10 ** rng.uniform(-9.0, 0.0))  # above gg * omega, thr < 0
+            else:
+                t = int(rng.integers(0, int(gg * omega * n) + 1)) / n
+                t = float(np.nextafter(t, (-np.inf, t, np.inf)[int(rng.integers(0, 3))]))
+                delta = max(gg * omega - t, 0.0)
+            p = params(n=n, omega=omega, delta=delta)
+            k, thr = p.win_min, gg * omega - delta
+            assert k == win_min_stepping(p), (n, omega, delta)
+            assert 0 <= k <= n and k / n >= thr and (k == 0 or (k - 1) / n < thr), (n, omega, delta)
+
     def test_accept_box_bounds_inclusive(self):
         p = params(n=1000, box_lo=(10, 20, 900), box_hi=(30, 40, 960))
         assert accept((30, 40, 930), p) == (True, True)  # both ends of a bound accept
@@ -440,7 +460,7 @@ class TestEstimate:
             tr = generate_transcript(CAL_BEHAVIOR, params(n=30_000, seed=seed))
             assert repr(dataclasses.astuple(estimate(tr))) == repr(estimate_masks(tr))
 
-    @pytest.mark.parametrize("n", [COUNT_ROUNDS - 1, COUNT_ROUNDS, COUNT_ROUNDS + 1, 2 * COUNT_ROUNDS + 5])
+    @pytest.mark.parametrize("n", [CHUNK_ROUNDS - 1, CHUNK_ROUNDS, CHUNK_ROUNDS + 1, 2 * CHUNK_ROUNDS + 5])
     def test_block_edges_equal_mask_oracle(self, n):
         tr = generate_transcript(CAL_BEHAVIOR, params(n=n, seed=n))
         assert repr(dataclasses.astuple(estimate(tr))) == repr(estimate_masks(tr))

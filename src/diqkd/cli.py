@@ -109,15 +109,15 @@ class RunConfig:
     )
     overhead_s: float = _key("timing.overhead_s", link.TimingModel.overhead_s)
     duty_cycle: float = _key("timing.duty_cycle", link.TimingModel.duty_cycle)
-    # sweep grids (comma-separated; the --n-grid, --s-grid and --q-grid flags set them)
-    sweep_n_grid: str = _key("sweep.n_grid", "1e4,3e4,1e5,3e5,1e6,1.208e6,3e6,1e7")
-    sweep_s_grid: str = _key("sweep.s_grid", ",".join(map(str, np.linspace(2.0, 2.828, 25).round(4))))
-    sweep_q_grid: str = _key("sweep.q_grid", ",".join(map(str, np.linspace(0.0, 0.12, 25).round(4))))
-    sweep_lengths: str = _key("sweep.lengths", "")
+    # sweep grids, parsed from comma-separated numbers (the --n-grid, --s-grid and --q-grid flags set them)
+    sweep_n_grid: tuple[int, ...] = _key(
+        "sweep.n_grid", (10_000, 30_000, 100_000, 300_000, 1_000_000, 1_208_000, 3_000_000, 10_000_000)
+    )
+    sweep_s_grid: tuple[float, ...] = _key("sweep.s_grid", tuple(np.linspace(2.0, 2.828, 25).round(4).tolist()))
+    sweep_q_grid: tuple[float, ...] = _key("sweep.q_grid", tuple(np.linspace(0.0, 0.12, 25).round(4).tolist()))
+    sweep_lengths: tuple[float, ...] = _key("sweep.lengths", ())  # (): every calibrated length
     # output
     out_dir: str = _key("output.dir", ".")
-    # raw echo for hashing
-    raw_items: tuple = field(default_factory=tuple, compare=False)
 
     def __post_init__(self) -> None:
         if self.method not in ("eat", "renyi", "both"):
@@ -141,7 +141,9 @@ class RunConfig:
             raise ConfigError(f"security.renyi_alpha={self.renyi_alpha} outside (1, 2]")
 
     def config_hash(self) -> str:
-        payload = json.dumps(sorted(self.raw_items), separators=(",", ":")).encode()
+        """Hash of every parsed value but output.dir, so equal hashes mean equal inputs."""
+        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}
+        payload = json.dumps(values, sort_keys=True, separators=(",", ":")).encode()
         return hashlib.sha256(payload).hexdigest()[:16]
 
 
@@ -154,10 +156,23 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected 1/0/true/false/yes/no, got {text!r}")
 
 
+def _parse_grid(text: str, item: type) -> tuple:
+    """One or more comma-separated finite numbers, each a whole number when item is int."""
+    values = [float(tok) for tok in text.split(",") if tok.strip()]
+    if not values or not all(map(math.isfinite, values)):
+        raise ValueError(f"need one or more finite numbers, got {text!r}")
+    if item is int and not all(v.is_integer() for v in values):
+        raise ValueError(f"need whole numbers, got {text!r}")
+    return tuple(map(item, values))
+
+
 def _converter(tp):
-    """Parser for a field annotation: float, int, str, bool or Optional[X]."""
+    """Parser for a field annotation: float, int, str, bool, Optional[X] or tuple[X, ...]."""
     if typing.get_origin(tp) is typing.Union:
         (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
+    if typing.get_origin(tp) is tuple:
+        item = typing.get_args(tp)[0]
+        return lambda text: _parse_grid(text, item)
     return _parse_bool if tp is bool else tp
 
 
@@ -190,7 +205,7 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {value!r}") from exc
     try:
-        return RunConfig(raw_items=tuple(sorted(items.items())), **kwargs)
+        return RunConfig(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -414,15 +429,15 @@ def sweep_keyrate_vs_n(config: RunConfig, n_grid: list[int]) -> list[dict]:
 
 def sweep_asymptotic_contour(s_grid: list[float], q_grid: list[float]) -> dict:
     """Sifting-free asymptotic rate on an (S, Q) grid, with the zero contour."""
-    rates = np.empty((len(s_grid), len(q_grid)))
+    s_sorted, q_sorted = sorted(s_grid), sorted(q_grid)
+    rates = np.empty((len(s_sorted), len(q_sorted)))
     try:
-        for i, s in enumerate(sorted(s_grid)):
-            for j, q in enumerate(sorted(q_grid)):
+        for i, s in enumerate(s_sorted):
+            for j, q in enumerate(q_sorted):
                 rates[i, j] = eat.asymptotic_rate_nosift(s, q)
     except ValueError as exc:
         raise ConfigError(f"contour grid: {exc}") from exc
     zero = []
-    s_sorted, q_sorted = sorted(s_grid), sorted(q_grid)
     for i, s in enumerate(s_sorted):
         row = rates[i]
         sign_change = np.where(np.diff(np.sign(row)))[0]
@@ -444,7 +459,7 @@ def sweep_rate_vs_distance(config: RunConfig) -> list[dict]:
     defaults, timing = _link_models(config)
     table = load_distance_table()
     if config.sweep_lengths:
-        keep = set(_parse_grid(config.sweep_lengths, "sweep.lengths"))
+        keep = set(config.sweep_lengths)
         unknown = keep.difference(r.length_km for r in table)
         if unknown:
             raise ConfigError(f"sweep.lengths: {sorted(unknown)} are not calibrated lengths")
@@ -533,17 +548,6 @@ def write_csv(rows: list[dict], path: Path, config_hash: str) -> None:
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def _parse_grid(text: str, name: str) -> list[float]:
-    """One or more comma-separated finite numbers; anything else is a config error."""
-    try:
-        values = [float(tok) for tok in text.split(",") if tok.strip()]
-    except ValueError as exc:
-        raise ConfigError(f"{name}: {exc}") from exc
-    if not values or not all(map(math.isfinite, values)):
-        raise ConfigError(f"{name}: need one or more finite numbers, got {text!r}")
-    return values
-
-
 def _parser() -> argparse.ArgumentParser:
     """The command line.  Every option but --config is named (dest) by the config key it overrides."""
     parser = argparse.ArgumentParser(prog="diqkd", description="Heralded-link CHSH key-rate toolkit")
@@ -593,14 +597,9 @@ def main(argv: Optional[list[str]] = None) -> int:
             return 0
 
         if command == "sweep-n":
-            n_grid = _parse_grid(config.sweep_n_grid, "sweep.n_grid")
-            if not all(n.is_integer() for n in n_grid):
-                raise ConfigError(f"sweep.n_grid: block sizes must be integers, got {config.sweep_n_grid!r}")
-            rows = sweep_keyrate_vs_n(config, [int(n) for n in n_grid])
-            write_csv(rows, out_dir / "keyrate_vs_n.csv", h)
+            write_csv(sweep_keyrate_vs_n(config, config.sweep_n_grid), out_dir / "keyrate_vs_n.csv", h)
         elif command == "contour":
-            s_grid = _parse_grid(config.sweep_s_grid, "sweep.s_grid")
-            res = sweep_asymptotic_contour(s_grid, _parse_grid(config.sweep_q_grid, "sweep.q_grid"))
+            res = sweep_asymptotic_contour(config.sweep_s_grid, config.sweep_q_grid)
             grid_rows = [
                 {"s": s, "q": q, "rate": res["rates"][i][j]}
                 for i, s in enumerate(res["s_grid"])

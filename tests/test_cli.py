@@ -26,12 +26,8 @@ from diqkd.cli import (
     sweep_rate_vs_distance,
 )
 
-PAPER_ANALYTIC = dict(
-    analytic=True,
-    s_obs=2.612,
-    q_obs=0.0285,
-    raw_items=(("analysis.s_obs", "2.612"),),
-)
+PAPER_ANALYTIC = dict(analytic=True, s_obs=2.612, q_obs=0.0285)
+_COMMANDS = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
 
 
 class TestConfig:
@@ -97,9 +93,11 @@ class TestConfig:
         assert timing == TimingModel()
 
     def test_hash_tracks_content(self):
-        a = RunConfig(raw_items=(("protocol.n", "1"),))
-        b = RunConfig(raw_items=(("protocol.n", "2"),))
-        assert a.config_hash() != b.config_hash()
+        # the hash is taken over the parsed values, output.dir excepted
+        assert RunConfig(n=1).config_hash() != RunConfig(n=2).config_hash()
+        assert RunConfig(sweep_lengths=(11.0,)).config_hash() != RunConfig().config_hash()
+        assert RunConfig(n=1).config_hash() == load_config(None, {"protocol.n": "1"}).config_hash()
+        assert RunConfig(out_dir="a").config_hash() == RunConfig(out_dir="b").config_hash()
 
 
 class TestPipelineAnalytic:
@@ -153,9 +151,14 @@ class TestPipelineAnalytic:
 
     def test_sweep_keys_accepted(self, tmp_path):
         p = tmp_path / "run.cfg"
-        p.write_text("sweep.lengths = 11, 100\nlink.qfc = 0.5\ntiming.duty_cycle = 0.2\n")
-        cfg = load_config(str(p))
-        assert cfg.sweep_lengths == "11, 100"
+        p.write_text(
+            "sweep.lengths = 11, 100\nsweep.n_grid = 1e5, 1.208e6\nsweep.q_grid = 0.01\n"
+            "link.qfc = 0.5\ntiming.duty_cycle = 0.2\n"
+        )
+        cfg = load_config(str(p))  # grids are parsed when the config loads
+        assert cfg.sweep_lengths == (11.0, 100.0)
+        assert cfg.sweep_n_grid == (100_000, 1_208_000) and type(cfg.sweep_n_grid[0]) is int
+        assert cfg.sweep_q_grid == (0.01,)
         assert cfg.qfc == 0.5
         assert cfg.duty_cycle == 0.2
 
@@ -322,8 +325,45 @@ class TestMain:
             hashes.add((tmp_path / "keyrate_vs_n.csv").read_text().splitlines()[0])
         assert len(hashes) == 2
 
+    @pytest.mark.parametrize(
+        "a, b",
+        [
+            ((["sweep-n", "--n-grid", "1e5"], ""), (["sweep-n"], "sweep.n_grid = 100000\n")),
+            ((["sweep-n", "--n-grid", "1e5"], ""), (["sweep-n", "--n-grid", "100000"], "")),
+            ((["sweep-n", "--n-grid", "1e5,1e6"], ""), (["sweep-n", "--n-grid", "1e5, 1e6"], "")),
+            ((["sweep-n"], ""), (["--seed", "20260808", "sweep-n"], "")),
+            ((["sweep-n"], ""), (["sweep-n"], "seed = 20260808\nsecurity.analytic = false\n")),
+            ((["sweep-n"], ""), (["sweep-n"], "")),
+        ],
+        ids=["flag-and-key", "1e5-and-100000", "spacing", "default-seed-flag", "default-keys", "out-dir"],
+    )
+    def test_equal_values_write_one_hash(self, tmp_path, monkeypatch, a, b):
+        # each side writes to its own --out, which the hash leaves out
+        monkeypatch.setattr(cli, "sweep_keyrate_vs_n", _stub_sweep_n)
+        written = []
+        for i, (argv, body) in enumerate((a, b)):
+            cfg, out = tmp_path / f"{i}.cfg", tmp_path / f"out{i}"
+            cfg.write_text(body)
+            assert main(["--config", str(cfg), "--out", str(out), *argv]) == 0
+            written.append((out / "keyrate_vs_n.csv").read_text())
+        assert written[0] == written[1]
+
+    @pytest.mark.parametrize(
+        "body",
+        ["sweep.n_grid = x\n", "sweep.n_grid = 1e4,12345.7\n", "sweep.s_grid = inf\n", "sweep.q_grid = ,\n",
+         "sweep.lengths = abc\n", "sweep.lengths =\n"],
+    )
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_malformed_grid_rejected_by_every_command(self, tmp_path, capsys, body, command):
+        # grids are parsed when the config loads, so a command that never reads one still rejects it
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(body)
+        assert main(["--config", str(cfg), "--out", str(tmp_path), command]) == 3
+        assert f"bad value for {body.split()[0]}" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.json"))
+
     def test_every_flag_overrides_a_config_key(self, tmp_path, monkeypatch):
-        """Each option but --config and --help lands in raw_items, so no flag can skip the config hash."""
+        """Each option but --config and --help sets a config value; each but --out enters the config hash."""
         monkeypatch.chdir(tmp_path)
         seen = []
 
@@ -338,7 +378,7 @@ class TestMain:
         for command, subparser in sub.choices.items():
             assert main([command]) == 3
             (plain,) = seen
-            assert plain.raw_items == ()
+            assert plain == RunConfig()
             for owner in (parser, subparser):
                 for action in owner._actions:
                     if not action.option_strings or action.dest in ("config", "help"):
@@ -347,7 +387,8 @@ class TestMain:
                     seen.clear()
                     assert main(flag + [command] if owner is parser else [command] + flag) == 3
                     (config,) = seen
-                    assert len(config.raw_items) == 1 and config.config_hash() != plain.config_hash(), flag
+                    assert config != plain, flag
+                    assert (config.config_hash() == plain.config_hash()) == (flag[0] == "--out"), flag
                     checked.add(flag[0])
             seen.clear()
         assert checked == {"--seed", "--out", "--analytic", "--n-grid", "--s-grid", "--q-grid"}
@@ -570,6 +611,7 @@ def test_every_config_key_is_live(tmp_path, monkeypatch):
     """Two values of each key give different outputs (hash and inputs echo excluded) or exit codes.
 
     A value that is only rejected (exit 3) shows nothing of what the key does.
+    The two values also give two config hashes.
     """
     monkeypatch.setattr(cli, "sweep_keyrate_vs_n", _stub_sweep_n)
     cache = {}
@@ -581,17 +623,20 @@ def test_every_config_key_is_live(tmp_path, monkeypatch):
             cfg = tmp_path / f"run{len(cache)}.cfg"
             cfg.write_text("".join(f"{k} = {v}\n" for k, v in items.items()))
             rc = main(["--config", str(cfg), "--out", str(out), *command])
-            files = {}
+            files, hashes = {}, set()
             for path in sorted(out.iterdir()):
                 text = path.read_text()
                 if path.suffix == ".json":
                     report = json.loads(text)
-                    del report["config_hash"], report["inputs"]
+                    hashes.add(report.pop("config_hash"))
+                    del report["inputs"]
                     text = json.dumps(report, sort_keys=True)
                 else:
-                    text = text.split("\n", 1)[1]  # drop the config_hash line
+                    head, text = text.split("\n", 1)  # split off the config_hash line
+                    hashes.add(head.removeprefix("# config_hash = "))
                 files[path.name] = text
-            cache[cache_key] = (rc, files)
+            assert len(hashes) <= 1, hashes  # the files of one run name one hash
+            cache[cache_key] = (rc, files, hashes)
         return cache[cache_key]
 
     dead = []
@@ -603,9 +648,11 @@ def test_every_config_key_is_live(tmp_path, monkeypatch):
             continue
         (command, base), a, b = LIVE_CASES[key]
         outputs = [run(command, {**base, **({} if v is None else {key: v})}) for v in (a, b)]
-        if any(rc == 3 for rc, _ in outputs):
+        if any(rc == 3 for rc, _, _ in outputs):
             dead.append(f"{key}: config error")
-        elif outputs[0] == outputs[1]:
+        elif outputs[0][:2] == outputs[1][:2]:
             dead.append(key)
+        elif outputs[0][2] == outputs[1][2]:
+            dead.append(f"{key}: one config hash")
     assert not dead, f"keys that change no output: {dead}"
     assert set(LIVE_CASES) | OUTPUT_ONLY == set(cli._KEYS)

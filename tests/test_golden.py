@@ -1,9 +1,9 @@
 """Report bytes against the canonical outputs committed under tests/golden/.
 
-Each case runs one command in its own directory and every file it writes
-must equal the golden copy byte for byte; a mismatch names the first
-differing field of each file.  A golden file changes only with a change
-to the reports that CHANGES.md declares.  Regenerate them all with
+Each case runs one command into its own output directory and every file
+it writes must equal the golden copy byte for byte; a mismatch names the
+first differing field of each file.  A golden file changes only with a
+change to the reports that CHANGES.md declares.  Regenerate them all with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -11,7 +11,6 @@ to the reports that CHANGES.md declares.  Regenerate them all with
 import contextlib
 import io
 import json
-import os
 from itertools import zip_longest
 from pathlib import Path
 
@@ -33,22 +32,10 @@ CASES = {
 
 
 def run_cases(root: Path) -> None:
-    """Run every case into root/<case>/.
-
-    No case passes --out: the output directory would enter the config
-    hash, so each command runs with its case directory as the working
-    directory instead.
-    """
-    cwd = os.getcwd()
+    """Run every case into root/<case>/."""
     for name, argv in CASES.items():
-        out = root / name
-        out.mkdir(parents=True, exist_ok=True)
-        os.chdir(out)
-        try:
-            with contextlib.redirect_stdout(io.StringIO()):
-                code = main(argv)
-        finally:
-            os.chdir(cwd)
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--out", str(root / name), *argv])
         if code != 0:
             raise RuntimeError(f"case {name} exited {code}")
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import calibration, eat, link, protocol, renyi, rng
 from .calibration import load_distance_table, load_error_budget
 from .eat import HonestModel
-from .mathcore import TSIRELSON_WIN, binomial_tail, chsh_to_winprob
+from .mathcore import TSIRELSON_CHSH, TSIRELSON_WIN, binomial_tail, chsh_to_winprob
 from .protocol import build_acceptance_set
 from .quantum import NoiseParams, build_heralded_state, fidelity_from_visibilities
 
@@ -139,6 +139,14 @@ class RunConfig:
             raise ConfigError(f"security.eps_snd={self.eps_snd} outside (EPS_EC = 2^-61, 1)")
         if self.renyi_alpha is not None and not 1.0 < self.renyi_alpha <= 2.0:
             raise ConfigError(f"security.renyi_alpha={self.renyi_alpha} outside (1, 2]")
+        # the sweeps' range checks, so every command rejects a grid that only one reads
+        # (sweep.lengths is checked by distance: it would read the calibration bundle at start-up)
+        if not all(n >= 1 for n in self.sweep_n_grid):
+            raise ConfigError(f"sweep.n_grid: block sizes must be >= 1, got {self.sweep_n_grid}")
+        if not all(2.0 <= s <= TSIRELSON_CHSH + 1e-12 for s in self.sweep_s_grid):
+            raise ConfigError(f"sweep.s_grid: need CHSH values in [2, 2 sqrt 2], got {self.sweep_s_grid}")
+        if not all(0.0 <= q <= 1.0 for q in self.sweep_q_grid):
+            raise ConfigError(f"sweep.q_grid: need QBERs in [0, 1], got {self.sweep_q_grid}")
 
     def config_hash(self) -> str:
         """Hash of every parsed value but output.dir, so equal hashes mean equal inputs."""

@@ -18,6 +18,7 @@ import mpmath
 import numpy as np
 from scipy.special import betainc, betaincc
 
+from diqkd import renyi
 from diqkd.mathcore import TSIRELSON_WIN, golden_min
 from diqkd.protocol import PERP
 from diqkd.rng import CounterRng
@@ -275,9 +276,10 @@ def renyi_objective(alphas, ws, gamma_a, gamma_b, lo, hi):
 
 
 def renyi_h_alpha(alphas, gamma_a, gamma_b, lo, hi, sigma_grid=192, order_chunk=8):
-    """Worst case over scores: a 192-point grid in chunks of 8 orders, then 50 lockstep golden steps.
+    """Worst case over scores: a 192-point grid in chunks of 8 orders, lockstep golden steps, and the kink 3/4.
 
-    alphas is a 1-d array of orders; returns one value per order.
+    The step count is the library's renyi._GOLDEN_STEPS.  alphas is a
+    1-d array of orders; returns one value per order.
     """
     grid = np.linspace(0.5, TSIRELSON_WIN, sigma_grid)
     vals = np.concatenate(
@@ -286,5 +288,10 @@ def renyi_h_alpha(alphas, gamma_a, gamma_b, lo, hi, sigma_grid=192, order_chunk=
     )
     i = np.argmin(vals, axis=1)
     lo_w, hi_w = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, len(grid) - 1)]
-    _, fc, _, fd = golden_min(lambda ws: renyi_objective(alphas, ws, gamma_a, gamma_b, lo, hi), lo_w, hi_w, 50)
-    return np.minimum(vals[np.arange(len(alphas)), i], np.minimum(fc, fd))
+
+    def objective(ws):
+        return renyi_objective(alphas, ws, gamma_a, gamma_b, lo, hi)
+
+    _, fc, _, fd = golden_min(objective, lo_w, hi_w, renyi._GOLDEN_STEPS)
+    kink = objective(np.full(len(alphas), 0.75))
+    return np.minimum(np.minimum(vals[np.arange(len(alphas)), i], kink), np.minimum(fc, fd))

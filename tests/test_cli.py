@@ -362,6 +362,19 @@ class TestMain:
         assert f"bad value for {body.split()[0]}" in capsys.readouterr().err
         assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.json"))
 
+    @pytest.mark.parametrize(
+        "body, message",
+        [("sweep.s_grid = 1.9\n", "sweep.s_grid: need CHSH values in [2, 2 sqrt 2]"),
+         ("sweep.n_grid = 1e4,0\n", "sweep.n_grid: block sizes must be >= 1"),
+         ("sweep.q_grid = 0.01,1.5\n", "sweep.q_grid: need QBERs in [0, 1]")],
+    )
+    def test_out_of_range_grid_rejected_by_a_command_that_never_reads_it(self, tmp_path, capsys, body, message):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(body)
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "--analytic", "pipeline"]) == 3
+        assert message in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.json"))
+
     def test_every_flag_overrides_a_config_key(self, tmp_path, monkeypatch):
         """Each option but --config and --help sets a config value; each but --out enters the config hash."""
         monkeypatch.chdir(tmp_path)
@@ -383,7 +396,10 @@ class TestMain:
                 for action in owner._actions:
                     if not action.option_strings or action.dest in ("config", "help"):
                         continue
-                    flag = [action.option_strings[0]] + ([] if action.nargs == 0 else ["7"])
+                    name = action.option_strings[0]
+                    # a value in range for each: CHSH grids lie in [2, 2 sqrt 2] and QBER grids in [0, 1]
+                    value = {"--s-grid": "2.7", "--q-grid": "0.7"}.get(name, "7")
+                    flag = [name] + ([] if action.nargs == 0 else [value])
                     seen.clear()
                     assert main(flag + [command] if owner is parser else [command] + flag) == 3
                     (config,) = seen

@@ -1,14 +1,17 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from oracles import renyi_h_alpha, renyi_objective
 
 from diqkd import renyi
+from diqkd.cli import RunConfig, run_pipeline
 from diqkd.eat import EPS_EC, HonestModel, asymptotic_rate_sifted, delta_for_completeness, key_length_eat, leak_ec
 from diqkd.mathcore import TSIRELSON_WIN
 from diqkd.protocol import ProtocolParams, accept, build_acceptance_set
 from diqkd.renyi import (
+    certified_h_alpha,
     h_alpha,
     key_length_renyi,
     renyi_entropy_factor,
@@ -407,14 +410,62 @@ class TestKernelMatchesOracle:
         got = h_alpha(params, COARSE_ORDERS)
         assert np.array_equal(got, renyi_h_alpha(COARSE_ORDERS, 0.5, 0.5, *bounds(params)))
 
-    @pytest.mark.parametrize("alpha, calls", [(None, 114), (1.001, 53)])
+    @pytest.mark.parametrize("alpha, calls", [(None, 40), (1.001, 4)])
     def test_solver_calls_per_search(self, monkeypatch, alpha, calls):
-        # an order search: (8 + 2) grid chunks and 2 x 52 golden evaluations; a fixed order: 1 + 52
+        # an order search: (8 + 2) grid chunks, 2 x (2 + 10 golden steps + 1 kink) = 26 refinement calls and
+        # 4 certificate rounds at the chosen order, 10 + 26 + 4 = 40; a fixed order: the 4 certificate rounds alone
         seen = []
         solve = renyi._inner_min_vec
         monkeypatch.setattr(renyi, "_inner_min_vec", lambda *args: seen.append(1) or solve(*args))
         key_length_renyi(paper_params(), 1e-5, paper_leak(), alpha=alpha)
         assert len(seen) == calls
+
+
+class TestCertificate:
+    """certified_h_alpha: a lower bound on the worst case over scores and box frequencies."""
+
+    @pytest.mark.parametrize("am1", [1e-9, 1e-7, 4e-4, 1.0])
+    def test_kappa_convex_in_mpmath(self, am1):
+        # the cell bound's one lemma: every second difference of kappa on 401 points of [3/4, (2+sqrt2)/4] is positive
+        with mpmath.workdps(50):
+            alpha = 1 + mpmath.mpf(am1)
+            ws = mpmath.linspace(mpmath.mpf(3) / 4, (2 + mpmath.sqrt(2)) / 4, 401)
+            for ga, gb in ((0.26, 0.13), (0.02, 0.98), (0.9, 0.5)):
+                w_key, w_rest = map(mpmath.mpf, sift_weights(ga, gb))
+                kappa = []
+                for w in ws:
+                    r = mpmath.sqrt(min(max((8 * w - 4) ** 2 / 4 - 1, 0), 1))
+                    br = ((1 - r) / 2) ** (1 / alpha) + ((1 + r) / 2) ** (1 / alpha)
+                    kappa.append(mpmath.log(w_key * 2 ** (1 - alpha) * br**alpha + w_rest, 2) / (1 - alpha))
+                assert min(kappa[i - 1] - 2 * kappa[i] + kappa[i + 1] for i in range(1, 400)) > 0, (ga, gb)
+
+    @pytest.mark.parametrize("alpha", [1.000401, 1.01, 1.2])
+    def test_below_estimate_and_dense_grid_at_paper_box(self, alpha):
+        params = paper_params()
+        cert = certified_h_alpha(params, alpha)
+        est = h_alpha(params, np.array([alpha]))[0]
+        ws = np.array_split(np.linspace(0.5, TSIRELSON_WIN, 400_001), 8)  # in chunks to keep memory small
+        dense = min(model_objective(alpha, w, 0.26, 0.13, *bounds(params)).min() for w in ws)
+        assert cert <= est and cert <= dense
+        # h_alpha evaluates the kink omega = 3/4, where the minimum sits at 1.01 and 1.2; the dense grid
+        # misses it by up to half a spacing, about 1e-5 relative there
+        assert cert >= est * (1.0 - 1e-9)
+
+    @pytest.mark.parametrize("seed", [101, 102, 103, 104, 105])
+    def test_random_cells_below_estimate(self, seed):
+        orders = np.array([1.00001, 1.0004, 1.01, 2.0])
+        for params in random_cells(seed, 30):
+            for alpha, est in zip(orders, h_alpha(params, orders)):
+                cert = certified_h_alpha(params, alpha)
+                # G >= 0, while h_alpha can round a zero minimum below it (-2e-12 on a cell of seed 103)
+                assert math.isfinite(cert) and 0.0 <= cert <= max(est, 0.0), (params, alpha)
+
+    def test_golden_step_count_moves_no_reported_byte(self, monkeypatch):
+        # the certificate takes nothing from the estimate, so the step count could only move the chosen order
+        config = RunConfig(analytic=True, s_obs=2.612, q_obs=0.0285)
+        want = run_pipeline(config).to_json()
+        monkeypatch.setattr(renyi, "_GOLDEN_STEPS", 50)
+        assert run_pipeline(config).to_json() == want
 
 
 class TestKeyLength:

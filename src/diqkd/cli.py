@@ -21,7 +21,7 @@ import math
 import sys
 import time
 import typing
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -149,10 +149,16 @@ class RunConfig:
             raise ConfigError(f"sweep.q_grid: need QBERs in [0, 1], got {self.sweep_q_grid}")
 
     def config_hash(self) -> str:
-        """Hash of every parsed value but output.dir, so equal hashes mean equal inputs."""
-        values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}
-        payload = json.dumps(values, sort_keys=True, separators=(",", ":")).encode()
-        return hashlib.sha256(payload).hexdigest()[:16]
+        """Hash of every parsed value but output.dir, so equal hashes mean equal inputs.
+
+        Computed once per instance: the config is frozen, and replace()
+        builds a new instance, which hashes afresh.
+        """
+        if "_hash" not in self.__dict__:
+            values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}
+            payload = json.dumps(values, sort_keys=True, separators=(",", ":")).encode()
+            object.__setattr__(self, "_hash", hashlib.sha256(payload).hexdigest()[:16])
+        return self.__dict__["_hash"]
 
 
 def _parse_bool(text: str) -> bool:
@@ -220,9 +226,13 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
 
 @dataclass(frozen=True)
 class KeyRateReport:
-    """Everything one pipeline run produced, in canonical serializable form."""
+    """Everything one pipeline run produced, in canonical serializable form.
 
-    config_hash: str
+    The report holds its config and serializes the config's hash in its
+    place, so a run that is never written hashes nothing.
+    """
+
+    config: RunConfig
     inputs: dict
     s_model: float
     q_model: float
@@ -252,8 +262,8 @@ class KeyRateReport:
     wall_time_s: float = 0.0  # informational; excluded from canonical bytes
 
     def to_json(self) -> str:
-        d = asdict(self)
-        d.pop("wall_time_s")
+        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("config", "wall_time_s")}
+        d["config_hash"] = self.config.config_hash()
         return json.dumps(d, sort_keys=True, indent=1) + "\n"
 
 
@@ -373,7 +383,7 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
             raise InfeasibleError(str(exc)) from exc
 
     report = KeyRateReport(
-        config_hash=config.config_hash(),
+        config=config,
         inputs={
             "n": config.n,
             "gamma_a": config.gamma_a,

@@ -254,28 +254,42 @@ class EatResult:
     pt_opt: float
 
 
-def _ell_for_split(
-    params: ProtocolParams,
-    split: tuple[float, float, float, float, float],
-    omega_in: float,
-    lec: float,
-) -> float:
-    """Raw length for a full split, given in _SPLIT_FIELDS order."""
+def _length_of_split(params: ProtocolParams, omega_in: float, lec: float):
+    """Raw length as a function of a full split, given in _SPLIT_FIELDS order.
+
+    The terms no split changes (the certificate gamma_eff f(omega_in, w_t)
+    at the cut point w_t = _cut_point(omega_in), the penalty factor
+    (2/sqrt n)(log2 9 + ceil(gamma_eff g'(w_t))), gamma_a gamma_b n and
+    sqrt n log2 5) are computed once.  Each length is eta_opt's and the
+    raw length's arithmetic in Python's left-to-right order, so it equals
+    the term-by-term formula bit for bit.
+    """
     n = params.n
-    eps_pa, eps_s, eps_s_prime, eps_s_dprime, eps_ea = split
-    eps_e = eps_ea + EPS_EC
-    eo = eta_opt(omega_in, eps_s_prime, eps_e, n, params.gamma_a, params.gamma_b)
-    eps_rem = eps_s - eps_s_prime - 2.0 * eps_s_dprime
-    raw = (
-        n * eo
-        - lec
-        - LEAK_EV_BITS
-        - 2.0 * vartheta(eps_rem)
-        - params.gamma_a * params.gamma_b * n
-        - math.sqrt(n) * math.log2(5.0) * math.sqrt(1.0 - 2.0 * math.log2(eps_s_dprime * eps_e))
-        - 2.0 * math.log2(1.0 / eps_pa)
-    )
-    return raw
+    certifies = omega_in > 0.75  # eta_opt is 0 at or below the classical point
+    if certifies:
+        ge = gamma_eff(params.gamma_a, params.gamma_b)
+        pt = _cut_point(omega_in)
+        gain = ge * f_func(omega_in, pt)
+        pen = (2.0 / math.sqrt(n)) * (math.log2(9.0) + math.ceil(ge * g_slope(pt)))
+    test_bits = params.gamma_a * params.gamma_b * n
+    sqrt_n_log5 = math.sqrt(n) * math.log2(5.0)
+
+    def raw_length(split: tuple[float, float, float, float, float]) -> float:
+        eps_pa, eps_s, eps_s_prime, eps_s_dprime, eps_ea = split
+        eps_e = eps_ea + EPS_EC
+        eo = max(gain - pen * math.sqrt(1.0 - 2.0 * math.log2(eps_s_prime * eps_e)), 0.0) if certifies else 0.0
+        eps_rem = eps_s - eps_s_prime - 2.0 * eps_s_dprime
+        return (
+            n * eo
+            - lec
+            - LEAK_EV_BITS
+            - 2.0 * vartheta(eps_rem)
+            - test_bits
+            - sqrt_n_log5 * math.sqrt(1.0 - 2.0 * math.log2(eps_s_dprime * eps_e))
+            - 2.0 * math.log2(1.0 / eps_pa)
+        )
+
+    return raw_length
 
 
 def _split_from_fractions(eps_snd: float, fr: dict[str, float]) -> Optional[tuple[float, float, float, float, float]]:
@@ -317,32 +331,34 @@ def key_length_eat(params: ProtocolParams, eps_snd: float, lec: float) -> EatRes
     omega_in = params.omega_exp - delta / gamma_eff(params.gamma_a, params.gamma_b)
     pt = _cut_point(omega_in)
 
+    raw_length = _length_of_split(params, omega_in, lec)
     fr = {"a": 0.5, "b": 0.5, "c": 0.5, "d": 0.5}
-    spans = {k: (1e-6, 1.0 - 1e-6) for k in fr}
+    full_span = np.logspace(math.log10(1e-6), math.log10(1.0 - 1e-6), _SPLIT_GRID_POINTS).tolist()
 
     def evaluate(trial: dict[str, float]) -> float:
         split = _split_from_fractions(eps_snd, trial)
         if split is None:
             return -math.inf
-        return _ell_for_split(params, split, omega_in, lec)
+        return raw_length(split)
 
     best_val = evaluate(fr)
     for sweep in range(_SPLIT_PASSES + 2):
-        if sweep >= _SPLIT_PASSES:
-            # refinement pass: shrink each span one decade around the best point
-            spans = {k: (max(1e-9, fr[k] / 10.0), min(1.0 - 1e-9, fr[k] * 10.0)) for k in fr}
         for key in ("a", "d", "b", "c"):
-            lo, hi = spans[key]
-            candidates = np.logspace(math.log10(lo), math.log10(hi), _SPLIT_GRID_POINTS)
+            if sweep < _SPLIT_PASSES:
+                candidates = full_span
+            else:
+                # refinement pass: shrink the span one decade around the best point
+                lo, hi = max(1e-9, fr[key] / 10.0), min(1.0 - 1e-9, fr[key] * 10.0)
+                candidates = np.logspace(math.log10(lo), math.log10(hi), _SPLIT_GRID_POINTS).tolist()
             for cand in candidates:
                 trial = dict(fr)
-                trial[key] = float(cand)
+                trial[key] = cand
                 v = evaluate(trial)
                 if v > best_val:
                     best_val, fr = v, trial
 
     split = _split_from_fractions(eps_snd, fr)
-    raw = _ell_for_split(params, split, omega_in, lec)
+    raw = raw_length(split)
     return EatResult(max(raw, 0.0), raw, raw / n, dict(zip(_SPLIT_FIELDS, split)), pt)
 
 

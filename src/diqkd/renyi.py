@@ -20,14 +20,17 @@ between its breakpoints, with no iteration.
 
 Two functions take the outer minimum.  h_alpha is the order search's
 estimate, an upper bound on it: every Renyi order of a search is
-evaluated in the same array calls, the score grid in chunks of orders,
-then a short lockstep golden-section refinement for all of them and one
-evaluation at the kink omega = 3/4.  certified_h_alpha is the reported
-value at the chosen order, a certified lower bound by convex tangent
-cells and branch and bound; it takes nothing from h_alpha, so the
-search's step count can move the chosen order but never the value
-reported at a given order.  The solver takes all rows' three outcomes
-as one (3, rows) array, every entry positive.
+evaluated in the same array calls.  Where the entropy term is off (the
+grid at and below the classical point, and the kink omega = 3/4) the
+minimiser does not depend on the order, so those rows are solved once
+per search pass; the rest of the score grid is one call for all orders,
+then a short lockstep golden-section refinement for all of them.
+certified_h_alpha is the reported value at the chosen order, a
+certified lower bound by convex tangent cells and branch and bound; it
+takes nothing from h_alpha, so the search's step count can move the
+chosen order but never the value reported at a given order.  The
+solver takes all rows' three outcomes as one (3, rows) array, every
+entry positive.
 """
 
 from __future__ import annotations
@@ -55,7 +58,6 @@ __all__ = [
 
 _SIGMA_GRID = 192  # outer score grid cells on [1/2, (2+sqrt2)/4]
 _ALPHA_GRID = 64  # log-spaced Renyi orders of the coarse order search
-_ORDER_CHUNK = 8  # Renyi orders per array call of the score grid: 8 x 192 rows keep peak memory flat
 _GOLDEN_STEPS = 10  # golden-section steps of the order search's score refinement
 _KINK = 0.75  # the win probability at the classical bound, where the entropy term switches on
 _CERT_SPLIT = 16  # pieces per surviving cell in each round of the certificate
@@ -198,6 +200,36 @@ def _kappa(ws, w_key, w_rest, terms, one_ma):
     return np.where(s > 2.0, _sifted(w_key, w_rest, _factor(_halves(s), *terms), one_ma), 0.0)
 
 
+# the score grid, also the certificate's first cell edges; its first _J0 scores lie at or below the classical
+# bound, where kappa = 0
+_GRID = np.linspace(0.5, TSIRELSON_WIN, _SIGMA_GRID)
+_J0 = int(np.argmax(8.0 * (_GRID - 0.5) > 2.0))
+_HALVES = _halves(8.0 * (_GRID[_J0:] - 0.5))
+_FLAT_WS = np.append(_GRID[:_J0], _KINK)  # the rows whose minimiser no order changes
+
+
+def _grid_stage(outer, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The score grid's values at every order, shape (orders, _SIGMA_GRID), and the kink's, one per order.
+
+    outer is _outer_problem's tuple.  Where kappa = 0 (_FLAT_WS) the
+    scaled model, and so the minimiser q, is the same at every order:
+    those rows are solved once at alpha - 1 = 1, which gives D(q||p),
+    and each order's value is D / (alpha - 1), the value a solve at that
+    order rounds to.  The rows with kappa > 0 are solved for all orders
+    in one call.
+    """
+    w_key, w_rest, model, lo, hi = outer
+    am1 = alphas - 1.0
+    flat = _inner_min_vec(model(_FLAT_WS), lo, hi, 0.0, 1.0) / am1[:, None]
+    a = alphas[:, None]
+    # 1/a as a full array: numpy takes a broadcast exponent 0.5 as sqrt, which rounds differently
+    inv_a = np.repeat(1.0 / a, _SIGMA_GRID - _J0, axis=1)
+    kappa = _sifted(w_key, w_rest, _factor(_HALVES, a, inv_a, 2.0 ** (1.0 - a)), 1.0 - a)
+    p = np.tile(model(_GRID[_J0:]), len(alphas))
+    vals = _inner_min_vec(p, lo, hi, kappa.ravel(), np.repeat(am1, _SIGMA_GRID - _J0)).reshape(kappa.shape)
+    return np.concatenate([flat[:, :_J0], vals], axis=1), flat[:, _J0]
+
+
 def h_alpha(params: ProtocolParams, alphas: np.ndarray) -> np.ndarray:
     """Order-search estimate of the per-round entropy at each Renyi order of alphas.
 
@@ -211,31 +243,17 @@ def h_alpha(params: ProtocolParams, alphas: np.ndarray) -> np.ndarray:
     minimum sits at larger orders.
 
     All orders are evaluated at once, each entry of the result equal to
-    that order's value as a one-order array: the grid is scored
-    _ORDER_CHUNK orders per array call, and the refinements of all
+    that order's value as a one-order array: the grid and the kink take
+    two solver calls in all (_grid_stage), and the refinements of all
     orders run in lockstep.
     """
     if not np.all(alphas > 1.0):
         raise ValueError(f"Renyi order must exceed 1, got {np.min(alphas)}")
-    w_key, w_rest, model, lo, hi = _outer_problem(params)
-
-    grid = np.linspace(0.5, TSIRELSON_WIN, _SIGMA_GRID)
-    s = 8.0 * (grid - 0.5)
-    j0 = int(np.argmax(s > 2.0))  # the grid's scores above the classical bound
-    halves = _halves(s[j0:])
-    p_grid = np.tile(model(grid), _ORDER_CHUNK)
-    chunks = []
-    for j in range(0, len(alphas), _ORDER_CHUNK):
-        a = alphas[j : j + _ORDER_CHUNK, None]
-        # 1/a as a full array: numpy takes a broadcast exponent 0.5 as sqrt, which rounds differently
-        inv_a = np.repeat(1.0 / a, _SIGMA_GRID - j0, axis=1)
-        kappa = np.zeros((len(a), _SIGMA_GRID))
-        kappa[:, j0:] = _sifted(w_key, w_rest, _factor(halves, a, inv_a, 2.0 ** (1.0 - a)), 1.0 - a)
-        vals = _inner_min_vec(p_grid[:, : kappa.size], lo, hi, kappa.ravel(), np.repeat(a - 1.0, _SIGMA_GRID))
-        chunks.append(vals.reshape(kappa.shape))
-    vals = np.concatenate(chunks)
+    outer = _outer_problem(params)
+    w_key, w_rest, model, lo, hi = outer
+    vals, kink = _grid_stage(outer, alphas)
     i = np.argmin(vals, axis=1)
-    lo_w, hi_w = grid[np.maximum(i - 1, 0)], grid[np.minimum(i + 1, len(grid) - 1)]
+    lo_w, hi_w = _GRID[np.maximum(i - 1, 0)], _GRID[np.minimum(i + 1, _SIGMA_GRID - 1)]
 
     terms = alphas, 1.0 / alphas, 2.0 ** (1.0 - alphas)
     one_ma, am1 = 1.0 - alphas, alphas - 1.0
@@ -244,7 +262,6 @@ def h_alpha(params: ProtocolParams, alphas: np.ndarray) -> np.ndarray:
         return _inner_min_vec(model(ws), lo, hi, _kappa(ws, w_key, w_rest, terms, one_ma), am1)
 
     _, fc, _, fd = golden_min(refine, lo_w, hi_w, _GOLDEN_STEPS)
-    kink = refine(np.full(len(alphas), _KINK))
     return np.minimum(np.minimum(vals[np.arange(len(alphas)), i], kink), np.minimum(fc, fd))
 
 
@@ -308,8 +325,7 @@ def certified_h_alpha(params: ProtocolParams, alpha: float) -> float:
         raise ValueError(f"alpha={alpha} outside (1, 2]")
     w_key, w_rest, model, lo, hi = _outer_problem(params)
     terms = alpha, 1.0 / alpha, 2.0 ** (1.0 - alpha)
-    edges = np.linspace(0.5, TSIRELSON_WIN, _SIGMA_GRID)
-    a, b = edges[:-1], edges[1:]
+    a, b = _GRID[:-1], _GRID[1:]
     pieces = np.arange(_CERT_SPLIT + 1) / _CERT_SPLIT
     best, bound, p_min = np.inf, np.inf, np.inf
     for _ in range(_CERT_ROUNDS):

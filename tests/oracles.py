@@ -7,7 +7,8 @@ from a log-gamma first term, or at p = 3/4 in integers outright; the
 reference box takes its tails from scipy's incomplete beta functions.
 The reference implementations below (bisection box, float threshold
 test, stepped threshold count, one-pass generation, mask-based estimate, the masked row-per-cell
-Renyi solver, the bitwise GF(2^128) product) are the straightforward
+Renyi solver, the term-by-term accumulation length and its split search, the bitwise GF(2^128)
+product) are the straightforward
 versions that the faster library code must reproduce exactly.
 """
 
@@ -18,7 +19,7 @@ import mpmath
 import numpy as np
 from scipy.special import betainc, betaincc
 
-from diqkd import renyi
+from diqkd import eat, renyi
 from diqkd.mathcore import TSIRELSON_WIN, golden_min
 from diqkd.protocol import PERP
 from diqkd.rng import CounterRng
@@ -295,3 +296,53 @@ def renyi_h_alpha(alphas, gamma_a, gamma_b, lo, hi, sigma_grid=192, order_chunk=
     _, fc, _, fd = golden_min(objective, lo_w, hi_w, renyi._GOLDEN_STEPS)
     kink = objective(np.full(len(alphas), 0.75))
     return np.minimum(np.minimum(vals[np.arange(len(alphas)), i], kink), np.minimum(fc, fd))
+
+
+def eat_ell_for_split(params, split, omega_in, lec):
+    """Raw accumulation length of a full split (eps_pa, eps_s, eps_s_prime, eps_s_dprime, eps_ea), term by term."""
+    n = params.n
+    eps_pa, eps_s, eps_s_prime, eps_s_dprime, eps_ea = split
+    eps_e = eps_ea + eat.EPS_EC
+    eo = eat.eta_opt(omega_in, eps_s_prime, eps_e, n, params.gamma_a, params.gamma_b)
+    eps_rem = eps_s - eps_s_prime - 2.0 * eps_s_dprime
+    return (
+        n * eo
+        - lec
+        - eat.LEAK_EV_BITS
+        - 2.0 * eat.vartheta(eps_rem)
+        - params.gamma_a * params.gamma_b * n
+        - math.sqrt(n) * math.log2(5.0) * math.sqrt(1.0 - 2.0 * math.log2(eps_s_dprime * eps_e))
+        - 2.0 * math.log2(1.0 / eps_pa)
+    )
+
+
+def eat_key_length_search(params, eps_snd, lec):
+    """(length, raw length, splits, cut point) of key_length_eat's split search, every candidate from eat_ell_for_split.
+
+    The same coordinate descent: 16-point log grids over the fractions
+    (a, d, b, c), two full-span passes, then two passes one decade either
+    side of the best point.
+    """
+    omega_in = params.omega_exp - params.delta / eat.gamma_eff(params.gamma_a, params.gamma_b)
+    fr = {"a": 0.5, "b": 0.5, "c": 0.5, "d": 0.5}
+    spans = {k: (1e-6, 1.0 - 1e-6) for k in fr}
+
+    def evaluate(trial):
+        split = eat._split_from_fractions(eps_snd, trial)
+        return -math.inf if split is None else eat_ell_for_split(params, split, omega_in, lec)
+
+    best_val = evaluate(fr)
+    for sweep in range(4):
+        if sweep >= 2:
+            spans = {k: (max(1e-9, fr[k] / 10.0), min(1.0 - 1e-9, fr[k] * 10.0)) for k in fr}
+        for key in ("a", "d", "b", "c"):
+            lo, hi = spans[key]
+            for cand in np.logspace(math.log10(lo), math.log10(hi), 16):
+                trial = dict(fr)
+                trial[key] = float(cand)
+                v = evaluate(trial)
+                if v > best_val:
+                    best_val, fr = v, trial
+    split = eat._split_from_fractions(eps_snd, fr)
+    raw = eat_ell_for_split(params, split, omega_in, lec)
+    return max(raw, 0.0), raw, dict(zip(eat._SPLIT_FIELDS, split)), eat._cut_point(omega_in)

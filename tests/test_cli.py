@@ -99,6 +99,34 @@ class TestConfig:
         assert RunConfig(n=1).config_hash() == load_config(None, {"protocol.n": "1"}).config_hash()
         assert RunConfig(out_dir="a").config_hash() == RunConfig(out_dir="b").config_hash()
 
+    def test_memoised_hash_equals_a_fresh_computation(self):
+        config = RunConfig(n=1)
+        first = config.config_hash()
+        assert config.config_hash() == first == replace(config).config_hash()  # replace() hashes afresh
+        assert replace(config, n=2).config_hash() == RunConfig(n=2).config_hash() != first
+        assert config == RunConfig(n=1)  # the memo is no field
+
+
+class TestHashCount:
+    """A config is hashed only when an artifact is written, once per process."""
+
+    @pytest.fixture
+    def hashed(self, monkeypatch):
+        calls = []
+        sha256 = cli.hashlib.sha256
+        monkeypatch.setattr(cli.hashlib, "sha256", lambda data: calls.append(data) or sha256(data))
+        return calls
+
+    def test_analytic_pipeline_and_sweep_hash_nothing(self, hashed):
+        run_pipeline(RunConfig(**PAPER_ANALYTIC))
+        sweep_keyrate_vs_n(RunConfig(**PAPER_ANALYTIC), [100_000, 1_208_000])
+        assert hashed == []
+
+    def test_main_pipeline_hashes_once(self, hashed, tmp_path, capsys):
+        assert main(["--out", str(tmp_path), "--analytic", "pipeline"]) == 0
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert len(hashed) == 1 and capsys.readouterr().out.count(report["config_hash"]) == 1
+
 
 class TestPipelineAnalytic:
     def test_paper_numbers(self):

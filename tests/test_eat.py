@@ -22,8 +22,10 @@ from diqkd.eat import (
     leak_ec,
     vartheta,
 )
-from diqkd.eat import _ell_for_split
+from diqkd.eat import _length_of_split
 from diqkd.protocol import ProtocolParams
+from oracles import eat_key_length_search
+from test_renyi import random_cells
 
 PAPER = HonestModel.from_chsh(2.612, 0.0285, 0.26, 0.13)
 
@@ -259,7 +261,7 @@ class TestKeyLength:
 
         def raw_length(n, model):
             omega_in = model.omega - delta / gamma_eff(model.gamma_a, model.gamma_b)
-            return _ell_for_split(protocol_at(n, model, delta), split, omega_in, leak_ec(n, model, 0.005))
+            return _length_of_split(protocol_at(n, model, delta), omega_in, leak_ec(n, model, 0.005))(split)
 
         rates_n = [raw_length(int(n), PAPER) for n in np.logspace(5.5, 9, 20)]
         assert all(b > a for a, b in zip(rates_n, rates_n[1:]))
@@ -275,6 +277,31 @@ class TestKeyLength:
         for n in (10**5, 10**6, 10**8):
             res = eat_length(n)
             assert res.rate <= target
+
+
+class TestSplitSearchMatchesOracle:
+    """The hoisted split search reproduces the search over the term-by-term formula bit for bit."""
+
+    @staticmethod
+    def assert_matches(params, lec):
+        res = key_length_eat(params, 1e-5, lec)
+        length, raw, splits, pt = eat_key_length_search(params, 1e-5, lec)
+        assert (res.length, res.raw_length, res.splits, res.pt_opt) == (length, raw, splits, pt), params
+
+    def test_paper_point(self):
+        n = 1_208_000
+        delta = delta_for_completeness(n, 0.26, 0.13, PAPER.omega, target=1e-2)
+        self.assert_matches(protocol_at(n, PAPER, delta), leak_ec(n, PAPER, 0.005))
+
+    def test_random_cells(self):
+        for params in random_cells(108, 30):
+            model = HonestModel(params.omega_exp, 0.03, params.gamma_a, params.gamma_b)
+            self.assert_matches(params, leak_ec(params.n, model, 0.005))
+
+    def test_threshold_at_or_below_classical_point(self):
+        # omega_in = 0.76 - 0.02 / gamma_eff is below 3/4, where the certificate is 0
+        model = HonestModel(0.76, 0.03, 0.26, 0.13)
+        self.assert_matches(protocol_at(10**5, model, 0.02), leak_ec(10**5, model, 0.005))
 
 
 class TestAsymptotic:

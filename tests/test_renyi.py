@@ -379,20 +379,16 @@ class TestKernelMatchesOracle:
             want = renyi_h_alpha(COARSE_ORDERS, params.gamma_a, params.gamma_b, *bounds(params))
             assert np.array_equal(got, want), params
 
-    def test_grid_stage_bitwise(self, monkeypatch):
-        # the golden refinement sets most reported values, so compare the grid chunks themselves
-        seen = []
-        solve = renyi._inner_min_vec
-        monkeypatch.setattr(renyi, "_inner_min_vec", lambda *args: seen.append(solve(*args)) or seen[-1])
+    def test_grid_stage_bitwise(self):
+        # the golden refinement sets most reported values, so compare the whole (orders x grid) matrix and the kink;
+        # the rows at and below omega = 3/4 are solved once per call and divided by alpha - 1 for each order
         grid = np.linspace(0.5, TSIRELSON_WIN, renyi._SIGMA_GRID)
         for params in random_cells(107, 4):
+            cell = params.gamma_a, params.gamma_b, *bounds(params)
             for alphas in (COARSE_ORDERS, np.array([2.0])):
-                seen.clear()
-                h_alpha(params, alphas)
-                for j, got in zip(range(0, len(alphas), renyi._ORDER_CHUNK), seen):
-                    chunk = alphas[j : j + renyi._ORDER_CHUNK, None]
-                    want = renyi_objective(chunk, grid, params.gamma_a, params.gamma_b, *bounds(params))
-                    assert np.array_equal(got, want.ravel())
+                vals, kink = renyi._grid_stage(renyi._outer_problem(params), alphas)
+                assert np.array_equal(vals, renyi_objective(alphas[:, None], grid, *cell))
+                assert np.array_equal(kink, renyi_objective(alphas, 0.75, *cell))
 
     def test_fixed_order_bitwise(self):
         # a lone order takes numpy's scalar-exponent shortcuts (alpha = 2: sqrt and squaring)
@@ -410,10 +406,10 @@ class TestKernelMatchesOracle:
         got = h_alpha(params, COARSE_ORDERS)
         assert np.array_equal(got, renyi_h_alpha(COARSE_ORDERS, 0.5, 0.5, *bounds(params)))
 
-    @pytest.mark.parametrize("alpha, calls", [(None, 40), (1.001, 4)])
+    @pytest.mark.parametrize("alpha, calls", [(None, 32), (1.001, 4)])
     def test_solver_calls_per_search(self, monkeypatch, alpha, calls):
-        # an order search: (8 + 2) grid chunks, 2 x (2 + 10 golden steps + 1 kink) = 26 refinement calls and
-        # 4 certificate rounds at the chosen order, 10 + 26 + 4 = 40; a fixed order: the 4 certificate rounds alone
+        # an order search: 2 passes of (2 grid calls + 2 + 10 golden steps) = 28 and 4 certificate rounds at the
+        # chosen order, 28 + 4 = 32; a fixed order: the 4 certificate rounds alone
         seen = []
         solve = renyi._inner_min_vec
         monkeypatch.setattr(renyi, "_inner_min_vec", lambda *args: seen.append(1) or solve(*args))

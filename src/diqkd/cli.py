@@ -563,7 +563,15 @@ def write_csv(rows: list[dict], path: Path, config_hash: str) -> None:
     lines = [f"# config_hash = {config_hash}", ",".join(cols)]
     for row in rows:
         lines.append(",".join(_fmt(row[c]) for c in cols))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
+
+
+def _write_text(path: Path, text: str) -> None:
+    """Write one artifact; a path that cannot be written is a config error."""
+    try:
+        path.write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
 
 
 def _parser() -> argparse.ArgumentParser:
@@ -596,13 +604,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     try:
         config = load_config(config_path, overrides)
         out_dir = Path(config.out_dir)
-        out_dir.mkdir(parents=True, exist_ok=True)
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot make the output directory {out_dir}: {exc}") from exc
         h = config.config_hash()
 
         if command == "pipeline":
             report = run_pipeline(config)
             path = out_dir / "report.json"
-            path.write_text(report.to_json(), encoding="utf-8")
+            _write_text(path, report.to_json())
             print(f"wrote {path} (wall time {report.wall_time_s:.2f}s)", file=sys.stderr)
             print(report.to_json(), end="")
             gates = {

@@ -49,8 +49,6 @@ __all__ = [
     "g_func",
     "g_slope",
     "f_func",
-    "eta_func",
-    "eta_opt",
     "eta_inf",
     "optimal_eps_tilde",
     "leak_ec",
@@ -134,50 +132,11 @@ def f_func(omega: float, omega_t: float) -> float:
     return g_func(omega_t) + g_slope(omega_t) * (omega - omega_t)
 
 
-def eta_func(
-    omega: float,
-    omega_t: float,
-    eps: float,
-    eps_e: float,
-    n: int,
-    gamma_a: float,
-    gamma_b: float,
-) -> float:
-    """Accumulated entropy per round after the second-order penalty.
-
-    gamma_eff f(omega, omega_t) minus (2/sqrt n)(log2 9 + ceil(gamma_eff
-    g'(omega_t))) sqrt(1 - 2 log2(eps eps_e)).
-    """
-    ge = gamma_eff(gamma_a, gamma_b)
-    grad = math.ceil(ge * g_slope(omega_t))
-    pen = (2.0 / math.sqrt(n)) * (math.log2(9.0) + grad) * math.sqrt(1.0 - 2.0 * math.log2(eps * eps_e))
-    return ge * f_func(omega, omega_t) - pen
-
-
 def _cut_point(omega_in: float) -> float:
     """The maximizing cut point: w_in, kept inside the singular endpoints."""
     lo = max(0.75 + _PT_EPS, omega_in)
     hi = TSIRELSON_WIN - _PT_EPS
     return hi - _PT_EPS if lo >= hi else lo
-
-
-def eta_opt(
-    omega_in: float,
-    eps: float,
-    eps_e: float,
-    n: int,
-    gamma_a: float,
-    gamma_b: float,
-) -> float:
-    """Certificate maximized over the cut point w_t >= omega_in, clamped at 0.
-
-    The maximum is at the smallest cut point (module docstring), so this
-    is one eta_func evaluation; at or below omega_in = 3/4 nothing is
-    certified.
-    """
-    if omega_in <= 0.75:
-        return 0.0
-    return max(eta_func(omega_in, _cut_point(omega_in), eps, eps_e, n, gamma_a, gamma_b), 0.0)
 
 
 def _eta_inf_raw(q: float, omega: float, gamma_a: float, gamma_b: float) -> float:
@@ -257,15 +216,16 @@ class EatResult:
 def _length_of_split(params: ProtocolParams, omega_in: float, lec: float):
     """Raw length as a function of a full split, given in _SPLIT_FIELDS order.
 
-    The terms no split changes (the certificate gamma_eff f(omega_in, w_t)
-    at the cut point w_t = _cut_point(omega_in), the penalty factor
-    (2/sqrt n)(log2 9 + ceil(gamma_eff g'(w_t))), gamma_a gamma_b n and
-    sqrt n log2 5) are computed once.  Each length is eta_opt's and the
-    raw length's arithmetic in Python's left-to-right order, so it equals
-    the term-by-term formula bit for bit.
+    Per round, gamma_eff f(omega_in, w_t) - (2/sqrt n)(log2 9 + ceil(gamma_eff
+    g'(w_t))) sqrt(1 - 2 log2(eps_s_prime eps_e)), clamped at 0, at the cut
+    point w_t = _cut_point(omega_in).  The terms no split changes (the
+    certificate, the penalty factor before its square root, gamma_a gamma_b
+    n and sqrt n log2 5) are computed once, and the arithmetic keeps
+    Python's left-to-right order, so each length equals the term-by-term
+    formula bit for bit.
     """
     n = params.n
-    certifies = omega_in > 0.75  # eta_opt is 0 at or below the classical point
+    certifies = omega_in > 0.75  # the clamped per-round entropy is 0 at or below the classical point
     if certifies:
         ge = gamma_eff(params.gamma_a, params.gamma_b)
         pt = _cut_point(omega_in)

@@ -235,7 +235,8 @@ def h_alpha(params: ProtocolParams, alphas: np.ndarray) -> np.ndarray:
 
     The worst case over scores and box frequencies is taken over the
     scores evaluated, so each value is an upper bound on the per-round
-    entropy; certified_h_alpha gives the certified value at one order.
+    entropy up to rounding (where it is 0, a value can be about -2e-12);
+    the reported value is certified_h_alpha's, certified and clamped at 0.
     The score runs on [1/2, (2+sqrt2)/4] (entropy clamped to zero at and
     below the classical point, where an attack only pays the divergence
     cost): a grid of _SIGMA_GRID points, _GOLDEN_STEPS golden-section

@@ -9,7 +9,10 @@ The reference implementations below (bisection box, float threshold
 test, stepped threshold count, one-pass generation, mask-based estimate, the masked row-per-cell
 Renyi solver, the term-by-term accumulation length and its split search, the bitwise GF(2^128)
 product) are the straightforward
-versions that the faster library code must reproduce exactly.
+versions that the faster library code must reproduce exactly.  The accumulation length is
+self-contained: of the library it calls only the certificate primitives gamma_eff, g_func,
+g_slope and f_func, which have closed-form tests of their own (its split search maps
+fractions to splits with the library's _split_from_fractions).
 """
 
 import math
@@ -298,18 +301,44 @@ def renyi_h_alpha(alphas, gamma_a, gamma_b, lo, hi, sigma_grid=192, order_chunk=
     return np.minimum(np.minimum(vals[np.arange(len(alphas)), i], kink), np.minimum(fc, fd))
 
 
+def eat_eta(omega, omega_t, eps, eps_e, n, gamma_a, gamma_b):
+    """Accumulated entropy per round after the second-order penalty, at cut point omega_t.
+
+    gamma_eff f(omega, omega_t) minus (2/sqrt n)(log2 9 + ceil(gamma_eff
+    g'(omega_t))) sqrt(1 - 2 log2(eps eps_e)).
+    """
+    ge = eat.gamma_eff(gamma_a, gamma_b)
+    grad = math.ceil(ge * eat.g_slope(omega_t))
+    pen = (2.0 / math.sqrt(n)) * (math.log2(9.0) + grad) * math.sqrt(1.0 - 2.0 * math.log2(eps * eps_e))
+    return ge * eat.f_func(omega, omega_t) - pen
+
+
+def eat_cut_point(omega_in):
+    """The smallest cut point w_t >= omega_in, held 1e-9 above 3/4 and 2e-9 below (2+sqrt2)/4 in two steps."""
+    lowest, highest = 0.75 + 1e-9, TSIRELSON_WIN - 1e-9
+    w = max(lowest, omega_in)
+    return w if w < highest else highest - 1e-9
+
+
+def eat_eta_opt(omega_in, eps, eps_e, n, gamma_a, gamma_b):
+    """eat_eta at the smallest cut point, clamped at 0; 0 at or below omega_in = 3/4."""
+    if omega_in <= 0.75:
+        return 0.0
+    return max(eat_eta(omega_in, eat_cut_point(omega_in), eps, eps_e, n, gamma_a, gamma_b), 0.0)
+
+
 def eat_ell_for_split(params, split, omega_in, lec):
     """Raw accumulation length of a full split (eps_pa, eps_s, eps_s_prime, eps_s_dprime, eps_ea), term by term."""
     n = params.n
     eps_pa, eps_s, eps_s_prime, eps_s_dprime, eps_ea = split
     eps_e = eps_ea + eat.EPS_EC
-    eo = eat.eta_opt(omega_in, eps_s_prime, eps_e, n, params.gamma_a, params.gamma_b)
+    eo = eat_eta_opt(omega_in, eps_s_prime, eps_e, n, params.gamma_a, params.gamma_b)
     eps_rem = eps_s - eps_s_prime - 2.0 * eps_s_dprime
     return (
         n * eo
         - lec
         - eat.LEAK_EV_BITS
-        - 2.0 * eat.vartheta(eps_rem)
+        - 2.0 * (1.0 - 2.0 * math.log2(eps_rem))
         - params.gamma_a * params.gamma_b * n
         - math.sqrt(n) * math.log2(5.0) * math.sqrt(1.0 - 2.0 * math.log2(eps_s_dprime * eps_e))
         - 2.0 * math.log2(1.0 / eps_pa)
@@ -345,4 +374,4 @@ def eat_key_length_search(params, eps_snd, lec):
                     best_val, fr = v, trial
     split = eat._split_from_fractions(eps_snd, fr)
     raw = eat_ell_for_split(params, split, omega_in, lec)
-    return max(raw, 0.0), raw, dict(zip(eat._SPLIT_FIELDS, split)), eat._cut_point(omega_in)
+    return max(raw, 0.0), raw, dict(zip(eat._SPLIT_FIELDS, split)), eat_cut_point(omega_in)

@@ -282,6 +282,15 @@ class TestMain:
             bad.write_text(body)
             assert main(["--config", str(bad)] + out + [command]) == 3, body
 
+    @pytest.mark.parametrize("argv, artifact", [(["--analytic", "pipeline"], "report.json"), (["pvalues"], "pvalues.csv")])
+    def test_unusable_out_exits_three(self, tmp_path, capsys, argv, artifact):
+        # an --out below a regular file cannot be made; an artifact path held by a directory cannot be written
+        (tmp_path / "file").write_text("")
+        (tmp_path / "taken" / artifact).mkdir(parents=True)
+        for out in (tmp_path / "file" / "sub", tmp_path / "taken"):
+            assert main(["--out", str(out)] + argv) == 3, out
+            assert capsys.readouterr().err.startswith("config error: "), out
+
     def test_module_invariant_violations_exit_three(self, tmp_path):
         # values that parse but violate the owning module's invariants
         cases = [

@@ -11,9 +11,7 @@ from diqkd.eat import (
     asymptotic_rate_sifted,
     completeness_ea,
     delta_for_completeness,
-    eta_func,
     eta_inf,
-    eta_opt,
     f_func,
     g_func,
     g_slope,
@@ -22,9 +20,9 @@ from diqkd.eat import (
     leak_ec,
     vartheta,
 )
-from diqkd.eat import _length_of_split
+from diqkd.eat import _cut_point, _length_of_split
 from diqkd.protocol import ProtocolParams
-from oracles import eat_key_length_search
+from oracles import eat_ell_for_split, eat_eta, eat_eta_opt, eat_key_length_search
 from test_renyi import random_cells
 
 PAPER = HonestModel.from_chsh(2.612, 0.0285, 0.26, 0.13)
@@ -103,14 +101,20 @@ class TestFFunc:
 
 
 class TestEta:
+    """The per-round certificate after the penalty, in the oracle's term-by-term form, at the program's cut point.
+
+    The program's own copy of the formula, inside _length_of_split, is
+    pinned to the oracle bit for bit by TestSplitSearchMatchesOracle.
+    """
+
     def test_large_n_limit(self):
         w, wt = 0.8265, 0.82
         ge = gamma_eff(0.26, 0.13)
-        val = eta_func(w, wt, 1e-6, 1e-6, 10**18, 0.26, 0.13)
+        val = eat_eta(w, wt, 1e-6, 1e-6, 10**18, 0.26, 0.13)
         assert val == pytest.approx(ge * f_func(w, wt), abs=1e-6)
 
     def test_monotone_in_n(self):
-        vals = [eta_func(0.8265, 0.82, 1e-6, 1e-6, n, 0.26, 0.13) for n in (10**4, 10**6, 10**8)]
+        vals = [eat_eta(0.8265, 0.82, 1e-6, 1e-6, n, 0.26, 0.13) for n in (10**4, 10**6, 10**8)]
         assert vals[0] < vals[1] < vals[2]
 
     def test_term_by_term_recomputation(self):
@@ -119,17 +123,19 @@ class TestEta:
         expect = ge * f_func(w, wt) - (2 / math.sqrt(n)) * (
             math.log2(9) + math.ceil(ge * g_slope(wt))
         ) * math.sqrt(1 - 2 * math.log2(eps * eps_e))
-        assert eta_func(w, wt, eps, eps_e, n, 0.26, 0.13) == pytest.approx(expect, abs=1e-15)
+        assert eat_eta(w, wt, eps, eps_e, n, 0.26, 0.13) == pytest.approx(expect, abs=1e-15)
 
     def test_eta_opt_dominates_feasible_point(self):
         w_in = 0.8259
-        opt = eta_opt(w_in, 1e-6, 1e-5, 1_208_000, 0.26, 0.13)
-        assert opt >= eta_func(w_in, w_in, 1e-6, 1e-5, 1_208_000, 0.26, 0.13) - 1e-12
+        assert _cut_point(w_in) >= w_in
+        opt = eat_eta(w_in, _cut_point(w_in), 1e-6, 1e-5, 1_208_000, 0.26, 0.13)
+        assert opt >= eat_eta(w_in, w_in, 1e-6, 1e-5, 1_208_000, 0.26, 0.13) - 1e-12
 
     def test_eta_opt_huge_n_uses_exact_branch(self):
         w_in = 0.8259
-        val = eta_opt(w_in, 1e-6, 1e-5, 10**14, 0.26, 0.13)
-        assert val == eta_func(w_in, w_in, 1e-6, 1e-5, 10**14, 0.26, 0.13)
+        assert _cut_point(w_in) == w_in
+        val = eat_eta_opt(w_in, 1e-6, 1e-5, 10**14, 0.26, 0.13)
+        assert val == eat_eta(w_in, _cut_point(w_in), 1e-6, 1e-5, 10**14, 0.26, 0.13)
         assert val == pytest.approx(gamma_eff(0.26, 0.13) * g_func(w_in), abs=1e-4)
         res = eat_length(10**14)
         delta = delta_for_completeness(10**14, 0.26, 0.13, PAPER.omega, target=1e-2)
@@ -146,17 +152,21 @@ class TestEta:
         # the 4,001-point scan over w_t >= w_in is the search the closed form replaced
         for w_in in (0.7600, 0.8259, 0.8500):
             for eps, eps_e in ((1e-6, 1e-5), (3e-9, 2e-6)):
-                opt = eta_opt(w_in, eps, eps_e, n, 0.26, 0.13)
+                opt = eat_eta(w_in, _cut_point(w_in), eps, eps_e, n, 0.26, 0.13)
                 for wt in np.linspace(w_in, TSIRELSON_WIN, 4001, endpoint=False):
-                    assert opt >= eta_func(w_in, wt, eps, eps_e, n, 0.26, 0.13), (w_in, wt)
+                    assert opt >= eat_eta(w_in, wt, eps, eps_e, n, 0.26, 0.13), (w_in, wt)
 
     def test_eta_opt_is_zero_at_or_below_three_quarters(self):
+        # the program's length there has no entropy term: it equals the oracle's with eta_opt = 0
+        model = HonestModel(0.76, 0.03, 0.26, 0.13)
+        params, lec = protocol_at(10**9, model, 0.0), leak_ec(10**9, model, 0.005)
+        split = (2.5e-6, 5e-6, 2.5e-6, 5e-7, 2.4e-6)
         for w_in in (0.75, 0.7499):
-            assert eta_opt(w_in, 1e-6, 1e-5, 10**9, 0.26, 0.13) == 0.0
+            assert eat_eta_opt(w_in, 1e-6, 1e-5, 10**9, 0.26, 0.13) == 0.0
+            assert _length_of_split(params, w_in, lec)(split) == eat_ell_for_split(params, split, w_in, lec)
 
     def test_eta_opt_deterministic(self):
-        args = (0.8259, 1e-6, 1e-5, 1_208_000, 0.26, 0.13)
-        assert eta_opt(*args) == eta_opt(*args)
+        assert eat_length(1_208_000) == eat_length(1_208_000)
 
 
 class TestLeakEc:

@@ -2,6 +2,7 @@ import ast
 import importlib
 import os
 import pkgutil
+import statistics
 import subprocess
 import sys
 from pathlib import Path
@@ -87,3 +88,29 @@ def test_benchmark_targets_resolve_and_trace_the_same_report(monkeypatch):
     assert traced == plain
     assert tracer.counts["renyi.acceptance_box.calls"] == tracer.counts["eat.delta_for_completeness.calls"] == 1
     assert drawn_in and "cli.run_pipeline" not in drawn_in
+
+
+def test_traced_analytic_run_passes_the_worker_checks(monkeypatch):
+    # the benchmark's traced analytic-11km operation, run through perfbench's own
+    # worker functions: it fails if its report bytes differ from an untraced run's,
+    # or if cli.run_pipeline's own frame holds over MAX_UNATTRIBUTED of its wall
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    worker = importlib.import_module("worker")
+    workloads = importlib.import_module("workloads")
+
+    from diqkd import cli
+
+    config = cli.load_config(None, workloads.config_overrides("analytic-11km", 7))
+    wl = workloads.prepare("analytic-11km", config, 7)
+    plain = wl.report(wl.op())
+    calls = ("renyi.h_alpha", "renyi.acceptance_box", "eat.delta_for_completeness", "eat.leak_ec")
+    shares = []
+    for _ in range(15):
+        tracer = worker.Tracer()
+        out, wall, draws, _ = worker.run_once(wl, tracer, None)
+        assert wl.report(out) == plain
+        assert wl.check(out, draws) == []
+        layers = worker.layer_metrics(tracer, wl.root, draws)
+        assert [layers[f"{name}_calls"] for name in calls] == [2, 1, 1, 1]
+        shares.append(layers["cli.self_s"] / wall)
+    assert statistics.median(shares) < worker.MAX_UNATTRIBUTED, shares

@@ -15,7 +15,6 @@ renyi, either for both), 3 config error, 4 numerical infeasibility.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import sys
@@ -23,7 +22,7 @@ import time
 import typing
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -155,6 +154,8 @@ class RunConfig:
         builds a new instance, which hashes afresh.
         """
         if "_hash" not in self.__dict__:
+            import hashlib  # here, its only use: no run reads it, and it costs every command's start-up
+
             values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}
             payload = json.dumps(values, sort_keys=True, separators=(",", ":")).encode()
             object.__setattr__(self, "_hash", hashlib.sha256(payload).hexdigest()[:16])
@@ -295,44 +296,31 @@ def _link_models(config: RunConfig) -> tuple[link.LinkBudget, link.TimingModel]:
     return budget, timing
 
 
-def run_pipeline(config: RunConfig) -> KeyRateReport:
-    """Model -> (streamed rounds -> counts) -> estimates -> acceptance -> key lengths.
-
-    The protocol and its acceptance test are fixed once as a
-    ProtocolParams: omega_exp is the stated operating point in analytic
-    mode and protocol.omega_exp (or the model's win probability) in a
-    simulated run; delta is protocol.delta or the slack meeting
-    eps_ea_com; the count box is built around the same omega_exp.
-    A simulated run streams its rounds chunk by chunk into the count
-    tensor, so it holds no n-long column.  ``protocol.accept`` tests the
-    run's counts against this threshold and box in integers, and both
-    key lengths are certified for them.
-    """
-    t0 = time.perf_counter()
+def _operating_point(config: RunConfig):
+    """What no block size changes: the model behavior, its (S, Q), the (S, Q) evaluated and the honest model there."""
     try:
         behavior = _model_behavior(config)
     except ValueError as exc:
         raise ConfigError(f"physical model: {exc}") from exc
-    s_model = behavior.chsh_value()
-    q_model = behavior.key_qber()
-    omega_exp = config.omega_exp if config.omega_exp is not None else behavior.chsh_win_probability()
+    s_model, q_model = behavior.chsh_value(), behavior.key_qber()
     s_eval = config.s_obs if config.s_obs is not None else s_model
     q_eval = config.q_obs if config.q_obs is not None else q_model
     try:
         model = HonestModel.from_chsh(s_eval, q_eval, config.gamma_a, config.gamma_b)
     except ValueError as exc:
         raise ConfigError(f"operating point: {exc}") from exc
+    return behavior, (s_model, q_model), (s_eval, q_eval), model
 
-    omega_test = model.omega if config.analytic else omega_exp
+
+def _front(config: RunConfig, n: int, omega_test: float, model: HonestModel) -> tuple[protocol.ProtocolParams, float]:
+    """The protocol at block size n, its threshold and count box built around omega_test, and its leak_ec."""
     try:
         delta = config.delta
         if delta is None:
-            delta = eat.delta_for_completeness(
-                config.n, config.gamma_a, config.gamma_b, omega_test, target=config.eps_ea_com
-            )
-        box_lo, box_hi = build_acceptance_set(config.n, config.gamma_a, config.gamma_b, omega_test, config.eps_com_at)
+            delta = eat.delta_for_completeness(n, config.gamma_a, config.gamma_b, omega_test, target=config.eps_ea_com)
+        box_lo, box_hi = build_acceptance_set(n, config.gamma_a, config.gamma_b, omega_test, config.eps_com_at)
         params = protocol.ProtocolParams(
-            n=config.n,
+            n=n,
             gamma_a=config.gamma_a,
             gamma_b=config.gamma_b,
             omega_exp=omega_test,
@@ -344,9 +332,44 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
     except ValueError as exc:
         raise ConfigError(f"acceptance test: {exc}") from exc
     try:
-        lec = eat.leak_ec(config.n, model, config.eps_ec_com)
+        return params, eat.leak_ec(n, model, config.eps_ec_com)
     except ValueError as exc:
         raise ConfigError(f"security: {exc}") from exc
+
+
+def _key_lengths(
+    config: RunConfig, params: Sequence[protocol.ProtocolParams], lecs: Sequence[float]
+) -> tuple[list, list]:
+    """Each point's EAT and Renyi results, None where the method does not run; one Renyi call for all points."""
+    eat_res = renyi_res = [None] * len(params)
+    try:
+        if config.method in ("eat", "both"):
+            eat_res = [eat.key_length_eat(p, config.eps_snd, lec) for p, lec in zip(params, lecs)]
+        if config.method in ("renyi", "both"):
+            renyi_res = renyi.key_length_renyi(params, config.eps_snd, lecs, alpha=config.renyi_alpha)
+    except ValueError as exc:
+        raise InfeasibleError(str(exc)) from exc
+    return eat_res, renyi_res
+
+
+def run_pipeline(config: RunConfig) -> KeyRateReport:
+    """Model -> (streamed rounds -> counts) -> estimates -> acceptance -> key lengths.
+
+    The protocol and its acceptance test are fixed once as a
+    ProtocolParams: omega_exp is the stated operating point in analytic
+    mode and protocol.omega_exp (or the model's win probability) in a
+    simulated run; delta is protocol.delta or the slack meeting
+    eps_ea_com; the count box is built around the same omega_exp.
+    A simulated run streams its rounds chunk by chunk into the count
+    tensor, so it holds no n-long column.  ``protocol.accept`` tests the
+    run's counts against this threshold and box in integers, and both
+    key lengths are certified for them.  A sweep runs the same steps for
+    many block sizes (sweep_keyrate_vs_n).
+    """
+    t0 = time.perf_counter()
+    behavior, (s_model, q_model), (s_eval, q_eval), model = _operating_point(config)
+    omega_exp = config.omega_exp if config.omega_exp is not None else behavior.chsh_win_probability()
+    params, lec = _front(config, config.n, model.omega if config.analytic else omega_exp, model)
 
     if config.analytic:
         s_hat = s_err = q_hat = q_err = beta = None
@@ -369,18 +392,7 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
         "p_spi": p_s,
         "events_per_s": link.event_rate(p_s, timing, config.length_km),
     }
-
-    eat_res = renyi_res = None
-    if config.method in ("eat", "both"):
-        try:
-            eat_res = eat.key_length_eat(params, config.eps_snd, lec)
-        except ValueError as exc:
-            raise InfeasibleError(str(exc)) from exc
-    if config.method in ("renyi", "both"):
-        try:
-            renyi_res = renyi.key_length_renyi(params, config.eps_snd, lec, alpha=config.renyi_alpha)
-        except ValueError as exc:
-            raise InfeasibleError(str(exc)) from exc
+    (eat_res,), (renyi_res,) = _key_lengths(config, [params], [lec])
 
     report = KeyRateReport(
         config=config,
@@ -431,17 +443,25 @@ def sweep_keyrate_vs_n(config: RunConfig, n_grid: list[int]) -> list[dict]:
 
     Each point is the analytic pipeline at that n, so it honours the
     security keys and protocol.delta; a method that did not run gives None.
+    The model and the honest point are built once; each n gets its own
+    threshold, box and leak_ec, and one key_length_renyi call evaluates
+    all points, each bit for bit as run_pipeline would.
     """
-    configs = [replace(config, n=int(n), analytic=True) for n in sorted(n_grid)]
-    reports = [run_pipeline(c) for c in configs]
+    config = replace(config, analytic=True)
+    ns = [int(n) for n in sorted(n_grid)]
+    _, _, (s_eval, q_eval), model = _operating_point(config)
+    params, lecs = zip(*[_front(config, n, model.omega, model) for n in ns])
+    _link_models(config)  # a link config the pipeline rejects fails the sweep too
+    eat_res, renyi_res = _key_lengths(config, params, lecs)
+    rate_asym = eat.asymptotic_rate_sifted(s_eval, q_eval, config.gamma_a, config.gamma_b)
     return [
         {
-            "n": c.n,
-            "rate_eat": None if r.eat_length is None else r.eat_length / c.n,
-            "rate_renyi": None if r.renyi_length is None else r.renyi_length / c.n,
-            "rate_asym": r.asymptotic_sifted,
+            "n": n,
+            "rate_eat": None if e is None else e.length / n,
+            "rate_renyi": None if r is None else r.length / n,
+            "rate_asym": rate_asym,
         }
-        for c, r in zip(configs, reports)
+        for n, e, r in zip(ns, eat_res, renyi_res)
     ]
 
 

@@ -269,16 +269,17 @@ def golden_min(f, a, b, steps: int):
     """Golden-section search for a minimum of f on each bracket [a[i], b[i]].
 
     Every bracket is reduced in lockstep (``np.where`` on fc < fd; ties
-    move the bracket right): f is called once per step with the array of
-    new points and must return their values elementwise, and each bracket
-    takes exactly the steps it would take alone.  Returns the two
+    move the bracket right): f is called once with both first interior
+    points, stacked on a new leading axis, then once per step with the
+    array of new points, and must return their values elementwise; each
+    bracket takes exactly the steps it would take alone.  Returns the two
     interior points left after ``steps`` reductions and their values,
     (c, f(c), d, f(d)); callers compare them with their own grid best.
     """
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     c, d = b - inv * (b - a), a + inv * (b - a)
-    fc, fd = f(c), f(d)
+    fc, fd = f(np.stack([c, d]))
     for _ in range(steps):
         left = fc < fd
         a, b = np.where(left, a, c), np.where(left, d, b)

@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import math
 import os
@@ -76,7 +77,7 @@ class TestConfig:
         assert rejected is None or isinstance(rejected, ConfigError)
         certified = [
             error(lambda: eat.key_length_eat(params, eps_snd, 0.0)),
-            error(lambda: renyi.key_length_renyi(params, eps_snd, 0.0, alpha=alpha)),
+            error(lambda: renyi.key_length_renyi([params], eps_snd, [0.0], alpha=alpha)),
         ]
         assert (rejected is not None) == any(certified)
         assert (eps_snd == 1e-5) == (certified[0] is None)
@@ -113,8 +114,8 @@ class TestHashCount:
     @pytest.fixture
     def hashed(self, monkeypatch):
         calls = []
-        sha256 = cli.hashlib.sha256
-        monkeypatch.setattr(cli.hashlib, "sha256", lambda data: calls.append(data) or sha256(data))
+        sha256 = hashlib.sha256  # RunConfig.config_hash imports hashlib when it first hashes
+        monkeypatch.setattr(hashlib, "sha256", lambda data: calls.append(data) or sha256(data))
         return calls
 
     def test_analytic_pipeline_and_sweep_hash_nothing(self, hashed):
@@ -506,9 +507,9 @@ class TestSweeps:
         orders = []
         original = renyi.key_length_renyi
 
-        def recording(params, eps_snd, lec, alpha=None):
+        def recording(params, eps_snd, lecs, alpha=None):
             orders.append(alpha)
-            return original(params, eps_snd, lec, alpha=alpha)
+            return original(params, eps_snd, lecs, alpha=alpha)
 
         monkeypatch.setattr(renyi, "key_length_renyi", recording)
         cfg = RunConfig(method="renyi", renyi_alpha=1.01, delta=0.002)
@@ -519,6 +520,19 @@ class TestSweeps:
             {"n": 100_000, "rate_eat": None, "rate_renyi": report.renyi_length / 100_000,
              "rate_asym": report.asymptotic_sifted}
         ]
+
+    def test_sweep_rows_equal_one_pipeline_per_point(self):
+        # the oracle: each row of the batched sweep, bit for bit, from its own analytic pipeline run
+        cfg = RunConfig(**PAPER_ANALYTIC)
+        rows = sweep_keyrate_vs_n(cfg, cfg.sweep_n_grid)
+        want = []
+        for n in sorted(cfg.sweep_n_grid):
+            report = run_pipeline(replace(cfg, n=n, analytic=True))
+            want.append(
+                {"n": n, "rate_eat": report.eat_length / n, "rate_renyi": report.renyi_length / n,
+                 "rate_asym": report.asymptotic_sifted}
+            )
+        assert rows == want
 
     def test_sweep_runs_only_the_configured_method(self, monkeypatch):
         cfg = RunConfig(method="eat", renyi_alpha=1.01, delta=0.002)

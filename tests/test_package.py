@@ -24,15 +24,18 @@ def test_every_exported_name_exists():
 def test_start_up_does_not_import_scipy_stats():
     # scipy is a test dependency only: importing scipy.special alone costs
     # about 0.25 s and 24 MB of every command's start-up, so no module of
-    # it may be loaded by the package, an analytic run or a simulated run;
-    # nor statistics, which pulls in fractions and decimal (4-8 ms)
+    # it may be loaded by the package, an analytic run, a simulated run or
+    # a sweep; nor statistics, which pulls in fractions and decimal
+    # (4-8 ms), nor hashlib (3-5 ms), which only a written artifact needs
     script = (
         "import dataclasses, sys\n"
         "import diqkd, diqkd.cli\n"
         "config = diqkd.cli.load_config(None, {})\n"
         "diqkd.cli.run_pipeline(dataclasses.replace(config, analytic=True))\n"
         "diqkd.cli.run_pipeline(dataclasses.replace(config, n=10_000))\n"
-        "print(sorted(m for m in sys.modules if m.startswith('scipy') or m == 'statistics'))\n"
+        "diqkd.cli.sweep_keyrate_vs_n(config, [500_000, 10_000_000])\n"
+        "print(sorted(m for m in sys.modules if m.startswith(('scipy', '_hashlib'))\n"
+        "             or m in ('statistics', 'hashlib')))\n"
     )
     src = str(Path(diqkd.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -112,5 +115,33 @@ def test_traced_analytic_run_passes_the_worker_checks(monkeypatch):
         assert wl.check(out, draws) == []
         layers = worker.layer_metrics(tracer, wl.root, draws)
         assert [layers[f"{name}_calls"] for name in calls] == [2, 1, 1, 1]
+        shares.append(layers["cli.self_s"] / wall)
+    assert statistics.median(shares) < worker.MAX_UNATTRIBUTED, shares
+
+
+def test_traced_sweep_passes_the_worker_checks(monkeypatch):
+    # the benchmark's traced sweep-n operation through perfbench's worker functions: the sweep's per-point
+    # loop stays in cli.sweep_keyrate_vs_n's own frame, so its share of the wall is checked as the worker does;
+    # the whole sweep makes one pair of order-search passes, and each point one box, delta and leak_ec call
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    worker = importlib.import_module("worker")
+    workloads = importlib.import_module("workloads")
+    checks = importlib.import_module("checks")
+
+    from diqkd import cli
+
+    config = cli.load_config(None, workloads.config_overrides("sweep-n", 7))
+    wl = workloads.prepare("sweep-n", config, 7)
+    plain = wl.report(wl.op())
+    calls = ("renyi.h_alpha", "renyi.acceptance_box", "eat.delta_for_completeness", "eat.leak_ec")
+    shares = []
+    for _ in range(15):
+        tracer = worker.Tracer()
+        out, wall, draws, _ = worker.run_once(wl, tracer, None)
+        assert wl.report(out) == plain
+        assert checks.check_sweep(out) == []
+        layers = worker.layer_metrics(tracer, wl.root, draws)
+        assert [layers[f"{name}_calls"] for name in calls] == [2, 2, 2, 2]
+        assert tracer.counts["renyi.key_length_renyi.calls"] == 1
         shares.append(layers["cli.self_s"] / wall)
     assert statistics.median(shares) < worker.MAX_UNATTRIBUTED, shares

@@ -6,7 +6,7 @@ import pytest
 from oracles import renyi_h_alpha, renyi_objective
 
 from diqkd import renyi
-from diqkd.cli import RunConfig, run_pipeline
+from diqkd.cli import RunConfig, run_pipeline, sweep_keyrate_vs_n
 from diqkd.eat import EPS_EC, HonestModel, asymptotic_rate_sifted, delta_for_completeness, key_length_eat, leak_ec
 from diqkd.mathcore import TSIRELSON_WIN
 from diqkd.protocol import ProtocolParams, accept, build_acceptance_set
@@ -292,7 +292,7 @@ class TestInnerSolve:
         # ceilings of 100 + 300 + 500 counts cannot hold n = 1000 rounds
         short = box_params(1000, 0.26, 0.13, 0.8265, (0, 0, 0), (100, 300, 500))
         with pytest.raises(ValueError, match="infeasible"):
-            h_alpha(short, np.array([1.1]))
+            h_alpha([short], np.array([1.1]))
 
 
 class TestHAlpha:
@@ -311,7 +311,7 @@ class TestHAlpha:
 
     def test_nonincreasing_in_alpha(self):
         params = paper_params()
-        vals = h_alpha(params, np.linspace(1.001, 2.0, 10))
+        (vals,) = h_alpha([params], np.linspace(1.001, 2.0, 10))
         assert all(y <= x + 1e-12 for x, y in zip(vals, vals[1:]))
 
     def test_nondecreasing_as_box_shrinks(self):
@@ -323,15 +323,15 @@ class TestHAlpha:
         for scale in (4.0, 2.0, 1.0, 0.5, 0.25, 0.0):
             lo = tuple(max(0, math.floor(m - scale * (m - b))) for m, b in zip(mean, base.box_lo))
             hi = tuple(min(N_PAPER, math.ceil(m + scale * (b - m))) for m, b in zip(mean, base.box_hi))
-            vals.append(h_alpha(box_params(N_PAPER, 0.26, 0.13, PAPER.omega, lo, hi), np.array([1.01]))[0])
+            vals.append(h_alpha([box_params(N_PAPER, 0.26, 0.13, PAPER.omega, lo, hi)], np.array([1.01]))[0, 0])
         assert all(y >= x - 1e-12 for x, y in zip(vals, vals[1:]))
 
     def test_batched_orders_equal_one_order_batches(self):
         params = paper_params()
         alphas = np.concatenate([COARSE_ORDERS, [1.0004010279139497, 1.01, 1.2]])  # 67: a partial last chunk
-        batched = h_alpha(params, alphas)
+        (batched,) = h_alpha([params], alphas)
         for a, got in zip(alphas, batched):
-            assert got == h_alpha(params, np.array([a]))[0]
+            assert got == h_alpha([params], np.array([a]))[0, 0]
 
     def test_dense_grid_minimum_and_kink(self):
         params = paper_params()
@@ -342,7 +342,7 @@ class TestHAlpha:
 
         for alpha in (1.0004, 1.01, 1.2):
             dense = outer(alpha, ws)
-            got = h_alpha(params, np.array([alpha]))[0]
+            got = h_alpha([params], np.array([alpha]))[0, 0]
             assert got <= dense.min()
             if alpha >= 1.01:
                 # the minimizer sits at the kink omega = 3/4, where the entropy term switches on
@@ -357,7 +357,7 @@ class TestHAlpha:
         hi = tuple(min(N_PAPER, math.ceil(m + 0.03 * N_PAPER)) for m in mean)
         wide = box_params(N_PAPER, 0.26, 0.13, PAPER.omega, lo, hi)
         alphas = np.array([1.05])
-        assert h_alpha(wide, alphas) < h_alpha(tight, alphas)
+        assert h_alpha([wide], alphas) < h_alpha([tight], alphas)
 
 
 def random_cells(seed, count):
@@ -375,7 +375,7 @@ class TestKernelMatchesOracle:
     @pytest.mark.parametrize("seed", [101, 102, 103, 104, 105])
     def test_order_search_bitwise_on_random_cells(self, seed):
         for params in random_cells(seed, 30):
-            got = h_alpha(params, COARSE_ORDERS)
+            (got,) = h_alpha([params], COARSE_ORDERS)
             want = renyi_h_alpha(COARSE_ORDERS, params.gamma_a, params.gamma_b, *bounds(params))
             assert np.array_equal(got, want), params
 
@@ -386,16 +386,16 @@ class TestKernelMatchesOracle:
         for params in random_cells(107, 4):
             cell = params.gamma_a, params.gamma_b, *bounds(params)
             for alphas in (COARSE_ORDERS, np.array([2.0])):
-                vals, kink = renyi._grid_stage(renyi._outer_problem(params), alphas)
-                assert np.array_equal(vals, renyi_objective(alphas[:, None], grid, *cell))
-                assert np.array_equal(kink, renyi_objective(alphas, 0.75, *cell))
+                vals, kink = renyi._grid_stage(renyi._outer_problem([params]), alphas[None])
+                assert np.array_equal(vals[0], renyi_objective(alphas[:, None], grid, *cell))
+                assert np.array_equal(kink[0], renyi_objective(alphas, 0.75, *cell))
 
     def test_fixed_order_bitwise(self):
         # a lone order takes numpy's scalar-exponent shortcuts (alpha = 2: sqrt and squaring)
         for params in random_cells(106, 6):
             for alpha in (1.0004, 1.01, 1.3, 2.0):
                 want = renyi_h_alpha(np.array([alpha]), params.gamma_a, params.gamma_b, *bounds(params))[0]
-                assert h_alpha(params, np.array([alpha]))[0] == want
+                assert h_alpha([params], np.array([alpha]))[0, 0] == want
 
     def test_optimum_at_or_below_classical_point_bitwise(self):
         # a wide box at small n lets the attack sit where the entropy term is off
@@ -403,18 +403,104 @@ class TestKernelMatchesOracle:
         grid = np.linspace(0.5, TSIRELSON_WIN, renyi._SIGMA_GRID)
         best = grid[np.argmin(renyi_objective(COARSE_ORDERS[:, None], grid, 0.5, 0.5, *bounds(params)), axis=1)]
         assert (best <= 0.75).any()
-        got = h_alpha(params, COARSE_ORDERS)
+        (got,) = h_alpha([params], COARSE_ORDERS)
         assert np.array_equal(got, renyi_h_alpha(COARSE_ORDERS, 0.5, 0.5, *bounds(params)))
 
-    @pytest.mark.parametrize("alpha, calls", [(None, 32), (1.001, 4)])
+    @pytest.mark.parametrize("alpha, calls", [(None, 28), (1.001, 4)])
     def test_solver_calls_per_search(self, monkeypatch, alpha, calls):
-        # an order search: 2 passes of (2 grid calls + 2 + 10 golden steps) = 28 and 4 certificate rounds at the
-        # chosen order, 28 + 4 = 32; a fixed order: the 4 certificate rounds alone
+        # an order search: 2 passes of (1 grid call + 1 for both first golden points + 10 golden steps) = 24 and
+        # 4 certificate rounds at the chosen order, 24 + 4 = 28; a fixed order: the 4 certificate rounds alone
         seen = []
         solve = renyi._inner_min_vec
         monkeypatch.setattr(renyi, "_inner_min_vec", lambda *args: seen.append(1) or solve(*args))
-        key_length_renyi(paper_params(), 1e-5, paper_leak(), alpha=alpha)
+        key_length_renyi([paper_params()], 1e-5, [paper_leak()], alpha=alpha)
         assert len(seen) == calls
+
+    def test_solver_calls_per_sweep(self, monkeypatch):
+        # the default 8-point sweep: pass 1 solves each point's 3,584 + 137 grid rows in its own call (8), pass 2
+        # three points' 896 + 137 rows per call (3), each pass 11 golden calls for all points, and the certificate
+        # runs 10 rounds, as long as its slowest point (n = 1e4 at alpha = 2): 19 + 14 + 10 = 43, against 8 x 28
+        seen = []
+        solve = renyi._inner_min_vec
+        monkeypatch.setattr(renyi, "_inner_min_vec", lambda *args: seen.append(1) or solve(*args))
+        config = RunConfig(s_obs=2.612, q_obs=0.0285)
+        sweep_keyrate_vs_n(config, config.sweep_n_grid)
+        assert len(seen) == 43
+
+
+class TestBatch:
+    """A batch of points equals one-point calls bit for bit: the solver and the golden steps are row-wise."""
+
+    @pytest.mark.parametrize("seed", [111, 112])
+    def test_h_alpha_on_random_cells(self, seed):
+        # gamma and the box vary by point; shared orders, each point's own, and a lone order, whose scalar-like
+        # exponent numpy rounds as sqrt and square at alpha = 2
+        params = [paper_params(), *random_cells(seed, 7)]
+        own = 1.0 + np.logspace(-4.0, 0.0, 16)[None, :] ** np.linspace(1.0, 2.0, len(params))[:, None]
+        for alphas in (COARSE_ORDERS, np.minimum(own, 2.0), np.array([2.0]), np.array([1.3])):
+            got = h_alpha(params, alphas)
+            per_point = np.broadcast_to(alphas, (len(params), alphas.shape[-1]))
+            want = [h_alpha([pt], a)[0] for pt, a in zip(params, per_point)]
+            assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("seed", [111, 112])
+    def test_certificate_on_random_cells(self, seed):
+        params = [paper_params(), *random_cells(seed, 7)]
+        alphas = [1.000401, 2.0, 1.01, 1.2, 2.0, 1.0004, 1.7, 2.0]
+        got = certified_h_alpha(params, alphas)
+        assert np.array_equal(got, [certified_h_alpha([pt], [alpha])[0] for pt, alpha in zip(params, alphas)])
+
+    def test_kappa_at_order_two_rounds_as_a_lone_order(self):
+        # a one-point call hands numpy a scalar order, and numpy takes a scalar exponent 1/2 or 2 as sqrt or
+        # square; rows whose order varies must round the same (pow differs on about 3% of these rows)
+        ws = np.linspace(0.5, TSIRELSON_WIN, 2001)
+        w_key, w_rest = sift_weights(0.26, 0.13)
+        orders = np.where(np.arange(len(ws)) % 2 == 0, 2.0, 1.3)
+        got = renyi._kappa(ws, w_key, w_rest, (orders, 1.0 / orders, 2.0 ** (1.0 - orders)), 1.0 - orders, True)
+        for alpha in (2.0, 1.3):
+            on = orders == alpha
+            terms = alpha, 1.0 / alpha, 2.0 ** (1.0 - alpha)
+            assert np.array_equal(got[on], renyi._kappa(ws[on], w_key, w_rest, terms, 1.0 - alpha))
+
+    def test_certificate_at_order_two_on_random_cells(self):
+        # at seed 115 the fourth cell's bound moves by rounding if its kappa rows take numpy's power at alpha = 2
+        params = list(random_cells(115, 8))
+        got = certified_h_alpha(params, [2.0] * 8)
+        assert np.array_equal(got, [certified_h_alpha([pt], [2.0])[0] for pt in params])
+
+    def test_certificate_points_leave_at_their_own_rounds(self, monkeypatch):
+        # n = 1e4 at alpha = 2 takes 10 rounds and the paper point at its order 4: the batch runs 10 rounds, and
+        # the paper point's bound is the one it gets alone
+        params, alphas = [paper_params(), paper_params(10_000)], [1.000401, 2.0]
+        rounds = []
+        solve = renyi._inner_min_vec
+        monkeypatch.setattr(renyi, "_inner_min_vec", lambda *args: rounds.append(1) or solve(*args))
+        alone = []
+        for pt, alpha in zip(params, alphas):
+            rounds.clear()
+            alone.append((certified_h_alpha([pt], [alpha])[0], len(rounds)))
+        rounds.clear()
+        got = certified_h_alpha(params, alphas)
+        assert [r for _, r in alone] == [4, 10] and len(rounds) == 10
+        assert got.tolist() == [v for v, _ in alone]
+
+    @pytest.mark.parametrize("alpha", [None, 1.01, 2.0])
+    def test_key_length_on_random_cells_and_paper_point(self, alpha):
+        params = [paper_params(), paper_params(10_000), *random_cells(113, 6)]
+        leaks = [paper_leak(), paper_leak(10_000), *(0.05 * pt.n for pt in params[2:])]
+        got = key_length_renyi(params, 1e-5, leaks, alpha=alpha)
+        want = [key_length_renyi([pt], 1e-5, [lec], alpha=alpha)[0] for pt, lec in zip(params, leaks)]
+        assert got == want
+        if alpha is None:
+            assert len({res.alpha for res in got}) > 1  # the points chose different orders
+
+    def test_mismatched_lengths_rejected(self):
+        with pytest.raises(ValueError, match="one row per point"):
+            h_alpha([paper_params()] * 2, np.full((3, 4), 1.1))
+        with pytest.raises(ValueError, match="one order per point"):
+            certified_h_alpha([paper_params()] * 2, [1.1])
+        with pytest.raises(ValueError, match="one leakage per point"):
+            key_length_renyi([paper_params()] * 2, 1e-5, [paper_leak()])
 
 
 class TestCertificate:
@@ -438,8 +524,8 @@ class TestCertificate:
     @pytest.mark.parametrize("alpha", [1.000401, 1.01, 1.2])
     def test_below_estimate_and_dense_grid_at_paper_box(self, alpha):
         params = paper_params()
-        cert = certified_h_alpha(params, alpha)
-        est = h_alpha(params, np.array([alpha]))[0]
+        (cert,) = certified_h_alpha([params], [alpha])
+        est = h_alpha([params], np.array([alpha]))[0, 0]
         ws = np.array_split(np.linspace(0.5, TSIRELSON_WIN, 400_001), 8)  # in chunks to keep memory small
         dense = min(model_objective(alpha, w, 0.26, 0.13, *bounds(params)).min() for w in ws)
         assert cert <= est and cert <= dense
@@ -451,8 +537,8 @@ class TestCertificate:
     def test_random_cells_below_estimate(self, seed):
         orders = np.array([1.00001, 1.0004, 1.01, 2.0])
         for params in random_cells(seed, 30):
-            for alpha, est in zip(orders, h_alpha(params, orders)):
-                cert = certified_h_alpha(params, alpha)
+            for alpha, est in zip(orders, h_alpha([params], orders)[0]):
+                (cert,) = certified_h_alpha([params], [alpha])
                 # G >= 0, while h_alpha can round a zero minimum below it (-2e-12 on a cell of seed 103)
                 assert math.isfinite(cert) and 0.0 <= cert <= max(est, 0.0), (params, alpha)
 
@@ -466,36 +552,36 @@ class TestCertificate:
 
 class TestKeyLength:
     def test_paper_point(self):
-        res = key_length_renyi(paper_params(), 1e-5, paper_leak())
+        (res,) = key_length_renyi([paper_params()], 1e-5, [paper_leak()])
         assert res.rate == pytest.approx(0.112, abs=0.015)
         assert res.length == pytest.approx(135_300, abs=18_000)
         assert 1.0 < res.alpha <= 2.0
 
     def test_tight_soundness(self):
-        res = key_length_renyi(paper_params(), 1e-15, paper_leak())
+        (res,) = key_length_renyi([paper_params()], 1e-15, [paper_leak()])
         assert res.rate == pytest.approx(0.075, abs=0.015)
 
     def test_tiny_n_yields_nothing(self):
         n = 1000
-        res = key_length_renyi(paper_params(n), 1e-5, leak_ec(n, PAPER, 0.005))
+        (res,) = key_length_renyi([paper_params(n)], 1e-5, [leak_ec(n, PAPER, 0.005)])
         assert res.raw_length <= 0.0
         assert res.length == 0.0
 
     def test_beats_accumulation_at_paper_block(self):
-        renyi = key_length_renyi(paper_params(), 1e-5, paper_leak())
+        (renyi,) = key_length_renyi([paper_params()], 1e-5, [paper_leak()])
         eat = key_length_eat(paper_params(), 1e-5, paper_leak())
         assert renyi.rate > eat.rate
 
     def test_below_sifted_asymptote(self):
         asym = asymptotic_rate_sifted(2.612, 0.0285, 0.26, 0.13)
         for n in (10**5, N_PAPER, 10**8):
-            res = key_length_renyi(paper_params(n), 1e-5, leak_ec(n, PAPER, 0.005))
+            (res,) = key_length_renyi([paper_params(n)], 1e-5, [leak_ec(n, PAPER, 0.005)])
             assert res.rate < asym
 
     def test_fixed_alpha_evaluation(self):
         # an accepted run has at most n - box_lo_perp test rounds, each charged one bit
         params = paper_params()
-        res = key_length_renyi(params, 1e-5, paper_leak(), alpha=1.001)
+        (res,) = key_length_renyi([params], 1e-5, [paper_leak()], alpha=1.001)
         assert res.alpha == 1.001
         assert res.raw_length == pytest.approx(
             N_PAPER * res.h_alpha_bits

@@ -7,9 +7,8 @@ parser backs both the shipped data files and user-facing run configs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from importlib import resources
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .link import LinkBudget
 
@@ -45,8 +44,7 @@ def load_data_text(name: str) -> str:
     return resources.files("diqkd.data").joinpath(name).read_text(encoding="utf-8")
 
 
-@dataclass(frozen=True)
-class DistanceCalibration:
+class DistanceCalibration(NamedTuple):
     """One row of the per-distance calibration bundle.
 
     Fields tagged reconstructed in the data file are derived values (see
@@ -67,8 +65,10 @@ class DistanceCalibration:
     s_obs: Optional[float] = None  # directly measured CHSH value, where available
 
     def link_budget(self, defaults: LinkBudget) -> LinkBudget:
-        """The given budget at this length, with the measured fiber transmission override."""
-        return replace(defaults, length_km=self.length_km, measured_arm_transmission=self.fiber_transmission)
+        """The given budget at this length, with the measured fiber transmission override (checked again)."""
+        return LinkBudget(
+            **{**defaults._asdict(), "length_km": self.length_km, "measured_arm_transmission": self.fiber_transmission}
+        )
 
 
 def load_distance_table() -> list[DistanceCalibration]:

@@ -4,7 +4,9 @@ Configuration is the flat ``section.key = value`` format (see
 calibration.parse_flat); every value here has a default, so an empty
 config runs the 11 km operating point out of the box.  Reports are
 canonical: byte-for-byte reproducible from (config, seed), floats at
-full round-trip precision, and a config hash in every artifact.
+full round-trip precision, and a config hash in every artifact.  The
+commands that print calibration tables build them in ``tables``, which
+is imported only when one of them runs.
 
 Exit codes: 0 success, 2 protocol abort (with protocol.abort_is_error,
 the acceptance test of a key-length method that ran rejected the
@@ -15,23 +17,21 @@ renyi, either for both), 3 config error, 4 numerical infeasibility.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import math
 import sys
 import time
-import typing
-from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
-from . import calibration, eat, link, protocol, renyi, rng
-from .calibration import load_distance_table, load_error_budget
+from . import eat, link, protocol, renyi, rng
 from .eat import HonestModel
-from .mathcore import TSIRELSON_CHSH, TSIRELSON_WIN, binomial_tail, chsh_to_winprob
+from .mathcore import TSIRELSON_CHSH, TSIRELSON_WIN
 from .protocol import build_acceptance_set
-from .quantum import NoiseParams, build_heralded_state, fidelity_from_visibilities
+from .quantum import NoiseParams, build_heralded_state
 
 __all__ = [
     "ConfigError",
@@ -40,10 +40,6 @@ __all__ = [
     "KeyRateReport",
     "run_pipeline",
     "sweep_keyrate_vs_n",
-    "sweep_asymptotic_contour",
-    "sweep_rate_vs_distance",
-    "pvalue_table",
-    "error_budget_report",
     "main",
 ]
 
@@ -56,69 +52,96 @@ class InfeasibleError(RuntimeError):
     """The requested evaluation has no feasible answer (exit code 4)."""
 
 
-def _key(dotted: str, default):
-    """A RunConfig field read from the config key ``dotted``."""
-    return field(default=default, metadata={"key": dotted})
+def _parse_bool(text: str) -> bool:
+    value = text.lower()
+    if value in ("1", "true", "yes"):
+        return True
+    if value in ("0", "false", "no"):
+        return False
+    raise ValueError(f"expected 1/0/true/false/yes/no, got {text!r}")
 
 
-@dataclass(frozen=True)
-class RunConfig:
+def _float_grid(text: str) -> tuple[float, ...]:
+    """One or more comma-separated finite numbers."""
+    values = tuple(float(tok) for tok in text.split(",") if tok.strip())
+    if not values or not all(map(math.isfinite, values)):
+        raise ValueError(f"need one or more finite numbers, got {text!r}")
+    return values
+
+
+def _int_grid(text: str) -> tuple[int, ...]:
+    """One or more comma-separated whole numbers, in any float notation such as 1e5."""
+    values = _float_grid(text)
+    if not all(v.is_integer() for v in values):
+        raise ValueError(f"need whole numbers, got {text!r}")
+    return tuple(map(int, values))
+
+
+_LINK, _TIMING = link.LinkBudget(), link.TimingModel()
+
+# The config schema, its one source of truth: (config key, RunConfig field, value parser, default).
+_SCHEMA = (
+    # physical model (11 km calibration)
+    ("physical.v_zz", "v_zz", float, 0.943),
+    ("physical.v_xx", "v_xx", float, 0.924),
+    ("physical.white_noise", "white_noise", float, 0.0),
+    ("physical.readout_flip", "readout_flip", float, 0.0),
+    ("physical.delta_phi", "delta_phi", float, 0.0),
+    # protocol
+    ("protocol.n", "n", int, 1_208_000),
+    ("protocol.gamma_a", "gamma_a", float, 0.26),
+    ("protocol.gamma_b", "gamma_b", float, 0.13),
+    ("protocol.omega_exp", "omega_exp", float, None),  # None: honest model win probability
+    ("protocol.delta", "delta", float, None),  # None: calibrated to the completeness target
+    ("seed", "seed", int, 20260808),
+    ("protocol.abort_is_error", "abort_is_error", _parse_bool, True),
+    # security
+    ("security.eps_snd", "eps_snd", float, 1e-5),  # the tag's share is the constant eat.EPS_EC
+    ("security.eps_ec_com", "eps_ec_com", float, 0.005),
+    ("security.eps_com_at", "eps_com_at", float, 0.005),
+    ("security.eps_ea_com", "eps_ea_com", float, 1e-2),
+    ("security.method", "method", str, "both"),  # eat | renyi | both
+    ("security.renyi_alpha", "renyi_alpha", float, None),  # None: optimized
+    ("security.analytic", "analytic", _parse_bool, False),
+    ("analysis.s_obs", "s_obs", float, None),  # analytic-mode CHSH value (None: model value)
+    ("analysis.q_obs", "q_obs", float, None),
+    # link (component and timing defaults are those of link.LinkBudget / link.TimingModel)
+    ("link.length_km", "length_km", float, 11.0),
+    ("link.alpha_excitation", "alpha_excitation", float, 0.022),
+    ("link.collection", "collection", float, _LINK.collection),
+    ("link.fiber_coupling", "fiber_coupling", float, _LINK.fiber_coupling),
+    ("link.qfc", "qfc", float, _LINK.qfc),
+    ("link.insertion", "insertion", float, _LINK.insertion),
+    ("link.bsm", "bsm", float, _LINK.bsm),
+    ("link.detector", "detector", float, _LINK.detector),
+    ("link.atten_db_per_km", "atten_db_per_km", float, _LINK.atten_db_per_km),
+    ("link.measured_arm_transmission", "measured_arm_transmission", float, _LINK.measured_arm_transmission),
+    ("timing.overhead_s", "overhead_s", float, _TIMING.overhead_s),
+    ("timing.duty_cycle", "duty_cycle", float, _TIMING.duty_cycle),
+    # sweep grids, comma-separated numbers (the --n-grid, --s-grid and --q-grid flags set them)
+    ("sweep.n_grid", "sweep_n_grid", _int_grid, (10**4, 3 * 10**4, 10**5, 3 * 10**5, 10**6, 1_208_000, 3 * 10**6, 10**7)),
+    ("sweep.s_grid", "sweep_s_grid", _float_grid, tuple(np.linspace(2.0, 2.828, 25).round(4).tolist())),
+    ("sweep.q_grid", "sweep_q_grid", _float_grid, tuple(np.linspace(0.0, 0.12, 25).round(4).tolist())),
+    ("sweep.lengths", "sweep_lengths", _float_grid, ()),  # (): every calibrated length
+    # output
+    ("output.dir", "out_dir", str, "."),
+)
+# config key -> (RunConfig field, value parser)
+_KEYS = {key: (name, parse) for key, name, parse, _ in _SCHEMA}
+_RunConfigFields = collections.namedtuple("_RunConfigFields", [r[1] for r in _SCHEMA], defaults=[r[3] for r in _SCHEMA])
+
+
+class RunConfig(_RunConfigFields):
     """Validated run parameters; every field has a paper-point default.
 
-    This is the config schema: each field's metadata names its config
-    key, and its annotation gives the type the value is parsed as.
+    The fields, their config keys, parsers and defaults are _SCHEMA's.
+    The checks run in __new__, so the constructor and replace() make
+    them; namedtuple's _replace skips them.  The instance dict holds only
+    the memoised config hash: no attribute can be set.
     """
 
-    # physical model (11 km calibration)
-    v_zz: float = _key("physical.v_zz", 0.943)
-    v_xx: float = _key("physical.v_xx", 0.924)
-    white_noise: float = _key("physical.white_noise", 0.0)
-    readout_flip: float = _key("physical.readout_flip", 0.0)
-    delta_phi: float = _key("physical.delta_phi", 0.0)
-    # protocol
-    n: int = _key("protocol.n", 1_208_000)
-    gamma_a: float = _key("protocol.gamma_a", 0.26)
-    gamma_b: float = _key("protocol.gamma_b", 0.13)
-    omega_exp: Optional[float] = _key("protocol.omega_exp", None)  # None: honest model win probability
-    delta: Optional[float] = _key("protocol.delta", None)  # None: calibrated to the completeness target
-    seed: int = _key("seed", 20260808)
-    abort_is_error: bool = _key("protocol.abort_is_error", True)
-    # security
-    eps_snd: float = _key("security.eps_snd", 1e-5)  # the tag's share is the constant eat.EPS_EC
-    eps_ec_com: float = _key("security.eps_ec_com", 0.005)
-    eps_com_at: float = _key("security.eps_com_at", 0.005)
-    eps_ea_com: float = _key("security.eps_ea_com", 1e-2)
-    method: str = _key("security.method", "both")  # eat | renyi | both
-    renyi_alpha: Optional[float] = _key("security.renyi_alpha", None)
-    analytic: bool = _key("security.analytic", False)
-    s_obs: Optional[float] = _key("analysis.s_obs", None)  # analytic-mode CHSH value (None: model value)
-    q_obs: Optional[float] = _key("analysis.q_obs", None)
-    # link (component and timing defaults are those of link.LinkBudget / link.TimingModel)
-    length_km: float = _key("link.length_km", 11.0)
-    alpha_excitation: float = _key("link.alpha_excitation", 0.022)
-    collection: float = _key("link.collection", link.LinkBudget.collection)
-    fiber_coupling: float = _key("link.fiber_coupling", link.LinkBudget.fiber_coupling)
-    qfc: float = _key("link.qfc", link.LinkBudget.qfc)
-    insertion: float = _key("link.insertion", link.LinkBudget.insertion)
-    bsm: float = _key("link.bsm", link.LinkBudget.bsm)
-    detector: float = _key("link.detector", link.LinkBudget.detector)
-    atten_db_per_km: float = _key("link.atten_db_per_km", link.LinkBudget.atten_db_per_km)
-    measured_arm_transmission: Optional[float] = _key(
-        "link.measured_arm_transmission", link.LinkBudget.measured_arm_transmission
-    )
-    overhead_s: float = _key("timing.overhead_s", link.TimingModel.overhead_s)
-    duty_cycle: float = _key("timing.duty_cycle", link.TimingModel.duty_cycle)
-    # sweep grids, parsed from comma-separated numbers (the --n-grid, --s-grid and --q-grid flags set them)
-    sweep_n_grid: tuple[int, ...] = _key(
-        "sweep.n_grid", (10_000, 30_000, 100_000, 300_000, 1_000_000, 1_208_000, 3_000_000, 10_000_000)
-    )
-    sweep_s_grid: tuple[float, ...] = _key("sweep.s_grid", tuple(np.linspace(2.0, 2.828, 25).round(4).tolist()))
-    sweep_q_grid: tuple[float, ...] = _key("sweep.q_grid", tuple(np.linspace(0.0, 0.12, 25).round(4).tolist()))
-    sweep_lengths: tuple[float, ...] = _key("sweep.lengths", ())  # (): every calibrated length
-    # output
-    out_dir: str = _key("output.dir", ".")
-
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "RunConfig":
+        self = super().__new__(cls, *args, **kwargs)
         if self.method not in ("eat", "renyi", "both"):
             raise ConfigError(f"method must be eat, renyi or both, got {self.method!r}")
         if self.n < 1:
@@ -146,66 +169,44 @@ class RunConfig:
             raise ConfigError(f"sweep.s_grid: need CHSH values in [2, 2 sqrt 2], got {self.sweep_s_grid}")
         if not all(0.0 <= q <= 1.0 for q in self.sweep_q_grid):
             raise ConfigError(f"sweep.q_grid: need QBERs in [0, 1], got {self.sweep_q_grid}")
+        return self
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"RunConfig is immutable: replace() makes a copy with {name} changed")
+
+    def replace(self, **changes) -> "RunConfig":
+        """A copy with the given fields changed, checked again."""
+        return RunConfig(**{**self._asdict(), **changes})
 
     def config_hash(self) -> str:
         """Hash of every parsed value but output.dir, so equal hashes mean equal inputs.
 
-        Computed once per instance: the config is frozen, and replace()
+        Computed once per instance: the config is immutable, and replace()
         builds a new instance, which hashes afresh.
         """
-        if "_hash" not in self.__dict__:
+        memo = self.__dict__
+        if "_hash" not in memo:
             import hashlib  # here, its only use: no run reads it, and it costs every command's start-up
 
-            values = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "out_dir"}
+            values = self._asdict()
+            del values["out_dir"]
             payload = json.dumps(values, sort_keys=True, separators=(",", ":")).encode()
-            object.__setattr__(self, "_hash", hashlib.sha256(payload).hexdigest()[:16])
-        return self.__dict__["_hash"]
-
-
-def _parse_bool(text: str) -> bool:
-    value = text.lower()
-    if value in ("1", "true", "yes"):
-        return True
-    if value in ("0", "false", "no"):
-        return False
-    raise ValueError(f"expected 1/0/true/false/yes/no, got {text!r}")
-
-
-def _parse_grid(text: str, item: type) -> tuple:
-    """One or more comma-separated finite numbers, each a whole number when item is int."""
-    values = [float(tok) for tok in text.split(",") if tok.strip()]
-    if not values or not all(map(math.isfinite, values)):
-        raise ValueError(f"need one or more finite numbers, got {text!r}")
-    if item is int and not all(v.is_integer() for v in values):
-        raise ValueError(f"need whole numbers, got {text!r}")
-    return tuple(map(item, values))
-
-
-def _converter(tp):
-    """Parser for a field annotation: float, int, str, bool, Optional[X] or tuple[X, ...]."""
-    if typing.get_origin(tp) is typing.Union:
-        (tp,) = [a for a in typing.get_args(tp) if a is not type(None)]
-    if typing.get_origin(tp) is tuple:
-        item = typing.get_args(tp)[0]
-        return lambda text: _parse_grid(text, item)
-    return _parse_bool if tp is bool else tp
-
-
-# config key -> (RunConfig field name, value parser), derived from the fields
-_HINTS = typing.get_type_hints(RunConfig)
-_KEYS = {f.metadata["key"]: (f.name, _converter(_HINTS[f.name])) for f in fields(RunConfig) if "key" in f.metadata}
+            memo["_hash"] = hashlib.sha256(payload).hexdigest()[:16]
+        return memo["_hash"]
 
 
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> RunConfig:
     """Config file plus command-line overrides, validated into a RunConfig."""
     items: dict[str, str] = {}
     if path is not None:
+        from .calibration import parse_flat  # the config format's parser; a run without a file never loads it
+
         try:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         try:
-            items = calibration.parse_flat(text)
+            items = parse_flat(text)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
     if overrides:
@@ -214,9 +215,9 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
     for key, value in items.items():
         if key not in _KEYS:
             raise ConfigError(f"unknown config key {key!r}")
-        name, conv = _KEYS[key]
+        name, parse = _KEYS[key]
         try:
-            kwargs[name] = conv(value)
+            kwargs[name] = parse(value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {value!r}") from exc
     try:
@@ -225,8 +226,7 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
         raise ConfigError(str(exc)) from exc
 
 
-@dataclass(frozen=True)
-class KeyRateReport:
+class KeyRateReport(NamedTuple):
     """Everything one pipeline run produced, in canonical serializable form.
 
     The report holds its config and serializes the config's hash in its
@@ -263,7 +263,8 @@ class KeyRateReport:
     wall_time_s: float = 0.0  # informational; excluded from canonical bytes
 
     def to_json(self) -> str:
-        d = {f.name: getattr(self, f.name) for f in fields(self) if f.name not in ("config", "wall_time_s")}
+        d = self._asdict()
+        del d["config"], d["wall_time_s"]
         d["config_hash"] = self.config.config_hash()
         return json.dumps(d, sort_keys=True, indent=1) + "\n"
 
@@ -294,6 +295,18 @@ def _link_models(config: RunConfig) -> tuple[link.LinkBudget, link.TimingModel]:
     except ValueError as exc:
         raise ConfigError(f"link budget: {exc}") from exc
     return budget, timing
+
+
+def _link_summary(config: RunConfig) -> dict:
+    """The report's link summary: arm efficiency, heralding probability and event rate at the configured length."""
+    budget, timing = _link_models(config)
+    try:
+        eff = link.arm_efficiency(budget)
+        p_s = link.success_probability_spi(config.alpha_excitation, eff)
+        events_per_s = link.event_rate(p_s, timing, config.length_km)
+    except ValueError as exc:
+        raise ConfigError(f"link budget: {exc}") from exc
+    return {"length_km": config.length_km, "arm_efficiency": eff, "p_spi": p_s, "events_per_s": events_per_s}
 
 
 def _operating_point(config: RunConfig):
@@ -370,6 +383,7 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
     behavior, (s_model, q_model), (s_eval, q_eval), model = _operating_point(config)
     omega_exp = config.omega_exp if config.omega_exp is not None else behavior.chsh_win_probability()
     params, lec = _front(config, config.n, model.omega if config.analytic else omega_exp, model)
+    link_summary = _link_summary(config)  # before any draw: a bad link config fails at once
 
     if config.analytic:
         s_hat = s_err = q_hat = q_err = beta = None
@@ -383,15 +397,6 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
         s_hat, s_err, q_hat, q_err = est.s_hat, est.s_err, est.q_hat, est.q_err
         accepted, accepted_box = protocol.accept(est.counts, params)
 
-    budget_l, timing = _link_models(config)
-    eff = link.arm_efficiency(budget_l)
-    p_s = link.success_probability_spi(config.alpha_excitation, eff)
-    link_summary = {
-        "length_km": config.length_km,
-        "arm_efficiency": eff,
-        "p_spi": p_s,
-        "events_per_s": link.event_rate(p_s, timing, config.length_km),
-    }
     (eat_res,), (renyi_res,) = _key_lengths(config, [params], [lec])
 
     report = KeyRateReport(
@@ -447,11 +452,11 @@ def sweep_keyrate_vs_n(config: RunConfig, n_grid: list[int]) -> list[dict]:
     threshold, box and leak_ec, and one key_length_renyi call evaluates
     all points, each bit for bit as run_pipeline would.
     """
-    config = replace(config, analytic=True)
+    config = config.replace(analytic=True)
     ns = [int(n) for n in sorted(n_grid)]
     _, _, (s_eval, q_eval), model = _operating_point(config)
     params, lecs = zip(*[_front(config, n, model.omega, model) for n in ns])
-    _link_models(config)  # a link config the pipeline rejects fails the sweep too
+    _link_summary(config)  # a link config the pipeline rejects fails the sweep too
     eat_res, renyi_res = _key_lengths(config, params, lecs)
     rate_asym = eat.asymptotic_rate_sifted(s_eval, q_eval, config.gamma_a, config.gamma_b)
     return [
@@ -463,111 +468,6 @@ def sweep_keyrate_vs_n(config: RunConfig, n_grid: list[int]) -> list[dict]:
         }
         for n, e, r in zip(ns, eat_res, renyi_res)
     ]
-
-
-def sweep_asymptotic_contour(s_grid: list[float], q_grid: list[float]) -> dict:
-    """Sifting-free asymptotic rate on an (S, Q) grid, with the zero contour."""
-    s_sorted, q_sorted = sorted(s_grid), sorted(q_grid)
-    rates = np.empty((len(s_sorted), len(q_sorted)))
-    try:
-        for i, s in enumerate(s_sorted):
-            for j, q in enumerate(q_sorted):
-                rates[i, j] = eat.asymptotic_rate_nosift(s, q)
-    except ValueError as exc:
-        raise ConfigError(f"contour grid: {exc}") from exc
-    zero = []
-    for i, s in enumerate(s_sorted):
-        row = rates[i]
-        sign_change = np.where(np.diff(np.sign(row)))[0]
-        if len(sign_change):
-            j = int(sign_change[0])
-            q0, q1 = q_sorted[j], q_sorted[j + 1]
-            r0, r1 = row[j], row[j + 1]
-            zero.append({"s": s, "q_zero": q0 + (q1 - q0) * (0.0 - r0) / (r1 - r0)})
-    return {"s_grid": s_sorted, "q_grid": q_sorted, "rates": rates.tolist(), "zero_contour": zero}
-
-
-def sweep_rate_vs_distance(config: RunConfig) -> list[dict]:
-    """Per-length link and key-rate summary from the calibration bundle.
-
-    Link components and timing come from the config; each length's row
-    supplies its measured fiber transmission and excitation probability.
-    sweep.lengths, when set, keeps only those calibrated lengths.
-    """
-    defaults, timing = _link_models(config)
-    table = load_distance_table()
-    if config.sweep_lengths:
-        keep = set(config.sweep_lengths)
-        unknown = keep.difference(r.length_km for r in table)
-        if unknown:
-            raise ConfigError(f"sweep.lengths: {sorted(unknown)} are not calibrated lengths")
-        table = [r for r in table if r.length_km in keep]
-    rows_out = []
-    for row in sorted(table, key=lambda r: r.length_km):
-        eff = link.arm_efficiency(row.link_budget(defaults))
-        p_spi = link.success_probability_spi(row.alpha_excitation, eff)
-        p_tpi = link.success_probability_tpi(eff)
-        rate_s = link.event_rate(p_spi, timing, row.length_km)
-        rate_tpi = link.event_rate(p_tpi, timing, row.length_km)
-        s_model = math.sqrt(2.0) * (row.v_zz + row.v_xx)
-        per_event = eat.asymptotic_rate_nosift(s_model, row.qber)
-        rows_out.append(
-            {
-                "length_km": row.length_km,
-                "arm_efficiency": eff,
-                "p_spi": p_spi,
-                "p_tpi": p_tpi,
-                "events_per_s": rate_s,
-                "events_per_s_tpi": rate_tpi,
-                "s_model": s_model,
-                "qber": row.qber,
-                "fidelity_model": fidelity_from_visibilities(row.v_zz, row.v_xx),
-                "fidelity_target": row.fidelity,
-                "rate_per_event": per_event,
-                "rate_per_s": per_event * rate_s,
-            }
-        )
-    return rows_out
-
-
-def pvalue_table(rows: Optional[list[tuple[float, int, float]]] = None) -> list[dict]:
-    """Game-level significance: exact binomial tail at the classical bound.
-
-    rows are (length_km, n_trials, s_obs); the win count is reconstructed
-    as round(n * winprob(s_obs)).  Defaults to the shipped calibration
-    (back-solved scores, see the data file).
-    """
-    if rows is None:
-        rows = [(r.length_km, r.n_trials, r.s_pvalue) for r in load_distance_table()]
-    out = []
-    for length, n, s_obs in rows:
-        omega = chsh_to_winprob(s_obs)
-        k = int(round(n * omega))
-        log10_p = binomial_tail(n, k, 0.75) * math.log10(2.0)
-        out.append({"length_km": length, "n_trials": n, "s_obs": s_obs, "k": k, "log10_p": log10_p})
-    return out
-
-
-def error_budget_report() -> list[dict]:
-    """Row sums of the infidelity budget vs the measured infidelity."""
-    sources, table = load_error_budget()
-    fidelity = {r.length_km: r.fidelity for r in load_distance_table()}
-    out = []
-    for length, row in sorted(table.items()):
-        total = row["total"]
-        ssum = sum(row[s] for s in sources)
-        measured = 1.0 - fidelity[length]
-        out.append(
-            {
-                "length_km": length,
-                **{s: row[s] for s in sources},
-                "total": total,
-                "row_sum": ssum,
-                "measured_infidelity": measured,
-                "within_budget": bool(measured <= total + 1e-12),
-            }
-        )
-    return out
 
 
 def _fmt(value) -> str:
@@ -647,8 +547,12 @@ def main(argv: Optional[list[str]] = None) -> int:
 
         if command == "sweep-n":
             write_csv(sweep_keyrate_vs_n(config, config.sweep_n_grid), out_dir / "keyrate_vs_n.csv", h)
-        elif command == "contour":
-            res = sweep_asymptotic_contour(config.sweep_s_grid, config.sweep_q_grid)
+            return 0
+
+        from . import tables  # the table commands' builders and the calibration data they read
+
+        if command == "contour":
+            res = tables.sweep_asymptotic_contour(config.sweep_s_grid, config.sweep_q_grid)
             grid_rows = [
                 {"s": s, "q": q, "rate": res["rates"][i][j]}
                 for i, s in enumerate(res["s_grid"])
@@ -658,11 +562,11 @@ def main(argv: Optional[list[str]] = None) -> int:
             if res["zero_contour"]:
                 write_csv(res["zero_contour"], out_dir / "contour_zero.csv", h)
         elif command == "distance":
-            write_csv(sweep_rate_vs_distance(config), out_dir / "distance.csv", h)
+            write_csv(tables.sweep_rate_vs_distance(config), out_dir / "distance.csv", h)
         elif command == "pvalues":
-            write_csv(pvalue_table(), out_dir / "pvalues.csv", h)
+            write_csv(tables.pvalue_table(), out_dir / "pvalues.csv", h)
         elif command == "budget":
-            write_csv(error_budget_report(), out_dir / "budget.csv", h)
+            write_csv(tables.error_budget_report(), out_dir / "budget.csv", h)
         return 0
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

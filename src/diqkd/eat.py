@@ -32,8 +32,7 @@ fixed here:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -69,16 +68,20 @@ _SPLIT_PASSES = 2  # full-span coordinate-descent passes before the two refineme
 _SPLIT_FIELDS = ("eps_pa", "eps_s", "eps_s_prime", "eps_s_dprime", "eps_ea")
 
 
-@dataclass(frozen=True)
-class HonestModel:
-    """Honest-device operating point: win probability, key error rate, test fractions."""
-
+class _HonestFields(NamedTuple):
     omega: float
     q: float
     gamma_a: float
     gamma_b: float
 
-    def __post_init__(self) -> None:
+
+class HonestModel(_HonestFields):
+    """Honest-device operating point: win probability, key error rate, test fractions."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "HonestModel":
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.75 < self.omega <= TSIRELSON_WIN + 1e-15:
             raise ValueError(f"omega={self.omega} outside (3/4, (2+sqrt2)/4]")
         if not 0.0 <= self.q <= 0.5:
@@ -87,6 +90,7 @@ class HonestModel:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
+        return self
 
     @classmethod
     def from_chsh(cls, s: float, q: float, gamma_a: float, gamma_b: float) -> "HonestModel":
@@ -183,13 +187,21 @@ def completeness_ea(n: int, c: float, gamma_a: float, gamma_b: float, omega_exp:
 
 
 def delta_for_completeness(n: int, gamma_a: float, gamma_b: float, omega_exp: float, target: float) -> float:
-    """Acceptance slack delta making the honest abort bound equal the target."""
+    """Acceptance slack delta making the honest abort bound equal the target.
+
+    200 bisection steps, stopped once the midpoint equals an end of the
+    bracket: every later step would leave it there, so the result is the
+    full run's.  A bracket that does not close in on 0 stops within
+    about 67 steps.
+    """
     if not 0.0 < target < 1.0:
         raise ValueError("target must lie in (0, 1)")
     mean = gamma_a * gamma_b * omega_exp
     lo, hi = 0.0, mean * (1.0 - 1e-15)
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
         if completeness_ea(n, mean - mid, gamma_a, gamma_b, omega_exp) > target:
             lo = mid
         else:
@@ -204,8 +216,7 @@ def vartheta(eps: float) -> float:
     return 1.0 - 2.0 * math.log2(eps)
 
 
-@dataclass(frozen=True)
-class EatResult:
+class EatResult(NamedTuple):
     length: float  # zero-clamped
     raw_length: float
     rate: float

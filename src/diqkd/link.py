@@ -11,8 +11,7 @@ midpoint plus the classical herald back to the nodes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Optional
+from typing import NamedTuple, Optional
 
 __all__ = [
     "SPEED_OF_LIGHT",
@@ -27,14 +26,7 @@ __all__ = [
 SPEED_OF_LIGHT = 299_792_458.0  # vacuum, m/s
 
 
-@dataclass(frozen=True)
-class LinkBudget:
-    """Component efficiencies plus fiber attenuation for one arm of the link.
-
-    The defaults are the midpoint-station heralding link's one-arm
-    components and the 1315 nm telecom-band fiber attenuation.
-    """
-
+class _LinkBudgetFields(NamedTuple):
     collection: float = 0.085
     fiber_coupling: float = 0.50
     qfc: float = 0.47
@@ -45,7 +37,21 @@ class LinkBudget:
     length_km: float = 0.0
     measured_arm_transmission: Optional[float] = None
 
-    def __post_init__(self) -> None:
+
+class LinkBudget(_LinkBudgetFields):
+    """Component efficiencies plus fiber attenuation for one arm of the link.
+
+    The defaults are the midpoint-station heralding link's one-arm
+    components and the 1315 nm telecom-band fiber attenuation.  The
+    checks run in __new__, as in every validated record of the package;
+    ``_replace`` skips them, so a changed budget is built by the
+    constructor.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "LinkBudget":
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("collection", "fiber_coupling", "qfc", "insertion", "bsm", "detector"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -56,23 +62,29 @@ class LinkBudget:
             raise ValueError("length must be nonnegative")
         if self.measured_arm_transmission is not None and not 0.0 <= self.measured_arm_transmission <= 1.0:
             raise ValueError("measured_arm_transmission outside [0, 1]")
+        return self
 
 
-@dataclass(frozen=True)
-class TimingModel:
+class _TimingFields(NamedTuple):
+    overhead_s: float = 12e-6
+    duty_cycle: float = 0.15
+
+
+class TimingModel(_TimingFields):
     """Per-trial timing: fixed overhead and duty cycle.
 
     The trial period is the overhead plus the 3L/2c herald round trip.
     """
 
-    overhead_s: float = 12e-6
-    duty_cycle: float = 0.15
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "TimingModel":
+        self = super().__new__(cls, *args, **kwargs)
         if self.overhead_s <= 0:
             raise ValueError("overhead must be positive")
         if not 0.0 < self.duty_cycle <= 1.0:
             raise ValueError("duty cycle must lie in (0, 1]")
+        return self
 
 
 def arm_efficiency(budget: LinkBudget) -> float:

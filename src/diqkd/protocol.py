@@ -44,8 +44,7 @@ Transcript.  ``generate_transcript`` decodes the same v into columns.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -74,17 +73,7 @@ PERP = 2  # placeholder value of the test outcome c on non-test rounds
 CHUNK_ROUNDS = 1 << 13  # rounds per pass (and per count tensor); their temporaries stay in cache
 
 
-@dataclass(frozen=True)
-class ProtocolParams:
-    """The protocol a run executes and the acceptance test it applies.
-
-    Besides block size, test fractions and seed it fixes both tests in
-    counts: the threshold win_min, from omega_exp and delta, and the box
-    [box_lo, box_hi] over (lose, win, no-test).  The simulator, ``accept``
-    and both key-length certificates read it, so a key is certified for
-    the test the transcript passed.
-    """
-
+class _ProtocolFields(NamedTuple):
     n: int
     gamma_a: float
     gamma_b: float
@@ -94,7 +83,21 @@ class ProtocolParams:
     box_hi: tuple[int, int, int]
     seed: int = 0
 
-    def __post_init__(self) -> None:
+
+class ProtocolParams(_ProtocolFields):
+    """The protocol a run executes and the acceptance test it applies.
+
+    Besides block size, test fractions and seed it fixes both tests in
+    counts: the threshold win_min, from omega_exp and delta, and the box
+    [box_lo, box_hi] over (lose, win, no-test).  The simulator, ``accept``
+    and both key-length certificates read it, so a key is certified for
+    the test the transcript passed.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "ProtocolParams":
+        self = super().__new__(cls, *args, **kwargs)
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         for name in ("gamma_a", "gamma_b"):
@@ -110,6 +113,7 @@ class ProtocolParams:
             for lo, hi in zip(self.box_lo, self.box_hi)
         ):
             raise ValueError(f"box needs three integer counts 0 <= lo <= hi <= n, got {self.box_lo}, {self.box_hi}")
+        return self
 
     @property
     def win_min(self) -> int:
@@ -318,8 +322,7 @@ def accept(counts: tuple[int, int, int], params: ProtocolParams) -> tuple[bool, 
     return counts[1] >= params.win_min, in_box
 
 
-@dataclass(frozen=True)
-class EstimateResult:
+class EstimateResult(NamedTuple):
     s_hat: float
     s_err: float
     q_hat: float

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,18 +37,23 @@ _SY = np.array([[0, -1j], [1j, 0]], dtype=complex)
 _SZ = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-@dataclass(frozen=True)
-class BlochVector:
-    """Unit vector on the Bloch sphere defining a +-1 valued measurement."""
-
+class _BlochFields(NamedTuple):
     nx: float
     ny: float
     nz: float
 
-    def __post_init__(self) -> None:
+
+class BlochVector(_BlochFields):
+    """Unit vector on the Bloch sphere defining a +-1 valued measurement."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "BlochVector":
+        self = super().__new__(cls, *args, **kwargs)
         norm = math.sqrt(self.nx**2 + self.ny**2 + self.nz**2)
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"Bloch vector must be unit norm, got |n| = {norm}")
+        return self
 
     def operator(self) -> np.ndarray:
         return self.nx * _SX + self.ny * _SY + self.nz * _SZ
@@ -96,8 +101,14 @@ class TwoQubitState:
         return float(np.trace(self.matrix @ op).real)
 
 
-@dataclass(frozen=True)
-class NoiseParams:
+class _NoiseFields(NamedTuple):
+    alpha_exc: float = 0.0
+    dephase_lambda: float = 0.0
+    white_noise: float = 0.0
+    delta_phi: float = 0.0
+
+
+class NoiseParams(_NoiseFields):
     """Per-distance noise knobs of the heralded-state model.
 
     alpha_exc is the double-excitation admixture of the heralded state;
@@ -107,16 +118,15 @@ class NoiseParams:
     on outcomes, not on the state: see ``outcome_distribution``.
     """
 
-    alpha_exc: float = 0.0
-    dephase_lambda: float = 0.0
-    white_noise: float = 0.0
-    delta_phi: float = 0.0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs) -> "NoiseParams":
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("alpha_exc", "dephase_lambda", "white_noise"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name}={v} outside [0, 1]")
+        return self
 
     @classmethod
     def from_visibilities(

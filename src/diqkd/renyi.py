@@ -44,8 +44,7 @@ numpy once per step rather than once per point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -190,6 +189,12 @@ def _inner_min_vec(p: np.ndarray, lo: np.ndarray, hi: np.ndarray, kappa, am1) ->
     return ((div[0] + div[1]) + div[2]) / am1 + q[2] * kappa
 
 
+def _check_points(params: Sequence[ProtocolParams]) -> None:
+    """Reject a lone ProtocolParams, which as a tuple would be taken for a sequence of its fields."""
+    if isinstance(params, ProtocolParams):
+        raise TypeError("need a sequence of ProtocolParams, one per point, got a lone ProtocolParams")
+
+
 def _outer_problem(params: Sequence[ProtocolParams]) -> np.ndarray:
     """One column per point: its sift weights, gamma_a gamma_b and its box as frequencies, shape (9, points).
 
@@ -305,6 +310,7 @@ def h_alpha(params: Sequence[ProtocolParams], alphas: np.ndarray) -> np.ndarray:
     refinements of all points and orders run in lockstep, in
     1 + _GOLDEN_STEPS calls.
     """
+    _check_points(params)
     alphas = np.array(alphas, dtype=float, ndmin=2, order="C")
     if len(alphas) == 1 < len(params):
         alphas = alphas.repeat(len(params), axis=0)
@@ -390,6 +396,7 @@ def certified_h_alpha(params: Sequence[ProtocolParams], alphas: Sequence[float])
     [3/4, (2+sqrt2)/4] and zero at 3/4; zero below, it is convex on the
     whole range.
     """
+    _check_points(params)
     alphas = [float(alpha) for alpha in alphas]
     if len(alphas) != len(params):
         raise ValueError(f"need one order per point, got {len(alphas)} for {len(params)}")
@@ -455,8 +462,7 @@ def certified_h_alpha(params: Sequence[ProtocolParams], alphas: Sequence[float])
     )
 
 
-@dataclass(frozen=True)
-class RenyiResult:
+class RenyiResult(NamedTuple):
     length: float  # zero-clamped
     raw_length: float
     rate: float
@@ -484,6 +490,7 @@ def key_length_renyi(
     at the chosen orders, or at a fixed alpha in (1, 2], one call for all
     points.  Each result equals the point's result alone, bit for bit.
     """
+    _check_points(params)
     if not EPS_EC < eps_snd < 1.0:
         raise ValueError(f"eps_snd={eps_snd} outside (EPS_EC, 1)")
     if len(leak_ec_bits) != len(params):

@@ -375,3 +375,16 @@ def eat_key_length_search(params, eps_snd, lec):
     split = eat._split_from_fractions(eps_snd, fr)
     raw = eat_ell_for_split(params, split, omega_in, lec)
     return max(raw, 0.0), raw, dict(zip(eat._SPLIT_FIELDS, split)), eat_cut_point(omega_in)
+
+
+def delta_for_completeness_200(n, gamma_a, gamma_b, omega_exp, target):
+    """eat.delta_for_completeness as 200 bisection steps, with no early stop."""
+    mean = gamma_a * gamma_b * omega_exp
+    lo, hi = 0.0, mean * (1.0 - 1e-15)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if eat.completeness_ea(n, mean - mid, gamma_a, gamma_b, omega_exp) > target:
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)

@@ -3,7 +3,6 @@ import hashlib
 import json
 import math
 import os
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,18 +13,8 @@ from diqkd.calibration import load_distance_table
 from diqkd.link import LinkBudget, TimingModel
 from diqkd.protocol import ProtocolParams, behavior_from_state
 from diqkd.quantum import NoiseParams, build_heralded_state
-from diqkd.cli import (
-    ConfigError,
-    RunConfig,
-    error_budget_report,
-    load_config,
-    main,
-    pvalue_table,
-    run_pipeline,
-    sweep_asymptotic_contour,
-    sweep_keyrate_vs_n,
-    sweep_rate_vs_distance,
-)
+from diqkd.cli import ConfigError, RunConfig, load_config, main, run_pipeline, sweep_keyrate_vs_n
+from diqkd.tables import error_budget_report, pvalue_table, sweep_asymptotic_contour, sweep_rate_vs_distance
 
 PAPER_ANALYTIC = dict(analytic=True, s_obs=2.612, q_obs=0.0285)
 _COMMANDS = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
@@ -103,8 +92,8 @@ class TestConfig:
     def test_memoised_hash_equals_a_fresh_computation(self):
         config = RunConfig(n=1)
         first = config.config_hash()
-        assert config.config_hash() == first == replace(config).config_hash()  # replace() hashes afresh
-        assert replace(config, n=2).config_hash() == RunConfig(n=2).config_hash() != first
+        assert config.config_hash() == first == config.replace().config_hash()  # replace() hashes afresh
+        assert config.replace(n=2).config_hash() == RunConfig(n=2).config_hash() != first
         assert config == RunConfig(n=1)  # the memo is no field
 
 
@@ -225,6 +214,17 @@ class TestPipelineSimulated:
         cfg = RunConfig(n=30_000, seed=9, method="eat")
         assert run_pipeline(cfg).to_json() == run_pipeline(cfg).to_json()
 
+    @pytest.mark.parametrize("key, value", [("link.collection", "1.5"), ("link.alpha_excitation", "2")])
+    def test_bad_link_config_fails_before_any_draw(self, key, value):
+        # the link is checked before the rounds are drawn, as a sweep checks it before its key lengths
+        config = load_config(None, {key: value, "security.method": "eat", "protocol.n": "100000"})
+        before = rng_module.audit_total()
+        with pytest.raises(ConfigError, match="link budget"):
+            run_pipeline(config)
+        assert rng_module.audit_total() == before
+        with pytest.raises(ConfigError, match="link budget"):
+            sweep_keyrate_vs_n(config, [100_000])
+
 
 class TestMain:
     def test_pipeline_exit_zero(self, tmp_path, capsys):
@@ -329,6 +329,14 @@ class TestMain:
         cfg.write_text("security.eps_ec = 1e-30\nsecurity.analytic = true\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path), "pipeline"]) == 3
         assert "unknown config key 'security.eps_ec'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["pipeline", "sweep-n"])
+    def test_unreachable_heralding_probability_exits_three(self, tmp_path, capsys, command):
+        # an excitation probability above 1 used to end the pipeline in a ValueError traceback
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("link.alpha_excitation = 2\nsecurity.analytic = true\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path), command]) == 3
+        assert "link budget: alpha=2.0 outside [0, 1]" in capsys.readouterr().err
 
     def test_out_of_range_readout_flip_exits_three(self, tmp_path, capsys):
         # the outcome model's range check is the one check of the flip probability
@@ -515,7 +523,7 @@ class TestSweeps:
         cfg = RunConfig(method="renyi", renyi_alpha=1.01, delta=0.002)
         rows = sweep_keyrate_vs_n(cfg, [100_000])
         assert orders == [1.01]
-        report = run_pipeline(replace(cfg, n=100_000, analytic=True))
+        report = run_pipeline(cfg.replace(n=100_000, analytic=True))
         assert rows == [
             {"n": 100_000, "rate_eat": None, "rate_renyi": report.renyi_length / 100_000,
              "rate_asym": report.asymptotic_sifted}
@@ -527,7 +535,7 @@ class TestSweeps:
         rows = sweep_keyrate_vs_n(cfg, cfg.sweep_n_grid)
         want = []
         for n in sorted(cfg.sweep_n_grid):
-            report = run_pipeline(replace(cfg, n=n, analytic=True))
+            report = run_pipeline(cfg.replace(n=n, analytic=True))
             want.append(
                 {"n": n, "rate_eat": report.eat_length / n, "rate_renyi": report.renyi_length / n,
                  "rate_asym": report.asymptotic_sifted}
@@ -536,7 +544,7 @@ class TestSweeps:
 
     def test_sweep_runs_only_the_configured_method(self, monkeypatch):
         cfg = RunConfig(method="eat", renyi_alpha=1.01, delta=0.002)
-        report = run_pipeline(replace(cfg, n=100_000, analytic=True))
+        report = run_pipeline(cfg.replace(n=100_000, analytic=True))
 
         def no_renyi(*args, **kwargs):
             raise AssertionError("key_length_renyi called for method = eat")

@@ -22,7 +22,7 @@ from diqkd.eat import (
 )
 from diqkd.eat import _cut_point, _length_of_split
 from diqkd.protocol import ProtocolParams
-from oracles import eat_ell_for_split, eat_eta, eat_eta_opt, eat_key_length_search
+from oracles import delta_for_completeness_200, eat_ell_for_split, eat_eta, eat_eta_opt, eat_key_length_search
 from test_renyi import random_cells
 
 PAPER = HonestModel.from_chsh(2.612, 0.0285, 0.26, 0.13)
@@ -202,6 +202,18 @@ class TestCompleteness:
             d = delta_for_completeness(n, 0.26, 0.13, 0.8265, target=1e-2)
             m = 0.26 * 0.13 * 0.8265
             assert completeness_ea(n, m - d, 0.26, 0.13, 0.8265) == pytest.approx(1e-2, rel=1e-6)
+
+    def test_delta_solver_stops_early_at_the_full_runs_value(self):
+        # the bisection stops once its midpoint sits at an end of the bracket; every value is the 200-step one's
+        cases = [(1_208_000, 0.26, 0.13, 0.8265, 1e-2), (1, 0.5, 0.5, 0.85, 1.0 - 2.0**-53), (10**15, 0.2, 0.1, 0.8, 1e-300)]
+        gen = np.random.default_rng(5)
+        for _ in range(2000):
+            n = int(10 ** gen.uniform(1.0, 12.0))
+            gamma_a, gamma_b = gen.uniform(0.01, 0.99, 2)
+            omega = gen.uniform(0.7501, 0.85)
+            cases.append((n, float(gamma_a), float(gamma_b), float(omega), float(10 ** gen.uniform(-15.0, -0.01))))
+        got = [delta_for_completeness(*case) for case in cases]
+        assert got == [delta_for_completeness_200(*case) for case in cases]
 
     def test_monte_carlo_abort_below_bound(self):
         # 500 honest runs at n = 10^4: observed abort frequency must stay

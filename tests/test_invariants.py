@@ -7,7 +7,6 @@ length or its acceptance test is computed that breaks a direction
 fails here, even when every pinned point still holds.
 """
 
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +25,7 @@ def evaluate(**changes):
     vanishes, so the worst case over the box is at most the honest
     point's diluted entropy (1 - gamma_a gamma_b) H(S(omega_exp)).
     """
-    r = run_pipeline(replace(PAPER, **changes))
+    r = run_pipeline(PAPER.replace(**changes))
     ga, gb, omega = r.inputs["gamma_a"], r.inputs["gamma_b"], r.inputs["omega_exp"]
     bound = (1.0 - ga * gb) * sifted_entropy_bound(r.renyi_alpha, ga, gb, 8.0 * (omega - 0.5))
     assert r.renyi_h_alpha <= bound, changes

@@ -5,7 +5,7 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from diqkd import cli, mathcore, protocol
+from diqkd import cli, mathcore, protocol, tables
 from diqkd.mathcore import (
     binary_entropy,
     binomial_box,
@@ -143,7 +143,7 @@ class TestBinomialTail:
 
     def test_shipped_pvalues_against_exact_integer_sums(self):
         # at p = 3/4 the tail is sum C(n, i) 3^i / 4^n, exact in integers
-        for row in cli.pvalue_table():
+        for row in tables.pvalue_table():
             want = log10_tail_three_quarters(row["n_trials"], row["k"])
             assert abs(row["log10_p"] - want) <= 1e-12, row
 

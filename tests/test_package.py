@@ -1,5 +1,6 @@
 import ast
 import importlib
+import json
 import os
 import pkgutil
 import statistics
@@ -28,11 +29,11 @@ def test_start_up_does_not_import_scipy_stats():
     # a sweep; nor statistics, which pulls in fractions and decimal
     # (4-8 ms), nor hashlib (3-5 ms), which only a written artifact needs
     script = (
-        "import dataclasses, sys\n"
+        "import sys\n"
         "import diqkd, diqkd.cli\n"
         "config = diqkd.cli.load_config(None, {})\n"
-        "diqkd.cli.run_pipeline(dataclasses.replace(config, analytic=True))\n"
-        "diqkd.cli.run_pipeline(dataclasses.replace(config, n=10_000))\n"
+        "diqkd.cli.run_pipeline(config.replace(analytic=True))\n"
+        "diqkd.cli.run_pipeline(config.replace(n=10_000))\n"
         "diqkd.cli.sweep_keyrate_vs_n(config, [500_000, 10_000_000])\n"
         "print(sorted(m for m in sys.modules if m.startswith(('scipy', '_hashlib'))\n"
         "             or m in ('statistics', 'hashlib')))\n"
@@ -41,6 +42,41 @@ def test_start_up_does_not_import_scipy_stats():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def test_start_up_creates_no_dataclass_and_leaves_the_tables_unloaded(tmp_path):
+    # under PYTHONDONTWRITEBYTECODE every start compiles what it imports, and
+    # a frozen dataclass costs about 1.2 ms of code generation; so the
+    # benchmark's set-up imports (perfbench/workloads.py and worker.py), an
+    # analytic run, a simulated run and a sweep create none, and load
+    # neither the table builders nor the calibration bundle; a config file
+    # and the distance table do load calibration
+    (tmp_path / "run.cfg").write_text("protocol.n = 10000\n")
+    script = (
+        "import dataclasses, json, sys\n"
+        "made = []\n"
+        "process = dataclasses._process_class\n"
+        "dataclasses._process_class = lambda cls, *a, **k: made.append(cls.__name__) or process(cls, *a, **k)\n"
+        "from diqkd import cli, eat, postprocess, protocol, renyi, rng\n"
+        "config = cli.load_config(None, {'security.analytic': 'true', 'analysis.s_obs': '2.612'})\n"
+        "cli.run_pipeline(config)\n"
+        "cli.run_pipeline(config.replace(analytic=False, s_obs=None, n=10_000))\n"
+        "cli.sweep_keyrate_vs_n(config, [500_000, 10_000_000])\n"
+        "loaded = lambda: sorted(m for m in ('diqkd.calibration', 'diqkd.tables') if m in sys.modules)\n"
+        "steps = [made, loaded()]\n"
+        "cli.load_config('run.cfg')\n"
+        "steps.append(loaded())\n"
+        "assert cli.main(['--out', 'out', 'distance']) == 0\n"
+        "steps.append(loaded())\n"
+        "print(json.dumps(steps))\n"
+    )
+    src = str(Path(diqkd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
+    made, started, with_file, with_table = json.loads(out.stdout)
+    assert made == [] and started == []
+    assert with_file == ["diqkd.calibration"]
+    assert with_table == ["diqkd.calibration", "diqkd.tables"]
 
 
 def test_every_import_is_used():

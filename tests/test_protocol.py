@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import tracemalloc
 
@@ -219,7 +218,7 @@ class TestGeneration:
         before = audit_total()
         streamed = estimate(simulate_rounds(CAL_BEHAVIOR, p))
         assert audit_total() - before == 5 * n
-        assert repr(dataclasses.astuple(streamed)) == repr(dataclasses.astuple(estimate(tr)))
+        assert repr(tuple(streamed)) == repr(tuple(estimate(tr)))
         config = cli.load_config(None, {"security.method": "eat", "protocol.n": str(n), "seed": str(seed)})
         assert cli.run_pipeline(config).beta_freq == beta_freq(tr)
 
@@ -451,19 +450,19 @@ class TestEstimate:
     @pytest.mark.parametrize("seed", range(6))
     def test_count_tensor_equals_mask_oracle(self, seed):
         tr = _random_transcript(seed, empty_cell=seed % 3 == 1, no_key=seed % 3 == 2)
-        got = dataclasses.astuple(estimate(tr))
+        got = tuple(estimate(tr))
         assert repr(got) == repr(estimate_masks(tr))
         assert got[-1] == (seed % 3 != 0)  # flagged exactly when a cell is empty
 
     def test_generated_transcripts_equal_mask_oracle(self):
         for seed in (1, 2, 3):
             tr = generate_transcript(CAL_BEHAVIOR, params(n=30_000, seed=seed))
-            assert repr(dataclasses.astuple(estimate(tr))) == repr(estimate_masks(tr))
+            assert repr(tuple(estimate(tr))) == repr(estimate_masks(tr))
 
     @pytest.mark.parametrize("n", [CHUNK_ROUNDS - 1, CHUNK_ROUNDS, CHUNK_ROUNDS + 1, 2 * CHUNK_ROUNDS + 5])
     def test_block_edges_equal_mask_oracle(self, n):
         tr = generate_transcript(CAL_BEHAVIOR, params(n=n, seed=n))
-        assert repr(dataclasses.astuple(estimate(tr))) == repr(estimate_masks(tr))
+        assert repr(tuple(estimate(tr))) == repr(estimate_masks(tr))
 
     def test_streamed_peak_is_flat_in_n(self):
         peaks = []

@@ -1,7 +1,7 @@
 """End-to-end pipeline and sweep drivers with CSV/JSON reporting.
 
 Configuration is the flat ``section.key = value`` format (see
-calibration.parse_flat); every value here has a default, so an empty
+parse_flat); every value here has a default, so an empty
 config runs the 11 km operating point out of the box.  Reports are
 canonical: byte-for-byte reproducible from (config, seed), floats at
 full round-trip precision, and a config hash in every artifact.  The
@@ -37,6 +37,7 @@ __all__ = [
     "ConfigError",
     "InfeasibleError",
     "RunConfig",
+    "parse_flat",
     "KeyRateReport",
     "run_pipeline",
     "sweep_keyrate_vs_n",
@@ -195,12 +196,29 @@ class RunConfig(_RunConfigFields):
         return memo["_hash"]
 
 
+def parse_flat(text: str) -> dict[str, str]:
+    """Parse flat ``key = value`` lines into a dict; '#' starts a comment (run configs and data/*.cfg)."""
+    out: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
+        key, value = line.split("=", 1)
+        key = key.strip()
+        if not key:
+            raise ValueError(f"line {lineno}: empty key")
+        if key in out:
+            raise ValueError(f"line {lineno}: duplicate key {key!r}")
+        out[key] = value.strip()
+    return out
+
+
 def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) -> RunConfig:
     """Config file plus command-line overrides, validated into a RunConfig."""
     items: dict[str, str] = {}
     if path is not None:
-        from .calibration import parse_flat  # the config format's parser; a run without a file never loads it
-
         try:
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
@@ -278,20 +296,11 @@ def _model_behavior(config: RunConfig):
 
 
 def _link_models(config: RunConfig) -> tuple[link.LinkBudget, link.TimingModel]:
-    """The arm link budget and trial timing that a run configures."""
+    """The arm link budget and trial timing that a run configures, each field from the RunConfig field of its name."""
     try:
-        budget = link.LinkBudget(
-            collection=config.collection,
-            fiber_coupling=config.fiber_coupling,
-            qfc=config.qfc,
-            insertion=config.insertion,
-            bsm=config.bsm,
-            detector=config.detector,
-            atten_db_per_km=config.atten_db_per_km,
-            length_km=config.length_km,
-            measured_arm_transmission=config.measured_arm_transmission,
-        )
-        timing = link.TimingModel(overhead_s=config.overhead_s, duty_cycle=config.duty_cycle)
+        budget, timing = [
+            model(*[getattr(config, name) for name in model._fields]) for model in (link.LinkBudget, link.TimingModel)
+        ]
     except ValueError as exc:
         raise ConfigError(f"link budget: {exc}") from exc
     return budget, timing
@@ -532,10 +541,10 @@ def main(argv: Optional[list[str]] = None) -> int:
 
         if command == "pipeline":
             report = run_pipeline(config)
-            path = out_dir / "report.json"
-            _write_text(path, report.to_json())
+            path, text = out_dir / "report.json", report.to_json()
+            _write_text(path, text)
             print(f"wrote {path} (wall time {report.wall_time_s:.2f}s)", file=sys.stderr)
-            print(report.to_json(), end="")
+            print(text, end="")
             gates = {
                 "eat": [report.accepted],
                 "renyi": [report.accepted_box],

@@ -72,6 +72,7 @@ _CERT_ROUNDS = 12  # round cap of the certificate; its bound is sound at any rou
 _CERT_CELLS = 4096  # live-cell cap of the certificate, which keeps its rows' memory flat
 _CERT_TOL = 1e-9  # relative gap below the best evaluated value at which a cell is dropped
 _GRID_ROWS = 4096  # rows per grid call of the order search, which holds one point's 64-order grid
+_COARSE_ALPHAS = np.minimum(1.0 + np.logspace(-5.0, 0.0, _ALPHA_GRID), 2.0)  # increasing already; np.unique imports numpy.ma
 
 
 def _float_if_scalar(x):
@@ -514,8 +515,7 @@ def key_length_renyi(
         return ell[k, i], alphas[k, i]
 
     if alpha is None:
-        coarse = np.unique(np.minimum(1.0 + np.logspace(-5.0, 0.0, _ALPHA_GRID), 2.0))
-        ell, alphas = best_of(np.broadcast_to(coarse, (len(params), len(coarse))))
+        ell, alphas = best_of(np.broadcast_to(_COARSE_ALPHAS, (len(params), _ALPHA_GRID)))
         # one refinement pass: a finer log grid spanning one coarse spacing around each point's order
         spacing = 10.0 ** (5.0 / (_ALPHA_GRID - 1))
         ends = [(math.log10(max((a - 1.0) / spacing, 1e-7)), math.log10(min((a - 1.0) * spacing, 1.0))) for a in alphas]

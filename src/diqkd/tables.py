@@ -1,30 +1,96 @@
 """Calibration tables: the asymptotic contour, rates per fiber length, p-values and the infidelity budget.
 
 The ``contour``, ``distance``, ``pvalues`` and ``budget`` commands build
-their rows here.  cli imports this module only when one of them runs, so
-neither it nor the calibration bundle it reads costs the pipeline and
-sweep commands any start-up.
+their rows here, and this is the only module that reads the shipped
+calibration bundle (``data/*.cfg``, in cli's config format).  cli
+imports it only when one of those commands runs, so neither it nor the
+bundle costs the pipeline and sweep commands any start-up.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional
+from importlib import resources
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import eat, link
-from .calibration import load_distance_table, load_error_budget
-from .cli import ConfigError, RunConfig, _link_models
+from .cli import ConfigError, RunConfig, _link_models, parse_flat
 from .mathcore import binomial_tail, chsh_to_winprob
 from .quantum import fidelity_from_visibilities
 
 __all__ = [
+    "DistanceCalibration",
+    "load_distance_table",
+    "load_error_budget",
     "sweep_asymptotic_contour",
     "sweep_rate_vs_distance",
     "pvalue_table",
     "error_budget_report",
 ]
+
+
+class DistanceCalibration(NamedTuple):
+    """One row of the per-distance calibration bundle.
+
+    Fields tagged reconstructed in the data file are derived values (see
+    the file header for the derivations); the rest are measured anchors.
+    """
+
+    length_km: float
+    fiber_transmission: float
+    total_arm_eff: float
+    fidelity: float
+    qber: float
+    v_zz: float
+    v_xx: float
+    s_pvalue: float
+    n_trials: int
+    pvalue_log10: float
+    alpha_excitation: float
+    s_obs: Optional[float] = None  # directly measured CHSH value, where available
+
+    def link_budget(self, defaults: link.LinkBudget) -> link.LinkBudget:
+        """The given budget at this length, with the measured fiber transmission override (checked again)."""
+        return link.LinkBudget(
+            **{**defaults._asdict(), "length_km": self.length_km, "measured_arm_transmission": self.fiber_transmission}
+        )
+
+
+def _read_bundle(name: str) -> dict[str, str]:
+    """One shipped data file, parsed."""
+    return parse_flat(resources.files("diqkd.data").joinpath(name).read_text(encoding="utf-8"))
+
+
+def load_distance_table() -> list[DistanceCalibration]:
+    """The calibrated rows in file order, each field read by name; s_obs, which has a default, only where given."""
+    cfg = _read_bundle("distances.cfg")
+    rows = []
+    for ell in cfg["distances"].split(","):
+        pre = f"distance.{ell.strip()}."
+        row = {"length_km": float(ell)}
+        for name in DistanceCalibration._fields[1:]:  # after length_km, the row's own key
+            if name not in DistanceCalibration._field_defaults or pre + name in cfg:
+                row[name] = (int if name == "n_trials" else float)(cfg[pre + name])
+        rows.append(DistanceCalibration(**row))
+    return rows
+
+
+def load_error_budget() -> tuple[list[str], dict[float, dict[str, float]]]:
+    """Infidelity budget rows: (source names, {length: {source: value, 'total': t}})."""
+    cfg = _read_bundle("error_budget.cfg")
+    sources = [s.strip() for s in cfg["budget.sources"].split(",")]
+    table: dict[float, dict[str, float]] = {}
+    lengths = sorted(
+        {float(k.split(".")[1]) for k in cfg if k.startswith("budget.") and k.split(".")[1].isdigit()}
+    )
+    for ell in lengths:
+        pre = f"budget.{ell:g}."
+        row = {src: float(cfg[pre + src]) for src in sources}
+        row["total"] = float(cfg[pre + "total"])
+        table[ell] = row
+    return sources, table
 
 
 def sweep_asymptotic_contour(s_grid: list[float], q_grid: list[float]) -> dict:

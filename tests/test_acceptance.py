@@ -23,7 +23,6 @@ import time
 
 import numpy as np
 
-from diqkd.calibration import load_distance_table
 from diqkd.cli import RunConfig, run_pipeline
 from diqkd.eat import delta_for_completeness, g_func, g_slope, gamma_eff
 from diqkd.link import LinkBudget, TimingModel, arm_efficiency, event_rate, success_probability_spi, success_probability_tpi
@@ -40,7 +39,7 @@ from diqkd.protocol import (
 )
 from diqkd.quantum import NoiseParams, build_heralded_state, fidelity_from_visibilities
 from diqkd.renyi import renyi_key_entropy, sift_weights
-from diqkd.tables import pvalue_table
+from diqkd.tables import load_distance_table, pvalue_table
 
 from oracles import generate_columns_oneshot, log2_binomial_tail
 

@@ -9,12 +9,17 @@ import pytest
 
 from diqkd import cli, eat, renyi
 from diqkd import rng as rng_module
-from diqkd.calibration import load_distance_table
 from diqkd.link import LinkBudget, TimingModel
 from diqkd.protocol import ProtocolParams, behavior_from_state
 from diqkd.quantum import NoiseParams, build_heralded_state
-from diqkd.cli import ConfigError, RunConfig, load_config, main, run_pipeline, sweep_keyrate_vs_n
-from diqkd.tables import error_budget_report, pvalue_table, sweep_asymptotic_contour, sweep_rate_vs_distance
+from diqkd.cli import ConfigError, RunConfig, load_config, main, parse_flat, run_pipeline, sweep_keyrate_vs_n
+from diqkd.tables import (
+    error_budget_report,
+    load_distance_table,
+    pvalue_table,
+    sweep_asymptotic_contour,
+    sweep_rate_vs_distance,
+)
 
 PAPER_ANALYTIC = dict(analytic=True, s_obs=2.612, q_obs=0.0285)
 _COMMANDS = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction)).choices
@@ -34,6 +39,13 @@ class TestConfig:
         assert cfg.method == "eat"
         assert cfg.seed == 42
         assert cfg.out_dir == "out"
+
+    def test_parse_flat_rejects_garbage(self):
+        with pytest.raises(ValueError):
+            parse_flat("not a key value line")
+        with pytest.raises(ValueError):
+            parse_flat("a = 1\na = 2")
+        assert parse_flat("# comment\n a.b = 3 # trailing\n") == {"a.b": "3"}
 
     def test_unknown_key_rejected(self, tmp_path):
         p = tmp_path / "run.cfg"
@@ -591,8 +603,6 @@ class TestSweeps:
 
 class TestPvalueTable:
     def test_shipped_rows_reproduce_published_pvalues(self):
-        from diqkd.calibration import load_distance_table
-
         table = {r.length_km: r.pvalue_log10 for r in load_distance_table()}
         for row in pvalue_table():
             assert row["log10_p"] == pytest.approx(table[row["length_km"]], abs=2.0)

@@ -1,13 +1,11 @@
 import math
+import re
+from importlib import resources
 
 import numpy as np
 import pytest
 
-from diqkd.calibration import (
-    load_distance_table,
-    load_error_budget,
-    parse_flat,
-)
+from diqkd import tables
 from diqkd.link import (
     LinkBudget,
     TimingModel,
@@ -17,6 +15,7 @@ from diqkd.link import (
     success_probability_tpi,
 )
 from diqkd.quantum import fidelity_from_visibilities
+from diqkd.tables import load_distance_table, load_error_budget
 
 DEFAULTS, TIMING = LinkBudget(), TimingModel()
 TABLE = load_distance_table()
@@ -119,12 +118,28 @@ class TestEventRate:
 
 
 class TestCalibrationData:
-    def test_parse_flat_rejects_garbage(self):
-        with pytest.raises(ValueError):
-            parse_flat("not a key value line")
-        with pytest.raises(ValueError):
-            parse_flat("a = 1\na = 2")
-        assert parse_flat("# comment\n a.b = 3 # trailing\n") == {"a.b": "3"}
+    def test_distance_rows_are_the_file_text_by_field_name(self):
+        # read apart from parse_flat: every distance.<length>.<field> line of the file
+        text = resources.files("diqkd.data").joinpath("distances.cfg").read_text(encoding="utf-8")
+        raw = {}
+        for ell, name, value in re.findall(r"^distance\.(\d+)\.(\w+) = (\S+)$", text, re.M):
+            raw.setdefault(float(ell), {})[name] = value
+        assert [r.length_km for r in TABLE] == list(raw)
+        for row in TABLE:
+            for name, value in row._asdict().items():
+                if name == "length_km":
+                    continue
+                if name == "s_obs" and row.length_km != 11.0:
+                    assert value is None and name not in raw[row.length_km]
+                    continue
+                kind = int if name == "n_trials" else float
+                assert type(value) is kind and value == kind(raw[row.length_km][name]), (row.length_km, name)
+
+    def test_distance_row_missing_a_field_raises(self, monkeypatch):
+        read = tables._read_bundle
+        monkeypatch.setattr(tables, "_read_bundle", lambda name: {k: v for k, v in read(name).items() if k != "distance.20.qber"})
+        with pytest.raises(KeyError, match="distance.20.qber"):
+            load_distance_table()
 
     def test_distance_table_shape(self):
         assert [r.length_km for r in TABLE] == [11.0, 20.0, 50.0, 70.0, 100.0]

@@ -44,13 +44,34 @@ def test_start_up_does_not_import_scipy_stats():
     assert out.stdout.strip() == "[]"
 
 
+def test_runs_load_no_numpy_module_past_import_numpy():
+    # a numpy module first loaded by a run is start-up that every command pays
+    # at its first call: np.unique, for one, imports numpy.ma (16-18 ms)
+    script = (
+        "import sys\n"
+        "import numpy\n"
+        "before = set(sys.modules)\n"
+        "import diqkd.cli\n"
+        "config = diqkd.cli.load_config(None, {})\n"
+        "diqkd.cli.run_pipeline(config.replace(analytic=True))\n"
+        "diqkd.cli.run_pipeline(config.replace(n=10_000))\n"
+        "diqkd.cli.sweep_keyrate_vs_n(config, [500_000, 10_000_000])\n"
+        "print(sorted(m for m in set(sys.modules) - before if m.startswith('numpy')))\n"
+    )
+    src = str(Path(diqkd.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_start_up_creates_no_dataclass_and_leaves_the_tables_unloaded(tmp_path):
     # under PYTHONDONTWRITEBYTECODE every start compiles what it imports, and
     # a frozen dataclass costs about 1.2 ms of code generation; so the
     # benchmark's set-up imports (perfbench/workloads.py and worker.py), an
-    # analytic run, a simulated run and a sweep create none, and load
-    # neither the table builders nor the calibration bundle; a config file
-    # and the distance table do load calibration
+    # analytic run, a simulated run and a sweep create none and leave the
+    # table builders unloaded; a config file then loads no further diqkd
+    # module, and the distance table loads tables alone (diqkd.data, the
+    # namespace package importlib.resources reads the bundle from, is data)
     (tmp_path / "run.cfg").write_text("protocol.n = 10000\n")
     script = (
         "import dataclasses, json, sys\n"
@@ -62,7 +83,7 @@ def test_start_up_creates_no_dataclass_and_leaves_the_tables_unloaded(tmp_path):
         "cli.run_pipeline(config)\n"
         "cli.run_pipeline(config.replace(analytic=False, s_obs=None, n=10_000))\n"
         "cli.sweep_keyrate_vs_n(config, [500_000, 10_000_000])\n"
-        "loaded = lambda: sorted(m for m in ('diqkd.calibration', 'diqkd.tables') if m in sys.modules)\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.startswith('diqkd.') and m != 'diqkd.data')\n"
         "steps = [made, loaded()]\n"
         "cli.load_config('run.cfg')\n"
         "steps.append(loaded())\n"
@@ -74,9 +95,9 @@ def test_start_up_creates_no_dataclass_and_leaves_the_tables_unloaded(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True, text=True, check=True)
     made, started, with_file, with_table = json.loads(out.stdout)
-    assert made == [] and started == []
-    assert with_file == ["diqkd.calibration"]
-    assert with_table == ["diqkd.calibration", "diqkd.tables"]
+    assert made == [] and "diqkd.cli" in started and "diqkd.tables" not in started
+    assert with_file == started
+    assert with_table == sorted([*started, "diqkd.tables"])
 
 
 def test_every_import_is_used():

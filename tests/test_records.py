@@ -8,7 +8,7 @@ tuple.__new__ and skips it, so no code path calls that.
 import numpy as np
 import pytest
 
-from diqkd import calibration, cli, eat, link, protocol, quantum, renyi
+from diqkd import cli, eat, link, protocol, quantum, renyi, tables
 
 PARAMS = protocol.ProtocolParams(
     n=1000, gamma_a=0.26, gamma_b=0.13, omega_exp=0.8265, delta=0.0, box_lo=(0, 0, 0), box_hi=(1000,) * 3
@@ -22,7 +22,7 @@ def _instances():
     return {
         "RunConfig": report.config,
         "KeyRateReport": report,
-        "DistanceCalibration": calibration.load_distance_table()[0],
+        "DistanceCalibration": tables.load_distance_table()[0],
         "RenyiResult": renyi.key_length_renyi([PARAMS], 1e-5, [0.0], alpha=1.5)[0],
         "EatResult": eat.key_length_eat(PARAMS, 1e-5, 0.0),
         "EstimateResult": protocol.estimate(rows),
@@ -84,7 +84,7 @@ def test_run_config_replace_checks_again():
 
 
 def test_calibrated_link_budget_checks_again():
-    row = calibration.load_distance_table()[0]
+    row = tables.load_distance_table()[0]
     budget = row.link_budget(link.LinkBudget(qfc=0.5))
     assert budget.qfc == 0.5 and budget.length_km == row.length_km
     assert budget.measured_arm_transmission == row.fiber_transmission

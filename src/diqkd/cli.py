@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import collections
+import contextlib
 import json
 import math
 import sys
@@ -51,6 +52,17 @@ class ConfigError(ValueError):
 
 class InfeasibleError(RuntimeError):
     """The requested evaluation has no feasible answer (exit code 4)."""
+
+
+@contextlib.contextmanager
+def _stage(label: str = "", error: type = ConfigError):
+    """A stage's ValueError becomes error, its message after ``label: ``; a ConfigError passes through as raised."""
+    try:
+        yield
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise error(f"{label}: {exc}" if label else str(exc)) from exc
 
 
 def _parse_bool(text: str) -> bool:
@@ -163,13 +175,18 @@ class RunConfig(_RunConfigFields):
         if self.renyi_alpha is not None and not 1.0 < self.renyi_alpha <= 2.0:
             raise ConfigError(f"security.renyi_alpha={self.renyi_alpha} outside (1, 2]")
         # the sweeps' range checks, so every command rejects a grid that only one reads
-        # (sweep.lengths is checked by distance: it would read the calibration bundle at start-up)
         if not all(n >= 1 for n in self.sweep_n_grid):
             raise ConfigError(f"sweep.n_grid: block sizes must be >= 1, got {self.sweep_n_grid}")
         if not all(2.0 <= s <= TSIRELSON_CHSH + 1e-12 for s in self.sweep_s_grid):
             raise ConfigError(f"sweep.s_grid: need CHSH values in [2, 2 sqrt 2], got {self.sweep_s_grid}")
         if not all(0.0 <= q <= 1.0 for q in self.sweep_q_grid):
             raise ConfigError(f"sweep.q_grid: need QBERs in [0, 1], got {self.sweep_q_grid}")
+        if self.sweep_lengths:  # the calibration bundle is read only when the key is set
+            from .tables import load_distance_table
+
+            unknown = set(self.sweep_lengths).difference(r.length_km for r in load_distance_table())
+            if unknown:
+                raise ConfigError(f"sweep.lengths: {sorted(unknown)} are not calibrated lengths")
         return self
 
     def __setattr__(self, name: str, value) -> None:
@@ -223,10 +240,8 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
             text = Path(path).read_text(encoding="utf-8")
         except OSError as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
-        try:
+        with _stage():
             items = parse_flat(text)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
     if overrides:
         items.update({k: str(v) for k, v in overrides.items() if v is not None})
     kwargs = {}
@@ -238,10 +253,7 @@ def load_config(path: Optional[str] = None, overrides: Optional[dict] = None) ->
             kwargs[name] = parse(value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {value!r}") from exc
-    try:
-        return RunConfig(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    return RunConfig(**kwargs)  # its checks raise ConfigError
 
 
 class KeyRateReport(NamedTuple):
@@ -297,46 +309,36 @@ def _model_behavior(config: RunConfig):
 
 def _link_models(config: RunConfig) -> tuple[link.LinkBudget, link.TimingModel]:
     """The arm link budget and trial timing that a run configures, each field from the RunConfig field of its name."""
-    try:
-        budget, timing = [
-            model(*[getattr(config, name) for name in model._fields]) for model in (link.LinkBudget, link.TimingModel)
-        ]
-    except ValueError as exc:
-        raise ConfigError(f"link budget: {exc}") from exc
-    return budget, timing
+    with _stage("link budget"):
+        models = (link.LinkBudget, link.TimingModel)
+        return tuple(model(*[getattr(config, name) for name in model._fields]) for model in models)
 
 
 def _link_summary(config: RunConfig) -> dict:
     """The report's link summary: arm efficiency, heralding probability and event rate at the configured length."""
-    budget, timing = _link_models(config)
-    try:
+    with _stage("link budget"):  # _link_models's own ConfigError passes through, labelled once
+        budget, timing = _link_models(config)
         eff = link.arm_efficiency(budget)
         p_s = link.success_probability_spi(config.alpha_excitation, eff)
         events_per_s = link.event_rate(p_s, timing, config.length_km)
-    except ValueError as exc:
-        raise ConfigError(f"link budget: {exc}") from exc
     return {"length_km": config.length_km, "arm_efficiency": eff, "p_spi": p_s, "events_per_s": events_per_s}
 
 
 def _operating_point(config: RunConfig):
     """What no block size changes: the model behavior, its (S, Q), the (S, Q) evaluated and the honest model there."""
-    try:
+    with _stage("physical model"):
         behavior = _model_behavior(config)
-    except ValueError as exc:
-        raise ConfigError(f"physical model: {exc}") from exc
     s_model, q_model = behavior.chsh_value(), behavior.key_qber()
     s_eval = config.s_obs if config.s_obs is not None else s_model
     q_eval = config.q_obs if config.q_obs is not None else q_model
-    try:
+    with _stage("operating point"):
         model = HonestModel.from_chsh(s_eval, q_eval, config.gamma_a, config.gamma_b)
-    except ValueError as exc:
-        raise ConfigError(f"operating point: {exc}") from exc
     return behavior, (s_model, q_model), (s_eval, q_eval), model
 
 
 def _front(config: RunConfig, n: int, omega_test: float, model: HonestModel) -> tuple[protocol.ProtocolParams, float]:
     """The protocol at block size n, its threshold and count box built around omega_test, and its leak_ec."""
-    try:
+    with _stage("acceptance test"):
         delta = config.delta
         if delta is None:
             delta = eat.delta_for_completeness(n, config.gamma_a, config.gamma_b, omega_test, target=config.eps_ea_com)
@@ -351,12 +353,8 @@ def _front(config: RunConfig, n: int, omega_test: float, model: HonestModel) -> 
             box_hi=box_hi,
             seed=config.seed,
         )
-    except ValueError as exc:
-        raise ConfigError(f"acceptance test: {exc}") from exc
-    try:
+    with _stage("security"):
         return params, eat.leak_ec(n, model, config.eps_ec_com)
-    except ValueError as exc:
-        raise ConfigError(f"security: {exc}") from exc
 
 
 def _key_lengths(
@@ -364,13 +362,11 @@ def _key_lengths(
 ) -> tuple[list, list]:
     """Each point's EAT and Renyi results, None where the method does not run; one Renyi call for all points."""
     eat_res = renyi_res = [None] * len(params)
-    try:
+    with _stage(error=InfeasibleError):
         if config.method in ("eat", "both"):
             eat_res = [eat.key_length_eat(p, config.eps_snd, lec) for p, lec in zip(params, lecs)]
         if config.method in ("renyi", "both"):
             renyi_res = renyi.key_length_renyi(params, config.eps_snd, lecs, alpha=config.renyi_alpha)
-    except ValueError as exc:
-        raise InfeasibleError(str(exc)) from exc
     return eat_res, renyi_res
 
 
@@ -411,14 +407,8 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
     report = KeyRateReport(
         config=config,
         inputs={
-            "n": config.n,
-            "gamma_a": config.gamma_a,
-            "gamma_b": config.gamma_b,
+            **{name: getattr(config, name) for name in "n gamma_a gamma_b eps_snd method analytic seed".split()},
             "omega_exp": params.omega_exp,
-            "eps_snd": config.eps_snd,
-            "method": config.method,
-            "analytic": config.analytic,
-            "seed": config.seed,
             "s_eval": s_eval,
             "q_eval": q_eval,
         },
@@ -433,17 +423,10 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
         accepted_box=accepted_box,
         rng_draws=draws,
         link_summary=link_summary,
-        eat_length=None if eat_res is None else eat_res.length,
-        eat_raw_length=None if eat_res is None else eat_res.raw_length,
-        eat_rate=None if eat_res is None else eat_res.rate,
-        eat_splits=None if eat_res is None else eat_res.splits,
-        eat_pt=None if eat_res is None else eat_res.pt_opt,
+        # each result's fields by name, None where its method did not run (getattr of None)
+        **{f"eat_{name}": getattr(eat_res, name, None) for name in eat.EatResult._fields},
         eat_delta=None if eat_res is None else params.delta,
-        renyi_length=None if renyi_res is None else renyi_res.length,
-        renyi_raw_length=None if renyi_res is None else renyi_res.raw_length,
-        renyi_rate=None if renyi_res is None else renyi_res.rate,
-        renyi_alpha=None if renyi_res is None else renyi_res.alpha,
-        renyi_h_alpha=None if renyi_res is None else renyi_res.h_alpha_bits,
+        **{f"renyi_{name}": getattr(renyi_res, name, None) for name in renyi.RenyiResult._fields},
         leak_ec_bits=lec,
         asymptotic_sifted=eat.asymptotic_rate_sifted(s_eval, q_eval, config.gamma_a, config.gamma_b),
         asymptotic_nosift=eat.asymptotic_rate_nosift(s_eval, q_eval),

@@ -221,7 +221,7 @@ class EatResult(NamedTuple):
     raw_length: float
     rate: float
     splits: dict[str, float]  # the optimized split, keyed by _SPLIT_FIELDS
-    pt_opt: float
+    pt: float  # the cut point
 
 
 def _length_of_split(params: ProtocolParams, omega_in: float, lec: float):

@@ -468,7 +468,7 @@ class RenyiResult(NamedTuple):
     raw_length: float
     rate: float
     alpha: float
-    h_alpha_bits: float
+    h_alpha: float
 
 
 def key_length_renyi(

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from . import eat, link
-from .cli import ConfigError, RunConfig, _link_models, parse_flat
+from .cli import RunConfig, _link_models, _stage, parse_flat
 from .mathcore import binomial_tail, chsh_to_winprob
 from .quantum import fidelity_from_visibilities
 
@@ -97,12 +97,10 @@ def sweep_asymptotic_contour(s_grid: list[float], q_grid: list[float]) -> dict:
     """Sifting-free asymptotic rate on an (S, Q) grid, with the zero contour."""
     s_sorted, q_sorted = sorted(s_grid), sorted(q_grid)
     rates = np.empty((len(s_sorted), len(q_sorted)))
-    try:
+    with _stage("contour grid"):
         for i, s in enumerate(s_sorted):
             for j, q in enumerate(q_sorted):
                 rates[i, j] = eat.asymptotic_rate_nosift(s, q)
-    except ValueError as exc:
-        raise ConfigError(f"contour grid: {exc}") from exc
     zero = []
     for i, s in enumerate(s_sorted):
         row = rates[i]
@@ -120,16 +118,10 @@ def sweep_rate_vs_distance(config: RunConfig) -> list[dict]:
 
     Link components and timing come from the config; each length's row
     supplies its measured fiber transmission and excitation probability.
-    sweep.lengths, when set, keeps only those calibrated lengths.
+    sweep.lengths, when set, keeps only those calibrated lengths (RunConfig checks they are).
     """
     defaults, timing = _link_models(config)
-    table = load_distance_table()
-    if config.sweep_lengths:
-        keep = set(config.sweep_lengths)
-        unknown = keep.difference(r.length_km for r in table)
-        if unknown:
-            raise ConfigError(f"sweep.lengths: {sorted(unknown)} are not calibrated lengths")
-        table = [r for r in table if r.length_km in keep]
+    table = [r for r in load_distance_table() if not config.sweep_lengths or r.length_km in config.sweep_lengths]
     rows_out = []
     for row in sorted(table, key=lambda r: r.length_km):
         eff = link.arm_efficiency(row.link_budget(defaults))

@@ -226,6 +226,13 @@ class TestPipelineSimulated:
         cfg = RunConfig(n=30_000, seed=9, method="eat")
         assert run_pipeline(cfg).to_json() == run_pipeline(cfg).to_json()
 
+    def test_run_functions_write_nothing(self, capfd):
+        # only main writes: a stray print or warning would land in a run's output streams
+        run_pipeline(RunConfig(**PAPER_ANALYTIC))
+        run_pipeline(RunConfig(n=20_000, seed=5))
+        sweep_keyrate_vs_n(RunConfig(), [10**5, 10**6])
+        assert capfd.readouterr() == ("", "")
+
     @pytest.mark.parametrize("key, value", [("link.collection", "1.5"), ("link.alpha_excitation", "2")])
     def test_bad_link_config_fails_before_any_draw(self, key, value):
         # the link is checked before the rounds are drawn, as a sweep checks it before its key lengths
@@ -356,6 +363,57 @@ class TestMain:
         cfg.write_text("physical.readout_flip = 1.5\nsecurity.analytic = true\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path), "pipeline"]) == 3
         assert "physical model: readout_flip=1.5 outside [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "body, argv, message",
+        [
+            ("foo\n", ["pipeline"], "line 1: expected 'key = value', got 'foo'"),
+            ("security.method = foo\n", ["pipeline"], "method must be eat, renyi or both, got 'foo'"),
+            ("analysis.q_obs = 0.6\n", ["--analytic", "pipeline"], "operating point: q=0.6 outside [0, 1/2]"),
+            ("security.eps_com_at = 2\n", ["--analytic", "pipeline"],
+             "acceptance test: eps_com_at must lie in (0, 1), got 2.0"),
+            ("security.eps_ec_com = 2\n", ["--analytic", "pipeline"], "security: eps_ec_com must lie in (0, 1)"),
+            ("link.collection = 1.5\n", ["--analytic", "pipeline"], "link budget: collection=1.5 outside [0, 1]"),
+            ("link.collection = 1.5\n", ["sweep-n"], "link budget: collection=1.5 outside [0, 1]"),
+            ("link.collection = 1.5\n", ["distance"], "link budget: collection=1.5 outside [0, 1]"),
+            # RunConfig allows S to 2 sqrt2 + 1e-12; the entropy bound's own domain ends about 8e-15 above it
+            ("", ["contour", "--s-grid", "2.8284271247467", "--q-grid", "0.01"],
+             "contour grid: g is defined on [3/4, (2+sqrt2)/4], got 0.8535533905933375"),
+            ("sweep.lengths = 11,12\n", ["distance"], "sweep.lengths: [12.0] are not calibrated lengths"),
+        ],
+    )
+    def test_each_stage_names_itself_once(self, tmp_path, capsys, body, argv, message):
+        # one stderr line, the failing stage's label written once, and no artifact
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(body)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), *argv]) == 3
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert not list((tmp_path / "out").glob("*"))  # made only after the config loads
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    def test_uncalibrated_length_rejected_by_every_command(self, tmp_path, capsys, command):
+        # distance reads sweep.lengths, but every command rejects a length the bundle lacks
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text("sweep.lengths = 12\nsecurity.analytic = true\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path), command]) == 3
+        assert capsys.readouterr() == ("", "config error: sweep.lengths: [12.0] are not calibrated lengths\n")
+        assert not list(tmp_path.glob("*.csv")) and not list(tmp_path.glob("*.json"))
+
+    def test_missing_config_file_exits_three(self, tmp_path, capsys):
+        path = tmp_path / "missing.cfg"
+        assert main(["--config", str(path), "--out", str(tmp_path), "pipeline"]) == 3
+        assert capsys.readouterr() == (
+            "", f"config error: cannot read config {path}: [Errno 2] No such file or directory: '{path}'\n"
+        )
+
+    def test_key_length_failure_exits_four(self, tmp_path, capsys, monkeypatch):
+        def infeasible(*args, **kwargs):
+            raise ValueError("no split certifies a key")
+
+        monkeypatch.setattr(eat, "key_length_eat", infeasible)
+        assert main(["--out", str(tmp_path), "--analytic", "pipeline"]) == 4
+        assert capsys.readouterr() == ("", "infeasible: no split certifies a key\n")
+        assert not (tmp_path / "report.json").exists()
 
     @pytest.mark.parametrize(
         "command, flag, key, value",

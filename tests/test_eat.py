@@ -140,7 +140,7 @@ class TestEta:
         res = eat_length(10**14)
         delta = delta_for_completeness(10**14, 0.26, 0.13, PAPER.omega, target=1e-2)
         w_tested = PAPER.omega - delta / gamma_eff(0.26, 0.13)
-        assert res.pt_opt == w_tested
+        assert res.pt == w_tested
 
     def test_g_slope_nondecreasing(self):
         # the fact the closed-form cut point rests on: g is convex
@@ -308,7 +308,7 @@ class TestSplitSearchMatchesOracle:
     def assert_matches(params, lec):
         res = key_length_eat(params, 1e-5, lec)
         length, raw, splits, pt = eat_key_length_search(params, 1e-5, lec)
-        assert (res.length, res.raw_length, res.splits, res.pt_opt) == (length, raw, splits, pt), params
+        assert (res.length, res.raw_length, res.splits, res.pt) == (length, raw, splits, pt), params
 
     def test_paper_point(self):
         n = 1_208_000

@@ -584,7 +584,7 @@ class TestKeyLength:
         (res,) = key_length_renyi([params], 1e-5, [paper_leak()], alpha=1.001)
         assert res.alpha == 1.001
         assert res.raw_length == pytest.approx(
-            N_PAPER * res.h_alpha_bits
+            N_PAPER * res.h_alpha
             - (N_PAPER - params.box_lo[2])
             - paper_leak()
             - 64.0

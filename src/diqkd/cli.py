@@ -169,6 +169,11 @@ class RunConfig(_RunConfigFields):
                 )
             if not 0.75 < self.omega_exp <= TSIRELSON_WIN:
                 raise ConfigError(f"protocol.omega_exp={self.omega_exp} outside (3/4, (2+sqrt2)/4]")
+        # the model's own range checks, in its words, so every command rejects a value that only some read
+        if not 0.0 <= self.readout_flip <= 1.0:
+            raise ConfigError(f"physical model: readout_flip={self.readout_flip} outside [0, 1]")
+        if not 0.0 <= self.alpha_excitation <= 1.0:
+            raise ConfigError(f"link budget: alpha={self.alpha_excitation} outside [0, 1]")
         # the certificates' own range checks, made before any of them runs
         if not eat.EPS_EC < self.eps_snd < 1.0:
             raise ConfigError(f"security.eps_snd={self.eps_snd} outside (EPS_EC = 2^-61, 1)")
@@ -336,25 +341,36 @@ def _operating_point(config: RunConfig):
     return behavior, (s_model, q_model), (s_eval, q_eval), model
 
 
-def _front(config: RunConfig, n: int, omega_test: float, model: HonestModel) -> tuple[protocol.ProtocolParams, float]:
-    """The protocol at block size n, its threshold and count box built around omega_test, and its leak_ec."""
+def _fronts(
+    config: RunConfig, ns: Sequence[int], omega_test: float, model: HonestModel
+) -> tuple[list[protocol.ProtocolParams], list[float]]:
+    """The protocol at each block size of ns, its threshold and count box built around omega_test, and its leak_ec.
+
+    All the boxes come from one build_acceptance_set call.
+    """
     with _stage("acceptance test"):
-        delta = config.delta
-        if delta is None:
-            delta = eat.delta_for_completeness(n, config.gamma_a, config.gamma_b, omega_test, target=config.eps_ea_com)
-        box_lo, box_hi = build_acceptance_set(n, config.gamma_a, config.gamma_b, omega_test, config.eps_com_at)
-        params = protocol.ProtocolParams(
-            n=n,
-            gamma_a=config.gamma_a,
-            gamma_b=config.gamma_b,
-            omega_exp=omega_test,
-            delta=delta,
-            box_lo=box_lo,
-            box_hi=box_hi,
-            seed=config.seed,
-        )
+        deltas = [
+            config.delta
+            if config.delta is not None
+            else eat.delta_for_completeness(n, config.gamma_a, config.gamma_b, omega_test, target=config.eps_ea_com)
+            for n in ns
+        ]
+        boxes = build_acceptance_set(ns, config.gamma_a, config.gamma_b, omega_test, config.eps_com_at)
+        params = [
+            protocol.ProtocolParams(
+                n=n,
+                gamma_a=config.gamma_a,
+                gamma_b=config.gamma_b,
+                omega_exp=omega_test,
+                delta=delta,
+                box_lo=box_lo,
+                box_hi=box_hi,
+                seed=config.seed,
+            )
+            for n, delta, (box_lo, box_hi) in zip(ns, deltas, boxes)
+        ]
     with _stage("security"):
-        return params, eat.leak_ec(n, model, config.eps_ec_com)
+        return params, [eat.leak_ec(n, model, config.eps_ec_com) for n in ns]
 
 
 def _key_lengths(
@@ -387,7 +403,7 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
     t0 = time.perf_counter()
     behavior, (s_model, q_model), (s_eval, q_eval), model = _operating_point(config)
     omega_exp = config.omega_exp if config.omega_exp is not None else behavior.chsh_win_probability()
-    params, lec = _front(config, config.n, model.omega if config.analytic else omega_exp, model)
+    (params,), (lec,) = _fronts(config, [config.n], model.omega if config.analytic else omega_exp, model)
     link_summary = _link_summary(config)  # before any draw: a bad link config fails at once
 
     if config.analytic:
@@ -447,7 +463,7 @@ def sweep_keyrate_vs_n(config: RunConfig, n_grid: list[int]) -> list[dict]:
     config = config.replace(analytic=True)
     ns = [int(n) for n in sorted(n_grid)]
     _, _, (s_eval, q_eval), model = _operating_point(config)
-    params, lecs = zip(*[_front(config, n, model.omega, model) for n in ns])
+    params, lecs = _fronts(config, ns, model.omega, model)
     _link_summary(config)  # a link config the pipeline rejects fails the sweep too
     eat_res, renyi_res = _key_lengths(config, params, lecs)
     rate_asym = eat.asymptotic_rate_sifted(s_eval, q_eval, config.gamma_a, config.gamma_b)

@@ -269,25 +269,35 @@ def golden_min(f, a, b, steps: int):
     """Golden-section search for a minimum of f on each bracket [a[i], b[i]].
 
     Every bracket is reduced in lockstep (``np.where`` on fc < fd; ties
-    move the bracket right): f is called once with both first interior
-    points, stacked on a new leading axis, then once per step with the
-    array of new points, and must return their values elementwise; each
-    bracket takes exactly the steps it would take alone.  Returns the two
-    interior points left after ``steps`` reductions and their values,
-    (c, f(c), d, f(d)); callers compare them with their own grid best.
+    move the bracket right); f gets points stacked on a new leading axis
+    and must return their values elementwise, so each bracket takes
+    exactly the steps it would take alone.  The first call evaluates both
+    first interior points.  After that, a step's new point is known before
+    f runs, and the step after it narrows left or right, so its new point
+    is one of two also known then: one call evaluates all three and serves
+    two steps, at the points and with the comparisons of one call per
+    step.  Returns the two interior points left after ``steps``
+    reductions and their values, (c, f(c), d, f(d)); callers compare them
+    with their own grid best.
     """
     inv = (math.sqrt(5.0) - 1.0) / 2.0
     a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     c, d = b - inv * (b - a), a + inv * (b - a)
     fc, fd = f(np.stack([c, d]))
-    for _ in range(steps):
+    ahead = None  # f at the next step's new point if it narrows left, and if right
+    for step in range(steps):
         left = fc < fd
         a, b = np.where(left, a, c), np.where(left, d, b)
         kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
         x = np.where(left, b - inv * (b - a), a + inv * (b - a))
-        fx = f(x)
-        c, fc = np.where(left, x, kept), np.where(left, fx, f_kept)
-        d, fd = np.where(left, kept, x), np.where(left, f_kept, fx)
+        c, d = np.where(left, x, kept), np.where(left, kept, x)
+        if ahead is not None:
+            fx, ahead = np.where(left, *ahead), None
+        elif step + 1 < steps:
+            fx, *ahead = f(np.stack([x, d - inv * (d - a), c + inv * (b - c)]))
+        else:
+            fx = f(x)
+        fc, fd = np.where(left, fx, f_kept), np.where(left, f_kept, fx)
     return c, fc, d, fd
 
 

@@ -43,13 +43,14 @@ Transcript.  ``generate_transcript`` decodes the same v into columns.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .mathcore import TSIRELSON_WIN, _last_true, binomial_box
-from .quantum import TwoQubitState, X_AXIS, Z_AXIS, diag_axis, outcome_distribution
+from .quantum import TwoQubitState, X_AXIS, Z_AXIS, _born, _joint_projectors, diag_axis
 from .rng import CounterRng
 
 __all__ = [
@@ -127,9 +128,7 @@ class ProtocolParams(_ProtocolFields):
         return _last_true(lambda j: j / n < thr, thr * n, -1, n - 1) + 1
 
 
-def build_acceptance_set(
-    n: int, gamma_a: float, gamma_b: float, omega_exp: float, eps_com_at: float
-) -> tuple[tuple[int, int, int], tuple[int, int, int]]:
+def build_acceptance_set(n, gamma_a: float, gamma_b: float, omega_exp: float, eps_com_at: float):
     """Count bounds (box_lo, box_hi) with per-symbol binomial tails at level eps_com_at / 6.
 
     The symbols are (lose, win, no-test), with honest probabilities
@@ -138,18 +137,31 @@ def build_acceptance_set(
     abort probability at or below eps_com_at, which must lie in (0, 1):
     at 1 or more the bound promises nothing, yet the box would keep
     narrowing and certify more key.
+
+    n is one block size or a sequence of them: one gives its (box_lo,
+    box_hi), a sequence the list of their boxes, so a sweep sizes all its
+    boxes in one call.
     """
     if not 0.0 < eps_com_at < 1.0:
         raise ValueError(f"eps_com_at must lie in (0, 1), got {eps_com_at}")
     gg = gamma_a * gamma_b
-    lo, hi = zip(*(binomial_box(n, p, eps_com_at / 6.0) for p in (gg * (1.0 - omega_exp), gg * omega_exp, 1.0 - gg)))
-    return lo, hi
+    probs = (gg * (1.0 - omega_exp), gg * omega_exp, 1.0 - gg)
+    boxes = [tuple(zip(*(binomial_box(size, p, eps_com_at / 6.0) for p in probs))) for size in np.atleast_1d(n).tolist()]
+    return boxes if np.ndim(n) else boxes[0]
 
 
 # Measurement axes per setting: x-party {Z, X}; y-party {diag+, diag-, Z},
 # y = 2 the key basis, bit-flipped to the positive-correlation convention.
 _X_AXES = (Z_AXIS, X_AXIS)
 _Y_AXES = tuple(axis.bit_flipped() for axis in (diag_axis(+1), diag_axis(-1), Z_AXIS))
+
+
+@functools.cache
+def _setting_projectors() -> np.ndarray:
+    """The 24 joint projectors of the six setting pairs, shape (2, 3, 2, 2, 4, 4): built at first use, once per process."""
+    projectors = _joint_projectors(_X_AXES, _Y_AXES)
+    projectors.flags.writeable = False
+    return projectors
 
 
 class Behavior:
@@ -223,12 +235,8 @@ class Transcript:
 
 
 def behavior_from_state(rho: TwoQubitState, readout_flip: float = 0.0) -> Behavior:
-    """Born-rule behavior table of a state under the protocol's measurement axes."""
-    table = np.empty((2, 3, 2, 2), dtype=float)
-    for x, a_axis in enumerate(_X_AXES):
-        for y, b_axis in enumerate(_Y_AXES):
-            table[x, y] = outcome_distribution(rho, a_axis, b_axis, readout_flip)
-    return Behavior(table)
+    """Born-rule behavior table of a state under the protocol's measurement axes, in one batched trace."""
+    return Behavior(_born(rho, _setting_projectors(), readout_flip))
 
 
 def _thresholds(c) -> np.ndarray:

@@ -2,7 +2,11 @@
 
 Covers the noisy Bell-state family produced by single-photon heralding,
 Born-rule measurement statistics in arbitrary Bloch bases, and the
-fidelity estimate from the two measured visibilities.
+fidelity estimate from the two measured visibilities.  The Born rule has
+one kernel, ``_born``, over a stack of joint projectors: the protocol's
+six setting pairs build their 24 projectors once per process and take
+all their statistics in one batched trace, and ``outcome_distribution``
+is a one-pair call.
 
 Basis order throughout is (uu, ud, du, dd) for the two spin qubits.
 The heralded family is anti-correlated in Z; measured correlators in the
@@ -173,6 +177,35 @@ def build_heralded_state(params: NoiseParams) -> TwoQubitState:
     return TwoQubitState(rho)
 
 
+def _joint_projectors(a_axes, b_axes) -> np.ndarray:
+    """P_a(i) (x) P_b(j) for every axis pair (a, b) and outcome pair (i, j), shape (len(a_axes), len(b_axes), 2, 2, 4, 4).
+
+    Outcome 0 projects on the +1 eigenvector of the axis operator.
+    """
+    pa, pb = ([[(_I2 + s * axis.operator()) / 2.0 for s in (+1.0, -1.0)] for axis in axes] for axes in (a_axes, b_axes))
+    return np.array([[[[np.kron(p, q) for q in qs] for p in ps] for qs in pb] for ps in pa])
+
+
+def _born(rho: TwoQubitState, projectors: np.ndarray, readout_flip: float) -> np.ndarray:
+    """Joint outcome probabilities Tr(rho P) for each stacked (2, 2) block of 4x4 projectors, after readout flips.
+
+    The one Born-rule kernel: every block is clipped to [0, 1] and
+    normalised, then each party's outcome is flipped independently with
+    probability readout_flip.  One trace per projector, in one batched
+    product, so a block's values do not depend on the blocks beside it.
+    """
+    if not 0.0 <= readout_flip <= 1.0:
+        raise ValueError(f"readout_flip={readout_flip} outside [0, 1]")
+    probs = np.trace(rho.matrix @ projectors, axis1=-2, axis2=-1).real
+    probs = np.clip(probs, 0.0, 1.0)
+    probs /= probs.sum(axis=(-2, -1), keepdims=True)
+    r = readout_flip
+    if r > 0.0:
+        flip = np.array([[1.0 - r, r], [r, 1.0 - r]])
+        probs = flip @ probs @ flip.T
+    return probs
+
+
 def outcome_distribution(
     rho: TwoQubitState,
     a: BlochVector,
@@ -183,22 +216,10 @@ def outcome_distribution(
 
     Outcome 0 is the +1 eigenvalue of the axis operator.  Each party's
     outcome is then flipped independently with probability readout_flip.
+    A one-pair call of the Born-rule kernel that ``behavior_from_state``
+    runs on the protocol's six setting pairs.
     """
-    if not 0.0 <= readout_flip <= 1.0:
-        raise ValueError(f"readout_flip={readout_flip} outside [0, 1]")
-    pa = [(_I2 + s * a.operator()) / 2.0 for s in (+1.0, -1.0)]
-    pb = [(_I2 + s * b.operator()) / 2.0 for s in (+1.0, -1.0)]
-    probs = np.empty((2, 2), dtype=float)
-    for i in range(2):
-        for j in range(2):
-            probs[i, j] = rho.expectation(np.kron(pa[i], pb[j]))
-    probs = np.clip(probs, 0.0, 1.0)
-    probs /= probs.sum()
-    r = readout_flip
-    if r > 0.0:
-        flip = np.array([[1.0 - r, r], [r, 1.0 - r]])
-        probs = flip @ probs @ flip.T
-    return probs
+    return _born(rho, _joint_projectors((a,), (b,)), readout_flip)[0, 0]
 
 
 def fidelity_from_visibilities(v_zz: float, v_xx: float) -> float:

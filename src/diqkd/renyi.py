@@ -309,7 +309,7 @@ def h_alpha(params: Sequence[ProtocolParams], alphas: np.ndarray) -> np.ndarray:
     one-order call: the grid and the kink take one solver call for as
     many points as fit in _GRID_ROWS rows (_grid_stage), and the
     refinements of all points and orders run in lockstep, in
-    1 + _GOLDEN_STEPS calls.
+    1 + ceil(_GOLDEN_STEPS / 2) calls (golden_min serves two steps a call).
     """
     _check_points(params)
     alphas = np.array(alphas, dtype=float, ndmin=2, order="C")

@@ -6,10 +6,12 @@ digits, starting from an exact integer binomial coefficient, in mpmath
 from a log-gamma first term, or at p = 3/4 in integers outright; the
 reference box takes its tails from scipy's incomplete beta functions.
 The reference implementations below (bisection box, float threshold
-test, stepped threshold count, one-pass generation, mask-based estimate, the masked row-per-cell
-Renyi solver, the term-by-term accumulation length and its split search, the bitwise GF(2^128)
-product) are the straightforward
-versions that the faster library code must reproduce exactly.  The accumulation length is
+test, stepped threshold count, the per-setting behavior table, the
+one-call-per-step golden-section search, one-pass generation,
+mask-based estimate, the masked row-per-cell Renyi solver, the
+term-by-term accumulation length and its split search, the bitwise
+GF(2^128) product) are the straightforward versions that the faster
+library code must reproduce exactly.  The accumulation length is
 self-contained: of the library it calls only the certificate primitives gamma_eff, g_func,
 g_slope and f_func, which have closed-form tests of their own (its split search maps
 fractions to splits with the library's _split_from_fractions).
@@ -22,8 +24,8 @@ import mpmath
 import numpy as np
 from scipy.special import betainc, betaincc
 
-from diqkd import eat, renyi
-from diqkd.mathcore import TSIRELSON_WIN, golden_min
+from diqkd import eat, protocol, renyi
+from diqkd.mathcore import TSIRELSON_WIN
 from diqkd.protocol import PERP
 from diqkd.rng import CounterRng
 
@@ -125,6 +127,43 @@ def binomial_box_bisect(n: int, p: float, eps: float) -> tuple[int, int]:
         else:
             lo = mid + 1
     return low, lo
+
+
+def behavior_table_loop(rho, readout_flip: float) -> np.ndarray:
+    """The behavior table setting by setting: each outcome pair's projector by np.kron, its expectation,
+    then clip, normalise and flip each setting's 2x2 block."""
+    table = np.empty((2, 3, 2, 2))
+    eye = np.eye(2, dtype=complex)
+    for x, a_axis in enumerate(protocol._X_AXES):
+        for y, b_axis in enumerate(protocol._Y_AXES):
+            pa = [(eye + s * a_axis.operator()) / 2.0 for s in (+1.0, -1.0)]
+            pb = [(eye + s * b_axis.operator()) / 2.0 for s in (+1.0, -1.0)]
+            probs = np.array([[rho.expectation(np.kron(pa[i], pb[j])) for j in range(2)] for i in range(2)])
+            probs = np.clip(probs, 0.0, 1.0)
+            probs /= probs.sum()
+            r = readout_flip
+            if r > 0.0:
+                flip = np.array([[1.0 - r, r], [r, 1.0 - r]])
+                probs = flip @ probs @ flip.T
+            table[x, y] = probs
+    return table
+
+
+def golden_min_stepwise(f, a, b, steps: int):
+    """Lockstep golden-section search with one call of f per step (see mathcore.golden_min)."""
+    inv = (math.sqrt(5.0) - 1.0) / 2.0
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    c, d = b - inv * (b - a), a + inv * (b - a)
+    fc, fd = f(np.stack([c, d]))
+    for _ in range(steps):
+        left = fc < fd
+        a, b = np.where(left, a, c), np.where(left, d, b)
+        kept, f_kept = np.where(left, c, d), np.where(left, fc, fd)
+        x = np.where(left, b - inv * (b - a), a + inv * (b - a))
+        fx = f(x)
+        c, fc = np.where(left, x, kept), np.where(left, fx, f_kept)
+        d, fd = np.where(left, kept, x), np.where(left, f_kept, fx)
+    return c, fc, d, fd
 
 
 def accept_threshold_float(beta: float, params) -> bool:
@@ -296,7 +335,7 @@ def renyi_h_alpha(alphas, gamma_a, gamma_b, lo, hi, sigma_grid=192, order_chunk=
     def objective(ws):
         return renyi_objective(alphas, ws, gamma_a, gamma_b, lo, hi)
 
-    _, fc, _, fd = golden_min(objective, lo_w, hi_w, renyi._GOLDEN_STEPS)
+    _, fc, _, fd = golden_min_stepwise(objective, lo_w, hi_w, renyi._GOLDEN_STEPS)
     kink = objective(np.full(len(alphas), 0.75))
     return np.minimum(np.minimum(vals[np.arange(len(alphas)), i], kink), np.minimum(fc, fd))
 

@@ -1,4 +1,5 @@
 import argparse
+import collections
 import hashlib
 import json
 import math
@@ -7,7 +8,7 @@ import os
 import numpy as np
 import pytest
 
-from diqkd import cli, eat, renyi
+from diqkd import cli, eat, protocol, renyi
 from diqkd import rng as rng_module
 from diqkd.link import LinkBudget, TimingModel
 from diqkd.protocol import ProtocolParams, behavior_from_state
@@ -130,6 +131,27 @@ class TestHashCount:
         assert len(hashed) == 1 and capsys.readouterr().out.count(report["config_hash"]) == 1
 
 
+class TestLayerAttribution:
+    """Per-run work stays inside the functions the benchmark's tracer wraps where cli looks them up."""
+
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        calls = collections.Counter()
+        for module, name in ((cli, "build_heralded_state"), (protocol, "behavior_from_state"), (cli, "build_acceptance_set")):
+            fn = getattr(module, name)
+            monkeypatch.setattr(module, name, lambda *a, _fn=fn, _name=name, **k: calls.update([_name]) or _fn(*a, **k))
+        return calls
+
+    def test_pipeline_calls_each_layer_once(self, counted):
+        run_pipeline(RunConfig(**PAPER_ANALYTIC))
+        assert counted == {"build_heralded_state": 1, "behavior_from_state": 1, "build_acceptance_set": 1}
+
+    def test_sweep_sizes_every_box_in_one_call(self, counted):
+        config = RunConfig(**PAPER_ANALYTIC)
+        sweep_keyrate_vs_n(config, config.sweep_n_grid)
+        assert counted["build_acceptance_set"] == 1
+
+
 class TestPipelineAnalytic:
     def test_paper_numbers(self):
         report = run_pipeline(RunConfig(**PAPER_ANALYTIC))
@@ -233,7 +255,7 @@ class TestPipelineSimulated:
         sweep_keyrate_vs_n(RunConfig(), [10**5, 10**6])
         assert capfd.readouterr() == ("", "")
 
-    @pytest.mark.parametrize("key, value", [("link.collection", "1.5"), ("link.alpha_excitation", "2")])
+    @pytest.mark.parametrize("key, value", [("link.collection", "1.5")])
     def test_bad_link_config_fails_before_any_draw(self, key, value):
         # the link is checked before the rounds are drawn, as a sweep checks it before its key lengths
         config = load_config(None, {key: value, "security.method": "eat", "protocol.n": "100000"})
@@ -356,6 +378,22 @@ class TestMain:
         cfg.write_text("link.alpha_excitation = 2\nsecurity.analytic = true\n")
         assert main(["--config", str(cfg), "--out", str(tmp_path), command]) == 3
         assert "link budget: alpha=2.0 outside [0, 1]" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", sorted(_COMMANDS))
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("physical.readout_flip = 2\n", "physical model: readout_flip=2.0 outside [0, 1]"),
+            ("link.alpha_excitation = 2\n", "link budget: alpha=2.0 outside [0, 1]"),
+        ],
+    )
+    def test_out_of_range_model_key_exits_three_on_every_command(self, tmp_path, capsys, body, message, command):
+        # checked when the config loads: the table commands, which never run the model, reject it too
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(body)
+        assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == 3
+        assert capsys.readouterr().err == f"config error: {message}\n"
+        assert not (tmp_path / "out").exists()
 
     def test_out_of_range_readout_flip_exits_three(self, tmp_path, capsys):
         # the outcome model's range check is the one check of the flip probability

@@ -19,6 +19,7 @@ from diqkd.mathcore import _last_true, _normal_quantile
 from oracles import (
     binomial_box_bisect,
     binomial_cdf,
+    golden_min_stepwise,
     log10_tail_three_quarters,
     log2_binomial_tail,
     log2_binomial_tail_mp,
@@ -361,3 +362,23 @@ class TestGoldenMin:
             one = slice(i, i + 1)  # a 1-element bracket
             alone = golden_min(f_of(centers[one], weights[one]), lo[one], hi[one], 30)
             assert tuple(float(v[i]) for v in got) == tuple(float(v[0]) for v in alone)
+
+    @pytest.mark.parametrize("steps", range(13))
+    def test_two_steps_per_call_equal_one_step_per_call(self, steps):
+        # the same points, values and comparisons as one call per step, in 1 + ceil(steps / 2) calls
+        rng = np.random.default_rng(23)
+        lo = rng.uniform(-1.0, 0.0, 11)
+        hi = lo + rng.uniform(0.1, 2.0, 11)
+        centers = rng.uniform(-1.0, 2.0, 11)
+        weights = rng.choice([0.0, 1.0, 3.0], 11)  # 0: a flat objective, every comparison ties
+        calls = []
+
+        def f(x):
+            calls.append(x.shape)
+            return weights * (np.sin(x - centers) ** 2 + x / 7.0)
+
+        want = golden_min_stepwise(f, lo, hi, steps)
+        calls.clear()
+        got = golden_min(f, lo, hi, steps)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert len(calls) == 1 + math.ceil(steps / 2)

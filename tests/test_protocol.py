@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,11 +19,17 @@ from diqkd.protocol import (
     simulate_rounds,
 )
 from diqkd import cli
-from diqkd.quantum import NoiseParams, build_heralded_state
+from diqkd.quantum import NoiseParams, build_heralded_state, outcome_distribution
 from diqkd.protocol import test_statistic as beta_freq
-from diqkd.protocol import _count_tensor, _setting_index, _thresholds
+from diqkd.protocol import _X_AXES, _Y_AXES, _count_tensor, _setting_index, _thresholds
 from diqkd.rng import SLOTS_PER_ROUND, CounterRng, audit_total
-from oracles import accept_threshold_float, estimate_masks, generate_columns_oneshot, win_min_stepping
+from oracles import (
+    accept_threshold_float,
+    behavior_table_loop,
+    estimate_masks,
+    generate_columns_oneshot,
+    win_min_stepping,
+)
 
 CAL_STATE = build_heralded_state(NoiseParams.from_visibilities(0.943, 0.924))
 CAL_BEHAVIOR = behavior_from_state(CAL_STATE)
@@ -164,6 +171,25 @@ class TestBehavior:
         assert CAL_BEHAVIOR.chsh_value() == pytest.approx(S_MODEL, abs=1e-12)
         assert CAL_BEHAVIOR.chsh_win_probability() == pytest.approx(0.5 + S_MODEL / 8, abs=1e-12)
         assert CAL_BEHAVIOR.key_qber() == pytest.approx(0.0285, abs=1e-12)
+
+    @pytest.mark.parametrize("config", [None, "paper11km.cfg", "near-classical.cfg"])
+    def test_table_equals_setting_by_setting_loop_on_configs(self, config):
+        # the default config and the golden ones: the batched trace gives the loop's bits
+        cfg = cli.load_config(None if config is None else str(Path(__file__).parent / "golden" / config), {})
+        noise = NoiseParams.from_visibilities(cfg.v_zz, cfg.v_xx, white_noise=cfg.white_noise, delta_phi=cfg.delta_phi)
+        want = behavior_table_loop(build_heralded_state(noise), cfg.readout_flip)
+        assert np.array_equal(cli._model_behavior(cfg).table, want)
+
+    def test_table_equals_setting_by_setting_loop_on_random_states(self):
+        rng = np.random.default_rng(41)
+        for _ in range(50):
+            rho = build_heralded_state(NoiseParams(*rng.uniform(0.0, 1.0, 3), rng.uniform(-math.pi, math.pi)))
+            for flip in (0.0, 1e-3, 0.013, 0.5, 1.0):
+                want = behavior_table_loop(rho, flip)
+                assert np.array_equal(behavior_from_state(rho, flip).table, want)
+                # outcome_distribution is the same kernel on one setting pair
+                x, y = (int(v) for v in rng.integers(0, (2, 3)))
+                assert np.array_equal(outcome_distribution(rho, _X_AXES[x], _Y_AXES[y], flip), want[x, y])
 
     def test_no_signaling(self):
         # each party's marginal is the same whatever setting the other party holds

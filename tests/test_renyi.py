@@ -104,6 +104,13 @@ class TestAcceptanceSet:
         c0, c1 = (int(round(c)) for c in mean[:2])
         assert accept((c0, c1, N_PAPER - c0 - c1), params) == (True, True)
 
+    def test_block_sizes_equal_their_one_point_calls(self):
+        ns = [1000, 10_000, 1_208_000, 10**7]
+        assert build_acceptance_set(ns, 0.26, 0.13, 0.8265, 0.005) == [
+            build_acceptance_set(n, 0.26, 0.13, 0.8265, 0.005) for n in ns
+        ]
+        assert build_acceptance_set(ns[:1], 0.26, 0.13, 0.8265, 0.005) == [build_acceptance_set(1000, 0.26, 0.13, 0.8265, 0.005)]
+
     def test_deviations_shrink_like_sqrt_n(self):
         p = honest(0.26, 0.13, 0.8265)
         for n in (10_000, 100_000):
@@ -406,10 +413,11 @@ class TestKernelMatchesOracle:
         (got,) = h_alpha([params], COARSE_ORDERS)
         assert np.array_equal(got, renyi_h_alpha(COARSE_ORDERS, 0.5, 0.5, *bounds(params)))
 
-    @pytest.mark.parametrize("alpha, calls", [(None, 28), (1.001, 4)])
+    @pytest.mark.parametrize("alpha, calls", [(None, 18), (1.001, 4)])
     def test_solver_calls_per_search(self, monkeypatch, alpha, calls):
-        # an order search: 2 passes of (1 grid call + 1 for both first golden points + 10 golden steps) = 24 and
-        # 4 certificate rounds at the chosen order, 24 + 4 = 28; a fixed order: the 4 certificate rounds alone
+        # an order search: 2 passes of (1 grid call + 1 for both first golden points + 5 calls for the 10 golden
+        # steps, two a call) = 14 and 4 certificate rounds at the chosen order, 14 + 4 = 18; a fixed order: the 4
+        # certificate rounds alone
         seen = []
         solve = renyi._inner_min_vec
         monkeypatch.setattr(renyi, "_inner_min_vec", lambda *args: seen.append(1) or solve(*args))
@@ -418,14 +426,14 @@ class TestKernelMatchesOracle:
 
     def test_solver_calls_per_sweep(self, monkeypatch):
         # the default 8-point sweep: pass 1 solves each point's 3,584 + 137 grid rows in its own call (8), pass 2
-        # three points' 896 + 137 rows per call (3), each pass 11 golden calls for all points, and the certificate
-        # runs 10 rounds, as long as its slowest point (n = 1e4 at alpha = 2): 19 + 14 + 10 = 43, against 8 x 28
+        # three points' 896 + 137 rows per call (3), each pass 6 golden calls for all points, and the certificate
+        # runs 10 rounds, as long as its slowest point (n = 1e4 at alpha = 2): 14 + 9 + 10 = 33, against 8 x 18
         seen = []
         solve = renyi._inner_min_vec
         monkeypatch.setattr(renyi, "_inner_min_vec", lambda *args: seen.append(1) or solve(*args))
         config = RunConfig(s_obs=2.612, q_obs=0.0285)
         sweep_keyrate_vs_n(config, config.sweep_n_grid)
-        assert len(seen) == 43
+        assert len(seen) == 33
 
 
 class TestBatch:

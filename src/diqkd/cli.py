@@ -301,7 +301,7 @@ class KeyRateReport(NamedTuple):
         d = self._asdict()
         del d["config"], d["wall_time_s"]
         d["config_hash"] = self.config.config_hash()
-        return json.dumps(d, sort_keys=True, indent=1) + "\n"
+        return json.dumps(d, sort_keys=True, indent=1, allow_nan=False) + "\n"
 
 
 def _model_behavior(config: RunConfig):
@@ -415,7 +415,9 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
         est = protocol.estimate(protocol.simulate_rounds(behavior, params))
         draws = rng.audit_total() - before
         beta = est.counts[1] / params.n
-        s_hat, s_err, q_hat, q_err = est.s_hat, est.s_err, est.q_hat, est.q_err
+        s_hat, s_err = est.s_hat, est.s_err
+        # no key-basis round: the QBER was not measured, which the report says as an analytic run does
+        q_hat, q_err = (None, None) if math.isnan(est.q_hat) else (est.q_hat, est.q_err)
         accepted, accepted_box = protocol.accept(est.counts, params)
 
     (eat_res,), (renyi_res,) = _key_lengths(config, [params], [lec])
@@ -560,15 +562,10 @@ def main(argv: Optional[list[str]] = None) -> int:
         from . import tables  # the table commands' builders and the calibration data they read
 
         if command == "contour":
-            res = tables.sweep_asymptotic_contour(config.sweep_s_grid, config.sweep_q_grid)
-            grid_rows = [
-                {"s": s, "q": q, "rate": res["rates"][i][j]}
-                for i, s in enumerate(res["s_grid"])
-                for j, q in enumerate(res["q_grid"])
-            ]
-            write_csv(grid_rows, out_dir / "contour.csv", h)
-            if res["zero_contour"]:
-                write_csv(res["zero_contour"], out_dir / "contour_zero.csv", h)
+            grid, zero = tables.sweep_asymptotic_contour(config.sweep_s_grid, config.sweep_q_grid)
+            write_csv(grid, out_dir / "contour.csv", h)
+            if zero:
+                write_csv(zero, out_dir / "contour_zero.csv", h)
         elif command == "distance":
             write_csv(tables.sweep_rate_vs_distance(config), out_dir / "distance.csv", h)
         elif command == "pvalues":

@@ -1,10 +1,11 @@
 """Calibration tables: the asymptotic contour, rates per fiber length, p-values and the infidelity budget.
 
-The ``contour``, ``distance``, ``pvalues`` and ``budget`` commands build
-their rows here, and this is the only module that reads the shipped
-calibration bundle (``data/*.cfg``, in cli's config format).  cli
-imports it only when one of those commands runs, so neither it nor the
-bundle costs the pipeline and sweep commands any start-up.
+Each builder returns the rows its command (``contour``, ``distance``,
+``pvalues``, ``budget``) writes.  This is the only module that reads the
+shipped calibration bundle (``data/*.cfg``, in cli's config format); the
+error budget is read at the calibrated lengths ``distances.cfg`` lists.
+cli imports it only when one of those commands runs, so neither it nor
+the bundle costs the pipeline and sweep commands any start-up.
 """
 
 from __future__ import annotations
@@ -23,7 +24,6 @@ from .quantum import fidelity_from_visibilities
 __all__ = [
     "DistanceCalibration",
     "load_distance_table",
-    "load_error_budget",
     "sweep_asymptotic_contour",
     "sweep_rate_vs_distance",
     "pvalue_table",
@@ -51,12 +51,6 @@ class DistanceCalibration(NamedTuple):
     alpha_excitation: float
     s_obs: Optional[float] = None  # directly measured CHSH value, where available
 
-    def link_budget(self, defaults: link.LinkBudget) -> link.LinkBudget:
-        """The given budget at this length, with the measured fiber transmission override (checked again)."""
-        return link.LinkBudget(
-            **{**defaults._asdict(), "length_km": self.length_km, "measured_arm_transmission": self.fiber_transmission}
-        )
-
 
 def _read_bundle(name: str) -> dict[str, str]:
     """One shipped data file, parsed."""
@@ -64,10 +58,10 @@ def _read_bundle(name: str) -> dict[str, str]:
 
 
 def load_distance_table() -> list[DistanceCalibration]:
-    """The calibrated rows in file order, each field read by name; s_obs, which has a default, only where given."""
+    """The calibrated rows, shortest first, each field read by name; s_obs, which has a default, only where given."""
     cfg = _read_bundle("distances.cfg")
     rows = []
-    for ell in cfg["distances"].split(","):
+    for ell in sorted(cfg["distances"].split(","), key=float):
         pre = f"distance.{ell.strip()}."
         row = {"length_km": float(ell)}
         for name in DistanceCalibration._fields[1:]:  # after length_km, the row's own key
@@ -77,40 +71,24 @@ def load_distance_table() -> list[DistanceCalibration]:
     return rows
 
 
-def load_error_budget() -> tuple[list[str], dict[float, dict[str, float]]]:
-    """Infidelity budget rows: (source names, {length: {source: value, 'total': t}})."""
-    cfg = _read_bundle("error_budget.cfg")
-    sources = [s.strip() for s in cfg["budget.sources"].split(",")]
-    table: dict[float, dict[str, float]] = {}
-    lengths = sorted(
-        {float(k.split(".")[1]) for k in cfg if k.startswith("budget.") and k.split(".")[1].isdigit()}
-    )
-    for ell in lengths:
-        pre = f"budget.{ell:g}."
-        row = {src: float(cfg[pre + src]) for src in sources}
-        row["total"] = float(cfg[pre + "total"])
-        table[ell] = row
-    return sources, table
+def sweep_asymptotic_contour(s_grid: list[float], q_grid: list[float]) -> tuple[list[dict], list[dict]]:
+    """The rows of contour.csv, the sifting-free asymptotic rate over sorted S then Q, and of contour_zero.csv.
 
-
-def sweep_asymptotic_contour(s_grid: list[float], q_grid: list[float]) -> dict:
-    """Sifting-free asymptotic rate on an (S, Q) grid, with the zero contour."""
-    s_sorted, q_sorted = sorted(s_grid), sorted(q_grid)
-    rates = np.empty((len(s_sorted), len(q_sorted)))
+    An S whose rate changes sign along Q has a zero row, interpolated linearly at the first change.
+    """
+    q_sorted = sorted(q_grid)
+    grid, zero = [], []
     with _stage("contour grid"):
-        for i, s in enumerate(s_sorted):
-            for j, q in enumerate(q_sorted):
-                rates[i, j] = eat.asymptotic_rate_nosift(s, q)
-    zero = []
-    for i, s in enumerate(s_sorted):
-        row = rates[i]
-        sign_change = np.where(np.diff(np.sign(row)))[0]
-        if len(sign_change):
-            j = int(sign_change[0])
-            q0, q1 = q_sorted[j], q_sorted[j + 1]
-            r0, r1 = row[j], row[j + 1]
-            zero.append({"s": s, "q_zero": q0 + (q1 - q0) * (0.0 - r0) / (r1 - r0)})
-    return {"s_grid": s_sorted, "q_grid": q_sorted, "rates": rates.tolist(), "zero_contour": zero}
+        for s in sorted(s_grid):
+            rates = [eat.asymptotic_rate_nosift(s, q) for q in q_sorted]
+            grid += [{"s": s, "q": q, "rate": r} for q, r in zip(q_sorted, rates)]
+            sign_change = np.where(np.diff(np.sign(rates)))[0]
+            if len(sign_change):
+                j = int(sign_change[0])
+                q0, q1 = q_sorted[j], q_sorted[j + 1]
+                r0, r1 = rates[j], rates[j + 1]
+                zero.append({"s": s, "q_zero": q0 + (q1 - q0) * (0.0 - r0) / (r1 - r0)})
+    return grid, zero
 
 
 def sweep_rate_vs_distance(config: RunConfig) -> list[dict]:
@@ -123,8 +101,9 @@ def sweep_rate_vs_distance(config: RunConfig) -> list[dict]:
     defaults, timing = _link_models(config)
     table = [r for r in load_distance_table() if not config.sweep_lengths or r.length_km in config.sweep_lengths]
     rows_out = []
-    for row in sorted(table, key=lambda r: r.length_km):
-        eff = link.arm_efficiency(row.link_budget(defaults))
+    for row in table:
+        budget = {**defaults._asdict(), "length_km": row.length_km, "measured_arm_transmission": row.fiber_transmission}
+        eff = link.arm_efficiency(link.LinkBudget(**budget))  # the constructor checks the calibrated fields too
         p_spi = link.success_probability_spi(row.alpha_excitation, eff)
         p_tpi = link.success_probability_tpi(eff)
         rate_s = link.event_rate(p_spi, timing, row.length_km)
@@ -169,22 +148,20 @@ def pvalue_table(rows: Optional[list[tuple[float, int, float]]] = None) -> list[
 
 
 def error_budget_report() -> list[dict]:
-    """Row sums of the infidelity budget vs the measured infidelity."""
-    sources, table = load_error_budget()
-    fidelity = {r.length_km: r.fidelity for r in load_distance_table()}
+    """Infidelity budget, row sum and measured infidelity at each calibrated length (KeyError where one is missing)."""
+    cfg = _read_bundle("error_budget.cfg")
+    sources = [s.strip() for s in cfg["budget.sources"].split(",")]
     out = []
-    for length, row in sorted(table.items()):
-        total = row["total"]
-        ssum = sum(row[s] for s in sources)
-        measured = 1.0 - fidelity[length]
+    for row in load_distance_table():
+        budget = {key: float(cfg[f"budget.{row.length_km:g}.{key}"]) for key in [*sources, "total"]}
+        measured = 1.0 - row.fidelity
         out.append(
             {
-                "length_km": length,
-                **{s: row[s] for s in sources},
-                "total": total,
-                "row_sum": ssum,
+                "length_km": row.length_km,
+                **budget,  # each source, then the total
+                "row_sum": sum(budget[src] for src in sources),
                 "measured_infidelity": measured,
-                "within_budget": bool(measured <= total + 1e-12),
+                "within_budget": bool(measured <= budget["total"] + 1e-12),
             }
         )
     return out

@@ -293,6 +293,25 @@ class TestMain:
         assert report["eat_length"] == 0
         assert report["eat_raw_length"] < 0
 
+    def test_report_is_strict_json_without_a_key_round(self, tmp_path, capsys):
+        # one round at the default seed is not an (x, y) = (0, 2) round: no QBER was measured,
+        # which the report says with null, as an analytic run does, not with NaN
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("protocol.n = 1\nprotocol.abort_is_error = false\n")
+        assert main(["--config", str(cfg), "--out", str(tmp_path), "pipeline"]) == 0
+
+        def reject(name):
+            raise ValueError(f"{name} is not JSON")
+
+        report = json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+        assert report["q_hat"] is None and report["q_err"] is None
+        assert report["s_hat"] is not None
+
+    def test_report_refuses_a_non_finite_number(self):
+        report = run_pipeline(RunConfig(n=100_000, method="eat", **PAPER_ANALYTIC))
+        with pytest.raises(ValueError, match="JSON"):
+            report._replace(s_model=math.nan).to_json()
+
     def test_config_error_exit_three(self, tmp_path):
         bad = tmp_path / "bad.cfg"
         bad.write_text("nope = 1\n")
@@ -666,15 +685,16 @@ class TestSweeps:
     def test_contour_properties(self):
         s_grid = list(np.linspace(2.0, 2 * math.sqrt(2), 12))
         q_grid = list(np.linspace(0.0, 0.12, 12))
-        res = sweep_asymptotic_contour(s_grid, q_grid)
-        rates = np.array(res["rates"])
+        grid, zero = sweep_asymptotic_contour(s_grid, q_grid)
+        assert [(r["s"], r["q"]) for r in grid] == [(x, y) for x in s_grid for y in q_grid]
+        rates = np.array([r["rate"] for r in grid]).reshape(len(s_grid), len(q_grid))
         assert rates[-1, 0] == rates.max()  # best point: max S, zero error
         assert np.all(rates[0, :] <= 0.0)  # classical row certifies nothing
-        assert res["zero_contour"]  # a boundary exists on this grid
+        assert zero  # a boundary exists on this grid
 
     def test_contour_paper_point(self):
-        res = sweep_asymptotic_contour([2.612], [0.0285])
-        assert res["rates"][0][0] == pytest.approx(0.411, abs=5e-4)
+        grid, _ = sweep_asymptotic_contour([2.612], [0.0285])
+        assert grid == [{"s": 2.612, "q": 0.0285, "rate": pytest.approx(0.411, abs=5e-4)}]
 
     def test_distance_sweep(self):
         rows = sweep_rate_vs_distance(RunConfig())

@@ -85,5 +85,16 @@ def test_reports_match_golden_bytes(tmp_path):
     assert not mismatches, "\n".join(mismatches)
 
 
+def test_golden_reports_are_strict_json():
+    # RFC 8259 has no NaN or Infinity; Python's json writes and reads them unless told not to
+    def reject(name):
+        raise ValueError(f"{name} is not JSON")
+
+    reports = sorted(GOLDEN.glob("*/report.json"))
+    assert reports
+    for path in reports:
+        json.loads(path.read_text(), parse_constant=reject)
+
+
 if __name__ == "__main__":
     run_cases(GOLDEN)

@@ -14,10 +14,11 @@ from diqkd.link import (
     success_probability_spi,
     success_probability_tpi,
 )
+from diqkd.cli import RunConfig
 from diqkd.quantum import fidelity_from_visibilities
-from diqkd.tables import load_distance_table, load_error_budget
+from diqkd.tables import error_budget_report, load_distance_table, sweep_rate_vs_distance
 
-DEFAULTS, TIMING = LinkBudget(), TimingModel()
+TIMING = TimingModel()
 TABLE = load_distance_table()
 
 
@@ -43,10 +44,10 @@ class TestArmEfficiency:
         assert all(0.0 <= e <= 1.0 for e in effs)
 
     def test_table_totals_within_10_percent(self):
-        # budgets built from the shipped calibration (0.32 dB/km default,
-        # measured per-length fiber transmissions taking precedence)
-        for row in TABLE:
-            eff = arm_efficiency(row.link_budget(DEFAULTS))
+        # the distance command's budgets, built from the shipped calibration
+        # (0.32 dB/km default, measured per-length fiber transmissions taking precedence)
+        for row, out in zip(TABLE, sweep_rate_vs_distance(RunConfig()), strict=True):
+            eff = out["arm_efficiency"]
             rel = abs(eff - row.total_arm_eff) / row.total_arm_eff
             limit = 0.15 if row.length_km == 11 else 0.10
             assert rel < limit, f"L={row.length_km}: {eff} vs {row.total_arm_eff}"
@@ -156,8 +157,16 @@ class TestCalibrationData:
             assert fidelity_from_visibilities(r.v_zz, r.v_xx) == pytest.approx(r.fidelity, abs=0.01)
 
     def test_error_budget_sums(self):
-        sources, table = load_error_budget()
-        assert len(table) == 5
-        for ell, row in table.items():
-            s = sum(row[src] for src in sources)
-            assert s == pytest.approx(row["total"], abs=1e-4)
+        rows = error_budget_report()
+        assert [r["length_km"] for r in rows] == [r.length_km for r in TABLE]
+        for row in rows:
+            assert row["row_sum"] == pytest.approx(row["total"], abs=1e-4)
+
+    def test_error_budget_missing_a_length_raises(self, monkeypatch):
+        # the budget is read at the distance table's lengths, not at lengths found among its keys
+        read = tables._read_bundle
+        monkeypatch.setattr(
+            tables, "_read_bundle", lambda name: {k: v for k, v in read(name).items() if not k.startswith("budget.50.")}
+        )
+        with pytest.raises(KeyError, match="budget.50."):
+            error_budget_report()

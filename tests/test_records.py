@@ -83,13 +83,16 @@ def test_run_config_replace_checks_again():
         config.replace(not_a_field=1)
 
 
-def test_calibrated_link_budget_checks_again():
+def test_calibrated_link_budget_checks_again(monkeypatch):
+    # the distance sweep builds each length's budget, the configured one with the row's length and
+    # measured transmission, by the LinkBudget constructor, so a calibrated row out of range fails there
     row = tables.load_distance_table()[0]
-    budget = row.link_budget(link.LinkBudget(qfc=0.5))
-    assert budget.qfc == 0.5 and budget.length_km == row.length_km
-    assert budget.measured_arm_transmission == row.fiber_transmission
+    (out,) = tables.sweep_rate_vs_distance(cli.RunConfig(qfc=0.5, sweep_lengths=(row.length_km,)))
+    budget = link.LinkBudget(qfc=0.5, length_km=row.length_km, measured_arm_transmission=row.fiber_transmission)
+    assert out["arm_efficiency"] == link.arm_efficiency(budget)
+    monkeypatch.setattr(tables, "load_distance_table", lambda: [row._replace(fiber_transmission=1.5)])
     with pytest.raises(ValueError, match="measured_arm_transmission"):
-        row._replace(fiber_transmission=1.5).link_budget(link.LinkBudget())
+        tables.sweep_rate_vs_distance(cli.RunConfig())
 
 
 @pytest.mark.parametrize(

@@ -40,7 +40,6 @@ from .mathcore import TSIRELSON_CHSH, TSIRELSON_WIN, binary_entropy, chsh_to_win
 from .protocol import ProtocolParams
 
 __all__ = [
-    "TSIRELSON_WIN",
     "LEAK_EV_BITS",
     "EPS_EC",
     "HonestModel",

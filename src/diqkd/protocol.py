@@ -55,7 +55,6 @@ from .rng import CounterRng
 
 __all__ = [
     "PERP",
-    "TSIRELSON_WIN",
     "ProtocolParams",
     "build_acceptance_set",
     "Behavior",

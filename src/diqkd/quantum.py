@@ -101,9 +101,6 @@ class TwoQubitState:
             raise ValueError(f"density matrix has eigenvalue {eigs.min()} < -1e-10")
         self.matrix = m
 
-    def expectation(self, op: np.ndarray) -> float:
-        return float(np.trace(self.matrix @ op).real)
-
 
 class _NoiseFields(NamedTuple):
     alpha_exc: float = 0.0

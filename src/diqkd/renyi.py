@@ -49,14 +49,11 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from .eat import EPS_EC, LEAK_EV_BITS
-from .mathcore import TSIRELSON_CHSH, TSIRELSON_WIN, golden_min
+from .mathcore import TSIRELSON_WIN, golden_min
 from .protocol import ProtocolParams
 
 __all__ = [
-    "renyi_entropy_factor",
-    "renyi_key_entropy",
     "sift_weights",
-    "sifted_entropy_bound",
     "h_alpha",
     "certified_h_alpha",
     "RenyiResult",
@@ -75,11 +72,6 @@ _GRID_ROWS = 4096  # rows per grid call of the order search, which holds one poi
 _COARSE_ALPHAS = np.minimum(1.0 + np.logspace(-5.0, 0.0, _ALPHA_GRID), 2.0)  # increasing already; np.unique imports numpy.ma
 
 
-def _float_if_scalar(x):
-    """A 0-d result as a float; arrays pass through."""
-    return float(x) if np.ndim(x) == 0 else x
-
-
 def _halves(s):
     """(1 - r)/2 and (1 + r)/2 at CHSH scores s, with r = sqrt(S^2/4 - 1) clamped to [0, 1]."""
     r = np.sqrt(np.minimum(np.maximum(s * s / 4.0 - 1.0, 0.0), 1.0))
@@ -96,26 +88,6 @@ def _sifted(w_key, w_rest, factor, one_ma):
     return np.log2(w_key * factor + w_rest) / one_ma
 
 
-def renyi_entropy_factor(s_sigma: float | np.ndarray, alpha: float | np.ndarray) -> float | np.ndarray:
-    """2^{(1-alpha) H} for the strongest attack at CHSH score s_sigma.
-
-    Scores at or below the classical bound certify nothing: the factor
-    clamps to 1 (zero entropy).  Scores above 2 sqrt 2 are unphysical.
-    Broadcasts over arrays of scores and orders; scalars give a float.
-    """
-    s, a = np.broadcast_arrays(np.asarray(s_sigma, dtype=float), np.asarray(alpha, dtype=float))
-    if np.any(s > TSIRELSON_CHSH + 1e-12):
-        raise ValueError(f"CHSH score {s.max()} exceeds 2 sqrt 2")
-    if np.any(a <= 1.0):
-        raise ValueError(f"Renyi order must exceed 1, got {a.min()}")
-    return _float_if_scalar(np.where(s > 2.0, _factor(_halves(s), a, 1.0 / a, 2.0 ** (1.0 - a)), 1.0))
-
-
-def renyi_key_entropy(s_sigma: float, alpha: float) -> float:
-    """Certified key-bit entropy in bits: log2(factor) / (1 - alpha)."""
-    return math.log2(renyi_entropy_factor(s_sigma, alpha)) / (1.0 - alpha)
-
-
 def sift_weights(gamma_a: float, gamma_b: float) -> tuple[float, float]:
     """(key weight, rest weight) of the entropy dilution; they sum to 1.  Needs 0 < gamma < 1."""
     if not (0.0 < gamma_a < 1.0 and 0.0 < gamma_b < 1.0):
@@ -124,18 +96,6 @@ def sift_weights(gamma_a: float, gamma_b: float) -> tuple[float, float]:
     w_key = (1.0 - gamma_b - 0.5 * gamma_a * (1.0 - gamma_b)) / (1.0 - gg)
     w_rest = ((1.0 - gamma_a) * gamma_b + 0.5 * gamma_a * (1.0 - gamma_b)) / (1.0 - gg)
     return w_key, w_rest
-
-
-def sifted_entropy_bound(
-    alpha: float | np.ndarray, gamma_a: float, gamma_b: float, s_sigma: float | np.ndarray
-) -> float | np.ndarray:
-    """Entropy of the kept rounds after averaging key and sifted contributions.
-
-    Broadcasts over arrays of orders and scores like renyi_entropy_factor.
-    """
-    w_key, w_rest = sift_weights(gamma_a, gamma_b)
-    factor = renyi_entropy_factor(s_sigma, alpha)
-    return _float_if_scalar(_sifted(w_key, w_rest, factor, 1.0 - np.asarray(alpha, dtype=float)))
 
 
 def _inner_min_vec(p: np.ndarray, lo: np.ndarray, hi: np.ndarray, kappa, am1) -> np.ndarray:

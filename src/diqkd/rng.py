@@ -8,9 +8,8 @@ finalizer over a Weyl sequence keyed by the seed.
 ``round_words`` fills a (slots, rounds) buffer with the raw 64-bit mixed
 words z in one pass: the counters of rounds 0, 1, ... are cached per
 slot range, so a block costs one add and one mix.  The uniform of a word
-is u = (z >> 11) * 2^-53, which ``round_uniforms`` returns for one slot,
-so there is one copy of the mixer.  A caller comparing u with an integer
-threshold w in [0, 2^53) compares z with w << 11 instead.
+is u = (z >> 11) * 2^-53; a caller comparing u with an integer threshold
+w in [0, 2^53) compares z with w << 11 instead, so no double is formed.
 """
 
 from __future__ import annotations
@@ -45,7 +44,7 @@ def _mix(z: np.ndarray) -> None:
 
 
 class CounterRng:
-    """Uniform 64-bit words and doubles indexed by an absolute 64-bit counter."""
+    """Uniform 64-bit words indexed by an absolute 64-bit counter."""
 
     def __init__(self, seed: int):
         if not 0 <= seed < 2**64:
@@ -73,10 +72,3 @@ class CounterRng:
         global _audit_draws
         _audit_draws += out.size
         return out
-
-    def round_uniforms(self, start_round: int, n_rounds: int, slot: int) -> np.ndarray:
-        """One double per round for a fixed slot, rounds [start, start + n)."""
-        words = self.round_words(start_round, range(slot, slot + 1), np.empty((1, n_rounds), dtype=np.uint64))
-        u = (words[0] >> np.uint64(11)).astype(np.float64)
-        u *= 2.0**-53
-        return u

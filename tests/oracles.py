@@ -7,11 +7,14 @@ from a log-gamma first term, or at p = 3/4 in integers outright; the
 reference box takes its tails from scipy's incomplete beta functions.
 The reference implementations below (bisection box, float threshold
 test, stepped threshold count, the per-setting behavior table, the
-one-call-per-step golden-section search, one-pass generation,
-mask-based estimate, the masked row-per-cell Renyi solver, the
-term-by-term accumulation length and its split search, the bitwise
-GF(2^128) product) are the straightforward versions that the faster
-library code must reproduce exactly.  The accumulation length is
+one-call-per-step golden-section search, uniforms from the generator's
+words, one-pass generation, mask-based estimate, the masked
+row-per-cell Renyi solver, the term-by-term accumulation length and
+its split search, the bitwise GF(2^128) product) are the
+straightforward versions that the faster library code must reproduce
+exactly.  The sifted Renyi entropy bound is written out from the closed
+form in the renyi module docstring, and the kernel's kappa must agree
+with it to 1e-12 relative.  The accumulation length is
 self-contained: of the library it calls only the certificate primitives gamma_eff, g_func,
 g_slope and f_func, which have closed-form tests of their own (its split search maps
 fractions to splits with the library's _split_from_fractions).
@@ -138,7 +141,7 @@ def behavior_table_loop(rho, readout_flip: float) -> np.ndarray:
         for y, b_axis in enumerate(protocol._Y_AXES):
             pa = [(eye + s * a_axis.operator()) / 2.0 for s in (+1.0, -1.0)]
             pb = [(eye + s * b_axis.operator()) / 2.0 for s in (+1.0, -1.0)]
-            probs = np.array([[rho.expectation(np.kron(pa[i], pb[j])) for j in range(2)] for i in range(2)])
+            probs = np.array([[np.trace(rho.matrix @ np.kron(pi, pj)).real for pj in pb] for pi in pa])
             probs = np.clip(probs, 0.0, 1.0)
             probs /= probs.sum()
             r = readout_flip
@@ -182,15 +185,16 @@ def win_min_stepping(params) -> int:
     return k
 
 
+def uniforms(rng, start_round: int, n_rounds: int, slot: int) -> np.ndarray:
+    """One double per round for a fixed slot, rounds [start, start + n): u = (z >> 11) * 2^-53 of each word z."""
+    words = rng.round_words(start_round, range(slot, slot + 1), np.empty((1, n_rounds), dtype=np.uint64))
+    return (words[0] >> np.uint64(11)) * 2.0**-53
+
+
 def generate_columns_oneshot(behavior, params):
     """The seven transcript columns from one pass over all n rounds."""
     rng = CounterRng(params.seed)
-    n = params.n
-    u_s = rng.round_uniforms(0, n, 0)
-    u_x = rng.round_uniforms(0, n, 1)
-    u_t = rng.round_uniforms(0, n, 2)
-    u_y = rng.round_uniforms(0, n, 3)
-    u_o = rng.round_uniforms(0, n, 4)
+    u_s, u_x, u_t, u_y, u_o = (uniforms(rng, 0, params.n, slot) for slot in range(5))
 
     s = (u_s >= params.gamma_a).astype(np.int8)
     t = (u_t >= params.gamma_b).astype(np.int8)

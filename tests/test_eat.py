@@ -6,7 +6,6 @@ import pytest
 from diqkd.eat import (
     EPS_EC,
     HonestModel,
-    TSIRELSON_WIN,
     asymptotic_rate_nosift,
     asymptotic_rate_sifted,
     completeness_ea,
@@ -21,6 +20,7 @@ from diqkd.eat import (
     vartheta,
 )
 from diqkd.eat import _cut_point, _length_of_split
+from diqkd.mathcore import TSIRELSON_WIN
 from diqkd.protocol import ProtocolParams
 from oracles import delta_for_completeness_200, eat_ell_for_split, eat_eta, eat_eta_opt, eat_key_length_search
 from test_renyi import random_cells

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from diqkd.cli import RunConfig, run_pipeline
-from diqkd.renyi import sifted_entropy_bound
+from oracles import renyi_sifted_bound
 
 PAPER = RunConfig(analytic=True, s_obs=2.612, q_obs=0.0285)
 RAW = ("eat_raw_length", "renyi_raw_length")
@@ -27,7 +27,7 @@ def evaluate(**changes):
     """
     r = run_pipeline(PAPER.replace(**changes))
     ga, gb, omega = r.inputs["gamma_a"], r.inputs["gamma_b"], r.inputs["omega_exp"]
-    bound = (1.0 - ga * gb) * sifted_entropy_bound(r.renyi_alpha, ga, gb, 8.0 * (omega - 0.5))
+    bound = (1.0 - ga * gb) * renyi_sifted_bound(r.renyi_alpha, ga, gb, 8.0 * (omega - 0.5))
     assert r.renyi_h_alpha <= bound, changes
     return r
 

@@ -22,6 +22,65 @@ def test_every_exported_name_exists():
     assert missing == []
 
 
+ROOT = Path(__file__).resolve().parents[1]
+SRC_FILES = sorted((ROOT / "src" / "diqkd").glob("*.py"))
+
+# public names that no src code reads, each kept on purpose
+UNREAD_BY_DESIGN = {
+    "diqkd.__version__": "package metadata, read by users and packaging tools",
+    "postprocess.tag_collision_bound": "the tag's collision bound, for the key tagging that no command runs yet",
+    "quantum.outcome_distribution": "the one public entry to the Born-rule kernel for an arbitrary axis pair",
+}
+
+
+def _reads(paths):
+    """Names the code at paths loads, bare or as an attribute, outside any def or class of that name."""
+    names = set()
+
+    def visit(node, enclosing):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            enclosing = enclosing | {node.name}
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load):
+            name = node.id if isinstance(node, ast.Name) else node.attr
+            if name not in enclosing:
+                names.add(name)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(encoding="utf-8")), frozenset())
+    return names
+
+
+def test_every_exported_name_is_read_by_the_program(monkeypatch):
+    # a public name that only tests reach is a second copy to keep in step: each name in a module's
+    # __all__ is read by src code other than its own definition, or perfbench wraps it (TARGETS)
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    known = _reads(SRC_FILES) | {t.attr for t in importlib.import_module("workloads").TARGETS}
+    unread = []
+    for path in SRC_FILES:
+        module = "diqkd" if path.stem == "__init__" else path.stem
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+                unread += [f"{module}.{name}" for name in ast.literal_eval(node.value) if name not in known]
+    assert sorted(unread) == sorted(UNREAD_BY_DESIGN)
+
+
+def test_every_public_method_is_read_by_the_program():
+    # the same rule for the methods of src classes; perfbench's workloads count as a reader, since
+    # the extract workload builds its key and its report through two of them
+    read = _reads([*SRC_FILES, ROOT / "perfbench" / "workloads.py"])
+    unread = [
+        f"{path.stem}.{cls.name}.{node.name}"
+        for path in SRC_FILES
+        for cls in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in read
+    ]
+    assert unread == []
+
+
 def test_start_up_does_not_import_scipy_stats():
     # scipy is a test dependency only: importing scipy.special alone costs
     # about 0.25 s and 24 MB of every command's start-up, so no module of

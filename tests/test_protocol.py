@@ -28,6 +28,7 @@ from oracles import (
     behavior_table_loop,
     estimate_masks,
     generate_columns_oneshot,
+    uniforms,
     win_min_stepping,
 )
 
@@ -53,29 +54,29 @@ def params(n=10_000, seed=7, omega=0.83, delta=0.01, box_lo=(0, 0, 0), box_hi=No
 
 class TestCounterRng:
     def test_range_and_determinism(self):
-        r1 = CounterRng(123).round_uniforms(0, 10_000, 0)
-        r2 = CounterRng(123).round_uniforms(0, 10_000, 0)
+        r1 = uniforms(CounterRng(123), 0, 10_000, 0)
+        r2 = uniforms(CounterRng(123), 0, 10_000, 0)
         assert np.array_equal(r1, r2)
         assert r1.min() >= 0.0 and r1.max() < 1.0
 
     def test_counter_offsets_are_consistent(self):
         rng = CounterRng(9)
-        whole = rng.round_uniforms(0, 1000, 3)
-        assert np.array_equal(whole[200:300], CounterRng(9).round_uniforms(200, 100, 3))
+        whole = uniforms(rng, 0, 1000, 3)
+        assert np.array_equal(whole[200:300], uniforms(CounterRng(9), 200, 100, 3))
 
     def test_mean_and_draw_accounting(self):
         rng = CounterRng(55)
         before = audit_total()
-        u = rng.round_uniforms(0, 200_000, 0)
+        u = uniforms(rng, 0, 200_000, 0)
         assert abs(u.mean() - 0.5) < 0.005
         assert audit_total() - before == 200_000
 
     def test_frozen_values(self):
         # splitmix64 outputs, recorded from the reference implementation
-        assert CounterRng(7).round_uniforms(2**40, 3, 4).tolist() == [
+        assert uniforms(CounterRng(7), 2**40, 3, 4).tolist() == [
             0.20111429287658766, 0.5088587239668427, 0.5865047592507743,
         ]
-        assert CounterRng(2**64 - 1).round_uniforms(0, 2, 0).tolist() == [0.8939429202831845, 0.7695106882796879]
+        assert uniforms(CounterRng(2**64 - 1), 0, 2, 0).tolist() == [0.8939429202831845, 0.7695106882796879]
 
     def test_seed_validation(self):
         with pytest.raises(ValueError):
@@ -92,7 +93,7 @@ class TestCounterRng:
         assert audit_total() - before == SLOTS_PER_ROUND * n
         assert words.dtype == np.uint64 and words.max() >= 2**63  # the raw 64-bit words
         for slot in range(SLOTS_PER_ROUND):
-            assert np.array_equal((words[slot] >> np.uint64(11)) * 2.0**-53, rng.round_uniforms(start, n, slot))
+            assert np.array_equal((words[slot] >> np.uint64(11)) * 2.0**-53, uniforms(rng, start, n, slot))
         middle = rng.round_words(start + 100, range(3, 6), np.empty((3, 50), dtype=np.uint64))
         assert np.array_equal(middle, words[3:6, 100:150])
         # the cached Weyl base serves narrower and wider blocks alike

@@ -137,7 +137,7 @@ class TestOutcomeDistribution:
         for _ in range(100):
             rho = random_state(rng)
             a, b = random_axis(rng), random_axis(rng)
-            direct = rho.expectation(np.kron(a.operator(), b.operator()))
+            direct = np.trace(rho.matrix @ np.kron(a.operator(), b.operator())).real
             assert correlator(rho, a, b) == pytest.approx(direct, abs=1e-10)
 
     def test_readout_flip_half_randomizes(self):

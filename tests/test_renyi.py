@@ -3,23 +3,15 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from oracles import renyi_h_alpha, renyi_objective
+from oracles import renyi_h_alpha, renyi_objective, renyi_sifted_bound
 
 from diqkd import renyi
 from diqkd.cli import RunConfig, run_pipeline, sweep_keyrate_vs_n
 from diqkd.eat import EPS_EC, HonestModel, asymptotic_rate_sifted, delta_for_completeness, key_length_eat, leak_ec
 from diqkd.mathcore import TSIRELSON_WIN
 from diqkd.protocol import ProtocolParams, accept, build_acceptance_set
-from diqkd.renyi import (
-    certified_h_alpha,
-    h_alpha,
-    key_length_renyi,
-    renyi_entropy_factor,
-    renyi_key_entropy,
-    sift_weights,
-    sifted_entropy_bound,
-)
-from diqkd.renyi import _inner_min_vec
+from diqkd.renyi import certified_h_alpha, h_alpha, key_length_renyi, sift_weights
+from diqkd.renyi import _inner_min_vec, _kappa
 
 PAPER = HonestModel.from_chsh(2.612, 0.0285, 0.26, 0.13)
 N_PAPER = 1_208_000
@@ -61,13 +53,29 @@ def bounds(params):
 
 
 def model_objective(alpha, w, gamma_a, gamma_b, lo, hi):
-    """Inner minimum at the model distribution of win probabilities w, from the public pieces."""
+    """Inner minimum at the model distribution of win probabilities w, with kappa from the oracle's bound."""
     w = np.atleast_1d(np.asarray(w, dtype=float))
     gg = gamma_a * gamma_b
     s = 8.0 * (w - 0.5)
-    kappa = np.where(s > 2.0, sifted_entropy_bound(alpha, gamma_a, gamma_b, s), 0.0)
+    kappa = np.where(s > 2.0, renyi_sifted_bound(alpha, gamma_a, gamma_b, s), 0.0)
     p = np.array([gg * (1.0 - w), gg * w, np.full_like(w, 1.0 - gg)])
     return _inner_min_vec(p, lo[:, None], hi[:, None], kappa, alpha - 1.0)
+
+
+def order_terms(alpha):
+    """The kernel's order terms a, 1/a and 2^(1-a), and 1 - a."""
+    a = np.asarray(alpha, dtype=float)
+    return (a, 1.0 / a, 2.0 ** (1.0 - a)), 1.0 - a
+
+
+def sifted_kappa(w, alpha, gamma_a, gamma_b):
+    """The kernel's kappa at win probabilities w: the key bit's entropy diluted by the sift weights."""
+    return _kappa(w, *sift_weights(gamma_a, gamma_b), *order_terms(alpha))
+
+
+def key_entropy(w, alpha):
+    """The key bit's entropy at win probabilities w, from the kernel's kappa at key weight 1 and rest weight 0."""
+    return _kappa(w, 1.0, 0.0, *order_terms(alpha))
 
 
 COARSE_ORDERS = np.unique(np.minimum(1.0 + np.logspace(-5.0, 0.0, 64), 2.0))
@@ -132,43 +140,36 @@ class TestAcceptanceSet:
 
 
 class TestEntropyFactor:
+    """The key bit's entropy, read from the kernel's kappa at key weight 1 and rest weight 0."""
+
     def test_tsirelson_gives_one_bit(self):
         for alpha in (1.0001, 1.3, 2.0):
-            assert renyi_entropy_factor(2 * math.sqrt(2), alpha) == pytest.approx(2.0 ** (1 - alpha))
-            assert renyi_key_entropy(2 * math.sqrt(2), alpha) == pytest.approx(1.0)
+            assert key_entropy(TSIRELSON_WIN, alpha) == pytest.approx(1.0)
 
     def test_classical_gives_zero(self):
+        # omega <= 3/4 is S <= 2, where the entropy term is off
         for alpha in (1.0001, 1.5, 2.0):
-            assert renyi_entropy_factor(2.0, alpha) == 1.0
-            assert renyi_key_entropy(2.0, alpha) == 0.0
-        assert renyi_entropy_factor(1.2, 1.5) == 1.0  # clamped below the bound
-
-    def test_unphysical_rejected(self):
-        with pytest.raises(ValueError):
-            renyi_entropy_factor(2.9, 1.5)
+            assert key_entropy(0.75, alpha) == 0.0
+        assert key_entropy(0.65, 1.5) == 0.0
 
     def test_against_high_precision_oracle(self):
-        import mpmath
-
-        mpmath.mp.dps = 50
-        for s, alpha in ((2.612, 1.2), (2.3, 1.05), (2.75, 1.9)):
-            r = mpmath.sqrt(mpmath.mpf(s) ** 2 / 4 - 1)
-            br = ((1 - r) / 2) ** (1 / mpmath.mpf(alpha)) + ((1 + r) / 2) ** (1 / mpmath.mpf(alpha))
-            factor = 2 ** (1 - mpmath.mpf(alpha)) * br ** mpmath.mpf(alpha)
-            want = float(mpmath.log(factor, 2) / (1 - mpmath.mpf(alpha)))
-            got = renyi_key_entropy(s, alpha)
-            assert got == pytest.approx(want, rel=1e-12)
-            assert 0.0 < got < 1.0
+        with mpmath.workdps(50):
+            for s, alpha in ((2.612, 1.2), (2.3, 1.05), (2.75, 1.9)):
+                r = mpmath.sqrt(mpmath.mpf(s) ** 2 / 4 - 1)
+                br = ((1 - r) / 2) ** (1 / mpmath.mpf(alpha)) + ((1 + r) / 2) ** (1 / mpmath.mpf(alpha))
+                factor = 2 ** (1 - mpmath.mpf(alpha)) * br ** mpmath.mpf(alpha)
+                want = float(mpmath.log(factor, 2) / (1 - mpmath.mpf(alpha)))
+                got = key_entropy(0.5 + s / 8.0, alpha)
+                assert got == pytest.approx(want, rel=1e-12)
+                assert 0.0 < got < 1.0
 
     def test_monotone_in_s_and_alpha(self):
         alphas = np.linspace(1.01, 2.0, 10)
-        scores = np.linspace(2.05, 2.8, 10)
+        ws = 0.5 + np.linspace(2.05, 2.8, 10) / 8.0
         for a in alphas:
-            ent = [renyi_key_entropy(s, a) for s in scores]
-            assert all(y > x for x, y in zip(ent, ent[1:]))
-        for s in scores:
-            ent = [renyi_key_entropy(s, a) for a in alphas]
-            assert all(y < x for x, y in zip(ent, ent[1:]))
+            assert np.all(np.diff(key_entropy(ws, a)) > 0.0)
+        for w in ws:
+            assert np.all(np.diff(key_entropy(w, alphas)) < 0.0)
 
 
 class TestSiftedBound:
@@ -188,10 +189,9 @@ class TestSiftedBound:
         # the limit of vanishing test fractions: every kept round is a key round
         wk, wr = sift_weights(1e-9, 1e-9)
         assert wk == pytest.approx(1.0, abs=1e-8) and wr == pytest.approx(0.0, abs=1e-8)
+        w = 0.5 + 2.612 / 8.0
         for alpha in (1.1, 1.7):
-            assert sifted_entropy_bound(alpha, 1e-9, 1e-9, 2.612) == pytest.approx(
-                renyi_key_entropy(2.612, alpha)
-            )
+            assert sifted_kappa(w, alpha, 1e-9, 1e-9) == pytest.approx(key_entropy(w, alpha))
 
     @pytest.mark.parametrize("gammas", [(1.5, 0.5), (1.0, 1.0), (0.0, 0.5), (0.5, 0.0), (-0.1, 0.5), (math.nan, 0.5)])
     def test_fractions_outside_unit_interval_rejected(self, gammas):
@@ -203,12 +203,27 @@ class TestSiftedBound:
             box_params(1000, *gammas, 0.8265, (0, 0, 0), (1000, 1000, 1000))
 
     def test_classical_score_certifies_nothing(self):
-        assert sifted_entropy_bound(1.3, 0.26, 0.13, 2.0) == 0.0
+        assert sifted_kappa(0.75, 1.3, 0.26, 0.13) == 0.0
 
     def test_dilution(self):
         # with sifting, the kept-round entropy is below the pure key bound
-        full = renyi_key_entropy(2.612, 1.2)
-        assert 0.0 < sifted_entropy_bound(1.2, 0.26, 0.13, 2.612) < full
+        w = 0.5 + 2.612 / 8.0
+        assert 0.0 < sifted_kappa(w, 1.2, 0.26, 0.13) < key_entropy(w, 1.2)
+
+    @pytest.mark.parametrize("lone", [False, True])
+    def test_kappa_against_oracle_on_random_points(self, lone):
+        # one order, pair of test fractions and win probability per row; every fifth order is 2, where a lone
+        # order takes numpy's scalar-exponent rounding
+        rng = np.random.default_rng(29)
+        alpha = 2.0 - rng.uniform(0.0, 1.0, 200)  # in (1, 2]
+        alpha[::5] = 2.0
+        ga, gb = rng.uniform(0.0, 1.0, (2, 200))
+        ws = TSIRELSON_WIN - rng.uniform(0.0, TSIRELSON_WIN - 0.75, 200)  # in (3/4, TSIRELSON_WIN]
+        w_key, w_rest = np.array([sift_weights(a, b) for a, b in zip(ga, gb)]).T
+        got = _kappa(ws, w_key, w_rest, *order_terms(alpha), lone)
+        want = renyi_sifted_bound(alpha, ga, gb, 8.0 * (ws - 0.5))
+        assert np.all(want > 0.0)
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=0.0)
 
 
 def inner_objective(q, p, kappa, alpha):
@@ -270,7 +285,7 @@ class TestInnerSolve:
         gg = 0.26 * 0.13
         for w, alpha in ((0.80, 1.0004), (0.75, 1.01), (0.70, 1.2)):
             p = np.array([gg * (1.0 - w), gg * w, 1.0 - gg])
-            kappa = sifted_entropy_bound(alpha, 0.26, 0.13, 8.0 * (w - 0.5)) if w > 0.75 else 0.0
+            kappa = renyi_sifted_bound(alpha, 0.26, 0.13, 8.0 * (w - 0.5)) if w > 0.75 else 0.0
             div = q0 * np.log2(q0 / p[0]) + q1 * np.log2(q1 / p[1]) + q2 * np.log2(q2 / p[2])
             grid = np.where(keep, div / (alpha - 1.0) + q2 * kappa, np.inf)
             got = solve_inner(p, lo, hi, kappa, alpha)
@@ -306,7 +321,7 @@ class TestHAlpha:
     def test_point_box_forced_score(self):
         q = honest(0.26, 0.13, 0.8265)
         got = model_objective(1.2, 0.8265, 0.26, 0.13, q, q)[0]
-        want = 0.96620 * sifted_entropy_bound(1.2, 0.26, 0.13, 2.612)
+        want = 0.96620 * renyi_sifted_bound(1.2, 0.26, 0.13, 2.612)
         assert got == pytest.approx(want, rel=1e-9)
 
     def test_perfect_violation_limit(self):

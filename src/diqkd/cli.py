@@ -402,8 +402,11 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
     """
     t0 = time.perf_counter()
     behavior, (s_model, q_model), (s_eval, q_eval), model = _operating_point(config)
-    omega_exp = config.omega_exp if config.omega_exp is not None else behavior.chsh_win_probability()
-    (params,), (lec,) = _fronts(config, [config.n], model.omega if config.analytic else omega_exp, model)
+    if config.analytic:
+        omega_exp = model.omega
+    else:  # the model's win probability only where a simulated run needs it
+        omega_exp = config.omega_exp if config.omega_exp is not None else behavior.chsh_win_probability()
+    (params,), (lec,) = _fronts(config, [config.n], omega_exp, model)
     link_summary = _link_summary(config)  # before any draw: a bad link config fails at once
 
     if config.analytic:

@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -13,6 +14,7 @@ from diqkd.postprocess import (
     ToeplitzSeed,
     _gf128_mul,
     _mul_matrix,
+    _times,
     tag_collision_bound,
     toeplitz_extract,
     verify_tag,
@@ -86,7 +88,7 @@ class TestToeplitzExtract:
     def test_empty_output(self):
         rng = np.random.default_rng(1)
         raw = BitString.random(16, rng)
-        seed = ToeplitzSeed(BitString.random(16, rng))  # m + 1 - 1
+        seed = ToeplitzSeed(BitString.random(15, rng))  # m + 0 - 1
         out = toeplitz_extract(raw, seed, 0)
         assert len(out) == 0
 
@@ -130,6 +132,8 @@ class TestToeplitzExtract:
             toeplitz_extract(raw, ToeplitzSeed(BitString.random(10, rng)), 5)
         with pytest.raises(ValueError):
             toeplitz_extract(raw, ToeplitzSeed(BitString.random(30, rng)), 11)
+        with pytest.raises(ValueError):  # an empty output still needs m - 1 seed bits
+            toeplitz_extract(raw, ToeplitzSeed(BitString.random(10, rng)), 0)
 
     def test_rows_at_block_boundaries_match_definition(self):
         # several input and output blocks, neither m nor ell a block multiple;
@@ -267,12 +271,24 @@ class TestVerifyTag:
     def test_mul_matrix_matches_bitwise(self):
         rng = np.random.default_rng(13)
         for y in (0, 1, 2**127, *(int.from_bytes(rng.bytes(16), "big") for _ in range(20))):
-            matrix = _mul_matrix(y)
+            table = _mul_matrix(y)
             for _ in range(5):
                 x = int.from_bytes(rng.bytes(16), "big")
-                row = np.unpackbits(np.frombuffer(x.to_bytes(16, "big"), dtype=np.uint8)).astype(np.float32)
-                got = np.packbits((row @ matrix).astype(np.uint8) & 1).tobytes()
-                assert int.from_bytes(got, "big") == gf128_mul_bitwise(x, y)
+                packed = np.frombuffer(x.to_bytes(16, "big"), dtype=np.uint8)[None]
+                assert int.from_bytes(_times(packed, table).tobytes(), "big") == gf128_mul_bitwise(x, y)
+
+    @pytest.mark.parametrize("k", [1, 2, 256])
+    def test_table_product_of_lanes_matches_bitwise(self, k):
+        # byte values of 16 and up wrap if the index product stays in uint8,
+        # and each lane's 16 bytes span both uint64 halves of a table entry
+        rng = np.random.default_rng(21 + k)
+        y = int.from_bytes(rng.bytes(16), "big")
+        packed = rng.integers(0, 256, (k, 16), dtype=np.uint8)
+        got = _times(packed, _mul_matrix(y))
+        assert got.shape == (k, 16)
+        for lane, product in zip(packed, got):
+            x = int.from_bytes(lane.tobytes(), "big")
+            assert int.from_bytes(product.tobytes(), "big") == gf128_mul_bitwise(x, y)
 
     def test_windowed_product_matches_bitwise(self):
         rng = np.random.default_rng(16)
@@ -324,3 +340,19 @@ class TestVerifyTag:
 
         with pytest.raises(ValueError):
             verify_tag(OversizeBits(np.zeros(1, dtype=np.uint8)), key)
+
+
+def test_paper_shape_outputs_are_pinned():
+    # digests of both outputs at m = 2^20, l = 2^17, where the sampled-row oracle
+    # checks only some rows: the FFT block size and the tag's product kernel may
+    # change, these bytes may not
+    rng = np.random.default_rng(20260420)
+    m, ell = 1 << 20, 1 << 17
+    raw = BitString.random(m, rng)
+    seed = ToeplitzSeed(BitString.random(m + ell - 1, rng))
+    key = TagKey.from_bits(BitString.random(256, rng))
+    out = toeplitz_extract(raw, seed, ell)
+    assert hashlib.sha256(out.bits.tobytes()).hexdigest() == (
+        "b74974c7474464db86c643167c15e4ee0bc26a2f39cefeefdc724e6ea49485e8"
+    )
+    assert verify_tag(raw, key) == 0xBB7843F57F43C521

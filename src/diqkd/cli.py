@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import collections
-import contextlib
 import json
 import math
 import sys
@@ -54,15 +53,20 @@ class InfeasibleError(RuntimeError):
     """The requested evaluation has no feasible answer (exit code 4)."""
 
 
-@contextlib.contextmanager
-def _stage(label: str = "", error: type = ConfigError):
+class _stage:
     """A stage's ValueError becomes error, its message after ``label: ``; a ConfigError passes through as raised."""
-    try:
-        yield
-    except ConfigError:
-        raise
-    except ValueError as exc:
-        raise error(f"{label}: {exc}" if label else str(exc)) from exc
+
+    __slots__ = ("label", "error")
+
+    def __init__(self, label: str = "", error: type = ConfigError):
+        self.label, self.error = label, error
+
+    def __enter__(self) -> None:
+        pass
+
+    def __exit__(self, kind, exc, tb) -> None:
+        if kind is not None and issubclass(kind, ValueError) and not issubclass(kind, ConfigError):
+            raise self.error(f"{self.label}: {exc}" if self.label else str(exc)) from exc
 
 
 def _parse_bool(text: str) -> bool:
@@ -386,6 +390,12 @@ def _key_lengths(
     return eat_res, renyi_res
 
 
+# the report's key-length fields, in each result's field order
+_EAT_KEYS = tuple(f"eat_{name}" for name in eat.EatResult._fields)
+_RENYI_KEYS = tuple(f"renyi_{name}" for name in renyi.RenyiResult._fields)
+_NO_RESULT = (None,) * max(len(_EAT_KEYS), len(_RENYI_KEYS))
+
+
 def run_pipeline(config: RunConfig) -> KeyRateReport:
     """Model -> (streamed rounds -> counts) -> estimates -> acceptance -> key lengths.
 
@@ -444,10 +454,10 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
         accepted_box=accepted_box,
         rng_draws=draws,
         link_summary=link_summary,
-        # each result's fields by name, None where its method did not run (getattr of None)
-        **{f"eat_{name}": getattr(eat_res, name, None) for name in eat.EatResult._fields},
+        # each result's fields by name, None where its method did not run
+        **dict(zip(_EAT_KEYS, eat_res or _NO_RESULT)),
         eat_delta=None if eat_res is None else params.delta,
-        **{f"renyi_{name}": getattr(renyi_res, name, None) for name in renyi.RenyiResult._fields},
+        **dict(zip(_RENYI_KEYS, renyi_res or _NO_RESULT)),
         leak_ec_bits=lec,
         asymptotic_sifted=eat.asymptotic_rate_sifted(s_eval, q_eval, config.gamma_a, config.gamma_b),
         asymptotic_nosift=eat.asymptotic_rate_nosift(s_eval, q_eval),

@@ -185,11 +185,13 @@ class Behavior:
         return float(sum(0.25 * self.table[x, y, a, b] for x, y, a, b in cells if (a ^ b) == (x & y)))
 
     def chsh_value(self) -> float:
-        e = self.table[..., 0, 0] - self.table[..., 0, 1] - self.table[..., 1, 0] + self.table[..., 1, 1]
-        return float(e[0, 0] + e[0, 1] + e[1, 0] - e[1, 1])
+        # in Python floats, in numpy's operation order: on 16 numbers, numpy's per-call cost would be most of the work
+        e = [[((p[0][0] - p[0][1]) - p[1][0]) + p[1][1] for p in row] for row in self.table[:, :2].tolist()]
+        return ((e[0][0] + e[0][1]) + e[1][0]) - e[1][1]
 
     def key_qber(self) -> float:
-        return float(self.table[0, 2, 0, 1] + self.table[0, 2, 1, 0])
+        (_, q01), (q10, _) = self.table[0, 2].tolist()
+        return q01 + q10
 
 
 # (s, t, x, y, a, b) of each cell index v, and the columns a Transcript stores for it

@@ -32,6 +32,15 @@ chosen order but never the value reported at a given order.  The
 solver takes all rows' three outcomes as one (3, ...) array, every
 entry positive.
 
+The order search's coarse pass over _ALPHA_GRID orders is screened
+(_coarse_order).  Every _SCREEN_STRIDE-th grid score above the
+classical point, with the rows below it and the kink, bounds each
+order's estimate from above, and so its key length, in one solver call
+for all orders; h_alpha then solves only the orders whose bound can
+still reach the best length solved.  An order left out can neither win
+nor tie, so the pass picks the order and length that solving every
+order picks, bit for bit.
+
 Both functions, and key_length_renyi above them, take a sequence of
 protocols, the points of a sweep, and evaluate them in lockstep: each
 array call holds the rows of every point, with each point's box and
@@ -69,6 +78,8 @@ _CERT_ROUNDS = 12  # round cap of the certificate; its bound is sound at any rou
 _CERT_CELLS = 4096  # live-cell cap of the certificate, which keeps its rows' memory flat
 _CERT_TOL = 1e-9  # relative gap below the best evaluated value at which a cell is dropped
 _GRID_ROWS = 4096  # rows per grid call of the order search, which holds one point's 64-order grid
+_SCREEN_STRIDE = 4  # the coarse pass bounds each order from every 4th score above the classical point
+_SCREEN_SOLVE = 8  # orders per point the coarse pass solves first, those of the largest bounds
 _COARSE_ALPHAS = np.minimum(1.0 + np.logspace(-5.0, 0.0, _ALPHA_GRID), 2.0)  # increasing already; np.unique imports numpy.ma
 
 
@@ -212,11 +223,14 @@ _HALVES = _halves(8.0 * (_GRID[_J0:] - 0.5))
 _FLAT_WS = np.append(_GRID[:_J0], _KINK)  # the rows whose minimiser no order changes
 
 
-def _grid_stage(outer, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _grid_stage(outer, alphas: np.ndarray, stride: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """The score grid's values, shape (points, orders, _SIGMA_GRID), and the kink's, (points, orders).
 
     outer is _outer_problem's columns and alphas holds each point's
-    orders, shape (points, orders).  Where kappa = 0 (_FLAT_WS) the
+    orders, shape (points, orders).  With a stride, only every
+    stride-th score above the classical point is solved, and the grid
+    axis holds the _J0 scores below it and then those; each value is the
+    full grid's at its score, bit for bit.  Where kappa = 0 (_FLAT_WS) the
     scaled model, and so the minimiser q, is the same at every order:
     those rows are solved once per point at alpha - 1 = 1, which gives
     D(q||p), and each order's value is D / (alpha - 1), the value a solve
@@ -229,13 +243,14 @@ def _grid_stage(outer, alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     gg = outer[2, :, None]
     a = alphas[:, :, None]
     # 1/a as a full array: numpy takes a broadcast exponent 0.5 as sqrt, which rounds differently
-    inv_a = np.repeat(1.0 / a, _SIGMA_GRID - _J0, axis=2)
+    ws, halves = _GRID[_J0::stride], [h[::stride] for h in _HALVES]
+    inv_a = np.repeat(1.0 / a, len(ws), axis=2)
     w_key, w_rest = outer[0, :, None, None], outer[1, :, None, None]
-    kappa = _sifted(w_key, w_rest, _factor(_HALVES, a, inv_a, 2.0 ** (1.0 - a)), 1.0 - a)
+    kappa = _sifted(w_key, w_rest, _factor(halves, a, inv_a, 2.0 ** (1.0 - a)), 1.0 - a)
     ones = np.ones((points, len(_FLAT_WS)))
-    p = np.concatenate([np.tile(_model(_GRID[_J0:], gg), orders), _model(_FLAT_WS, gg)], axis=2)
+    p = np.concatenate([np.tile(_model(ws, gg), orders), _model(_FLAT_WS, gg)], axis=2)
     kappa = np.concatenate([kappa.reshape(points, -1), np.zeros_like(ones)], axis=1)
-    am1 = np.concatenate([np.repeat(alphas - 1.0, _SIGMA_GRID - _J0, axis=1), ones], axis=1)
+    am1 = np.concatenate([np.repeat(alphas - 1.0, len(ws), axis=1), ones], axis=1)
     step = max(_GRID_ROWS // kappa.shape[1], 1)
     lo, hi = outer[3:6, :, None], outer[6:, :, None]
     vals = np.concatenate(
@@ -423,6 +438,42 @@ def certified_h_alpha(params: Sequence[ProtocolParams], alphas: Sequence[float])
     )
 
 
+def _coarse_order(params: Sequence[ProtocolParams], lengths) -> tuple[np.ndarray, np.ndarray]:
+    """Each point's best estimated length over the coarse orders and that order, the first on a tie.
+
+    lengths(alphas, ha, rows) gives the raw lengths of the points in rows at
+    orders alphas and entropy estimates ha, nondecreasing in ha.  An
+    order's estimate is h_alpha's minimum over its grid rows, the kink and
+    its golden points, and each row is solved as it would be alone, so
+    the minimum over a subset of them bounds the estimate from above, and
+    its length bounds the order's.  One _grid_stage call on every
+    _SCREEN_STRIDE-th score above the classical point gives that bound
+    for all orders.  h_alpha then solves the _SCREEN_SOLVE orders of the
+    largest bounds, and then, at once, every order not yet solved whose
+    bound reaches the best length found; the orders left can neither win
+    nor tie.  So the result is the argmax over all the orders' estimated
+    lengths, bit for bit.
+    """
+    alphas = np.broadcast_to(_COARSE_ALPHAS, (len(params), _ALPHA_GRID))
+    vals, kink = _grid_stage(_outer_problem(params), alphas, _SCREEN_STRIDE)
+    bound = lengths(alphas, np.minimum(vals.min(axis=2), kink))
+    ell, solved = np.full_like(bound, -np.inf), np.zeros_like(bound, dtype=bool)
+    todo = solved.copy()
+    np.put_along_axis(todo, np.argsort(-bound, axis=1, kind="stable")[:, :_SCREEN_SOLVE], True, axis=1)
+    while todo.any():
+        rows = np.flatnonzero(todo.any(axis=1))
+        # each point's orders to solve, repeated to a common width of at least 2: a lone order would take
+        # h_alpha's scalar-exponent rounding, not the rounding of an order among others
+        width = max(int(todo.sum(axis=1).max()), 2)
+        cols = np.array([np.resize(np.flatnonzero(todo[k]), width) for k in rows])
+        sub = alphas[rows[:, None], cols]
+        ell[rows[:, None], cols] = lengths(sub, h_alpha([params[k] for k in rows], sub), rows)
+        solved |= todo
+        todo = ~solved & (bound >= ell.max(axis=1, keepdims=True))
+    i, k = np.argmax(ell, axis=1), np.arange(len(ell))
+    return ell[k, i], alphas[k, i]
+
+
 class RenyiResult(NamedTuple):
     length: float  # zero-clamped
     raw_length: float
@@ -446,10 +497,13 @@ def key_length_renyi(
     EPS_EC and the secrecy term gets eps_sec = eps_snd - EPS_EC.  With
     alpha unset, each point's order is chosen from h_alpha's estimates on
     a log-spaced grid over (1, 2] (_ALPHA_GRID points), refined once
-    around its best point; each pass is one h_alpha call over all points
-    and orders.  The reported entropy and lengths are certified_h_alpha's
-    at the chosen orders, or at a fixed alpha in (1, 2], one call for all
-    points.  Each result equals the point's result alone, bit for bit.
+    around its best point.  The coarse pass solves only the orders that
+    its screen cannot rule out, and picks what solving every order would
+    pick, bit for bit (_coarse_order); the refinement solves its 16
+    orders in one h_alpha call over all points.  The reported entropy and
+    lengths are certified_h_alpha's at the chosen orders, or at a fixed
+    alpha in (1, 2], one call for all points.  Each result equals the
+    point's result alone, bit for bit.
     """
     _check_points(params)
     if not EPS_EC < eps_snd < 1.0:
@@ -468,19 +522,19 @@ def key_length_renyi(
 
     columns = np.array([n, charge, leak_ec_bits], dtype=float)[:, :, None]
 
-    def best_of(alphas: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Each point's best estimated length over its orders and that order, the first on a tie."""
-        ell = raw_length(alphas, h_alpha(params, alphas), *columns)
-        i, k = np.argmax(ell, axis=1), np.arange(len(ell))
-        return ell[k, i], alphas[k, i]
+    def lengths(alphas: np.ndarray, ha: np.ndarray, rows=slice(None)) -> np.ndarray:
+        """Raw lengths at orders alphas and entropies ha, shape (points, orders), of the points in rows."""
+        return raw_length(alphas, ha, *columns[:, rows])
 
     if alpha is None:
-        ell, alphas = best_of(np.broadcast_to(_COARSE_ALPHAS, (len(params), _ALPHA_GRID)))
+        ell, alphas = _coarse_order(params, lengths)
         # one refinement pass: a finer log grid spanning one coarse spacing around each point's order
         spacing = 10.0 ** (5.0 / (_ALPHA_GRID - 1))
         ends = [(math.log10(max((a - 1.0) / spacing, 1e-7)), math.log10(min((a - 1.0) * spacing, 1.0))) for a in alphas]
-        ell_fine, alphas_fine = best_of(np.minimum(1.0 + np.logspace(*np.array(ends).T, 16).T, 2.0))
-        alphas = np.where(ell_fine > ell, alphas_fine, alphas)
+        alphas_fine = np.minimum(1.0 + np.logspace(*np.array(ends).T, 16).T, 2.0)
+        ell_fine = lengths(alphas_fine, h_alpha(params, alphas_fine))
+        i, k = np.argmax(ell_fine, axis=1), np.arange(len(params))
+        alphas = np.where(ell_fine[k, i] > ell, alphas_fine[k, i], alphas)
     else:
         alphas = np.full(len(params), float(alpha))
 

@@ -9,12 +9,12 @@ The reference implementations below (bisection box, float threshold
 test, stepped threshold count, the per-setting behavior table, the
 one-call-per-step golden-section search, uniforms from the generator's
 words, one-pass generation, mask-based estimate, the masked
-row-per-cell Renyi solver, the term-by-term accumulation length and
-its split search, the bitwise GF(2^128) product) are the
-straightforward versions that the faster library code must reproduce
-exactly.  The sifted Renyi entropy bound is written out from the closed
-form in the renyi module docstring, and the kernel's kappa must agree
-with it to 1e-12 relative.  The accumulation length is
+row-per-cell Renyi solver, the coarse order search over every order,
+the term-by-term accumulation length and its split search, the bitwise
+GF(2^128) product) are the straightforward versions that the faster
+library code must reproduce exactly.  The sifted Renyi entropy bound is
+written out from the closed form in the renyi module docstring, and the
+kernel's kappa must agree with it to 1e-12 relative.  The accumulation length is
 self-contained: of the library it calls only the certificate primitives gamma_eff, g_func,
 g_slope and f_func, which have closed-form tests of their own (its split search maps
 fractions to splits with the library's _split_from_fractions).
@@ -342,6 +342,18 @@ def renyi_h_alpha(alphas, gamma_a, gamma_b, lo, hi, sigma_grid=192, order_chunk=
     _, fc, _, fd = golden_min_stepwise(objective, lo_w, hi_w, renyi._GOLDEN_STEPS)
     kink = objective(np.full(len(alphas), 0.75))
     return np.minimum(np.minimum(vals[np.arange(len(alphas)), i], kink), np.minimum(fc, fd))
+
+
+def renyi_coarse_order(params, lengths):
+    """The coarse order search without a screen: every coarse order's length, each point's first best and its order.
+
+    lengths(alphas, ha) is key_length_renyi's raw length at orders alphas
+    and estimates ha; every order is solved in one h_alpha call.
+    """
+    alphas = np.broadcast_to(renyi._COARSE_ALPHAS, (len(params), renyi._ALPHA_GRID))
+    ell = lengths(alphas, renyi.h_alpha(params, alphas))
+    i, k = np.argmax(ell, axis=1), np.arange(len(ell))
+    return ell, ell[k, i], alphas[k, i]
 
 
 def eat_eta(omega, omega_t, eps, eps_e, n, gamma_a, gamma_b):

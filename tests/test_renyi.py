@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from oracles import renyi_h_alpha, renyi_objective, renyi_sifted_bound
+from oracles import renyi_coarse_order, renyi_h_alpha, renyi_objective, renyi_sifted_bound
 
 from diqkd import renyi
 from diqkd.cli import RunConfig, run_pipeline, sweep_keyrate_vs_n
@@ -428,11 +428,12 @@ class TestKernelMatchesOracle:
         (got,) = h_alpha([params], COARSE_ORDERS)
         assert np.array_equal(got, renyi_h_alpha(COARSE_ORDERS, 0.5, 0.5, *bounds(params)))
 
-    @pytest.mark.parametrize("alpha, calls", [(None, 18), (1.001, 4)])
+    @pytest.mark.parametrize("alpha, calls", [(None, 19), (1.001, 4)])
     def test_solver_calls_per_search(self, monkeypatch, alpha, calls):
-        # an order search: 2 passes of (1 grid call + 1 for both first golden points + 5 calls for the 10 golden
-        # steps, two a call) = 14 and 4 certificate rounds at the chosen order, 14 + 4 = 18; a fixed order: the 4
-        # certificate rounds alone
+        # an order search: the coarse pass's screen (1 call), then 2 h_alpha calls, the coarse pass's 8 orders of
+        # the largest bounds (2 of the 64 can win here) and the refinement's 16, each 1 grid call + 1 for both first
+        # golden points + 5 calls for the 10 golden steps, two a call; then 4 certificate rounds at the chosen
+        # order: 1 + 2 x 7 + 4 = 19; a fixed order: the 4 certificate rounds alone
         seen = []
         solve = renyi._inner_min_vec
         monkeypatch.setattr(renyi, "_inner_min_vec", lambda *args: seen.append(1) or solve(*args))
@@ -440,15 +441,77 @@ class TestKernelMatchesOracle:
         assert len(seen) == calls
 
     def test_solver_calls_per_sweep(self, monkeypatch):
-        # the default 8-point sweep: pass 1 solves each point's 3,584 + 137 grid rows in its own call (8), pass 2
-        # three points' 896 + 137 rows per call (3), each pass 6 golden calls for all points, and the certificate
-        # runs 10 rounds, as long as its slowest point (n = 1e4 at alpha = 2): 14 + 9 + 10 = 33, against 8 x 18
+        # the default 8-point sweep: the screen solves three points' 896 + 137 rows per call (3), the coarse pass's
+        # 8 orders seven points' 448 + 137 rows per grid call (2), the refinement three points' 896 + 137 (3), each
+        # h_alpha call 6 golden calls for all points, and the certificate runs 10 rounds, as long as its slowest
+        # point (n = 1e4 at alpha = 2): 3 + 8 + 9 + 10 = 30, against 8 x 19
         seen = []
         solve = renyi._inner_min_vec
         monkeypatch.setattr(renyi, "_inner_min_vec", lambda *args: seen.append(1) or solve(*args))
         config = RunConfig(s_obs=2.612, q_obs=0.0285)
         sweep_keyrate_vs_n(config, config.sweep_n_grid)
-        assert len(seen) == 33
+        assert len(seen) == 30
+
+
+class TestScreenedOrderSearch:
+    """The coarse pass solves only the orders whose screening bound can still win, and picks what solving all picks."""
+
+    @staticmethod
+    def checked(monkeypatch):
+        """Check each coarse pass against the oracle, and every order's bound against its length; returns the
+        h_alpha calls each pass made."""
+        passes = []
+        screened, solve = renyi._coarse_order, renyi.h_alpha
+
+        def counted(*args):
+            passes[-1] += 1
+            return solve(*args)
+
+        def both(params, lengths):
+            passes.append(0)
+            monkeypatch.setattr(renyi, "h_alpha", counted)
+            got = screened(params, lengths)
+            monkeypatch.setattr(renyi, "h_alpha", solve)
+            ell, *want = renyi_coarse_order(params, lengths)
+            assert all(np.array_equal(g, w) for g, w in zip(got, want))
+            alphas = np.broadcast_to(renyi._COARSE_ALPHAS, ell.shape)
+            vals, kink = renyi._grid_stage(renyi._outer_problem(params), alphas, renyi._SCREEN_STRIDE)
+            assert (lengths(alphas, np.minimum(vals.min(axis=2), kink)) >= ell).all()
+            return got
+
+        monkeypatch.setattr(renyi, "_coarse_order", both)
+        return passes
+
+    def test_paper_point_and_sweeps(self, monkeypatch):
+        # the analytic run's point, the benchmark sweep's two and the default 8-point grid
+        passes = self.checked(monkeypatch)
+        config = RunConfig(s_obs=2.612, q_obs=0.0285)
+        for ns in ([config.n], [500_000, 10_000_000], config.sweep_n_grid):
+            sweep_keyrate_vs_n(config, ns)
+        assert len(passes) == 3
+
+    def test_random_cells(self, monkeypatch):
+        passes = self.checked(monkeypatch)
+        params = list(random_cells(116, 30))
+        key_length_renyi(params, 1e-5, [0.05 * pt.n for pt in params])
+        assert len(passes) == 1
+
+    def test_later_solve_pass(self, monkeypatch):
+        # with one order solved first, each point whose second-best bound reaches the best length needs another pass
+        monkeypatch.setattr(renyi, "_SCREEN_SOLVE", 1)
+        passes = self.checked(monkeypatch)
+        key_length_renyi([paper_params(), paper_params(10_000_000)], 1e-5, [paper_leak(), paper_leak(10_000_000)])
+        assert passes[0] > 1
+
+    def test_screen_values_are_the_grid_columns(self):
+        # the bound rests on this: each screened value is the full grid's at its score, bit for bit
+        params = [paper_params(), *random_cells(117, 5)]
+        outer, alphas = renyi._outer_problem(params), np.broadcast_to(renyi._COARSE_ALPHAS, (len(params), 64))
+        vals, kink = renyi._grid_stage(outer, alphas)
+        got, got_kink = renyi._grid_stage(outer, alphas, renyi._SCREEN_STRIDE)
+        j0 = renyi._J0
+        assert np.array_equal(got, np.concatenate([vals[:, :, :j0], vals[:, :, j0 :: renyi._SCREEN_STRIDE]], axis=2))
+        assert np.array_equal(got_kink, kink)
 
 
 class TestBatch:

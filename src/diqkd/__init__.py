@@ -7,7 +7,7 @@ from .eat import (
     key_length_eat,
 )
 from .mathcore import binomial_tail, chsh_to_winprob
-from .protocol import ProtocolParams, behavior_from_state, build_acceptance_set, generate_transcript
+from .protocol import ProtocolParams, behavior_from_state, build_acceptance_set
 from .quantum import NoiseParams, build_heralded_state, fidelity_from_visibilities
 from .renyi import key_length_renyi
 
@@ -25,7 +25,6 @@ __all__ = [
     "build_heralded_state",
     "chsh_to_winprob",
     "fidelity_from_visibilities",
-    "generate_transcript",
     "key_length_eat",
     "key_length_renyi",
     "__version__",

@@ -173,11 +173,13 @@ class RunConfig(_RunConfigFields):
                 )
             if not 0.75 < self.omega_exp <= TSIRELSON_WIN:
                 raise ConfigError(f"protocol.omega_exp={self.omega_exp} outside (3/4, (2+sqrt2)/4]")
-        # the model's own range checks, in its words, so every command rejects a value that only some read
+        # the model's and the link's own range checks, in their words and under the pipeline's stage labels,
+        # so every command rejects a value that only some read
+        with _stage("physical model"):
+            NoiseParams.from_visibilities(self.v_zz, self.v_xx, white_noise=self.white_noise, delta_phi=self.delta_phi)
         if not 0.0 <= self.readout_flip <= 1.0:
             raise ConfigError(f"physical model: readout_flip={self.readout_flip} outside [0, 1]")
-        if not 0.0 <= self.alpha_excitation <= 1.0:
-            raise ConfigError(f"link budget: alpha={self.alpha_excitation} outside [0, 1]")
+        _link_summary(self)
         # the certificates' own range checks, made before any of them runs
         if not eat.EPS_EC < self.eps_snd < 1.0:
             raise ConfigError(f"security.eps_snd={self.eps_snd} outside (EPS_EC = 2^-61, 1)")
@@ -417,7 +419,7 @@ def run_pipeline(config: RunConfig) -> KeyRateReport:
     else:  # the model's win probability only where a simulated run needs it
         omega_exp = config.omega_exp if config.omega_exp is not None else behavior.chsh_win_probability()
     (params,), (lec,) = _fronts(config, [config.n], omega_exp, model)
-    link_summary = _link_summary(config)  # before any draw: a bad link config fails at once
+    link_summary = _link_summary(config)
 
     if config.analytic:
         s_hat = s_err = q_hat = q_err = beta = None
@@ -479,7 +481,6 @@ def sweep_keyrate_vs_n(config: RunConfig, n_grid: list[int]) -> list[dict]:
     ns = [int(n) for n in sorted(n_grid)]
     _, _, (s_eval, q_eval), model = _operating_point(config)
     params, lecs = _fronts(config, ns, model.omega, model)
-    _link_summary(config)  # a link config the pipeline rejects fails the sweep too
     eat_res, renyi_res = _key_lengths(config, params, lecs)
     rate_asym = eat.asymptotic_rate_sifted(s_eval, q_eval, config.gamma_a, config.gamma_b)
     return [

@@ -89,10 +89,6 @@ class BitString:
             raise ValueError("length mismatch")
         return BitString(self.bits ^ other.bits)
 
-    @classmethod
-    def random(cls, n: int, rng: np.random.Generator) -> "BitString":
-        return cls(rng.integers(0, 2, size=n, dtype=np.uint8))
-
     def to_hex(self) -> str:
         n = len(self)
         if n == 0:

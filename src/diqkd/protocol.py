@@ -1,4 +1,4 @@
-"""The acceptance test and Monte-Carlo protocol transcripts: generation, sifting, estimation.
+"""The acceptance test and the Monte-Carlo protocol: rounds drawn straight to cell counts, and their estimates.
 
 A run's acceptance test is its ProtocolParams, built once: the
 threshold test accepts at least ``win_min`` wins, and the box test
@@ -15,34 +15,36 @@ Round structure (one party holds two settings, the other three):
 * c is the game payoff on rounds that are tests for both parties and the
   placeholder PERP everywhere else.
 
-Sifting deterministically zeroes the outcomes of the two round classes
-that are useless for both key and test: (s, t) = (1, 0), and
-(s, t, x, y) = (0, 1, 1, 2).  Key-round outcomes of the three-setting
-party are never published; reconciliation replaces them downstream, so
-no further zeroing happens here.  The pipeline does not sift: neither
-class is a test round (s = t = 0) or a key round ((x, y) = (0, 2)), so
-no estimate, statistic or acceptance test reads the outcomes it zeroes,
-and the dilution it models is already in the analytic rates.  ``sift``
-stays as a public, output-invariant function and a benchmark target.
+A run is its counts over the 96 cells (s, t, x, y, a, b), of index
+v = 48 s + 24 t + 12 x + 4 y + 2 a + b: ``simulate_rounds`` yields one
+count tensor per chunk, ``estimate`` sums count tensors, and ``accept``
+reads three counts of the sum.  No command reads a per-round value.
 
 Generation is vectorized over a counter-based generator, so disjoint
 round ranges produced in parallel are bit-identical to a sequential run.
-A run is its counts over the 96 cells (s, t, x, y, a, b), of index
-v = 48 s + 24 t + 12 x + 4 y + 2 a + b.  Each chunk of CHUNK_ROUNDS rounds
-draws five raw 64-bit words z per round (slots S, X, T, Y, outcome) into
-one reused buffer and reduces them to v, with no per-round column.  As
+Each chunk of CHUNK_ROUNDS rounds draws five raw 64-bit words z per round
+(slots S, X, T, Y, outcome) into one reused buffer and reduces them to v,
+with no per-round column, so memory is one chunk whatever n is.  As
 u = (z >> 11) 2^-53, u >= c exactly when z >= ceil(c 2^53) << 11: no word
 becomes a float.  The key-round rules x = X (1 - S), y = Y (1 - T) + 2 T
 make the setting part 48 S + 32 T + 12 [X > S] + 4 [Y > T].  With the
 outcome word w = z >> 11 and cuts c_k = ceil(P(pair index <= k | x, y) 2^53),
-the pair is a = [w >= c_1], b = [w >= c_{2a}].  ``simulate_rounds`` yields
-one count tensor per chunk, so memory is one chunk whatever n is;
-``estimate`` sums count tensors, of that stream or of a stored
-Transcript.  ``generate_transcript`` decodes the same v into columns.
+the pair is a = [w >= c_1], b = [w >= c_{2a}].
+
+``generate_transcript`` decodes the same v into n-long int8 columns
+(s, t, x, y, a, b, c).  ``sift`` zeroes the outcomes of the two round
+classes useless for both key and test, (s, t) = (1, 0) and
+(s, t, x, y) = (0, 1, 1, 2); key-round outcomes of the three-setting
+party are never published, and reconciliation replaces them downstream.
+``test_statistic`` reads c.  No command calls the three: neither sifted
+class is a test round or a key round ((x, y) = (0, 2)), so no estimate
+or acceptance test reads the outcomes sifting zeroes, and the dilution
+it models is already in the analytic rates.
 """
 
 from __future__ import annotations
 
+import collections
 import functools
 import math
 from typing import Iterable, Iterator, NamedTuple
@@ -58,7 +60,6 @@ __all__ = [
     "ProtocolParams",
     "build_acceptance_set",
     "Behavior",
-    "Transcript",
     "behavior_from_state",
     "simulate_rounds",
     "generate_transcript",
@@ -194,45 +195,13 @@ class Behavior:
         return q01 + q10
 
 
-# (s, t, x, y, a, b) of each cell index v, and the columns a Transcript stores for it
+# (s, t, x, y, a, b) of each cell index v, and the columns generate_transcript decodes it to
 _CELL = np.unravel_index(np.arange(96), (2, 2, 2, 3, 2, 2))
 _CELL_COLUMNS = np.array(
     [*_CELL, np.where(_CELL[0] | _CELL[1], PERP, (_CELL[4] ^ _CELL[5]) == (_CELL[2] & _CELL[3]))], dtype=np.int8
 )
 _SETTING_WEIGHTS = np.array([[48], [12], [32], [4]], dtype=np.uint8)  # of S, [X > S], T, [Y > T]
-
-
-class Transcript:
-    """Column-wise storage of n protocol rounds plus the generating params.
-
-    Every column is int8 and holds round data only: s, t, x, a, b in
-    {0, 1}, y in {0, 1, 2}, c in {0, 1, PERP}.  Other values raise.
-    """
-
-    __slots__ = ("s", "t", "x", "y", "a", "b", "c", "params")
-
-    def __init__(self, params: ProtocolParams, s, t, x, y, a, b, c):
-        self.params = params
-        arrays = []
-        for name, v, top in zip("stxyabc", (s, t, x, y, a, b, c), _CELL_COLUMNS.max(axis=1)):
-            raw = np.asarray(v)
-            col = raw.astype(np.int8, copy=False)
-            if col.shape != (params.n,):
-                raise ValueError("all columns must have length n")
-            # the cast must keep every value, and a uint8 view maps negatives above top
-            if (col is not raw and not np.array_equal(col, raw)) or (col.size and col.view(np.uint8).max() > top):
-                raise ValueError(f"column {name} must hold integers in 0..{top}")
-            arrays.append(col)
-        self.s, self.t, self.x, self.y, self.a, self.b, self.c = arrays
-
-    def __len__(self) -> int:
-        return self.params.n
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        """The 96-cell count tensors of CHUNK_ROUNDS rounds at a time, for ``estimate``."""
-        for lo in range(0, self.params.n, CHUNK_ROUNDS):
-            s, t, x, y, a, b = (col[lo : lo + CHUNK_ROUNDS] for col in (self.s, self.t, self.x, self.y, self.a, self.b))
-            yield np.bincount(s * 48 + t * 24 + x * 12 + y * 4 + a * 2 + b, minlength=96)
+_Columns = collections.namedtuple("_Columns", "s t x y a b c")
 
 
 def behavior_from_state(rho: TwoQubitState, readout_flip: float = 0.0) -> Behavior:
@@ -297,28 +266,26 @@ def simulate_rounds(behavior: Behavior, params: ProtocolParams) -> Iterator[np.n
     return (np.bincount(v, minlength=96) for v in _cell_indices(behavior, params))
 
 
-def generate_transcript(behavior: Behavior, params: ProtocolParams) -> Transcript:
-    """The rounds of ``simulate_rounds`` as a Transcript's n-long columns, decoded from their cell indices."""
+def generate_transcript(behavior: Behavior, params: ProtocolParams) -> _Columns:
+    """The rounds of ``simulate_rounds`` as n-long int8 columns (s, t, x, y, a, b, c), decoded from their cell indices."""
     cols = np.empty((7, params.n), dtype=np.int8)
     start = 0
     for v in _cell_indices(behavior, params):
         cols[:, start : start + v.size] = _CELL_COLUMNS[:, v]
         start += v.size
-    return Transcript(params, *cols)
+    return _Columns(*cols)
 
 
-def sift(tr: Transcript) -> Transcript:
-    """Zero outcomes on the two deterministically useless round classes."""
-    out = Transcript(tr.params, *(getattr(tr, col).copy() for col in "stxyabc"))
-    dead = ((tr.s == 1) & (tr.t == 0)) | ((tr.s == 0) & (tr.t == 1) & (tr.x == 1) & (tr.y == 2))
-    out.a[dead] = 0
-    out.b[dead] = 0
-    return out
+def sift(columns: _Columns) -> _Columns:
+    """Zero outcomes on the two deterministically useless round classes: new a and b, the other columns shared."""
+    s, t, x, y, a, b, c = columns
+    dead = ((s == 1) & (t == 0)) | ((s == 0) & (t == 1) & (x == 1) & (y == 2))
+    return _Columns(s, t, x, y, np.where(dead, 0, a), np.where(dead, 0, b), c)
 
 
-def test_statistic(tr: Transcript) -> float:
-    """Sum of test-round payoffs divided by the total round count n."""
-    return float(np.count_nonzero(tr.c == 1)) / tr.params.n
+def test_statistic(columns: _Columns) -> float:
+    """Sum of test-round payoffs divided by the round count."""
+    return float(np.count_nonzero(columns.c == 1)) / len(columns.c)
 
 
 def accept(counts: tuple[int, int, int], params: ProtocolParams) -> tuple[bool, bool]:
@@ -348,14 +315,13 @@ def _count_tensor(blocks: Iterable[np.ndarray]) -> np.ndarray:
 def estimate(rounds: Iterable[np.ndarray]) -> EstimateResult:
     """Point estimates of the CHSH value and key-basis error rate.
 
-    ``rounds`` is a Transcript or any iterable of 96-cell count tensors,
-    such as ``simulate_rounds``; n is the number of rounds they count.  The CHSH
+    ``rounds`` is an iterable of 96-cell count tensors, such as
+    ``simulate_rounds``; n is the number of rounds they count.  The CHSH
     value comes from the four test-setting correlators, the error rate
     from all (x, y) = (0, 2) rounds; both carry Poissonian standard
-    errors.  Estimates with an empty cell are flagged.  Every figure is
-    read from the count tensor, so the c column enters only through the
-    transcript invariant: c is the payoff on test rounds and PERP on all
-    others.
+    errors.  Estimates with an empty cell are flagged.  The (lose, win,
+    no-test) counts are the cells' too: a test round (s = t = 0) is won
+    when a ^ b = x y.
     """
     cells = _count_tensor(rounds)
     test = cells[0, 0, :, :2]  # (x, y, a, b) on rounds with s = t = 0

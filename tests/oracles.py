@@ -8,8 +8,8 @@ reference box takes its tails from scipy's incomplete beta functions.
 The reference implementations below (bisection box, float threshold
 test, stepped threshold count, the per-setting behavior table, the
 one-call-per-step golden-section search, uniforms from the generator's
-words, one-pass generation, mask-based estimate, the masked
-row-per-cell Renyi solver, the coarse order search over every order,
+words, one-pass generation, the cell counts of columns, mask-based
+estimate, the masked row-per-cell Renyi solver, the coarse order search over every order,
 the term-by-term accumulation length and its split search, the bitwise
 GF(2^128) product) are the straightforward versions that the faster
 library code must reproduce exactly.  The sifted Renyi entropy bound is
@@ -213,6 +213,12 @@ def generate_columns_oneshot(behavior, params):
     win = ((a ^ b) == (x & y)).astype(np.int8)
     c = np.where(test, win, np.int8(PERP))
     return s, t, x, y, a, b, c
+
+
+def cell_counts(columns):
+    """The 96-cell count tensor of per-round columns (s, t, x, y, a, b, ...), the input ``protocol.estimate`` sums."""
+    s, t, x, y, a, b = (np.asarray(col, dtype=np.intp) for col in columns[:6])
+    return np.bincount(s * 48 + t * 24 + x * 12 + y * 4 + a * 2 + b, minlength=96)
 
 
 def estimate_masks(tr):

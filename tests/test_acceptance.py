@@ -113,8 +113,7 @@ def test_criterion_6_monte_carlo_consistency():
         n=n, gamma_a=0.26, gamma_b=0.13, omega_exp=CAL_BEHAVIOR.chsh_win_probability(), delta=1e-3,
         box_lo=(0, 0, 0), box_hi=(n, n, n), seed=20260808,
     )
-    tr = generate_transcript(CAL_BEHAVIOR, params)
-    est = estimate(tr)
+    est = estimate(simulate_rounds(CAL_BEHAVIOR, params))
     wall = time.perf_counter() - t0
     ok = (
         abs(est.q_hat - 0.0285) <= 3 * est.q_err
@@ -269,8 +268,8 @@ def test_criterion_10_property_suites():
     # extractor linearity
     rng = np.random.default_rng(8)
     m, ell = 400, 160
-    seed_bits = ToeplitzSeed(BitString.random(m + ell - 1, rng))
-    a, b = BitString.random(m, rng), BitString.random(m, rng)
+    seed_bits = ToeplitzSeed(BitString(rng.integers(0, 2, m + ell - 1, dtype=np.uint8)))
+    a, b = (BitString(rng.integers(0, 2, m, dtype=np.uint8)) for _ in range(2))
     checks.append(
         toeplitz_extract(a ^ b, seed_bits, ell)
         == toeplitz_extract(a, seed_bits, ell) ^ toeplitz_extract(b, seed_bits, ell)

@@ -32,6 +32,12 @@ class TestConfig:
         assert cfg.n == 1_208_000
         assert cfg.method == "both"
 
+    def test_model_defaults_are_the_11km_calibration(self):
+        # the defaults run the 11 km point, so its visibilities and excitation are the bundle's 11 km row
+        cfg = RunConfig()
+        (row,) = [r for r in load_distance_table() if r.length_km == cfg.length_km == 11.0]
+        assert (cfg.v_zz, cfg.v_xx, cfg.alpha_excitation) == (row.v_zz, row.v_xx, row.alpha_excitation)
+
     def test_load_with_overrides(self, tmp_path):
         p = tmp_path / "run.cfg"
         p.write_text("protocol.n = 5000\nsecurity.method = eat\n# comment\nseed = 42\n")
@@ -257,14 +263,13 @@ class TestPipelineSimulated:
 
     @pytest.mark.parametrize("key, value", [("link.collection", "1.5")])
     def test_bad_link_config_fails_before_any_draw(self, key, value):
-        # the link is checked before the rounds are drawn, as a sweep checks it before its key lengths
-        config = load_config(None, {key: value, "security.method": "eat", "protocol.n": "100000"})
+        # the link is checked when the config is built, so no run or sweep starts on it
         before = rng_module.audit_total()
         with pytest.raises(ConfigError, match="link budget"):
-            run_pipeline(config)
-        assert rng_module.audit_total() == before
+            load_config(None, {key: value, "security.method": "eat", "protocol.n": "100000"})
         with pytest.raises(ConfigError, match="link budget"):
-            sweep_keyrate_vs_n(config, [100_000])
+            RunConfig(method="eat", n=100_000).replace(**{cli._KEYS[key][0]: float(value)})
+        assert rng_module.audit_total() == before
 
 
 class TestMain:
@@ -404,10 +409,21 @@ class TestMain:
         [
             ("physical.readout_flip = 2\n", "physical model: readout_flip=2.0 outside [0, 1]"),
             ("link.alpha_excitation = 2\n", "link budget: alpha=2.0 outside [0, 1]"),
+            ("link.collection = 1.5\n", "link budget: collection=1.5 outside [0, 1]"),
+            ("timing.duty_cycle = 0\n", "link budget: duty cycle must lie in (0, 1]"),
+            ("link.length_km = -1\n", "link budget: length must be nonnegative"),
+            ("physical.v_zz = 1.5\n", "physical model: v_zz=1.5 not reachable (alpha=-0.25)"),
+            ("physical.white_noise = 1.5\n", "physical model: white_noise must lie in [0, 1)"),
+            (
+                "link.alpha_excitation = 1\nlink.collection = 1\nlink.fiber_coupling = 1\nlink.qfc = 1\n"
+                "link.insertion = 1\nlink.bsm = 1\nlink.detector = 1\nlink.measured_arm_transmission = 1\n",
+                "link budget: success probability 2.0 exceeds 1; inputs are inconsistent",
+            ),
         ],
     )
     def test_out_of_range_model_key_exits_three_on_every_command(self, tmp_path, capsys, body, message, command):
-        # checked when the config loads: the table commands, which never run the model, reject it too
+        # checked when the config loads, with the pipeline's message: the table commands, which never run
+        # the model or the link, reject it too
         cfg = tmp_path / "c.cfg"
         cfg.write_text(body)
         assert main(["--config", str(cfg), "--out", str(tmp_path / "out"), command]) == 3

@@ -186,7 +186,7 @@ def test_benchmark_targets_resolve_and_trace_the_same_report(monkeypatch):
     spans = importlib.import_module("spans")
     assert [t.attr for t in workloads.TARGETS if not callable(getattr(t.module, t.attr, None))] == []
 
-    from diqkd import cli
+    from diqkd import cli, protocol
     from diqkd.rng import CounterRng
 
     config = cli.load_config(None, {"security.method": "eat", "protocol.n": "20000", "seed": "7"})
@@ -204,9 +204,14 @@ def test_benchmark_targets_resolve_and_trace_the_same_report(monkeypatch):
     monkeypatch.setattr(CounterRng, "round_words", recorded)
     with tracer.patched(workloads.TARGETS):
         traced = tracer.wrap("cli.run_pipeline", cli.run_pipeline)(config).to_json()
+        # the column path, which no command calls: its byte measure reads the seven n-long int8 columns
+        n = 1000
+        params = protocol.ProtocolParams(n, 0.26, 0.13, 0.83, 0.0, (0, 0, 0), (n, n, n), seed=7)
+        protocol.test_statistic(protocol.sift(protocol.generate_transcript(cli._model_behavior(config), params)))
     assert traced == plain
     assert tracer.counts["renyi.acceptance_box.calls"] == tracer.counts["eat.delta_for_completeness.calls"] == 1
     assert drawn_in and "cli.run_pipeline" not in drawn_in
+    assert tracer.counts["protocol.generate.bytes"] == tracer.counts["protocol.sift.bytes"] == 7 * n
 
 
 def test_traced_analytic_run_passes_the_worker_checks(monkeypatch):

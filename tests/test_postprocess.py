@@ -21,6 +21,10 @@ from diqkd.postprocess import (
 )
 
 
+def random_bits(n: int, rng: np.random.Generator) -> BitString:
+    return BitString(rng.integers(0, 2, n, dtype=np.uint8))
+
+
 def dense_toeplitz_oracle(raw: BitString, seed: ToeplitzSeed, ell: int) -> BitString:
     """Independent dense-matrix reference: T[i][j] = seed[i - j + m - 1]."""
     m = len(raw)
@@ -61,7 +65,7 @@ class TestBitString:
         assert BitString([1, 0, 1, 1, 0, 0, 0, 0, 1]).to_hex() == "9:b080"
         rng = np.random.default_rng(0)
         for n in (1, 7, 8, 9, 64, 1000):
-            b = BitString.random(n, rng)
+            b = random_bits(n, rng)
             assert b.to_hex() == f"{n}:{b.to_int() << (-n % 8):0{(n + 7) // 8 * 2}x}"
 
     def test_to_int(self):
@@ -87,14 +91,14 @@ class TestBitString:
 class TestToeplitzExtract:
     def test_empty_output(self):
         rng = np.random.default_rng(1)
-        raw = BitString.random(16, rng)
-        seed = ToeplitzSeed(BitString.random(15, rng))  # m + 0 - 1
+        raw = random_bits(16, rng)
+        seed = ToeplitzSeed(random_bits(15, rng))  # m + 0 - 1
         out = toeplitz_extract(raw, seed, 0)
         assert len(out) == 0
 
     def test_zero_input_zero_output(self):
         rng = np.random.default_rng(2)
-        seed = ToeplitzSeed(BitString.random(100 + 40 - 1, rng))
+        seed = ToeplitzSeed(random_bits(100 + 40 - 1, rng))
         out = toeplitz_extract(BitString(np.zeros(100, dtype=np.uint8)), seed, 40)
         assert not out.bits.any()
 
@@ -109,8 +113,8 @@ class TestToeplitzExtract:
         for _ in range(25):
             m = int(rng.integers(1, 200))
             ell = int(rng.integers(0, m + 1))
-            raw = BitString.random(m, rng)
-            seed = ToeplitzSeed(BitString.random(m + ell - 1, rng))
+            raw = random_bits(m, rng)
+            seed = ToeplitzSeed(random_bits(m + ell - 1, rng))
             got = toeplitz_extract(raw, seed, ell)
             want = dense_toeplitz_oracle(raw, seed, ell)
             assert got == want
@@ -119,21 +123,21 @@ class TestToeplitzExtract:
         rng = np.random.default_rng(4)
         for _ in range(20):
             m, ell = 300, 120
-            a, b = BitString.random(m, rng), BitString.random(m, rng)
-            seed = ToeplitzSeed(BitString.random(m + ell - 1, rng))
+            a, b = random_bits(m, rng), random_bits(m, rng)
+            seed = ToeplitzSeed(random_bits(m + ell - 1, rng))
             left = toeplitz_extract(a ^ b, seed, ell)
             right = toeplitz_extract(a, seed, ell) ^ toeplitz_extract(b, seed, ell)
             assert left == right
 
     def test_length_mismatch_rejected(self):
         rng = np.random.default_rng(5)
-        raw = BitString.random(10, rng)
+        raw = random_bits(10, rng)
         with pytest.raises(ValueError):
-            toeplitz_extract(raw, ToeplitzSeed(BitString.random(10, rng)), 5)
+            toeplitz_extract(raw, ToeplitzSeed(random_bits(10, rng)), 5)
         with pytest.raises(ValueError):
-            toeplitz_extract(raw, ToeplitzSeed(BitString.random(30, rng)), 11)
+            toeplitz_extract(raw, ToeplitzSeed(random_bits(30, rng)), 11)
         with pytest.raises(ValueError):  # an empty output still needs m - 1 seed bits
-            toeplitz_extract(raw, ToeplitzSeed(BitString.random(10, rng)), 0)
+            toeplitz_extract(raw, ToeplitzSeed(random_bits(10, rng)), 0)
 
     def test_rows_at_block_boundaries_match_definition(self):
         # several input and output blocks, neither m nor ell a block multiple;
@@ -142,8 +146,8 @@ class TestToeplitzExtract:
         m, ell = 2 * _BLOCK + 37, _BLOCK + 5
         boundaries = [i + d for i in range(_BLOCK, ell, _BLOCK) for d in (-1, 0, 1)]
         for _ in range(8):
-            raw = BitString.random(m, rng)
-            seed = ToeplitzSeed(BitString.random(m + ell - 1, rng))
+            raw = random_bits(m, rng)
+            seed = ToeplitzSeed(random_bits(m + ell - 1, rng))
             out = toeplitz_extract(raw, seed, ell).bits
             for i in [0, ell - 1, *boundaries, *rng.integers(0, ell, 16)]:
                 row = seed.bits.bits[i : i + m][::-1]  # row[j] = seed[i - j + m - 1]
@@ -158,8 +162,8 @@ class TestToeplitzExtract:
             monkeypatch.setattr(postprocess, "_FLUSH", flush)
         rng = np.random.default_rng(18)
         m, ell = 4 * _BLOCK + 123, 2 * _BLOCK + 9
-        raw = BitString.random(m, rng)
-        seed = ToeplitzSeed(BitString.random(m + ell - 1, rng))
+        raw = random_bits(m, rng)
+        seed = ToeplitzSeed(random_bits(m + ell - 1, rng))
         out = toeplitz_extract(raw, seed, ell).bits
         edges = [i + d for i in range(0, ell + 1, _BLOCK) for d in (-1, 0, 1) if 0 <= i + d < ell]
         for i in [*edges, *rng.integers(0, ell, 24)]:
@@ -171,14 +175,14 @@ class TestToeplitzExtract:
         # the 5.6 MiB the per-pair loop peaked at
         rng = np.random.default_rng(19)
         m, ell = 1 << 20, 1 << 17
-        raw = BitString.random(m, rng)
-        seed = ToeplitzSeed(BitString.random(m + ell - 1, rng))
+        raw = random_bits(m, rng)
+        seed = ToeplitzSeed(random_bits(m + ell - 1, rng))
         assert traced_peak(lambda: toeplitz_extract(raw, seed, ell)) <= 5.6 * 2**20
 
     def test_inexact_convolution_raises(self, monkeypatch):
         rng = np.random.default_rng(17)
-        raw = BitString.random(50, rng)
-        seed = ToeplitzSeed(BitString.random(50 + 20 - 1, rng))
+        raw = random_bits(50, rng)
+        seed = ToeplitzSeed(random_bits(50 + 20 - 1, rng))
         irfft = np.fft.irfft
         monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + 0.3)
         with pytest.raises(ArithmeticError):
@@ -187,8 +191,8 @@ class TestToeplitzExtract:
     def test_monobit_balance_at_scale(self):
         rng = np.random.default_rng(6)
         m, ell = 150_000, 100_000
-        raw = BitString.random(m, rng)
-        seed = ToeplitzSeed(BitString.random(m + ell - 1, rng))
+        raw = random_bits(m, rng)
+        seed = ToeplitzSeed(random_bits(m + ell - 1, rng))
         out = toeplitz_extract(raw, seed, ell)
         ones = int(out.bits.sum())
         assert abs(ones / ell - 0.5) <= 4.0 / (2.0 * np.sqrt(ell))
@@ -214,13 +218,13 @@ class TestVerifyTag:
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)
-        key = TagKey.from_bits(BitString.random(256, rng))
-        msg = BitString.random(1000, rng)
+        key = TagKey.from_bits(random_bits(256, rng))
+        msg = random_bits(1000, rng)
         assert verify_tag(msg, key) == verify_tag(msg, key)
 
     def test_empty_message_defined(self):
         rng = np.random.default_rng(8)
-        key = TagKey.from_bits(BitString.random(256, rng))
+        key = TagKey.from_bits(random_bits(256, rng))
         t = verify_tag(BitString([]), key)
         assert 0 <= t < 2**64
         assert t == verify_tag(BitString([]), key)
@@ -228,22 +232,22 @@ class TestVerifyTag:
     def test_tag_is_64_bits(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
-            key = TagKey.from_bits(BitString.random(256, rng))
-            t = verify_tag(BitString.random(int(rng.integers(0, 500)), rng), key)
+            key = TagKey.from_bits(random_bits(256, rng))
+            t = verify_tag(random_bits(int(rng.integers(0, 500)), rng), key)
             assert 0 <= t < 2**64
 
     def test_distinct_messages_usually_differ(self):
         rng = np.random.default_rng(10)
-        key = TagKey.from_bits(BitString.random(256, rng))
-        msgs = [BitString.random(128, rng) for _ in range(50)]
+        key = TagKey.from_bits(random_bits(256, rng))
+        msgs = [random_bits(128, rng) for _ in range(50)]
         tags = {verify_tag(m, key) for m in msgs}
         assert len(tags) == 50
 
     def test_length_extension_blocked(self):
         # zero-prefixed messages must not collide with their suffix
         rng = np.random.default_rng(11)
-        key = TagKey.from_bits(BitString.random(256, rng))
-        m = BitString.random(128, rng)
+        key = TagKey.from_bits(random_bits(256, rng))
+        m = random_bits(128, rng)
         prefixed = BitString(np.concatenate([np.zeros(128, dtype=np.uint8), m.bits]))
         assert verify_tag(m, key) != verify_tag(prefixed, key)
 
@@ -251,13 +255,13 @@ class TestVerifyTag:
         # two fixed distinct 1-kbit messages over sampled keys; the analytic
         # bound makes even one collision here overwhelmingly unlikely
         rng = np.random.default_rng(12)
-        m1 = BitString.random(1000, rng)
-        m2 = BitString.random(1000, rng)
+        m1 = random_bits(1000, rng)
+        m2 = random_bits(1000, rng)
         assert m1 != m2
         trials = 10_000
         collisions = 0
         for _ in range(trials):
-            key = TagKey.from_bits(BitString.random(256, rng))
+            key = TagKey.from_bits(random_bits(256, rng))
             if verify_tag(m1, key) == verify_tag(m2, key):
                 collisions += 1
         assert collisions <= 1
@@ -308,16 +312,16 @@ class TestVerifyTag:
     )
     def test_matches_bitwise_horner(self, bits):
         rng = np.random.default_rng(bits)
-        message = BitString.random(bits, rng)
+        message = random_bits(bits, rng)
         keys = [TagKey(0, 3), TagKey(1, int.from_bytes(rng.bytes(16), "big"))]
-        keys += [TagKey.from_bits(BitString.random(256, rng)) for _ in range(1 if bits > 2**16 else 3)]
+        keys += [TagKey.from_bits(random_bits(256, rng)) for _ in range(1 if bits > 2**16 else 3)]
         for key in keys:
             assert verify_tag(message, key) == horner_tag_oracle(message, key), key
 
     def test_traced_memory_at_paper_shape(self):
         rng = np.random.default_rng(20)
-        message = BitString.random(1 << 20, rng)
-        key = TagKey.from_bits(BitString.random(256, rng))
+        message = random_bits(1 << 20, rng)
+        key = TagKey.from_bits(random_bits(256, rng))
         assert traced_peak(lambda: verify_tag(message, key)) <= 2 * 2**20
 
     def test_field_properties(self):
@@ -332,7 +336,7 @@ class TestVerifyTag:
 
     def test_oversize_rejected(self):
         rng = np.random.default_rng(15)
-        key = TagKey.from_bits(BitString.random(256, rng))
+        key = TagKey.from_bits(random_bits(256, rng))
 
         class OversizeBits(BitString):
             def __len__(self):
@@ -348,9 +352,9 @@ def test_paper_shape_outputs_are_pinned():
     # change, these bytes may not
     rng = np.random.default_rng(20260420)
     m, ell = 1 << 20, 1 << 17
-    raw = BitString.random(m, rng)
-    seed = ToeplitzSeed(BitString.random(m + ell - 1, rng))
-    key = TagKey.from_bits(BitString.random(256, rng))
+    raw = random_bits(m, rng)
+    seed = ToeplitzSeed(random_bits(m + ell - 1, rng))
+    key = TagKey.from_bits(random_bits(256, rng))
     out = toeplitz_extract(raw, seed, ell)
     assert hashlib.sha256(out.bits.tobytes()).hexdigest() == (
         "b74974c7474464db86c643167c15e4ee0bc26a2f39cefeefdc724e6ea49485e8"

@@ -10,7 +10,6 @@ from diqkd.protocol import (
     PERP,
     Behavior,
     ProtocolParams,
-    Transcript,
     accept,
     behavior_from_state,
     estimate,
@@ -21,11 +20,12 @@ from diqkd.protocol import (
 from diqkd import cli
 from diqkd.quantum import NoiseParams, build_heralded_state, outcome_distribution
 from diqkd.protocol import test_statistic as beta_freq
-from diqkd.protocol import _X_AXES, _Y_AXES, _count_tensor, _setting_index, _thresholds
+from diqkd.protocol import _X_AXES, _Y_AXES, _Columns, _count_tensor, _setting_index, _thresholds
 from diqkd.rng import SLOTS_PER_ROUND, CounterRng, audit_total
 from oracles import (
     accept_threshold_float,
     behavior_table_loop,
+    cell_counts,
     estimate_masks,
     generate_columns_oneshot,
     uniforms,
@@ -42,6 +42,11 @@ ZEROS_BEHAVIOR = Behavior(
         [[[0, 0.5, 0.5, 0], [1, 0, 0, 0], [0, 0, 0, 1]], [[0, 0.3, 0, 0.7], [0.25] * 4, [0.6, 0, 0.4, 0]]]
     ).reshape(2, 3, 2, 2)
 )
+
+
+def columns(**cols) -> _Columns:
+    """Hand-written rounds as int8 columns (s, t, x, y, a, b, c)."""
+    return _Columns(**{name: np.asarray(v, dtype=np.int8) for name, v in cols.items()})
 
 
 def params(n=10_000, seed=7, omega=0.83, delta=0.01, box_lo=(0, 0, 0), box_hi=None):
@@ -150,12 +155,11 @@ class TestThresholds:
 class TestPayoff:
     def test_examples(self):
         # the game rule (a ^ b) == (x & y) as estimate counts it: two wins, one loss
-        tr = Transcript(
-            params(n=3),
+        tr = columns(
             s=[0, 0, 0], t=[0, 0, 0], x=[0, 1, 1], y=[0, 1, 1],
             a=[0, 0, 1], b=[0, 1, 1], c=[1, 1, 0],
         )
-        assert estimate(tr).counts == (1, 2, 0)
+        assert estimate([cell_counts(tr)]).counts == (1, 2, 0)
 
 
 class TestBehavior:
@@ -245,7 +249,7 @@ class TestGeneration:
         before = audit_total()
         streamed = estimate(simulate_rounds(CAL_BEHAVIOR, p))
         assert audit_total() - before == 5 * n
-        assert repr(tuple(streamed)) == repr(tuple(estimate(tr)))
+        assert repr(tuple(streamed)) == repr(tuple(estimate([cell_counts(tr)])))
         config = cli.load_config(None, {"security.method": "eat", "protocol.n": str(n), "seed": str(seed)})
         assert cli.run_pipeline(config).beta_freq == beta_freq(tr)
 
@@ -264,10 +268,8 @@ class TestGeneration:
         before = audit_total()
         streamed = _count_tensor(simulate_rounds(behavior, p))
         assert audit_total() - before == 5 * n
-        s, t, x, y, a, b, _ = generate_columns_oneshot(behavior, p)
-        oracle = np.bincount(s * 48 + t * 24 + x * 12 + y * 4 + a * 2 + b, minlength=96).reshape(streamed.shape)
-        assert np.array_equal(streamed, oracle)
-        assert np.array_equal(streamed, _count_tensor(generate_transcript(behavior, p)))
+        assert np.array_equal(streamed, cell_counts(generate_columns_oneshot(behavior, p)).reshape(streamed.shape))
+        assert np.array_equal(streamed, cell_counts(generate_transcript(behavior, p)).reshape(streamed.shape))
 
     def test_zero_probability_outcomes_give_the_extreme_cuts(self):
         cuts = _thresholds(np.cumsum(ZEROS_BEHAVIOR.table.reshape(6, 4), axis=1)[:, :3])
@@ -306,47 +308,9 @@ class TestGeneration:
         assert abs(frac - gg) <= band
 
 
-class TestTranscript:
-    @staticmethod
-    def _columns(**changes):
-        cols = dict(s=[0] * 4, t=[0] * 4, x=[0, 1, 0, 1], y=[0, 0, 1, 1], a=[0] * 4, b=[0] * 4, c=[1, 1, 1, 0])
-        cols.update(changes)
-        return cols
-
-    @pytest.mark.parametrize(
-        "change",
-        [
-            {"a": [0, 2, 0, 0]},
-            {"a": np.array([0, 256, 0, 0])},
-            {"b": [0, -1, 0, 0]},
-            {"s": np.array([0, -256, 0, 0])},
-            {"t": [0.5, 0, 0, 0]},
-            {"x": [0, 1, 0, 2]},
-            {"y": [0, 0, 1, 3]},
-            {"y": np.array([0, 0, 1, 1], dtype=np.uint8) - np.uint8(1)},
-            {"c": [1, 1, 1, 3]},
-        ],
-    )
-    def test_values_that_are_not_round_data_rejected(self, change):
-        with pytest.raises(ValueError):
-            Transcript(params(n=4), **self._columns(**change))
-
-    def test_round_data_of_any_dtype_accepted(self):
-        tr = Transcript(params(n=4), **self._columns(a=np.array([False, True, False, True]), c=np.array([1, 0, 1, 1], dtype=np.int64)))
-        assert tr.a.dtype == np.int8 and tr.a.tolist() == [0, 1, 0, 1]
-        assert estimate(tr).counts == (1, 3, 0)
-
-    def test_int8_columns_are_kept_without_a_copy(self):
-        cols = {k: np.asarray(v, dtype=np.int8) for k, v in self._columns().items()}
-        tr = Transcript(params(n=4), **cols)
-        assert all(getattr(tr, k) is v for k, v in cols.items())
-
-
 class TestSift:
     def test_zeroes_the_two_dead_classes(self):
-        p = params(n=3)
-        tr = Transcript(
-            p,
+        tr = columns(
             s=[1, 0, 0], t=[0, 1, 1], x=[0, 1, 0], y=[0, 2, 2],
             a=[1, 1, 1], b=[1, 0, 0], c=[PERP, PERP, PERP],
         )
@@ -358,7 +322,8 @@ class TestSift:
     def test_round_count_and_tests_preserved(self):
         tr = generate_transcript(CAL_BEHAVIOR, params(n=50_000, seed=5))
         out = sift(tr)
-        assert len(out) == len(tr)
+        assert out.a.dtype == out.b.dtype == np.int8 and out.a.shape == out.b.shape == (50_000,)
+        assert all(getattr(out, col) is getattr(tr, col) for col in "stxyc")  # shared, not copied
         test = (tr.s == 0) & (tr.t == 0)
         assert np.array_equal(out.a[test], tr.a[test])
         assert np.array_equal(out.c, tr.c)
@@ -376,18 +341,14 @@ class TestSift:
 
 class TestStatisticAndAccept:
     def test_no_test_rounds_gives_zero(self):
-        p = params(n=4)
-        tr = Transcript(
-            p,
+        tr = columns(
             s=[1, 1, 1, 1], t=[1, 1, 1, 1], x=[0, 0, 0, 0], y=[2, 2, 2, 2],
             a=[0, 1, 0, 1], b=[0, 1, 1, 0], c=[PERP] * 4,
         )
         assert beta_freq(tr) == 0.0
 
     def test_all_wins(self):
-        p = params(n=3)
-        tr = Transcript(
-            p,
+        tr = columns(
             s=[0, 0, 0], t=[0, 0, 0], x=[0, 0, 1], y=[0, 1, 0],
             a=[0, 1, 1], b=[0, 1, 1], c=[1, 1, 1],
         )
@@ -462,14 +423,12 @@ class TestStatisticAndAccept:
 
 class TestEstimate:
     def test_ideal_behavior_saturates(self):
-        tr = generate_transcript(IDEAL_BEHAVIOR, params(n=400_000, seed=51))
-        est = estimate(tr)
+        est = estimate(simulate_rounds(IDEAL_BEHAVIOR, params(n=400_000, seed=51)))
         assert not est.flagged
         assert abs(est.s_hat - 2 * math.sqrt(2)) <= 3 * est.s_err
 
     def test_calibrated_behavior(self):
-        tr = generate_transcript(CAL_BEHAVIOR, params(n=400_000, seed=61))
-        est = estimate(tr)
+        est = estimate(simulate_rounds(CAL_BEHAVIOR, params(n=400_000, seed=61)))
         assert abs(est.q_hat - 0.0285) <= 3 * est.q_err
         assert abs(est.s_hat - S_MODEL) <= 3 * est.s_err
         assert sum(est.counts) == 400_000
@@ -477,19 +436,21 @@ class TestEstimate:
     @pytest.mark.parametrize("seed", range(6))
     def test_count_tensor_equals_mask_oracle(self, seed):
         tr = _random_transcript(seed, empty_cell=seed % 3 == 1, no_key=seed % 3 == 2)
-        got = tuple(estimate(tr))
+        got = tuple(estimate([cell_counts(tr)]))
         assert repr(got) == repr(estimate_masks(tr))
         assert got[-1] == (seed % 3 != 0)  # flagged exactly when a cell is empty
 
     def test_generated_transcripts_equal_mask_oracle(self):
         for seed in (1, 2, 3):
-            tr = generate_transcript(CAL_BEHAVIOR, params(n=30_000, seed=seed))
-            assert repr(tuple(estimate(tr))) == repr(estimate_masks(tr))
+            p = params(n=30_000, seed=seed)
+            streamed = estimate(simulate_rounds(CAL_BEHAVIOR, p))
+            assert repr(tuple(streamed)) == repr(estimate_masks(generate_transcript(CAL_BEHAVIOR, p)))
 
     @pytest.mark.parametrize("n", [CHUNK_ROUNDS - 1, CHUNK_ROUNDS, CHUNK_ROUNDS + 1, 2 * CHUNK_ROUNDS + 5])
     def test_block_edges_equal_mask_oracle(self, n):
-        tr = generate_transcript(CAL_BEHAVIOR, params(n=n, seed=n))
-        assert repr(tuple(estimate(tr))) == repr(estimate_masks(tr))
+        p = params(n=n, seed=n)
+        streamed = estimate(simulate_rounds(CAL_BEHAVIOR, p))
+        assert repr(tuple(streamed)) == repr(estimate_masks(generate_transcript(CAL_BEHAVIOR, p)))
 
     def test_streamed_peak_is_flat_in_n(self):
         peaks = []
@@ -520,28 +481,16 @@ class TestEstimate:
         assert max(peaks) < 1.5 * 2**20
         assert max(peaks) <= 1.1 * min(peaks)
 
-    def test_traced_peak_is_one_count_block(self):
-        tr = generate_transcript(CAL_BEHAVIOR, params(n=1_208_000, seed=19))
-        tracemalloc.start()
-        try:
-            estimate(tr)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2**20
-
     def test_insufficient_counts_flagged(self):
-        p = params(n=2)
-        tr = Transcript(
-            p,
+        tr = columns(
             s=[1, 1], t=[1, 1], x=[0, 0], y=[2, 2],
             a=[0, 1], b=[0, 1], c=[PERP, PERP],
         )
-        assert estimate(tr).flagged
+        assert estimate([cell_counts(tr)]).flagged
 
 
-def _random_transcript(seed: int, empty_cell: bool = False, no_key: bool = False) -> Transcript:
-    """A valid transcript with uniform settings and outcomes and random test fractions.
+def _random_transcript(seed: int, empty_cell: bool = False, no_key: bool = False) -> _Columns:
+    """The columns of a valid run with uniform settings and outcomes and random test fractions.
 
     empty_cell leaves no test round at (x, y) = (1, 1); no_key makes every
     round a y-party test round, so (x, y) = (0, 2) never occurs.
@@ -557,8 +506,5 @@ def _random_transcript(seed: int, empty_cell: bool = False, no_key: bool = False
         y[(s == 0) & (t == 0) & (x == 1) & (y == 1)] = 0
     a, b = rng.integers(0, 2, (2, n))
     c = np.where((s == 0) & (t == 0), (a ^ b) == (x & y), PERP)
-    p = ProtocolParams(
-        n=n, gamma_a=gamma_a, gamma_b=gamma_b, omega_exp=0.8, delta=0.0, box_lo=(0, 0, 0), box_hi=(n, n, n), seed=seed
-    )
-    return Transcript(p, s, t, x, y, a, b, c)
+    return columns(s=s, t=t, x=x, y=y, a=a, b=b, c=c)
 

@@ -501,8 +501,6 @@ def _fmt(value) -> str:
 
 
 def write_csv(rows: list[dict], path: Path, config_hash: str) -> None:
-    if not rows:
-        raise InfeasibleError("nothing to write")
     cols = list(rows[0].keys())
     lines = [f"# config_hash = {config_hash}", ",".join(cols)]
     for row in rows:

@@ -32,7 +32,7 @@ fixed here:
 from __future__ import annotations
 
 import math
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -262,24 +262,27 @@ def _length_of_split(params: ProtocolParams, omega_in: float, lec: float):
     return raw_length
 
 
-def _split_from_fractions(eps_snd: float, fr: dict[str, float]) -> Optional[tuple[float, float, float, float, float]]:
-    """A full split, in _SPLIT_FIELDS order, from fractions (a, b, c, d); None if infeasible.
+def _split_from_fractions(eps_snd: float, fr: dict[str, float]) -> tuple[float, float, float, float, float]:
+    """A full split, in _SPLIT_FIELDS order, from fractions (a, b, c, d).
 
     a: eps_s share of the soundness room; d: eps_ea share of the rest;
     b: eps_s_prime inside eps_s; c: the 2 eps_s_dprime share of what is left.
-    A feasible split has every part positive, eps_s - eps_s_prime -
-    2 eps_s_dprime > 0, and EPS_EC + eps_pa + eps_s = eps_snd - eps_ea.
+    The split has every part positive, eps_s - eps_s_prime -
+    2 eps_s_dprime > 0, and EPS_EC + eps_pa + eps_s = eps_snd - eps_ea up
+    to rounding.
     """
+    # No split the search tries is infeasible.  eps_snd lies in (EPS_EC, 1), so room > 0, and key_length_eat's
+    # fractions lie in [1e-9, 1 - 1e-9] up to np.logspace's rounding.  A product f x of such a fraction and a
+    # positive part is then positive (the least, 2 eps_spp, is about 1e-27 room >= 1e-27 * 2^-113, far above
+    # underflow) and rounds strictly below x, since 1 - 1e-9 lies about 2^23 ulps below 1.  So each difference
+    # x - fl(f x) is positive: room - eps_s, eps_pa = (room - eps_s) - eps_ea, eps_s - eps_sp, and the remainder
+    # eps_s - eps_sp - 2 eps_spp, where 2 eps_spp = fl(c (eps_s - eps_sp)) exactly.
     room = eps_snd - EPS_EC
     eps_s = fr["a"] * room
     eps_ea = fr["d"] * (room - eps_s)
     eps_pa = room - eps_s - eps_ea
     eps_sp = fr["b"] * eps_s
     eps_spp = fr["c"] * (eps_s - eps_sp) / 2.0
-    if min(eps_s, eps_ea, eps_pa, eps_sp, eps_spp) <= 0.0:
-        return None
-    if eps_s - eps_sp - 2.0 * eps_spp <= 0.0:
-        return None
     return eps_pa, eps_s, eps_sp, eps_spp, eps_ea
 
 
@@ -306,10 +309,7 @@ def key_length_eat(params: ProtocolParams, eps_snd: float, lec: float) -> EatRes
     full_span = np.logspace(math.log10(1e-6), math.log10(1.0 - 1e-6), _SPLIT_GRID_POINTS).tolist()
 
     def evaluate(trial: dict[str, float]) -> float:
-        split = _split_from_fractions(eps_snd, trial)
-        if split is None:
-            return -math.inf
-        return raw_length(split)
+        return raw_length(_split_from_fractions(eps_snd, trial))
 
     best_val = evaluate(fr)
     for sweep in range(_SPLIT_PASSES + 2):

@@ -81,14 +81,6 @@ class BitString:
     def __len__(self) -> int:
         return int(self.bits.size)
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, BitString) and np.array_equal(self.bits, other.bits)
-
-    def __xor__(self, other: "BitString") -> "BitString":
-        if len(self) != len(other):
-            raise ValueError("length mismatch")
-        return BitString(self.bits ^ other.bits)
-
     def to_hex(self) -> str:
         n = len(self)
         if n == 0:

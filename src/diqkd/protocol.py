@@ -47,7 +47,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -128,26 +128,22 @@ class ProtocolParams(_ProtocolFields):
         return _last_true(lambda j: j / n < thr, thr * n, -1, n - 1) + 1
 
 
-def build_acceptance_set(n, gamma_a: float, gamma_b: float, omega_exp: float, eps_com_at: float):
-    """Count bounds (box_lo, box_hi) with per-symbol binomial tails at level eps_com_at / 6.
+def build_acceptance_set(ns: Sequence[int], gamma_a: float, gamma_b: float, omega_exp: float, eps_com_at: float):
+    """Count bounds (box_lo, box_hi) at each block size of ns, with per-symbol binomial tails at level eps_com_at / 6.
 
     The symbols are (lose, win, no-test), with honest probabilities
     gamma_a gamma_b (1 - omega_exp), gamma_a gamma_b omega_exp and
     1 - gamma_a gamma_b.  The union bound over six tails keeps the honest
     abort probability at or below eps_com_at, which must lie in (0, 1):
     at 1 or more the bound promises nothing, yet the box would keep
-    narrowing and certify more key.
-
-    n is one block size or a sequence of them: one gives its (box_lo,
-    box_hi), a sequence the list of their boxes, so a sweep sizes all its
-    boxes in one call.
+    narrowing and certify more key.  The result is the list of boxes, so
+    a sweep sizes all its boxes in one call.
     """
     if not 0.0 < eps_com_at < 1.0:
         raise ValueError(f"eps_com_at must lie in (0, 1), got {eps_com_at}")
     gg = gamma_a * gamma_b
     probs = (gg * (1.0 - omega_exp), gg * omega_exp, 1.0 - gg)
-    boxes = [tuple(zip(*(binomial_box(size, p, eps_com_at / 6.0) for p in probs))) for size in np.atleast_1d(n).tolist()]
-    return boxes if np.ndim(n) else boxes[0]
+    return [tuple(zip(*(binomial_box(n, p, eps_com_at / 6.0) for p in probs))) for n in ns]
 
 
 # Measurement axes per setting: x-party {Z, X}; y-party {diag+, diag-, Z},

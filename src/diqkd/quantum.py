@@ -5,8 +5,7 @@ Born-rule measurement statistics in arbitrary Bloch bases, and the
 fidelity estimate from the two measured visibilities.  The Born rule has
 one kernel, ``_born``, over a stack of joint projectors: the protocol's
 six setting pairs build their 24 projectors once per process and take
-all their statistics in one batched trace, and ``outcome_distribution``
-is a one-pair call.
+all their statistics in one batched trace.
 
 Basis order throughout is (uu, ud, du, dd) for the two spin qubits.
 The heralded family is anti-correlated in Z; measured correlators in the
@@ -31,7 +30,6 @@ __all__ = [
     "X_AXIS",
     "diag_axis",
     "build_heralded_state",
-    "outcome_distribution",
     "fidelity_from_visibilities",
 ]
 
@@ -116,7 +114,7 @@ class NoiseParams(_NoiseFields):
     dephase_lambda scales down the ud/du coherence; white_noise mixes in
     the maximally mixed state.  delta_phi is the interferometer phase of
     the heralded Bell state (pi gives the other sign).  Readout errors act
-    on outcomes, not on the state: see ``outcome_distribution``.
+    on outcomes, not on the state: see ``_born``.
     """
 
     __slots__ = ()
@@ -201,22 +199,6 @@ def _born(rho: TwoQubitState, projectors: np.ndarray, readout_flip: float) -> np
         flip = np.array([[1.0 - r, r], [r, 1.0 - r]])
         probs = flip @ probs @ flip.T
     return probs
-
-
-def outcome_distribution(
-    rho: TwoQubitState,
-    a: BlochVector,
-    b: BlochVector,
-    readout_flip: float = 0.0,
-) -> np.ndarray:
-    """Joint outcome probabilities P[i, j] for outcomes i, j in {0, 1}.
-
-    Outcome 0 is the +1 eigenvalue of the axis operator.  Each party's
-    outcome is then flipped independently with probability readout_flip.
-    A one-pair call of the Born-rule kernel that ``behavior_from_state``
-    runs on the protocol's six setting pairs.
-    """
-    return _born(rho, _joint_projectors((a,), (b,)), readout_flip)[0, 0]
 
 
 def fidelity_from_visibilities(v_zz: float, v_xx: float) -> float:

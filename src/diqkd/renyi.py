@@ -267,8 +267,8 @@ def _grid_stage(outer, alphas: np.ndarray, stride: int = 1) -> tuple[np.ndarray,
 def h_alpha(params: Sequence[ProtocolParams], alphas: np.ndarray) -> np.ndarray:
     """Order-search estimate of the per-round entropy at each point of params and each Renyi order of alphas.
 
-    alphas holds orders shared by every point, shape (orders,), or each
-    point's own, shape (points, orders); the result is (points, orders).
+    alphas holds each point's own orders, shape (points, orders); the
+    result has the same shape.
     The worst case over scores and box frequencies is taken over the
     scores evaluated, so each value is an upper bound on the per-round
     entropy up to rounding (where it is 0, a value can be about -2e-12);
@@ -288,10 +288,8 @@ def h_alpha(params: Sequence[ProtocolParams], alphas: np.ndarray) -> np.ndarray:
     """
     _check_points(params)
     alphas = np.array(alphas, dtype=float, ndmin=2, order="C")
-    if len(alphas) == 1 < len(params):
-        alphas = alphas.repeat(len(params), axis=0)
     if len(alphas) != len(params):
-        raise ValueError(f"need orders shared by all points or one row per point, got {len(alphas)} for {len(params)}")
+        raise ValueError(f"need one row of orders per point, got {len(alphas)} for {len(params)}")
     if not np.all(alphas > 1.0):
         raise ValueError(f"Renyi order must exceed 1, got {np.min(alphas)}")
     outer = _outer_problem(params)
@@ -511,10 +509,8 @@ def key_length_renyi(
     if len(leak_ec_bits) != len(params):
         raise ValueError(f"need one leakage per point, got {len(leak_ec_bits)} for {len(params)}")
     n = [pt.n for pt in params]
-    # n times the charge per round: gamma_a gamma_b for the test rounds, plus the shortfall of the no-test floor
-    charge = [
-        pt.n * (pt.gamma_a * pt.gamma_b + ((1.0 - pt.gamma_a * pt.gamma_b) - pt.box_lo[2] / pt.n)) for pt in params
-    ]
+    # one bit per test round, charged as the integer bound n - box_lo_perp, so no rounding favours the key
+    charge = [pt.n - pt.box_lo[2] for pt in params]
     log_eps = math.log2(1.0 / (eps_snd - EPS_EC))
 
     def raw_length(alpha, ha, n, charge, leak):

@@ -129,21 +129,18 @@ def sweep_rate_vs_distance(config: RunConfig) -> list[dict]:
     return rows_out
 
 
-def pvalue_table(rows: Optional[list[tuple[float, int, float]]] = None) -> list[dict]:
-    """Game-level significance: exact binomial tail at the classical bound.
+def pvalue_table() -> list[dict]:
+    """Game-level significance at each calibrated length: exact binomial tail at the classical bound.
 
-    rows are (length_km, n_trials, s_obs); the win count is reconstructed
-    as round(n * winprob(s_obs)).  Defaults to the shipped calibration
-    (back-solved scores, see the data file).
+    The score is the calibration's back-solved s_pvalue (see the data
+    file), reported as s_obs; the win count is reconstructed as
+    round(n_trials * winprob(s_obs)).
     """
-    if rows is None:
-        rows = [(r.length_km, r.n_trials, r.s_pvalue) for r in load_distance_table()]
     out = []
-    for length, n, s_obs in rows:
-        omega = chsh_to_winprob(s_obs)
-        k = int(round(n * omega))
-        log10_p = binomial_tail(n, k, 0.75) * math.log10(2.0)
-        out.append({"length_km": length, "n_trials": n, "s_obs": s_obs, "k": k, "log10_p": log10_p})
+    for r in load_distance_table():
+        k = int(round(r.n_trials * chsh_to_winprob(r.s_pvalue)))
+        log10_p = binomial_tail(r.n_trials, k, 0.75) * math.log10(2.0)
+        out.append({"length_km": r.length_km, "n_trials": r.n_trials, "s_obs": r.s_pvalue, "k": k, "log10_p": log10_p})
     return out
 
 

@@ -418,8 +418,7 @@ def eat_key_length_search(params, eps_snd, lec):
     spans = {k: (1e-6, 1.0 - 1e-6) for k in fr}
 
     def evaluate(trial):
-        split = eat._split_from_fractions(eps_snd, trial)
-        return -math.inf if split is None else eat_ell_for_split(params, split, omega_in, lec)
+        return eat_ell_for_split(params, eat._split_from_fractions(eps_snd, trial), omega_in, lec)
 
     best_val = evaluate(fr)
     for sweep in range(4):

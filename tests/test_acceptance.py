@@ -152,8 +152,8 @@ def test_criterion_7_pvalue_engine():
         return log2_binomial_tail(row.n_trials, k, 0.75) * math.log10(2.0)
 
     # the Bell-test row: the shipped back-solved score reproduces the published value
-    bell = pvalue_table([(row.length_km, row.n_trials, row.s_pvalue)])[0]
-    bell_ok = abs(bell["log10_p"] - published) <= 2.0
+    bell = next(r for r in pvalue_table() if r["length_km"] == 11.0)
+    bell_ok = bell["k"] == round(row.n_trials * (0.5 + row.s_pvalue / 8.0)) and abs(bell["log10_p"] - published) <= 2.0
 
     # independently of the engine, the oracle's tail is nearest the published
     # value at exactly the reconstructed win count, with both neighbours farther
@@ -163,9 +163,9 @@ def test_criterion_7_pvalue_engine():
     # the key run's S = 2.612 paired with the Bell-test N is a different count;
     # there the engine must match the oracle, which gives 1e-292.88, not the row
     k_key = round(row.n_trials * (0.5 + row.s_obs / 8.0))
-    keyrun = pvalue_table([(row.length_km, row.n_trials, row.s_obs)])[0]
+    keyrun_log10 = binomial_tail(row.n_trials, k_key, 0.75) * math.log10(2.0)
     want = oracle_log10(k_key)
-    keyrun_ok = keyrun["k"] == k_key and abs(keyrun["log10_p"] - want) <= 1e-9 * abs(want)
+    keyrun_ok = abs(keyrun_log10 - want) <= 1e-9 * abs(want)
 
     _report(
         7,
@@ -174,7 +174,7 @@ def test_criterion_7_pvalue_engine():
         f"11 km Bell-test row S={row.s_pvalue} k={bell['k']} log10 p = {bell['log10_p']:.2f} "
         f"vs {published} +- 2 ({bell_ok}); oracle nearest at that k, gaps "
         f"{gap[bell['k'] - 1]:.2f}/{gap[bell['k']]:.2f}/{gap[bell['k'] + 1]:.2f} ({nearest_ok}); "
-        f"key-run S={row.s_obs} k={keyrun['k']} log10 p = {keyrun['log10_p']:.2f} "
+        f"key-run S={row.s_obs} k={k_key} log10 p = {keyrun_log10:.2f} "
         f"vs oracle {want:.2f} ({keyrun_ok})",
     )
 
@@ -208,7 +208,7 @@ def test_criterion_9_completeness():
     n, runs = 100_000, 300
     eat_target, box_target = 1e-2, 0.05
     delta = delta_for_completeness(n, 0.26, 0.13, omega, target=eat_target)
-    box_lo, box_hi = build_acceptance_set(n, 0.26, 0.13, omega, box_target)
+    ((box_lo, box_hi),) = build_acceptance_set([n], 0.26, 0.13, omega, box_target)
     aborts_eat = aborts_box = 0
     for seed in range(runs):
         p = ProtocolParams(
@@ -271,8 +271,10 @@ def test_criterion_10_property_suites():
     seed_bits = ToeplitzSeed(BitString(rng.integers(0, 2, m + ell - 1, dtype=np.uint8)))
     a, b = (BitString(rng.integers(0, 2, m, dtype=np.uint8)) for _ in range(2))
     checks.append(
-        toeplitz_extract(a ^ b, seed_bits, ell)
-        == toeplitz_extract(a, seed_bits, ell) ^ toeplitz_extract(b, seed_bits, ell)
+        np.array_equal(
+            toeplitz_extract(BitString(a.bits ^ b.bits), seed_bits, ell).bits,
+            toeplitz_extract(a, seed_bits, ell).bits ^ toeplitz_extract(b, seed_bits, ell).bits,
+        )
     )
 
     # deterministic replay: chunked generation equals one pass over all rounds, repeated runs are bit-identical

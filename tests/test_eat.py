@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -19,7 +20,7 @@ from diqkd.eat import (
     leak_ec,
     vartheta,
 )
-from diqkd.eat import _cut_point, _length_of_split
+from diqkd.eat import _cut_point, _length_of_split, _split_from_fractions
 from diqkd.mathcore import TSIRELSON_WIN
 from diqkd.protocol import ProtocolParams
 from oracles import delta_for_completeness_200, eat_ell_for_split, eat_eta, eat_eta_opt, eat_key_length_search
@@ -267,6 +268,18 @@ class TestKeyLength:
         assert s["eps_s"] - s["eps_s_prime"] - 2.0 * s["eps_s_dprime"] > 0.0
         assert EPS_EC + s["eps_pa"] + s["eps_s"] <= 1e-5
         assert EPS_EC + s["eps_pa"] + s["eps_s"] + s["eps_ea"] == pytest.approx(1e-5, rel=1e-12)
+
+    def test_every_split_the_search_tries_is_feasible(self):
+        # the corners of the fractions the search tries, at the ends of (EPS_EC, 1): every part is positive,
+        # the remainder eps_s - eps_s_prime - 2 eps_s_dprime too, and the parts spend eps_snd - EPS_EC
+        corners = (1e-9, 1e-6, 0.5, 1.0 - 1e-6, 1.0 - 1e-9)
+        for eps_snd in (math.nextafter(EPS_EC, 1.0), 1e-12, 1e-5, 0.5, math.nextafter(1.0, 0.0)):
+            room = eps_snd - EPS_EC
+            for fractions in itertools.product(corners, repeat=4):
+                split = _split_from_fractions(eps_snd, dict(zip("abcd", fractions)))
+                eps_pa, eps_s, eps_sp, eps_spp, eps_ea = split
+                assert min(split) > 0.0 and eps_s - eps_sp - 2.0 * eps_spp > 0.0, (eps_snd, fractions)
+                assert abs(eps_pa + eps_s + eps_ea - room) <= 2.0 * math.ulp(room), (eps_snd, fractions)
 
     def test_converges_to_sifted_asymptote(self):
         target = asymptotic_rate_sifted(2.612, 0.0285, 0.26, 0.13)

@@ -270,7 +270,7 @@ class TestBinomialBox:
         seen = []
         monkeypatch.setattr(protocol, "binomial_box", lambda *args: seen.append(args) or binomial_box(*args))
         for omega in omegas:
-            protocol.build_acceptance_set(n, config.gamma_a, config.gamma_b, omega, config.eps_com_at)
+            protocol.build_acceptance_set([n], config.gamma_a, config.gamma_b, omega, config.eps_com_at)
         assert len(seen) == 6
         for args in seen:
             assert binomial_box(*args) == binomial_box_bisect(*args), args

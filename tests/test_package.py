@@ -29,7 +29,6 @@ SRC_FILES = sorted((ROOT / "src" / "diqkd").glob("*.py"))
 UNREAD_BY_DESIGN = {
     "diqkd.__version__": "package metadata, read by users and packaging tools",
     "postprocess.tag_collision_bound": "the tag's collision bound, for the key tagging that no command runs yet",
-    "quantum.outcome_distribution": "the one public entry to the Born-rule kernel for an arbitrary axis pair",
 }
 
 
@@ -79,6 +78,63 @@ def test_every_public_method_is_read_by_the_program():
         if isinstance(node, ast.FunctionDef) and not node.name.startswith("_") and node.name not in read
     ]
     assert unread == []
+
+
+def _defaulted_parameters(path):
+    """(name, qualified name, parameter, position) of each defaulted parameter of path's public functions and of the
+    public methods of its public classes.  The position is the parameter's index among a call's positional
+    arguments, past self or cls; a keyword-only parameter has None."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    defs = [(node, node.name, 0) for node in tree.body if isinstance(node, ast.FunctionDef)]
+    for cls in tree.body:
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_"):
+            for node in cls.body:
+                if isinstance(node, ast.FunctionDef):
+                    static = any(getattr(d, "id", None) == "staticmethod" for d in node.decorator_list)
+                    defs.append((node, f"{cls.name}.{node.name}", 0 if static else 1))
+    out = []
+    for node, qualname, skip in defs:
+        if node.name.startswith("_"):
+            continue
+        args = node.args
+        positional = [*args.posonlyargs, *args.args]
+        first = len(positional) - len(args.defaults)
+        out += [(node.name, qualname, a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+        out += [(node.name, qualname, a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return out
+
+
+def test_every_defaulted_parameter_is_passed_by_the_program():
+    # the rule above for argument forms: a parameter whose default every caller takes is a second call shape
+    # that only tests reach.  Calls are matched by name, as _reads matches reads; a call passes a parameter by
+    # position, by keyword, or through *args or **kwargs that reach it.  The console entry point calls main()
+    # with no argv, so sys.argv is read.
+    callers = [*SRC_FILES, ROOT / "perfbench" / "workloads.py", ROOT / "perfbench" / "worker.py"]
+    calls = [
+        node
+        for path in callers
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Call) and isinstance(node.func, (ast.Name, ast.Attribute))
+    ]
+
+    def passed(call, param, position):
+        if any(k.arg in (param, None) for k in call.keywords):
+            return True
+        if position is None:
+            return False
+        return len(call.args) > position or any(isinstance(a, ast.Starred) for a in call.args[: position + 1])
+
+    never = [
+        f"{path.stem}.{qualname}({param})"
+        for path in SRC_FILES
+        for name, qualname, param, position in _defaulted_parameters(path)
+        if not any(
+            passed(call, param, position)
+            for call in calls
+            if (call.func.id if isinstance(call.func, ast.Name) else call.func.attr) == name
+        )
+    ]
+    assert sorted(never) == ["cli.main(argv)"]
 
 
 def test_start_up_does_not_import_scipy_stats():

@@ -18,7 +18,7 @@ from diqkd.protocol import (
     simulate_rounds,
 )
 from diqkd import cli
-from diqkd.quantum import NoiseParams, build_heralded_state, outcome_distribution
+from diqkd.quantum import NoiseParams, _born, _joint_projectors, build_heralded_state
 from diqkd.protocol import test_statistic as beta_freq
 from diqkd.protocol import _X_AXES, _Y_AXES, _Columns, _count_tensor, _setting_index, _thresholds
 from diqkd.rng import SLOTS_PER_ROUND, CounterRng, audit_total
@@ -192,9 +192,10 @@ class TestBehavior:
             for flip in (0.0, 1e-3, 0.013, 0.5, 1.0):
                 want = behavior_table_loop(rho, flip)
                 assert np.array_equal(behavior_from_state(rho, flip).table, want)
-                # outcome_distribution is the same kernel on one setting pair
+                # the same kernel on a one-pair stack gives that pair's block
                 x, y = (int(v) for v in rng.integers(0, (2, 3)))
-                assert np.array_equal(outcome_distribution(rho, _X_AXES[x], _Y_AXES[y], flip), want[x, y])
+                one_pair = _joint_projectors((_X_AXES[x],), (_Y_AXES[y],))
+                assert np.array_equal(_born(rho, one_pair, flip)[0, 0], want[x, y])
 
     def test_no_signaling(self):
         # each party's marginal is the same whatever setting the other party holds

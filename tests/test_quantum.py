@@ -12,12 +12,17 @@ from diqkd.quantum import (
     build_heralded_state,
     diag_axis,
     fidelity_from_visibilities,
-    outcome_distribution,
 )
+from diqkd.quantum import _born, _joint_projectors
 
 MIXED = TwoQubitState(np.eye(4) / 4.0)
 CAL_11KM = NoiseParams.from_visibilities(0.943, 0.924)
 Y_AXIS = BlochVector(0.0, 1.0, 0.0)
+
+
+def outcome_distribution(rho, a, b, readout_flip=0.0):
+    """Joint outcome probabilities P[i, j] of one axis pair: the Born-rule kernel on a one-pair stack."""
+    return _born(rho, _joint_projectors((a,), (b,)), readout_flip)[0, 0]
 
 
 def correlator(rho, a, b, flip_b=False):

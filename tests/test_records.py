@@ -98,7 +98,7 @@ def test_calibrated_link_budget_checks_again(monkeypatch):
 @pytest.mark.parametrize(
     "call",
     [
-        lambda: renyi.h_alpha(PARAMS, np.array([1.1])),
+        lambda: renyi.h_alpha(PARAMS, np.full((len(PARAMS), 1), 1.1)),
         lambda: renyi.certified_h_alpha(PARAMS, [1.1] * 8),
         lambda: renyi.key_length_renyi(PARAMS, 1e-5, [0.0] * 8),
     ],

@@ -32,12 +32,13 @@ def box_params(n, gamma_a, gamma_b, omega, box_lo, box_hi):
 
 def cell_params(n, gamma_a, gamma_b, omega, eps_com_at):
     """A protocol testing the box build_acceptance_set finds for the cell."""
-    return box_params(n, gamma_a, gamma_b, omega, *build_acceptance_set(n, gamma_a, gamma_b, omega, eps_com_at))
+    ((box_lo, box_hi),) = build_acceptance_set([n], gamma_a, gamma_b, omega, eps_com_at)
+    return box_params(n, gamma_a, gamma_b, omega, box_lo, box_hi)
 
 
 def paper_params(n=N_PAPER, eps_com_at=0.005):
     delta = delta_for_completeness(n, 0.26, 0.13, PAPER.omega, target=1e-2)
-    box_lo, box_hi = build_acceptance_set(n, 0.26, 0.13, PAPER.omega, eps_com_at)
+    ((box_lo, box_hi),) = build_acceptance_set([n], 0.26, 0.13, PAPER.omega, eps_com_at)
     return ProtocolParams(
         n=n, gamma_a=0.26, gamma_b=0.13, omega_exp=PAPER.omega, delta=delta, box_lo=box_lo, box_hi=box_hi
     )
@@ -86,14 +87,14 @@ class TestHonestDistribution:
 
     def test_no_tests(self):
         # with vanishing test fractions every round is a no-test round
-        assert build_acceptance_set(1000, 1e-12, 1e-12, 0.8, 0.005) == ((0, 0, 1000), (0, 0, 1000))
+        assert build_acceptance_set([1000], 1e-12, 1e-12, 0.8, 0.005) == [((0, 0, 1000), (0, 0, 1000))]
 
     def test_all_tests_all_wins(self):
-        assert build_acceptance_set(1000, 1.0, 1.0, 1.0, 0.005) == ((0, 1000, 0), (0, 1000, 0))
+        assert build_acceptance_set([1000], 1.0, 1.0, 1.0, 0.005) == [((0, 1000, 0), (0, 1000, 0))]
 
     def test_paper_point(self):
         n = 10**9
-        lo, hi = build_acceptance_set(n, 0.26, 0.13, 0.8265, 0.005)
+        ((lo, hi),) = build_acceptance_set([n], 0.26, 0.13, 0.8265, 0.005)
         mid = (np.array(lo) + np.array(hi)) / (2 * n)
         assert mid == pytest.approx([0.005864, 0.027936, 0.96620], abs=1e-6)
 
@@ -103,7 +104,7 @@ class TestAcceptanceSet:
     def test_level_outside_unit_interval_rejected(self, eps_com_at):
         # at eps_com_at >= 1 the box would keep narrowing and certify more key
         with pytest.raises(ValueError, match="eps_com_at"):
-            build_acceptance_set(1000, 0.26, 0.13, 0.8265, eps_com_at)
+            build_acceptance_set([1000], 0.26, 0.13, 0.8265, eps_com_at)
 
     def test_box_contains_honest_point(self):
         params = paper_params()
@@ -115,15 +116,15 @@ class TestAcceptanceSet:
     def test_block_sizes_equal_their_one_point_calls(self):
         ns = [1000, 10_000, 1_208_000, 10**7]
         assert build_acceptance_set(ns, 0.26, 0.13, 0.8265, 0.005) == [
-            build_acceptance_set(n, 0.26, 0.13, 0.8265, 0.005) for n in ns
+            build_acceptance_set([n], 0.26, 0.13, 0.8265, 0.005)[0] for n in ns
         ]
-        assert build_acceptance_set(ns[:1], 0.26, 0.13, 0.8265, 0.005) == [build_acceptance_set(1000, 0.26, 0.13, 0.8265, 0.005)]
 
     def test_deviations_shrink_like_sqrt_n(self):
         p = honest(0.26, 0.13, 0.8265)
         for n in (10_000, 100_000):
-            lo1, hi1 = (np.array(b) / n for b in build_acceptance_set(n, 0.26, 0.13, 0.8265, 0.05))
-            lo4, hi4 = (np.array(b) / (4 * n) for b in build_acceptance_set(4 * n, 0.26, 0.13, 0.8265, 0.05))
+            box1, box4 = build_acceptance_set([n, 4 * n], 0.26, 0.13, 0.8265, 0.05)
+            lo1, hi1 = (np.array(b) / n for b in box1)
+            lo4, hi4 = (np.array(b) / (4 * n) for b in box4)
             assert np.all((0.4 <= (p - lo4) / (p - lo1)) & ((p - lo4) / (p - lo1) <= 0.6))
             assert np.all((0.4 <= (hi4 - p) / (hi1 - p)) & ((hi4 - p) / (hi1 - p) <= 0.6))
 
@@ -524,8 +525,8 @@ class TestBatch:
         params = [paper_params(), *random_cells(seed, 7)]
         own = 1.0 + np.logspace(-4.0, 0.0, 16)[None, :] ** np.linspace(1.0, 2.0, len(params))[:, None]
         for alphas in (COARSE_ORDERS, np.minimum(own, 2.0), np.array([2.0]), np.array([1.3])):
-            got = h_alpha(params, alphas)
             per_point = np.broadcast_to(alphas, (len(params), alphas.shape[-1]))
+            got = h_alpha(params, per_point)
             want = [h_alpha([pt], a)[0] for pt, a in zip(params, per_point)]
             assert np.array_equal(got, want)
 
@@ -581,8 +582,10 @@ class TestBatch:
             assert len({res.alpha for res in got}) > 1  # the points chose different orders
 
     def test_mismatched_lengths_rejected(self):
-        with pytest.raises(ValueError, match="one row per point"):
+        with pytest.raises(ValueError, match="one row of orders per point"):
             h_alpha([paper_params()] * 2, np.full((3, 4), 1.1))
+        with pytest.raises(ValueError, match="one row of orders per point"):
+            h_alpha([paper_params()] * 2, COARSE_ORDERS)
         with pytest.raises(ValueError, match="one order per point"):
             certified_h_alpha([paper_params()] * 2, [1.1])
         with pytest.raises(ValueError, match="one leakage per point"):
@@ -642,6 +645,15 @@ class TestKeyLength:
         assert res.rate == pytest.approx(0.112, abs=0.015)
         assert res.length == pytest.approx(135_300, abs=18_000)
         assert 1.0 < res.alpha <= 2.0
+
+    def test_test_rounds_charged_as_an_integer(self):
+        # the charge is the integer bound n - box_lo_perp on the test rounds, not a float product that rounds
+        # below it (41,455.99999999995 against 41,456 here), so the raw length is the formula's float value exactly
+        params = paper_params()
+        (res,) = key_length_renyi([params], 1e-5, [paper_leak()])
+        a, log_eps = res.alpha, math.log2(1.0 / (1e-5 - EPS_EC))
+        want = N_PAPER * res.h_alpha - (N_PAPER - params.box_lo[2]) - paper_leak() - 64 - a / (a - 1.0) * log_eps + 2
+        assert res.raw_length == want
 
     def test_tight_soundness(self):
         (res,) = key_length_renyi([paper_params()], 1e-15, [paper_leak()])
